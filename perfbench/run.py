@@ -8,7 +8,11 @@ workload's operations one after another and checks every output against
 an independent reference.  Fresh processes keep the engine's lazily
 filled caches inside the timed operations, as every CLI invocation pays
 for them.  Runs repeat one at a time until S seconds have passed (at
-least three); the figures are medians over the runs.
+least three); the figures are medians over the runs.  setup_s is the
+median over these runs and SETUP_RUNS more processes that stop at the
+first operation.  Times are given at a reference host speed (speed.py):
+a fixed unit of work sampled before, during and after each operation
+cancels the speed swings of a shared host.
 
 --trace 0 reports the end-to-end metrics; --trace 1 alternates untraced
 and traced runs (at least one and two), reports the per-layer metrics of
@@ -40,6 +44,7 @@ ROOT = os.path.dirname(HERE)
 OUT_DIR = os.path.join(HERE, "out")
 DEADLINE_S = 170          # a run must end within 180 s
 MIN_RUNS = 3
+SETUP_RUNS = 8
 MAX_RUNS = 60
 
 
@@ -60,9 +65,10 @@ def machine():
     return {"nproc": os.cpu_count(), "python": platform.python_version(), "cpu": cpu}
 
 
-def run_child(workload, seed, trace, bounds, timeout):
+def run_child(workload, seed, mode, bounds, timeout):
+    """One child process; mode is run, trace or setup."""
     cmd = [sys.executable, os.path.join(HERE, "child.py"), workload, str(seed),
-           "1" if trace else "0", bounds]
+           mode, bounds]
     t_spawn = time.monotonic()
     try:
         proc = subprocess.run(cmd + [repr(t_spawn)], capture_output=True, text=True,
@@ -73,8 +79,12 @@ def run_child(workload, seed, trace, bounds, timeout):
         raise ChildFailed(f"{workload} run exited {proc.returncode}:\n"
                           f"{proc.stderr[-2000:]}")
     res = json.loads(proc.stdout.strip().splitlines()[-1])
-    res["traced"] = trace
+    res["elapsed_s"] = time.monotonic() - t_spawn
+    if mode == "setup":
+        return res
+    res["traced"] = mode == "trace"
     res["wall_s"] = sum(o["seconds"] for o in res["ops"])
+    res["raw_wall_s"] = sum(o["raw_seconds"] for o in res["ops"])
     for kind in ("table", "verify"):
         res[kind + "_s"] = sum(o["seconds"] for o in res["ops"] if o["kind"] == kind)
     return res
@@ -88,14 +98,22 @@ def run_workload(workload, seed, seconds, trace, bounds):
     while True:
         elapsed = time.monotonic() - start
         if len(runs) >= len(plan):
-            typical = statistics.median(r["wall_s"] + r["setup_s"] for r in runs)
+            typical = statistics.median(r["elapsed_s"] for r in runs)
             if elapsed + typical > seconds or len(runs) >= MAX_RUNS:
                 break
             # under tracing, alternate untraced and traced runs
             plan.append(trace and not plan[-1])
-        runs.append(run_child(workload, seed, plan[len(runs)], bounds,
-                              DEADLINE_S - elapsed))
+        mode = "trace" if plan[len(runs)] else "run"
+        runs.append(run_child(workload, seed, mode, bounds, DEADLINE_S - elapsed))
     return runs
+
+
+def run_setups(workload, seed, bounds, start):
+    """SETUP_RUNS processes that stop at the first operation, so that
+    setup_s is a median over more set-ups than there are runs."""
+    return [run_child(workload, seed, "setup", bounds,
+                      DEADLINE_S - (time.monotonic() - start))
+            for _ in range(SETUP_RUNS)]
 
 
 def failures(runs):
@@ -105,9 +123,10 @@ def failures(runs):
     return attempted, failed, failed_ops
 
 
-def end_to_end(runs):
+def end_to_end(runs, setups):
     med = {k: statistics.median(r[k] for r in runs)
-           for k in ("wall_s", "table_s", "verify_s", "setup_s", "peak_rss_mb")}
+           for k in ("wall_s", "table_s", "verify_s", "peak_rss_mb")}
+    med["setup_s"] = statistics.median(r["setup_s"] for r in runs + setups)
     med["tuples_per_s"] = runs[0]["work"]["tuples"] / med["wall_s"]
     return med
 
@@ -173,14 +192,16 @@ def write_spans(workload, seed, traced):
 
 def measure(workload, seed, seconds, trace, bounds="full"):
     """Run one workload; returns (result line, report)."""
+    start = time.monotonic()
     runs = run_workload(workload, seed, seconds, trace, bounds)
+    setups = [] if trace else run_setups(workload, seed, bounds, start)
     attempted, failed, failed_ops = failures(runs)
     mismatched = count_mismatches(runs)
     attempted += 1                      # the determinism check itself
     failed += bool(mismatched)
     untraced = [r for r in runs if not r["traced"]]
     traced = [r for r in runs if r["traced"]]
-    e2e = end_to_end(untraced)
+    e2e = end_to_end(untraced, setups)
     values = per_layer(traced, untraced) if trace else e2e
     result = {"correct": failed == 0, "attempted": attempted, "failed": failed,
               "metrics": {k: {"value": v, "unit": metrics.UNITS[k]}
@@ -192,7 +213,9 @@ def measure(workload, seed, seconds, trace, bounds="full"):
         "error_rate": failed / attempted,
         "failed_operations": failed_ops, "count_mismatches": mismatched,
         "per_run": [{k: r[k] for k in ("wall_s", "table_s", "verify_s", "setup_s",
-                                       "peak_rss_mb", "traced")} for r in runs],
+                                       "raw_wall_s", "raw_setup_s", "peak_rss_mb",
+                                       "traced")} for r in runs],
+        "setup_runs": [{k: r[k] for k in ("setup_s", "raw_setup_s")} for r in setups],
         "absent": sorted(k for k, v in values.items() if v is None),
         "untraced": e2e,
     }

@@ -12,6 +12,8 @@ import io
 import json
 import random
 
+import speed
+
 # Bounds per workload: the measured ones and the tiny smoke ones.
 BOUNDS = {
     "scan-symbolic": {
@@ -56,11 +58,18 @@ def stated_tuples(arity_max, degree_max):
     return total
 
 
+class SetupDone(Exception):
+    """Raised at the first operation of a set-up-only run."""
+
+
 class Context:
-    def __init__(self, clock, tracer=None):
+    def __init__(self, clock, tracer=None, calibrate=True, setup_only=False):
         self.clock = clock
         self.tracer = tracer
+        self.calibrate = calibrate
+        self.setup_only = setup_only
         self.first_op = None
+        self.setup_scale = None
         self.ops = []
         self.work = {"tuples": 0, "ops_per_arity": {}, "table_entries": 0,
                      "stasheff_tuples": 0, "slices_memoized": 0, "slices_nonzero": 0}
@@ -69,21 +78,27 @@ class Context:
         """Time one program call; kind is table, verify or query.  Under
         tracing the call gets a span in `layer`.  Each call starts from a
         collected heap, so garbage left by earlier operations and checks
-        is not charged to it."""
+        is not charged to it.  Its seconds are given at the reference
+        speed (speed.py); the raw wall seconds are kept as raw_seconds.
+        Without calibration (the smoke run) both are the raw seconds."""
         tr = self.tracer
         gc.collect()
         if self.first_op is None:
             self.first_op = self.clock()
-        if tr is not None:
-            tr.on = True
-        with tr.span("op:" + name, layer) if tr is not None else contextlib.nullcontext():
-            t0 = self.clock()
-            result = fn()
-            seconds = self.clock() - t0
-        if tr is not None:
-            tr.on = False
-        self.ops.append({"name": name, "kind": kind, "seconds": seconds,
-                         "attempted": count, "failed": None})
+        meter = speed.Meter(self.clock, self.calibrate, sample=tr is None)
+        with meter:
+            if self.setup_scale is None:
+                self.setup_scale = meter.first_scale()
+                if self.setup_only:
+                    raise SetupDone
+            if tr is not None:
+                tr.on = True
+            with tr.span("op:" + name, layer) if tr is not None else contextlib.nullcontext():
+                result = fn()
+            if tr is not None:
+                tr.on = False
+        self.ops.append({"name": name, "kind": kind, "seconds": meter.seconds,
+                         "raw_seconds": meter.raw, "attempted": count, "failed": None})
         return result
 
     def check(self, name, failed):
