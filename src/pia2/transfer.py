@@ -6,10 +6,17 @@ projection p at the root; m_n is the sum over all shapes.  The engine
 evaluates either against the symbol tables (`SymbolicBackend`) or against
 matrix contraction data (`MatrixBackend`).
 
-Summing over shapes distributes over the root split, so exhaustive scans
-use the slice recursion A(s) = sum over splits of sign * H(mu(A(s1),
+Summing over shapes distributes over the root split, so the evaluator
+uses the slice recursion A(s) = sum over splits of sign * H(mu(A(s1),
 A(s2))) with a shared memo; evaluating every shape separately gives the
 same answer (tested) but is exponentially slower at high arity.
+
+The same split makes table scans output-sensitive: a slice, or an input
+tuple of m_d, is nonzero only if some cut splits it into two parts that
+are each a single input (a leaf) or a nonzero slice, since a cut with a
+zero part contributes nothing.  `compute_operation_table` therefore grows
+its candidate tuples bottom-up by length from the nonzero slices alone
+and never visits a tuple that this rule shows to be zero.
 
 Sign convention over Q: composing tensor-product operators picks up the
 Koszul sign (-1)^{|A_right| * deg(left slice)} where |A_right| is the
@@ -346,20 +353,26 @@ def transfer_mn_by_trees(inputs, backend):
 
 def compute_operation_table(arity_max, degree_max, backend, max_tuples=None,
                             evaluator=None):
-    """Exhaustively evaluate transfer_mn over composable identity-free
-    tuples with arity <= arity_max and per-input degree <= degree_max;
-    only nonzero operations are stored.  Deterministic: tuples are visited
-    in sorted symbol order.
+    """Evaluate transfer_mn over the composable identity-free tuples with
+    arity <= arity_max and per-input degree <= degree_max; only nonzero
+    operations are stored.
+
+    A tuple (f_d, ..., f_1) is visited only if some cut splits it into a
+    prefix P and a suffix Q that are each a leaf or a nonzero slice, with
+    P's last map starting where Q's first map ends.  Every other tuple is
+    zero: m_d and the slice value A both sum over root cuts, and each term
+    has a zero factor.  Candidates are built by length, from the nonzero
+    slices of the shorter lengths, so the cost follows the support rather
+    than the number of composable tuples.  max_tuples bounds the number of
+    candidates evaluated.  Deterministic: entries are inserted in
+    (arity, key) order.
     """
     if arity_max < 1:
         raise ValueError("arity bound must be at least 1")
     field = backend.field
     ev = evaluator or TransferEvaluator(backend)
-    by_source = {}
-    for s in backend.scan_symbols(degree_max):
-        by_source.setdefault(backend.src(s), []).append(s)
-    for v in by_source.values():
-        v.sort(key=lambda s: (backend.deg(s), backend.to_str(s)))
+    leaves = backend.scan_symbols(degree_max)
+    names = {s: backend.to_str(s) for s in leaves}
 
     window = getattr(getattr(backend, "cat", None), "window", 0)
     table = OperationTable({
@@ -367,39 +380,44 @@ def compute_operation_table(arity_max, degree_max, backend, max_tuples=None,
         "field": field.name, "backend": backend.name, "window": window,
         "homotopy": getattr(getattr(backend, "contraction", None), "mode", "paper"),
     })
-    budget = [0]
 
-    def emit(chain):
-        budget[0] += 1
-        if max_tuples is not None and budget[0] > max_tuples:
-            raise ResourceWarning("tuple budget exceeded")
-        inputs = tuple(reversed(chain))  # table keys are (f_d, ..., f_1)
-        out = ev.transfer(inputs)
-        if not out:
-            return
+    def emit(key, inputs, out):
         if len(out) != 1:
             raise AssertionError(f"non-monomial transfer output at {inputs}: {out}")
         (osym, coeff), = out.items()
-        names = [backend.to_str(s) for s in inputs]
         objects = [backend.src(inputs[-1])]
         for s in reversed(inputs):
             objects.append(backend.tgt(s))
         degree = sum(backend.deg(s) for s in inputs) + 2 - len(inputs)
         out_name = backend.class_str(osym) if hasattr(backend, "class_str") \
             else backend.to_str(osym)
-        table.add(names, objects, coeff, out_name, degree)
+        table.add(key, objects, coeff, out_name, degree)
 
-    def extend(chain, tgt):
-        if len(chain) >= 2:
-            emit(chain)
-        if len(chain) == arity_max:
-            return
-        for s in by_source.get(tgt, ()):
-            chain.append(s)
-            extend(chain, backend.tgt(s))
-            chain.pop()
-
-    for start in sorted(by_source):
-        for s in by_source[start]:
-            extend([s], backend.tgt(s))
+    # nonzero[n]: the leaves (n = 1) or nonzero slices of length n, keyed
+    # by the target of their first map, the object a prefix must start at
+    nonzero = {1: {}}
+    for s in leaves:
+        nonzero[1].setdefault(backend.tgt(s), []).append((s,))
+    evaluated = 0
+    for k in range(2, arity_max + 1):
+        candidates = {}
+        for i in range(1, k):
+            suffixes = nonzero[k - i]
+            for group in nonzero[i].values():
+                for p in group:
+                    for q in suffixes.get(backend.src(p[-1]), ()):
+                        c = p + q
+                        if c not in candidates:
+                            candidates[c] = tuple(names[s] for s in c)
+        evaluated += len(candidates)
+        if max_tuples is not None and evaluated > max_tuples:
+            raise ResourceWarning("tuple budget exceeded")
+        grown = {}
+        for inputs, key in sorted(candidates.items(), key=lambda kv: kv[1]):
+            out = ev.transfer(inputs)
+            if out:
+                emit(key, inputs, out)
+            if k < arity_max and ev._A(inputs) is not None:
+                grown.setdefault(backend.tgt(inputs[0]), []).append(inputs)
+        nonzero[k] = grown
     return table

@@ -162,6 +162,22 @@ def test_criterion_3_operation_list_completeness(engine):
               f"arity <= 9 ({len(computed)} operations)", elapsed)
 
 
+def test_criterion_3_arity_coverage_at_degree_8():
+    """At degree <= 4 no operation of arity 7-9 exists, so criterion 3 says
+    nothing about those arities; degree 8 gives each of them entries."""
+    t0 = time.time()
+    computed = compute_operation_table(9, 8, SymbolicBackend())
+    exp = expected_table(9, 8)
+    rep = diff_tables(computed, exp)
+    assert rep["identical"], {k: v[:4] for k, v in rep.items() if v and k != "identical"}
+    arities = computed.arities()
+    assert {a: arities.get(a) for a in (7, 8, 9)} == {7: 30, 8: 28, 9: 26}
+    report(3, f"complete operation list reproduced both directions at "
+              f"arity <= 9, degree <= 8 ({len(computed)} operations, "
+              f"{arities[7] + arities[8] + arities[9]} at arity 7-9)",
+           time.time() - t0)
+
+
 def test_criterion_4_stasheff_suite(engine):
     t0 = time.time()
     rep = stasheff_check(engine["pi"], 7, 4)

@@ -5,6 +5,7 @@ from pia2 import symbols as sym
 from pia2.transfer import (SymbolicBackend, MatrixBackend, TransferEvaluator,
                            transfer_mn, transfer_mn_by_trees, evaluate_tree,
                            compute_operation_table)
+from pia2.table import OperationTable
 from pia2.trees import enumerate_trees
 from pia2.complexes import (pia2_end_category, tabulated_contraction,
                             generic_contraction, a2_end_category,
@@ -139,6 +140,77 @@ def test_compute_table_metadata_and_degree_law():
         assert all(not s.startswith("1_") for s in key)
     # arity 1 produces an empty table: the minimal model has m_1 = 0
     assert len(compute_operation_table(1, 4, sb)) == 0
+
+
+def exhaustive_table(arity_max, degree_max, backend):
+    """Reference scan: a depth-first walk over every composable
+    identity-free tuple within the bounds, each fed to the evaluator."""
+    ev = TransferEvaluator(backend)
+    table = OperationTable({
+        "arity_max": arity_max, "degree_max": degree_max,
+        "field": backend.field.name, "backend": backend.name,
+        "window": getattr(getattr(backend, "cat", None), "window", 0),
+        "homotopy": getattr(getattr(backend, "contraction", None), "mode", "paper"),
+    })
+    by_source = {}
+    for s in backend.scan_symbols(degree_max):
+        by_source.setdefault(backend.src(s), []).append(s)
+
+    def walk(chain):
+        if len(chain) >= 2:
+            inputs = tuple(reversed(chain))
+            out = ev.transfer(inputs)
+            if out:
+                (osym, coeff), = out.items()
+                objects = [backend.src(chain[0])] + [backend.tgt(s) for s in chain]
+                out_name = backend.class_str(osym) if hasattr(backend, "class_str") \
+                    else backend.to_str(osym)
+                table.add([backend.to_str(s) for s in inputs], objects, coeff,
+                          out_name, sum(backend.deg(s) for s in inputs) + 2 - len(inputs))
+        if len(chain) < arity_max:
+            for s in by_source.get(backend.tgt(chain[-1]), ()):
+                walk(chain + [s])
+
+    for group in by_source.values():
+        for s in group:
+            walk([s])
+    return table
+
+
+def _pia2_matrix(field, contraction):
+    cat = pia2_end_category(14, field)
+    return MatrixBackend.for_pia2(cat, contraction(cat), degree_max=2)
+
+
+def _a2_matrix():
+    cat = a2_end_category(F2)
+    return MatrixBackend.for_classes(
+        cat, generic_contraction(cat, -4, 4, a2_class_names()), 2)
+
+
+@pytest.mark.parametrize("arity_max, degree_max, make_backend", [
+    (5, 4, SymbolicBackend),
+    (4, 8, SymbolicBackend),
+    (4, 2, lambda: _pia2_matrix(F2, tabulated_contraction)),
+    (4, 2, lambda: _pia2_matrix(QQ, tabulated_contraction)),
+    (3, 2, lambda: _pia2_matrix(F2, generic_contraction)),
+    (5, 2, _a2_matrix),
+], ids=["symbolic-5-4", "symbolic-4-8", "tabulated-f2", "tabulated-q",
+        "generic-f2", "a2-classes"])
+def test_chart_scan_matches_exhaustive_walk(arity_max, degree_max, make_backend):
+    """The scan visits only tuples built from nonzero slices; every tuple
+    it skips must be zero, so its table equals the exhaustive walk's."""
+    backend = make_backend()
+    expected = exhaustive_table(arity_max, degree_max, backend)
+    assert len(expected) > 0
+    table = compute_operation_table(arity_max, degree_max, backend)
+    assert table.dumps() == expected.dumps()
+
+
+def test_scan_inserts_entries_in_arity_key_order():
+    t = compute_operation_table(6, 6, SymbolicBackend())
+    assert len(t.arities()) == 5
+    assert list(t.entries) == sorted(t.entries, key=lambda k: (len(k), k))
 
 
 def test_tuple_budget():
