@@ -7,14 +7,32 @@ over Q), and any higher operation with a unit argument vanishes.
 
 stasheff_check evaluates the quadratic relations with the sign exponent
 s_n = |f_n| + ... + |f_1| - n on every composable identity-free tuple up
-to the requested bounds and reports violations; the remaining checks
-(unitality, kappa symmetry, classification, table diff) are scans over
-stored entries.
+to the requested bounds and reports violations and the number of tuples
+checked.  A relation term is nonzero only when its inner operation is,
+so on tuples inside the table's bounds the inner operations are lookups
+of stored keys, cut short at the first slice that begins no stored key;
+only the terms with a nonzero inner operation reach m(), which tries the
+table, then the fallback memo for outputs beyond the table's degree
+bound.  Each symbol's degree is parsed once per category.  The remaining
+checks (unitality, kappa symmetry, classification, table diff) are scans
+over stored entries.
 """
 
 from .linalg import F2
 from .table import OperationTable
 from . import symbols as sym
+
+
+class Memo(dict):
+    """A dict that fills a missing key with fn(key)."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 class AInfCategory:
@@ -34,7 +52,8 @@ class AInfCategory:
         self.units = dict(units)
         self.field = field
         self._unit_set = set(units.values())
-        self._degree_of = degree_of or (lambda s: sym.ext_degree(sym.ext_from_str(s)))
+        self._degrees = Memo(degree_of or
+                             (lambda s: sym.ext_degree(sym.ext_from_str(s))))
         self._m_fallback = m_fallback
         self._fallback_memo = {}
 
@@ -42,7 +61,8 @@ class AInfCategory:
         return self._hom_basis(x, y, degree_max)
 
     def degree(self, s):
-        return self._degree_of(s)
+        """The degree of a basis symbol; each symbol is parsed once."""
+        return self._degrees[s]
 
     def is_unit(self, s):
         return s in self._unit_set
@@ -50,13 +70,13 @@ class AInfCategory:
     def m(self, inputs):
         """m_d on basis symbols: list of (coeff, symbol); [] when zero."""
         inputs = tuple(inputs)
+        e = self.table.entries.get(inputs)
+        if e is not None:                 # stored keys never hold units
+            return [self.stored_term(e)]
         d = len(inputs)
-        if d == 0:
-            return []
-        if d == 1:
+        if d < 2:
             return []  # m_1 = 0 on every built-in instance
-        units = [k for k, s in enumerate(inputs) if self.is_unit(s)]
-        if units:
+        if not self._unit_set.isdisjoint(inputs):
             if d != 2:
                 return []
             f = self.field
@@ -68,35 +88,50 @@ class AInfCategory:
             # m_2(1, g) = (-1)^{|g|} g
             sign = f.one if (self.degree(b) % 2 == 0 or f.name == "f2") else f.of(-1)
             return [(sign, b)]
-        e = self.table.get(inputs)
-        if e is None:
-            if self._m_fallback is not None and not self._in_table_bounds(inputs):
-                out = self._fallback_memo.get(inputs)
-                if out is None:
-                    out = self._m_fallback(inputs)
-                    self._fallback_memo[inputs] = out
-                return out
+        if self._m_fallback is None:
             return []
-        return [(e["coeff"] if not isinstance(e["coeff"], str) else
-                 self.field.of(int(e["coeff"])), e["output"])]
+        out = self._fallback_memo.get(inputs)   # holds out-of-bounds keys only
+        if out is None:
+            if self._in_table_bounds(inputs):
+                return []
+            out = self._fallback_memo[inputs] = self._m_fallback(inputs)
+        return out
+
+    def stored_term(self, e):
+        """The (coeff, symbol) term of a table entry; coefficients read
+        from JSON are strings."""
+        c = e["coeff"]
+        return (self.field.of(int(c)) if isinstance(c, str) else c), e["output"]
+
+    def table_decides(self, inputs):
+        """Whether m on every contiguous slice of inputs is its stored table
+        entry, or zero when there is none.  That holds when m is this
+        class's (MatCategory computes it blockwise), no input is a unit,
+        and the tuple lies inside the table's bounds or there is no
+        fallback to consult beyond them."""
+        return (type(self).m is AInfCategory.m
+                and self._unit_set.isdisjoint(inputs)
+                and (self._m_fallback is None or self._in_table_bounds(inputs)))
 
     def _in_table_bounds(self, inputs):
         dmax = self.table.metadata.get("degree_max")
         amax = self.table.metadata.get("arity_max")
         if amax is not None and len(inputs) > amax:
             return False
-        if dmax is not None and any(self.degree(s) > dmax for s in inputs):
-            return False
-        return True
+        return dmax is None or max(map(self._degrees.__getitem__, inputs),
+                                   default=0) <= dmax
 
 
 # ---------------------------------------------------------------------------
 # checks
 
-def _report(check, violations):
-    return {"check": check,
-            "status": "pass" if not violations else "fail",
-            "violations": violations}
+def _report(check, violations, checked=None):
+    rep = {"check": check,
+           "status": "pass" if not violations else "fail",
+           "violations": violations}
+    if checked is not None:
+        rep["checked"] = checked
+    return rep
 
 
 def sign_exponent(degrees, n):
@@ -106,28 +141,54 @@ def sign_exponent(degrees, n):
 
 def stasheff_check(cat, d_max, degree_max, tuple_source=None):
     """The quadratic A-infinity relations on all composable identity-free
-    tuples of length d <= d_max within the per-input degree bound."""
+    tuples of length d <= d_max within the per-input degree bound.
+
+    A term is nonzero only when its inner operation is.  Where the table
+    decides m on every slice of the tuple (AInfCategory.table_decides),
+    the inner operations are lookups of stored keys, and the slices from
+    one start stop at the first that begins no stored key.  Elsewhere
+    every inner operation goes through cat.m.  The report's "checked"
+    counts the tuples examined."""
     f = cat.field
+    signed = f.name != "f2"
+    entries = cat.table.entries
+    # the stored keys and their prefixes of length >= 2
+    prefixes = {k[:j] for k in entries for j in range(2, len(k) + 1)}
     violations = []
+    checked = 0
     for inputs in (tuple_source or composable_tuples(cat, d_max, degree_max)):
         d = len(inputs)
         if d < 2:
             continue
-        # degrees listed from f_1 upward for the sign exponent
-        degs = [cat.degree(s) for s in reversed(inputs)]
+        checked += 1
+        by_table = cat.table_decides(inputs)
+        degs = None
         acc = {}
-        for l in range(2, d + 1):
-            for n in range(0, d - l + 1):
-                # inputs are (f_d, ..., f_1): f_{n+l}..f_{n+1} sit at
-                # positions d-n-l .. d-n-1 from the left
-                inner = inputs[d - n - l: d - n]
-                for ci, si in cat.m(inner):
-                    outer = inputs[: d - n - l] + (si,) + inputs[d - n:]
+        for i in range(d - 1):
+            for j in range(i + 2, d + 1):
+                # inputs are (f_d, ..., f_1): the inner operation takes
+                # f_{n+l}, ..., f_{n+1} with l = j - i and n = d - j
+                inner = inputs[i:j]
+                if by_table:
+                    if inner not in prefixes:
+                        break
+                    e = entries.get(inner)
+                    if e is None:
+                        continue
+                    terms = [cat.stored_term(e)]
+                else:
+                    terms = cat.m(inner)
+                n = d - j
+                for ci, si in terms:
+                    outer = inputs[:i] + (si,) + inputs[j:]
                     for co, so in cat.m(outer):
-                        e = sign_exponent(degs, n)
                         coeff = f.mul(ci, co)
-                        if f.name != "f2" and e % 2:
-                            coeff = f.neg(coeff)
+                        if signed:
+                            if degs is None:
+                                # degrees listed from f_1 upward
+                                degs = [cat.degree(s) for s in reversed(inputs)]
+                            if sign_exponent(degs, n) % 2:
+                                coeff = f.neg(coeff)
                         s = f.add(acc.get(so, f.zero), coeff)
                         if s == f.zero:
                             acc.pop(so, None)
@@ -136,7 +197,7 @@ def stasheff_check(cat, d_max, degree_max, tuple_source=None):
         if acc:
             violations.append({"tuple": list(inputs), "expected": "0",
                                "got": {k: str(v) for k, v in acc.items()}})
-    return _report("stasheff", violations)
+    return _report("stasheff", violations, checked)
 
 
 def composable_tuples(cat, d_max, degree_max):

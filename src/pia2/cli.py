@@ -37,7 +37,10 @@ def _add_common(p):
     p.add_argument("--backend", choices=("symbolic", "matrix"), default="symbolic")
     p.add_argument("--homotopy", choices=("paper", "generic"), default="paper")
     p.add_argument("--field", choices=("f2", "q"), default="f2")
-    p.add_argument("--window", type=int, default=24)
+    p.add_argument("--window", type=int, default=None,
+                   help="resolution window of the matrix backend and the "
+                        "contraction audit (default: max(24, 2*degree_max "
+                        "+ arity_max + 4))")
     p.add_argument("--arity-max", type=int, default=4)
     p.add_argument("--degree-max", type=int, default=4)
     p.add_argument("--output", default=None)
@@ -49,7 +52,9 @@ def _check_config(args, parser):
     if args.backend == "symbolic" and args.field != "f2":
         parser.error("the symbolic tables carry F2 coefficients")
     want = 2 * args.degree_max + args.arity_max + 4
-    if args.window < want:
+    if args.window is None:
+        args.window = max(24, want)
+    elif args.window < want:
         parser.error(f"window must be at least 2*degree_max + arity_max + 4 = {want}")
 
 

@@ -13,7 +13,7 @@ left edge -L is a truncation artifact: operator identities are asserted
 on a trusted sub-window only.
 """
 
-from .linalg import SparseMatrix, rref
+from .linalg import SparseMatrix, factorize, rref, solve_factored
 from .quiver import (ModuleMap, Representation, pia2_indecomposables,
                      pia2_named_maps, a2_representations)
 from . import symbols as sym
@@ -907,8 +907,11 @@ class GenericContraction(Contraction):
         data = self._decompose(elem.src, elem.tgt)[elem.deg]
         index = self.cat.flat_index(elem.src, elem.tgt, elem.deg)
         target = {index[b]: v for b, v in elem.coeffs.items()}
-        from .linalg import solve
-        out = solve(data["solver"], target)
+        factors = data.get("factors")
+        if factors is None:
+            # factored once, on first use: most degrees are never solved in
+            factors = data["factors"] = factorize(data["solver"])
+        out = solve_factored(factors, target)
         if out is None:
             raise ValueError("decomposition failed")
         return data, out

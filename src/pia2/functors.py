@@ -15,7 +15,7 @@ from itertools import product as iproduct
 
 from .linalg import F2
 from .table import OperationTable
-from .ainf import AInfCategory
+from .ainf import AInfCategory, Memo
 from . import symbols as sym
 
 
@@ -89,8 +89,10 @@ def pi_category(table, evaluator=None, field=F2):
     the genuine structure."""
     fallback = None
     if evaluator is not None:
+        parsed = Memo(sym.ext_from_str)
+
         def fallback(inputs):
-            tup = tuple(sym.ext_from_str(s) for s in inputs)
+            tup = tuple(map(parsed.__getitem__, inputs))
             out = evaluator.transfer(tup)
             return [(v, sym.ext_to_str(k)) for k, v in out.items()]
 

@@ -218,15 +218,16 @@ def rref(m):
     of dict-vectors {col: scalar} spanning the null space exactly.
     """
     f = m.field
+    zero = f.zero
     # dense row-major working copy; instances here are desk-scale
     work = [[m.get(r, c) for c in range(m.cols)] for r in range(m.rows)]
-    trans = [[f.one if i == j else f.zero for j in range(m.rows)] for i in range(m.rows)]
+    trans = [[f.one if i == j else zero for j in range(m.rows)] for i in range(m.rows)]
     pivot_cols = []
     piv_r = 0
     for c in range(m.cols):
         sel = None
         for r in range(piv_r, m.rows):
-            if work[r][c] != f.zero:
+            if work[r][c] != zero:
                 sel = r
                 break
         if sel is None:
@@ -238,11 +239,17 @@ def rref(m):
         if inv != f.one:
             work[piv_r] = [f.mul(inv, v) for v in work[piv_r]]
             trans[piv_r] = [f.mul(inv, v) for v in trans[piv_r]]
+        # only the nonzero entries of the pivot row change the other rows
+        work_nz = [(k, w) for k, w in enumerate(work[piv_r]) if w != zero]
+        trans_nz = [(k, w) for k, w in enumerate(trans[piv_r]) if w != zero]
         for r in range(m.rows):
-            if r != piv_r and work[r][c] != f.zero:
+            if r != piv_r and work[r][c] != zero:
                 factor = work[r][c]
-                work[r] = [f.sub(v, f.mul(factor, w)) for v, w in zip(work[r], work[piv_r])]
-                trans[r] = [f.sub(v, f.mul(factor, w)) for v, w in zip(trans[r], trans[piv_r])]
+                row, trow = work[r], trans[r]
+                for k, w in work_nz:
+                    row[k] = f.sub(row[k], f.mul(factor, w))
+                for k, w in trans_nz:
+                    trow[k] = f.sub(trow[k], f.mul(factor, w))
         pivot_cols.append(c)
         piv_r += 1
         if piv_r == m.rows:
@@ -267,11 +274,22 @@ def rank(m):
     return rref(m)[0]
 
 
+def factorize(m):
+    """What solving against m needs, computed once: (rank, pivot columns,
+    transform, transform * m) from the reduced row echelon form."""
+    rk, pivot_cols, _, transform = rref(m)
+    return rk, pivot_cols, transform, mat_mul(transform, m)
+
+
 def solve(m, target):
     """One solution x (dict-vector) of m*x = target, or None if inconsistent."""
-    f = m.field
-    rk, pivot_cols, _, transform = rref(m)
-    red = mat_mul(transform, m)
+    return solve_factored(factorize(m), target)
+
+
+def solve_factored(factors, target):
+    """solve against a matrix given by factorize(m)."""
+    rk, pivot_cols, transform, red = factors
+    f = red.field
     t = mat_vec(transform, target)
     sol = {}
     for i, pc in enumerate(pivot_cols):

@@ -7,7 +7,8 @@ from pia2.transfer import SymbolicBackend, TransferEvaluator, compute_operation_
 from pia2.ainf import (AInfCategory, stasheff_check, unitality_check,
                        kappa_symmetry_check, classification_check,
                        expected_table, sign_exponent, composable_tuples)
-from pia2.functors import pi_category, build_delta
+from pia2.functors import (pi_category, build_delta, build_fukaya,
+                           build_pi_prime, build_pi_simple)
 
 
 def make_pi(arity=6, degree=4):
@@ -51,6 +52,97 @@ def test_stasheff_detects_corruption():
     del pi.table.entries[("a.u2^0", "p2", "(12)")]
     rep = stasheff_check(pi, 4, 2)
     assert rep["status"] == "fail"
+
+
+def stasheff_reference(cat, d_max, degree_max):
+    """The relation loop with every term sent through cat.m, as the
+    oracle for stasheff_check's lookup path."""
+    f = cat.field
+    violations = []
+    checked = 0
+    for inputs in composable_tuples(cat, d_max, degree_max):
+        d = len(inputs)
+        checked += 1
+        degs = [cat.degree(s) for s in reversed(inputs)]
+        acc = {}
+        for l in range(2, d + 1):
+            for n in range(0, d - l + 1):
+                inner = inputs[d - n - l: d - n]
+                for ci, si in cat.m(inner):
+                    outer = inputs[: d - n - l] + (si,) + inputs[d - n:]
+                    for co, so in cat.m(outer):
+                        coeff = f.mul(ci, co)
+                        if f.name != "f2" and sign_exponent(degs, n) % 2:
+                            coeff = f.neg(coeff)
+                        s = f.add(acc.get(so, f.zero), coeff)
+                        if s == f.zero:
+                            acc.pop(so, None)
+                        else:
+                            acc[so] = s
+        if acc:
+            violations.append({"tuple": list(inputs), "expected": "0",
+                               "got": {k: str(v) for k, v in acc.items()}})
+    return {"check": "stasheff", "status": "fail" if violations else "pass",
+            "violations": violations, "checked": checked}
+
+
+def _corrupt_output(pi):
+    entry = pi.table.entries[("a.u2^0", "p2", "(12)")]
+    assert entry["output"] == "p1"
+    entry["output"] = "j1"
+    return pi
+
+
+def _corrupt_coeff(pi):
+    # over Q, flip the sign of m_3(a, p2, (12)) = p1
+    entry = pi.table.entries[("a.u2^0", "p2", "(12)")]
+    entry["coeff"] = QQ.of(-1)
+    return pi
+
+
+def _pi_q():
+    sb = SymbolicBackend()
+    ev = TransferEvaluator(sb)
+    return pi_category(compute_operation_table(4, 2, sb, evaluator=ev), ev, QQ)
+
+
+STASHEFF_CASES = {
+    "pi": (lambda: make_pi(4, 2), 4, 2),
+    "pi-q": (_pi_q, 4, 2),
+    # checked past the table's arity and degree bounds: the fallback
+    "pi-past-bounds": (lambda: make_pi(3, 2), 4, 3),
+    "pi-simple": (build_pi_simple, 4, 4),
+    "delta": (build_delta, 5, 1),
+    "fukaya4": (lambda: build_fukaya(4, (2, 0, 0, 0)), 5, 2),
+    "pi-prime": (lambda: build_pi_prime(make_pi(4, 2), 2), 4, 2),
+    "pi-bad-output": (lambda: _corrupt_output(make_pi(4, 2)), 4, 2),
+    "pi-q-bad-coeff": (lambda: _corrupt_coeff(_pi_q()), 4, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STASHEFF_CASES))
+def test_stasheff_lookup_path_matches_reference(case):
+    make, d_max, degree_max = STASHEFF_CASES[case]
+    cat = make()
+    rep = stasheff_check(cat, d_max, degree_max)
+    assert rep == stasheff_reference(cat, d_max, degree_max)
+    assert rep["checked"] > 0
+    tuples = list(composable_tuples(cat, d_max, degree_max))
+    decided = sum(cat.table_decides(t) for t in tuples)
+    if case == "pi-prime":
+        assert decided == 0  # MatCategory computes m blockwise
+    else:
+        assert decided > 0
+    if "bad" in case:
+        assert rep["violations"]
+
+
+def test_stasheff_report_counts_tuples_checked():
+    pi = make_pi(4, 2)
+    rep = stasheff_check(pi, 4, 2)
+    n = len(list(composable_tuples(pi, 4, 2)))
+    assert n > 0
+    assert rep["checked"] == n
 
 
 def test_unitality_laws_f2_and_q():

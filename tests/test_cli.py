@@ -50,6 +50,21 @@ def test_usage_errors(capsys):
     assert exc.value.code == 2
 
 
+def test_default_window_follows_the_bounds(tmp_path, capsys):
+    """Without --window the window defaults to max(24, 2*degree_max +
+    arity_max + 4), so a symbolic scan at degree 8 needs no window."""
+    a = tmp_path / "computed.json"
+    b = tmp_path / "expected.json"
+    code, _o, _e = run(["minimal-model", "--arity-max", "6", "--degree-max", "8",
+                        "--output", str(a)], capsys)
+    assert code == 0
+    run(["expected-table", "--arity-max", "6", "--degree-max", "8",
+         "--output", str(b)], capsys)
+    code, out, _e = run(["diff", str(a), str(b)], capsys)
+    assert code == 0
+    assert json.loads(out)["identical"]
+
+
 def test_expected_table_and_diff(tmp_path, capsys):
     a = tmp_path / "computed.json"
     b = tmp_path / "expected.json"

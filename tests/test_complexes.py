@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pia2.linalg import F2, QQ
+from pia2.linalg import F2, QQ, solve
 from pia2 import symbols as sym
 from pia2.complexes import (build_resolution, cone,
                             ChainMap, dg_compose, dg_differential,
@@ -199,6 +199,26 @@ def test_generic_contraction_axioms_and_side_conditions():
                     inc = con.include(src, tgt, n, name)
                     assert con.project(inc) == {name: field.one}
                     assert con.H(inc).is_zero()
+
+
+@pytest.mark.parametrize("field", [F2, QQ], ids=["f2", "q"])
+def test_generic_coords_match_solve(field):
+    """The generic contraction factors each [B | R | W] solver once; its
+    coordinates equal a fresh linalg.solve on every basis vector."""
+    cat = pia2_end_category(14, field)
+    con = generic_contraction(cat)
+    checked = 0
+    for src in sorted(cat.complexes):
+        for tgt in sorted(cat.complexes):
+            for n, data in con._decompose(src, tgt).items():
+                index = cat.flat_index(src, tgt, n)
+                for b in cat.flat_basis(src, tgt, n):
+                    x = HomElement(cat, src, tgt, n, {b: field.one})
+                    want = solve(data["solver"], {index[b]: field.one})
+                    assert want is not None
+                    assert con._coords(x)[1] == want, (src, tgt, n, b)
+                    checked += 1
+    assert checked > 0
 
 
 def test_build_contraction_entry_point():
