@@ -24,7 +24,7 @@ from . import symbols as sym
 from .transfer import (SymbolicBackend, MatrixBackend, TransferEvaluator,
                        compute_operation_table)
 from .complexes import (pia2_end_category, a2_end_category, tabulated_contraction,
-                        generic_contraction, a2_class_names, HomElement)
+                        generic_contraction, a2_class_names, contraction_audit)
 from .ainf import (expected_table, stasheff_check, unitality_check,
                    kappa_symmetry_check, classification_check)
 from .functors import (pi_category, builtin_functors, verify_functor,
@@ -100,41 +100,6 @@ def cmd_expected_table(args, parser):
     return 0
 
 
-def _contraction_report(window, field):
-    """Matrix audit of pi = 1, dH + Hd = 1 - ip and H^2 = 0 on the trusted
-    sub-window, on every hom pair and degree |n| <= 8."""
-    cat = pia2_end_category(window, field)
-    con = tabulated_contraction(cat)
-    trusted = set(cat.trusted)
-    violations = []
-    names = sorted(cat.complexes)
-    for src in names:
-        for tgt in names:
-            for n in range(-8, 9):
-                for name in con.classes(src, tgt, n):
-                    inc = con.include(src, tgt, n, name)
-                    pr = con.project(inc)
-                    if pr != {name: field.one}:
-                        violations.append({"tuple": [src, tgt, n, "pi=1"],
-                                           "expected": "1", "got": str(pr)})
-                for b in cat.flat_basis(src, tgt, n):
-                    if b[0] not in trusted or b[0] + n not in trusted:
-                        continue
-                    x = HomElement(cat, src, tgt, n, {b: field.one})
-                    lhs = cat.differential(con.H(x)).add(con.H(cat.differential(x)))
-                    rhs = x
-                    for name, c in con.project(x).items():
-                        rhs = rhs.add(con.include(src, tgt, n, name).scale(field.neg(c)))
-                    if not lhs.eq_on(rhs, trusted):
-                        violations.append({"tuple": [src, tgt, n, list(b)],
-                                           "expected": "dH+Hd = 1-ip", "got": "mismatch"})
-                    if not con.H(con.H(x)).restrict(trusted).is_zero():
-                        violations.append({"tuple": [src, tgt, n, list(b)],
-                                           "expected": "H^2 = 0", "got": "nonzero"})
-    return {"check": "contraction", "status": "pass" if not violations else "fail",
-            "violations": violations}
-
-
 def cmd_verify(args, parser):
     _check_config(args, parser)
     field = field_by_name(args.field)
@@ -160,7 +125,8 @@ def cmd_verify(args, parser):
     if which in ("classification", "all"):
         reports.append(classification_check(pi.table))
     if which in ("contraction", "all"):
-        reports.append(_contraction_report(args.window, field))
+        cat = pia2_end_category(args.window, field)
+        reports.append(contraction_audit(cat, tabulated_contraction(cat)))
     if which in ("functors", "all"):
         for f in builtin_functors(pi, degree_max=args.degree_max):
             reports.append(verify_functor(f, max(args.arity_max, 6),
@@ -239,12 +205,17 @@ def cmd_verify_functor(args, parser):
         parser.error(f"cannot parse functor file: {exc}")
     cats = {}
     for role in ("source", "target"):
-        name = doc[role]
+        name = doc.get(role) if isinstance(doc, dict) else None
+        if not isinstance(name, str):
+            parser.error(f"functor file names no {role} category")
         try:
             cats[name] = _build_category(name, args)
         except (KeyError, ValueError):
             parser.error(f"unknown category {name!r}")
-    functor = functor_from_json(doc, cats)
+    try:
+        functor = functor_from_json(doc, cats)
+    except ValueError as exc:
+        parser.error(f"invalid functor file: {exc}")
     rep = verify_functor(functor, args.arity_max, args.degree_max)
     _write(rep, args.output)
     return 0 if rep["status"] == "pass" else 1

@@ -220,7 +220,7 @@ def _block_map(src, tgt, tl, tr, bl, br, rows_split, cols_split):
             for (r, c), val in m.blocks[v].entries.items():
                 ent[(r + ro, c + co)] = field.add(ent.get((r + ro, c + co), field.zero), val)
         blocks[v] = SparseMatrix(rows, cols, field, {k: v2 for k, v2 in ent.items()
-                                                     if v2 != field.zero})
+                                                     if v2})
     return ModuleMap(src, tgt, blocks)
 
 
@@ -296,7 +296,7 @@ class EndCategory:
         self.complexes = dict(complexes)
         self.field = field
         self._mod_basis = {}      # (repA name, repB name) -> [ModuleMap]
-        self._mod_solver = {}     # (repA name, repB name) -> coordinatizer
+        self._mod_solver = {}     # (repA name, repB name) -> (slots, factors)
         self._flat = {}           # (src, tgt, deg) -> list[(pos, k)]
         self._flat_index = {}
         self._dmat = {}           # (src, tgt, deg) -> SparseMatrix
@@ -325,13 +325,13 @@ class EndCategory:
                     # (phi_t M)_rc = sum_k phi_t[r,k] M[k,c]
                     for k in range(ra.dims[t]):
                         v = Me.get(k, c)
-                        if v != field.zero:
+                        if v:
                             idx = offs[t] + k + r * ra.dims[t]
                             row[idx] = field.add(row.get(idx, field.zero), v)
                     # -(N phi_s)_rc = -sum_k N[r,k] phi_s[k,c]
                     for k in range(rb.dims[s]):
                         v = Ne.get(r, k)
-                        if v != field.zero:
+                        if v:
                             idx = offs[s] + c + k * ra.dims[s]
                             row[idx] = field.sub(row.get(idx, field.zero), v)
                     if row:
@@ -368,16 +368,15 @@ class EndCategory:
             mat = SparseMatrix(len(slots), len(basis), self.field,
                                {(slot_index[s], j): v for j, col in enumerate(cols)
                                 for s, v in col.items()})
-            self._mod_solver[key] = (slot_index, mat)
-        slot_index, mat = self._mod_solver[key]
+            self._mod_solver[key] = (slot_index, factorize(mat))
+        slot_index, factors = self._mod_solver[key]
         target = {}
         flat = self._flatten_map(mmap)
         for s, v in flat.items():
             if s not in slot_index:
                 raise ValueError("map outside the hom space span")
             target[slot_index[s]] = v
-        from .linalg import solve
-        solvec = solve(mat, target)
+        solvec = solve_factored(factors, target)
         if solvec is None:
             raise ValueError("map is not in the hom-space span")
         return [(j, v) for j, v in sorted(solvec.items())]
@@ -441,7 +440,7 @@ class EndCategory:
                         ent[(r, col)] = field.add(ent.get((r, col), field.zero), v)
         rows = len(self.flat_basis(src, tgt, deg + 1))
         mat = SparseMatrix(rows, len(dom), field,
-                           {k: v for k, v in ent.items() if v != field.zero})
+                           {k: v for k, v in ent.items() if v})
         self._dmat[key] = mat
         return mat
 
@@ -485,7 +484,7 @@ class EndCategory:
                 for m, c in consts:
                     key = (i, m)
                     s = field.add(out.get(key, field.zero), field.mul(c, field.mul(vg, vf)))
-                    if s == field.zero:
+                    if not s:
                         out.pop(key, None)
                     else:
                         out[key] = s
@@ -532,7 +531,7 @@ class HomElement:
         self.src = src
         self.tgt = tgt
         self.deg = deg
-        self.coeffs = {k: v for k, v in coeffs.items() if v != cat.field.zero}
+        self.coeffs = {k: v for k, v in coeffs.items() if v}
 
     def is_zero(self):
         return not self.coeffs
@@ -544,7 +543,7 @@ class HomElement:
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             s = field.add(out.get(k, field.zero), v)
-            if s == field.zero:
+            if not s:
                 out.pop(k, None)
             else:
                 out[k] = s
@@ -552,7 +551,7 @@ class HomElement:
 
     def scale(self, c):
         field = self.cat.field
-        if c == field.zero:
+        if not c:
             return HomElement(self.cat, self.src, self.tgt, self.deg, {})
         return HomElement(self.cat, self.src, self.tgt, self.deg,
                           {k: field.mul(c, v) for k, v in self.coeffs.items()})
@@ -727,9 +726,23 @@ class TabulatedContraction(Contraction):
     homotopy tables: i realizes the named basis cycles, p reads the
     coefficient at the top position of a class-carrying degree, and H
     back-substitutes the bidiagonal differential summing from the top.
+
+    Everything p and H need besides their argument depends only on the hom
+    pair and the degree, so it is derived once per (src, tgt, deg): the
+    first class and its top key for p, and for H a plan of back-substitution
+    steps with the pivots already inverted.
+
+    No degree that carries a class has a plan: d does not vanish on it, so
+    H is zero there, and where H back-substitutes, i(p(x)) = 0.  _plan
+    raises if that ever fails.
     """
 
     mode = "paper"
+
+    def __init__(self, cat):
+        super().__init__(cat)
+        self._tops = {}     # (src, tgt, deg) -> (first class, (top, 0)) or None
+        self._plans = {}    # (src, tgt, deg) -> back-substitution steps or None
 
     def classes(self, src, tgt, deg):
         return [s for s in sym.hom_basis(src, tgt, max(deg, 0)) if sym.ext_degree(s) == deg]
@@ -738,69 +751,91 @@ class TabulatedContraction(Contraction):
         assert sym.ext_source(name) == src and sym.ext_target(name) == tgt
         return realize_ext_symbol(self.cat, name)
 
-    def _top_position(self, src, tgt, deg):
-        basis = self.cat.flat_basis(src, tgt, deg)
-        return max(i for i, _k in basis) if basis else None
+    def _top(self, src, tgt, deg):
+        """(first class, key of the top position) of a class-carrying
+        degree, None where p is zero."""
+        key = (src, tgt, deg)
+        if key not in self._tops:
+            cls = self.classes(src, tgt, deg)
+            basis = self.cat.flat_basis(src, tgt, deg)
+            self._tops[key] = (cls[0], (max(i for i, _k in basis), 0)) \
+                if cls and basis else None
+        return self._tops[key]
 
     def project(self, elem):
-        cls = self.classes(elem.src, elem.tgt, elem.deg)
-        if not cls:
+        top = self._top(elem.src, elem.tgt, elem.deg)
+        if top is None:
             return {}
-        top = self._top_position(elem.src, elem.tgt, elem.deg)
-        v = elem.coeffs.get((top, 0))
+        v = elem.coeffs.get(top[1])
         if v is None:
             return {}
-        return {cls[0]: v}
+        return {top[0]: v}
+
+    def _plan(self, src, tgt, n):
+        """The steps that solve d(c) = t on Hom^{n-1} downward from the top
+        position, or None where H is zero on Hom^n (d does not vanish there,
+        or nothing in degree n-1 has a boundary).
+
+        Row i of d couples columns i and i+1 (each hom component is
+        one-dimensional on this instance).  A step (j, key, inv, b) sets
+        c[j] = (t[key] - b c[j+1]) inv; b is zero where no column j+1 term
+        enters, and key is (j-1, 0) where column j is seen only by the row
+        below.  Columns that no step covers stay zero."""
+        key = (src, tgt, n)
+        if key in self._plans:
+            return self._plans[key]
+        cat, field = self.cat, self.cat.field
+        zero = field.zero
+        steps = None
+        dmat = cat.d_matrix(src, tgt, n - 1) \
+            if cat.d_matrix(src, tgt, n).is_zero() else None
+        if dmat is not None and not dmat.is_zero():
+            if self._top(src, tgt, n) is not None:
+                raise ValueError(f"class in a degree where d vanishes: {key}")
+            row_index = cat.flat_index(src, tgt, n)
+            col_index = cat.flat_index(src, tgt, n - 1)
+
+            def entry(rp, cp):
+                r, c = row_index.get((rp, 0)), col_index.get((cp, 0))
+                return zero if r is None or c is None else dmat.get(r, c)
+
+            col_pos = {i for i, _k in cat.flat_basis(src, tgt, n - 1)}
+            steps = []
+            for j in sorted(col_pos, reverse=True):
+                a = entry(j, j)
+                if a:
+                    b = entry(j, j + 1)
+                    steps.append((j, (j, 0), field.div(field.one, a), b))
+                    continue
+                # the row below is the only one seeing this column
+                a2 = entry(j - 1, j)
+                if a2 and (j - 1) not in col_pos:
+                    steps.append((j, (j - 1, 0), field.div(field.one, a2), zero))
+            steps = tuple(steps)
+        self._plans[key] = steps
+        return steps
 
     def H(self, elem):
         """Zero unless d vanishes on the degree; otherwise solve
-        d(c) = elem - i(p(elem)) downward from the top position."""
+        d(c) = elem - i(p(elem)) downward from the top position (p is zero
+        on every degree with a plan)."""
         cat = self.cat
         field = cat.field
+        zero = field.zero
         src, tgt, n = elem.src, elem.tgt, elem.deg
-        if not cat.d_matrix(src, tgt, n).is_zero():
+        steps = self._plan(src, tgt, n)
+        if steps is None:
             return cat.zero_elem(src, tgt, n - 1)
-        dmat = cat.d_matrix(src, tgt, n - 1)
-        if dmat.is_zero():
-            return cat.zero_elem(src, tgt, n - 1)
-        proj = self.project(elem)
-        t = dict(elem.coeffs)
-        for name, coeff in proj.items():
-            inc = self.include(src, tgt, n, name)
-            for k, v in inc.coeffs.items():
-                s = field.sub(t.get(k, field.zero), field.mul(coeff, v))
-                if s == field.zero:
-                    t.pop(k, None)
-                else:
-                    t[k] = s
-        # back-substitution from the top: row i of d couples columns i and
-        # i+1 (each hom component is one-dimensional on this instance)
-        row_index = cat.flat_index(src, tgt, n)
-        row_pos = {i for i, _k in cat.flat_basis(src, tgt, n)}
-        col_index = cat.flat_index(src, tgt, n - 1)
-        col_pos = {i for i, _k in cat.flat_basis(src, tgt, n - 1)}
-
-        def entry(rp, cp):
-            if rp not in row_pos or cp not in col_pos:
-                return field.zero
-            return dmat.get(row_index[(rp, 0)], col_index[(cp, 0)])
-
+        t = elem.coeffs
         c = {}
-        for j in sorted(col_pos, reverse=True):
-            a = entry(j, j)
-            if a != field.zero:
-                acc = t.get((j, 0), field.zero)
-                b = entry(j, j + 1)
-                if b != field.zero and (j + 1) in c:
-                    acc = field.sub(acc, field.mul(b, c[j + 1]))
-                val = field.div(acc, a)
-            else:
-                # the row below is the only one seeing this column
-                a2 = entry(j - 1, j)
-                if a2 == field.zero or (j - 1) in col_pos:
-                    continue
-                val = field.div(t.get((j - 1, 0), field.zero), a2)
-            if val != field.zero:
+        for j, k, inv, b in steps:
+            acc = t.get(k, zero)
+            if b:
+                prev = c.get(j + 1)
+                if prev is not None:
+                    acc = field.sub(acc, field.mul(b, prev))
+            val = field.mul(acc, inv)
+            if val:
                 c[j] = val
         return HomElement(cat, src, tgt, n - 1, {(i, 0): v for i, v in c.items()})
 
@@ -947,7 +982,7 @@ class GenericContraction(Contraction):
             for r, val in w.items():
                 key = basis_prev[r]
                 s = field.add(out.get(key, field.zero), field.mul(v, val))
-                if s == field.zero:
+                if not s:
                     out.pop(key, None)
                 else:
                     out[key] = s
@@ -971,7 +1006,7 @@ class _Span:
                 coeff = v[piv]
                 for j, w in self.rows[piv].items():
                     s = f.sub(v.get(j, f.zero), f.mul(coeff, w))
-                    if s == f.zero:
+                    if not s:
                         v.pop(j, None)
                     else:
                         v[j] = s
@@ -980,6 +1015,49 @@ class _Span:
                 self.rows[piv] = {j: f.mul(inv, w) for j, w in v.items()}
                 return True
         return False
+
+
+def contraction_audit(cat, con):
+    """Matrix audit of pi = 1, dH + Hd = 1 - ip and H^2 = 0 on the trusted
+    sub-window, on every hom pair and degree |n| <= 8.
+
+    "checked" counts the cases examined: each class (pi = 1) and each flat
+    basis element inside the trusted sub-window (the other two identities).
+    An audit that examined nothing reports "fail"."""
+    field = cat.field
+    trusted = set(cat.trusted)
+    violations = []
+    checked = 0
+    names = sorted(cat.complexes)
+    for src in names:
+        for tgt in names:
+            for n in range(-8, 9):
+                for name in con.classes(src, tgt, n):
+                    checked += 1
+                    inc = con.include(src, tgt, n, name)
+                    pr = con.project(inc)
+                    if pr != {name: field.one}:
+                        violations.append({"tuple": [src, tgt, n, "pi=1"],
+                                           "expected": "1", "got": str(pr)})
+                for b in cat.flat_basis(src, tgt, n):
+                    if b[0] not in trusted or b[0] + n not in trusted:
+                        continue
+                    checked += 1
+                    x = HomElement(cat, src, tgt, n, {b: field.one})
+                    hx = con.H(x)
+                    lhs = cat.differential(hx).add(con.H(cat.differential(x)))
+                    rhs = x
+                    for name, c in con.project(x).items():
+                        rhs = rhs.add(con.include(src, tgt, n, name).scale(field.neg(c)))
+                    if not lhs.eq_on(rhs, trusted):
+                        violations.append({"tuple": [src, tgt, n, list(b)],
+                                           "expected": "dH+Hd = 1-ip", "got": "mismatch"})
+                    if not con.H(hx).restrict(trusted).is_zero():
+                        violations.append({"tuple": [src, tgt, n, list(b)],
+                                           "expected": "H^2 = 0", "got": "nonzero"})
+    return {"check": "contraction",
+            "status": "pass" if checked and not violations else "fail",
+            "violations": violations, "checked": checked}
 
 
 def tabulated_contraction(cat):

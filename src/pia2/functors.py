@@ -651,10 +651,50 @@ def builtin_functors(pi_cat, degree_max=4, field=F2):
 
 def functor_from_json(doc, categories):
     """Build functor data from the JSON schema {source, target, object_map,
-    F1: [{from, to}], higher: []}; categories maps names to instances."""
-    src = categories[doc["source"]]
-    tgt = categories[doc["target"]]
-    f1 = {e["from"]: (None if e["to"] in ("0", None) else e["to"])
-          for e in doc["F1"]}
-    return AInfFunctorData(doc.get("name", "user"), src, tgt,
-                           doc["object_map"], f1, doc.get("higher") or None)
+    F1: [{from, to}], higher: []}; categories maps names to instances.
+    A malformed description (a missing key, an unknown category, object or
+    symbol) raises ValueError."""
+    if not isinstance(doc, dict):
+        raise ValueError("a functor description is a JSON object")
+    missing = [k for k in ("source", "target", "object_map", "F1") if k not in doc]
+    if missing:
+        raise ValueError(f"missing key(s) {', '.join(missing)}")
+    cats = []
+    for role in ("source", "target"):
+        if doc[role] not in categories:
+            raise ValueError(f"unknown {role} category {doc[role]!r}")
+        cats.append(categories[doc[role]])
+    src, tgt = cats
+    omap = doc["object_map"]
+    if not isinstance(omap, dict) or set(omap) != set(src.objects):
+        raise ValueError(f"object_map must map exactly the objects {src.objects}")
+    for x, y in omap.items():
+        if y not in tgt.objects:
+            raise ValueError(f"object {x!r} maps to unknown object {y!r}")
+    f1 = {}
+    for e in doc["F1"]:
+        if not isinstance(e, dict) or "from" not in e or "to" not in e:
+            raise ValueError(f"F1 entry {e!r} needs 'from' and 'to'")
+        if not _is_symbol(src, e["from"]):
+            raise ValueError(f"unknown source symbol {e['from']!r}")
+        to = None if e["to"] in ("0", None) else e["to"]
+        if to is not None and not _is_symbol(tgt, to):
+            raise ValueError(f"unknown target symbol {to!r}")
+        f1[e["from"]] = to
+    if doc.get("higher"):
+        raise ValueError("only strict functors (F^d = 0, d >= 2) are supported")
+    return AInfFunctorData(doc.get("name", "user"), src, tgt, omap, f1)
+
+
+def _is_symbol(cat, s):
+    """Whether s names a basis element of cat: a listed symbol, or one the
+    category can give a degree."""
+    if not isinstance(s, str):
+        return False
+    if s in getattr(cat, "symbol_hom", ()):
+        return True
+    try:
+        cat.degree(s)
+    except (KeyError, ValueError):
+        return False
+    return True

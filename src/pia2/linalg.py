@@ -2,7 +2,9 @@
 
 Matrices are stored as dicts {(row, col): scalar} with no explicit zeros.
 Everything is exact: F2 entries are ints mod 2, QQ entries are
-``fractions.Fraction`` (arbitrary-precision).
+``fractions.Fraction`` (arbitrary-precision).  A scalar is zero exactly
+when it is falsy, and the matrix layer tests it that way: comparing two
+Fractions with == costs an abstract-base-class check per call.
 """
 
 from fractions import Fraction
@@ -13,6 +15,10 @@ class Field:
 
     def __init__(self, name):
         self.name = name
+        # shared constants: Fraction is immutable, so one instance serves
+        # every read
+        self.one = Fraction(1) if name == "q" else 1
+        self.zero = Fraction(0) if name == "q" else 0
 
     def __repr__(self):
         return self.name
@@ -22,14 +28,6 @@ class Field:
 
     def __hash__(self):
         return hash(self.name)
-
-    @property
-    def one(self):
-        return Fraction(1) if self.name == "q" else 1
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.name == "q" else 0
 
     def of(self, n):
         """Coerce an integer into the field."""
@@ -84,7 +82,7 @@ class SparseMatrix:
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise IndexError(f"entry ({r},{c}) outside {rows}x{cols}")
                 v = field.of(v) if isinstance(v, int) else v
-                if v != field.zero:
+                if v:
                     if (r, c) in self.entries:
                         raise ValueError(f"duplicate entry at ({r},{c})")
                     self.entries[(r, c)] = v
@@ -106,7 +104,7 @@ class SparseMatrix:
         for r, row in enumerate(data):
             for c, v in enumerate(row):
                 v = field.of(v) if isinstance(v, int) else v
-                if v != field.zero:
+                if v:
                     ent[(r, c)] = v
         return cls(rows, cols, field, ent)
 
@@ -137,7 +135,7 @@ class SparseMatrix:
         ent = dict(self.entries)
         for pos, v in other.entries.items():
             s = f.add(ent.get(pos, f.zero), v)
-            if s == f.zero:
+            if not s:
                 ent.pop(pos, None)
             else:
                 ent[pos] = s
@@ -146,7 +144,7 @@ class SparseMatrix:
     def scale(self, a):
         f = self.field
         a = f.of(a) if isinstance(a, int) else a
-        if a == f.zero:
+        if not a:
             return SparseMatrix.zero(self.rows, self.cols, f)
         return SparseMatrix(self.rows, self.cols, f,
                             {pos: f.mul(a, v) for pos, v in self.entries.items()})
@@ -187,7 +185,7 @@ def mat_mul(a, b):
         for c, vb in b_by_row.get(k, ()):
             pos = (r, c)
             s = f.add(ent.get(pos, f.zero), f.mul(va, vb))
-            if s == f.zero:
+            if not s:
                 ent.pop(pos, None)
             else:
                 ent[pos] = s
@@ -203,7 +201,7 @@ def mat_vec(m, vec):
         if x is None:
             continue
         s = f.add(out.get(r, f.zero), f.mul(v, x))
-        if s == f.zero:
+        if not s:
             out.pop(r, None)
         else:
             out[r] = s
@@ -227,7 +225,7 @@ def rref(m):
     for c in range(m.cols):
         sel = None
         for r in range(piv_r, m.rows):
-            if work[r][c] != zero:
+            if work[r][c]:
                 sel = r
                 break
         if sel is None:
@@ -240,10 +238,10 @@ def rref(m):
             work[piv_r] = [f.mul(inv, v) for v in work[piv_r]]
             trans[piv_r] = [f.mul(inv, v) for v in trans[piv_r]]
         # only the nonzero entries of the pivot row change the other rows
-        work_nz = [(k, w) for k, w in enumerate(work[piv_r]) if w != zero]
-        trans_nz = [(k, w) for k, w in enumerate(trans[piv_r]) if w != zero]
+        work_nz = [(k, w) for k, w in enumerate(work[piv_r]) if w]
+        trans_nz = [(k, w) for k, w in enumerate(trans[piv_r]) if w]
         for r in range(m.rows):
-            if r != piv_r and work[r][c] != zero:
+            if r != piv_r and work[r][c]:
                 factor = work[r][c]
                 row, trow = work[r], trans[r]
                 for k, w in work_nz:
@@ -263,7 +261,7 @@ def rref(m):
         vec = {free: f.one}
         for i, pc in enumerate(pivot_cols):
             v = work[i][free]
-            if v != f.zero:
+            if v:
                 vec[pc] = f.neg(v)
         kernel_basis.append(vec)
     transform = SparseMatrix.from_rows(trans, f) if m.rows else SparseMatrix.zero(0, 0, f)
@@ -294,11 +292,11 @@ def solve_factored(factors, target):
     sol = {}
     for i, pc in enumerate(pivot_cols):
         v = t.get(i, f.zero)
-        if v != f.zero:
+        if v:
             sol[pc] = v
     # consistency: rows beyond the rank must have zero target
     for r, v in t.items():
-        if r >= rk and v != f.zero:
+        if r >= rk and v:
             return None
     # verify (cheap at our sizes; guards against bad pivots)
     chk = mat_vec(red, sol)

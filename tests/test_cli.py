@@ -4,6 +4,12 @@ import pytest
 
 from pia2.cli import main
 
+IOTA1 = {"name": "iota1", "source": "delta", "target": "pi",
+         "object_map": {"A": "S2", "B": "P1", "C": "S1"},
+         "F1": [{"from": "alpha", "to": "j1"}, {"from": "beta", "to": "p1"},
+                {"from": "gamma", "to": "b.u1^0"}],
+         "higher": []}
+
 
 def run(argv, capsys):
     code = main(argv)
@@ -105,7 +111,9 @@ def test_verify_contraction_small_window(tmp_path, capsys):
                         "--arity-max", "2", "--degree-max", "2",
                         "--output", str(out)], capsys)
     assert code == 0
-    assert json.loads(out.read_text())["status"] == "pass"
+    rep = json.loads(out.read_text())
+    assert rep["status"] == "pass"
+    assert rep["reports"][0]["checked"] > 0
 
 
 def test_export_category_and_verify_functor(tmp_path, capsys):
@@ -116,12 +124,7 @@ def test_export_category_and_verify_functor(tmp_path, capsys):
     assert any(e["output"]["symbol"] == "1_A" for e in doc["entries"])
 
     fd = tmp_path / "functor.json"
-    fd.write_text(json.dumps({
-        "name": "iota1", "source": "delta", "target": "pi",
-        "object_map": {"A": "S2", "B": "P1", "C": "S1"},
-        "F1": [{"from": "alpha", "to": "j1"}, {"from": "beta", "to": "p1"},
-               {"from": "gamma", "to": "b.u1^0"}],
-        "higher": []}))
+    fd.write_text(json.dumps(IOTA1))
     code, out_text, _e = run(["verify-functor", "--file", str(fd),
                               "--arity-max", "5", "--degree-max", "3"], capsys)
     assert code == 0
@@ -144,3 +147,26 @@ def test_verify_stasheff_small(tmp_path, capsys):
                         "--degree-max", "2", "--output", str(out)], capsys)
     assert code == 0
     assert json.loads(out.read_text())["status"] == "pass"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda d: d.pop("target"),
+    lambda d: d.pop("F1"),
+    lambda d: d["F1"][0].pop("from"),
+    lambda d: d["F1"][0].update({"to": "zz"}),
+    lambda d: d["F1"][0].update({"from": "zz"}),
+    lambda d: d["object_map"].update({"A": "S9"}),
+    lambda d: d.update({"source": "nowhere"}),
+], ids=["no-target", "no-F1", "no-from", "unknown-target-symbol",
+        "unknown-source-symbol", "unknown-object", "unknown-category"])
+def test_verify_functor_rejects_malformed_files(edit, tmp_path, capsys):
+    """A malformed functor file is a usage error (exit 2), not a crash."""
+    doc = json.loads(json.dumps(IOTA1))
+    edit(doc)
+    fd = tmp_path / "functor.json"
+    fd.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-functor", "--file", str(fd), "--arity-max", "4",
+              "--degree-max", "2"])
+    assert exc.value.code == 2
+    assert "usage" in capsys.readouterr().err

@@ -10,7 +10,8 @@ from pia2.complexes import (build_resolution, cone,
                             a2_end_category, tabulated_contraction,
                             generic_contraction, a2_class_names,
                             realize_ext_symbol, realize_h_symbol,
-                            build_contraction, HomElement)
+                            build_contraction, contraction_audit, HomElement,
+                            EndCategory, TabulatedContraction)
 from pia2.quiver import pia2_indecomposables
 
 
@@ -174,6 +175,130 @@ def test_contraction_axioms_trusted_and_window_stable():
                             results[L] = con.H(x).restrict(trusted_small).coeffs
                         # window stability of the homotopy itself
                         assert results[10] == results[12], (field, src, tgt, n, b)
+
+
+def _reference_H(con, elem):
+    """The tabulated homotopy derived afresh on every call, as it was before
+    the per-degree plans: the oracle for TabulatedContraction.H."""
+    cat = con.cat
+    field = cat.field
+    src, tgt, n = elem.src, elem.tgt, elem.deg
+    if not cat.d_matrix(src, tgt, n).is_zero():
+        return cat.zero_elem(src, tgt, n - 1)
+    dmat = cat.d_matrix(src, tgt, n - 1)
+    if dmat.is_zero():
+        return cat.zero_elem(src, tgt, n - 1)
+    t = dict(elem.coeffs)
+    cls = [s for s in sym.hom_basis(src, tgt, max(n, 0)) if sym.ext_degree(s) == n]
+    basis = cat.flat_basis(src, tgt, n)
+    if cls and basis:
+        coeff = elem.coeffs.get((max(i for i, _k in basis), 0))
+        if coeff is not None:
+            for k, v in realize_ext_symbol(cat, cls[0]).coeffs.items():
+                s = field.sub(t.get(k, field.zero), field.mul(coeff, v))
+                if s == field.zero:
+                    t.pop(k, None)
+                else:
+                    t[k] = s
+    row_index = cat.flat_index(src, tgt, n)
+    row_pos = {i for i, _k in cat.flat_basis(src, tgt, n)}
+    col_index = cat.flat_index(src, tgt, n - 1)
+    col_pos = {i for i, _k in cat.flat_basis(src, tgt, n - 1)}
+
+    def entry(rp, cp):
+        if rp not in row_pos or cp not in col_pos:
+            return field.zero
+        return dmat.get(row_index[(rp, 0)], col_index[(cp, 0)])
+
+    c = {}
+    for j in sorted(col_pos, reverse=True):
+        a = entry(j, j)
+        if a != field.zero:
+            acc = t.get((j, 0), field.zero)
+            b = entry(j, j + 1)
+            if b != field.zero and (j + 1) in c:
+                acc = field.sub(acc, field.mul(b, c[j + 1]))
+            val = field.div(acc, a)
+        else:
+            a2 = entry(j - 1, j)
+            if a2 == field.zero or (j - 1) in col_pos:
+                continue
+            val = field.div(t.get((j - 1, 0), field.zero), a2)
+        if val != field.zero:
+            c[j] = val
+    return HomElement(cat, src, tgt, n - 1, {(i, 0): v for i, v in c.items()})
+
+
+@pytest.mark.parametrize("field", [F2, QQ], ids=["f2", "q"])
+def test_compiled_H_matches_reference(field):
+    """The per-degree plans give the same H as deriving everything afresh,
+    on every flat basis vector and on one seeded sparse combination per
+    hom pair and degree |n| <= 8 (which also checks linearity)."""
+    cat = pia2_end_category(14, field)
+    con = tabulated_contraction(cat)
+    rng = random.Random(11)
+    scalars = [field.of(k) for k in (1, -1, 2, -3)] if field is QQ else [F2.one]
+    checked = nonzero = 0
+    for src in sorted(cat.complexes):
+        for tgt in sorted(cat.complexes):
+            for n in range(-8, 9):
+                images = {}
+                for b in cat.flat_basis(src, tgt, n):
+                    x = HomElement(cat, src, tgt, n, {b: field.one})
+                    got = con.H(x)
+                    assert got.deg == n - 1
+                    assert got.coeffs == _reference_H(con, x).coeffs, (src, tgt, n, b)
+                    images[b] = got
+                    checked += 1
+                    nonzero += not got.is_zero()
+                if not images:
+                    continue
+                picks = rng.sample(sorted(images), min(3, len(images)))
+                coeffs = {b: rng.choice(scalars) for b in picks}
+                x = HomElement(cat, src, tgt, n, coeffs)
+                got = con.H(x)
+                assert got.coeffs == _reference_H(con, x).coeffs, (src, tgt, n, coeffs)
+                want = cat.zero_elem(src, tgt, n - 1)
+                for b, c in coeffs.items():
+                    want = want.add(images[b].scale(c))
+                assert got.coeffs == want.coeffs, (src, tgt, n, coeffs)
+    assert checked == 808 and nonzero > 300
+
+
+def test_compiled_H_refuses_a_class_where_d_vanishes():
+    """H back-substitutes without subtracting i(p(x)) because no degree with
+    a plan carries a class; a class there is refused, not ignored."""
+    cat = pia2_end_category(14, F2)
+    con = tabulated_contraction(cat)
+    key = next((s, t, n) for s in sorted(cat.complexes) for t in sorted(cat.complexes)
+               for n in range(-8, 9) if con._plan(s, t, n))
+    fresh = TabulatedContraction(cat)
+    fresh.classes = lambda src, tgt, deg: ["x"] if (src, tgt, deg) == key else []
+    with pytest.raises(ValueError):
+        fresh._plan(*key)
+
+
+def test_contraction_audit_counts_cases():
+    """The audit reports how many cases it examined: every class plus every
+    flat basis element inside the trusted sub-window.  A pass over nothing
+    is impossible: an audit of a category with no objects fails."""
+    cat = pia2_end_category(14, F2)
+    con = tabulated_contraction(cat)
+    rep = contraction_audit(cat, con)
+    trusted = set(cat.trusted)
+    want = 0
+    for src in cat.complexes:
+        for tgt in cat.complexes:
+            for n in range(-8, 9):
+                want += len(con.classes(src, tgt, n))
+                want += sum(1 for i, _k in cat.flat_basis(src, tgt, n)
+                            if i in trusted and i + n in trusted)
+    assert rep["status"] == "pass" and rep["violations"] == []
+    assert rep["checked"] == want > 0
+    nothing = EndCategory({}, F2)
+    nothing.trusted = cat.trusted
+    empty = contraction_audit(nothing, con)
+    assert empty["checked"] == 0 and empty["status"] == "fail"
 
 
 def test_generic_contraction_axioms_and_side_conditions():
