@@ -6,16 +6,15 @@ argument follows the unit laws (with the sign (-1)^{|g|} on the left unit
 over Q), and any higher operation with a unit argument vanishes.
 
 stasheff_check evaluates the quadratic relations with the sign exponent
-s_n = |f_n| + ... + |f_1| - n on every composable identity-free tuple up
-to the requested bounds and reports violations and the number of tuples
-checked.  A relation term is nonzero only when its inner operation is,
-so on tuples inside the table's bounds the inner operations are lookups
-of stored keys, cut short at the first slice that begins no stored key;
-only the terms with a nonzero inner operation reach m(), which tries the
-table, then the fallback memo for outputs beyond the table's degree
-bound.  Each symbol's degree is parsed once per category.  The remaining
-checks (unitality, kappa symmetry, classification, table diff) are scans
-over stored entries.
+s_n = |f_n| + ... + |f_1| - n.  A relation term at a tuple T is nonzero
+only when T = O o_j K: an outer operation's key O with slot j, which
+holds the output of an inner operation's key K, replaced by the inputs
+of K (the tree formula on its support).  Where m is given by tables the
+check enumerates these insertion tuples (insertion_tuples), closing the
+table past its own bounds through the category's closure hook, and
+evaluates the relation there by dict lookups; every other composable
+tuple is zero.  The remaining checks (unitality, kappa symmetry,
+classification, table diff) are scans over stored entries.
 """
 
 from .linalg import F2
@@ -39,12 +38,14 @@ class AInfCategory:
     """Objects + graded hom basis + operation table + units."""
 
     def __init__(self, name, objects, hom_basis, table, units, field=F2,
-                 degree_of=None, m_fallback=None):
+                 degree_of=None, m_fallback=None, closure=None):
         """hom_basis: callable (x, y, degree_max) -> list of symbol strings;
         units: {object: unit symbol string}; degree_of: callable on symbol
         strings (defaults to the preprojective symbol grammar); m_fallback
-        computes operations outside the stored table's bounds (needed when
-        relation checks feed high-degree inner outputs back in)."""
+        computes one operation outside the stored table's bounds, and
+        closure(arity_max, degree_max) -> OperationTable all of them at
+        once (the relation check feeds high-degree inner outputs back in
+        and needs the second)."""
         self.name = name
         self.objects = list(objects)
         self._hom_basis = hom_basis
@@ -55,6 +56,7 @@ class AInfCategory:
         self._degrees = Memo(degree_of or
                              (lambda s: sym.ext_degree(sym.ext_from_str(s))))
         self._m_fallback = m_fallback
+        self._closure = closure
         self._fallback_memo = {}
 
     def hom_basis(self, x, y, degree_max):
@@ -103,15 +105,30 @@ class AInfCategory:
         c = e["coeff"]
         return (self.field.of(int(c)) if isinstance(c, str) else c), e["output"]
 
-    def table_decides(self, inputs):
-        """Whether m on every contiguous slice of inputs is its stored table
-        entry, or zero when there is none.  That holds when m is this
-        class's (MatCategory computes it blockwise), no input is a unit,
-        and the tuple lies inside the table's bounds or there is no
-        fallback to consult beyond them."""
-        return (type(self).m is AInfCategory.m
-                and self._unit_set.isdisjoint(inputs)
-                and (self._m_fallback is None or self._in_table_bounds(inputs)))
+    def closed_operations(self, arity_max, degree_max):
+        """m as {key: (coeff, output)} on every identity-free tuple of
+        arity 2..arity_max with inputs of degree <= degree_max where m()
+        gives a nonzero value: the stored entries (kept whatever their
+        input degrees), and past the table's bounds the closure's keys.
+        None when m is not given by tables: a subclass computes it, or a
+        fallback has no closure to tabulate it."""
+        if type(self).m is not AInfCategory.m:
+            return None
+        ops = {k: self.stored_term(e) for k, e in self.table.entries.items()
+               if 2 <= len(k) <= arity_max}
+        if self._m_fallback is None:
+            return ops
+        if self._closure is None:
+            return None
+        amax = self.table.metadata.get("arity_max")
+        dmax = self.table.metadata.get("degree_max")
+        if ((amax is None or arity_max <= amax)
+                and (dmax is None or degree_max <= dmax)):
+            return ops                    # the table covers the bounds
+        for k, e in self._closure(arity_max, degree_max).entries.items():
+            if not self._in_table_bounds(k):
+                ops[k] = self.stored_term(e)
+        return ops
 
     def _in_table_bounds(self, inputs):
         dmax = self.table.metadata.get("degree_max")
@@ -143,71 +160,154 @@ def stasheff_check(cat, d_max, degree_max, tuple_source=None):
     """The quadratic A-infinity relations on all composable identity-free
     tuples of length d <= d_max within the per-input degree bound.
 
-    A term is nonzero only when its inner operation is.  Where the table
-    decides m on every slice of the tuple (AInfCategory.table_decides),
-    the inner operations are lookups of stored keys, and the slices from
-    one start stop at the first that begins no stored key.  Elsewhere
-    every inner operation goes through cat.m.  The report's "checked"
-    counts the tuples examined."""
-    f = cat.field
-    signed = f.name != "f2"
-    entries = cat.table.entries
-    # the stored keys and their prefixes of length >= 2
-    prefixes = {k[:j] for k in entries for j in range(2, len(k) + 1)}
+    Where m is given by tables (AInfCategory.closed_operations), the
+    relation is evaluated on the insertion tuples only (insertion_tuples),
+    in composable_tuples order, and every term is a dict lookup; the
+    other tuples are zero.  Elsewhere (MatCategory computes m blockwise)
+    every tuple is evaluated with every term sent through cat.m.
+
+    tuple_source, when given, replaces the walk: all of it is read, every
+    tuple of length >= 2 counts as checked, and the relation is evaluated
+    on those that are insertion tuples.  The report's "checked" counts the
+    composable tuples covered (a walk count, not an enumeration, when no
+    source is given) and "evaluated" those whose relation was evaluated.
+    A report that checked nothing over a non-empty table fails."""
+    support = insertion_tuples(cat, d_max, degree_max)
+    if support is None:
+        m, insertions = cat.m, None
+    else:
+        ops, insertions = support
+        units = cat._unit_set
+
+        def m(key):
+            t = ops.get(key)
+            if t is not None:
+                return (t,)
+            return () if units.isdisjoint(key) else cat.m(key)   # unit laws
+    checked = None                        # None: count the tuples read
+    if tuple_source is not None:
+        tuples = tuple_source
+    elif insertions is None:
+        tuples = composable_tuples(cat, d_max, degree_max)
+    else:
+        tuples = sorted(insertions, key=_walk_order(_by_source(cat, degree_max)))
+        checked = count_composable_tuples(cat, d_max, degree_max)
     violations = []
-    checked = 0
-    for inputs in (tuple_source or composable_tuples(cat, d_max, degree_max)):
-        d = len(inputs)
-        if d < 2:
+    seen = evaluated = 0
+    for inputs in tuples:
+        if len(inputs) < 2:
             continue
-        checked += 1
-        by_table = cat.table_decides(inputs)
-        degs = None
-        acc = {}
-        for i in range(d - 1):
-            for j in range(i + 2, d + 1):
-                # inputs are (f_d, ..., f_1): the inner operation takes
-                # f_{n+l}, ..., f_{n+1} with l = j - i and n = d - j
-                inner = inputs[i:j]
-                if by_table:
-                    if inner not in prefixes:
-                        break
-                    e = entries.get(inner)
-                    if e is None:
-                        continue
-                    terms = [cat.stored_term(e)]
-                else:
-                    terms = cat.m(inner)
-                n = d - j
-                for ci, si in terms:
-                    outer = inputs[:i] + (si,) + inputs[j:]
-                    for co, so in cat.m(outer):
-                        coeff = f.mul(ci, co)
-                        if signed:
-                            if degs is None:
-                                # degrees listed from f_1 upward
-                                degs = [cat.degree(s) for s in reversed(inputs)]
-                            if sign_exponent(degs, n) % 2:
-                                coeff = f.neg(coeff)
-                        s = f.add(acc.get(so, f.zero), coeff)
-                        if s == f.zero:
-                            acc.pop(so, None)
-                        else:
-                            acc[so] = s
+        seen += 1
+        if insertions is not None and inputs not in insertions:
+            continue
+        evaluated += 1
+        acc = _relation(cat, m, inputs)
         if acc:
             violations.append({"tuple": list(inputs), "expected": "0",
                                "got": {k: str(v) for k, v in acc.items()}})
-    return _report("stasheff", violations, checked)
+    rep = _report("stasheff", violations, seen if checked is None else checked)
+    rep["evaluated"] = evaluated
+    if not rep["checked"] and cat.table.entries:
+        rep["status"] = "fail"
+    return rep
 
 
-def composable_tuples(cat, d_max, degree_max):
-    """Identity-free composable tuples (f_d, ..., f_1), d <= d_max."""
+def _relation(cat, m, inputs):
+    """The quadratic relation at inputs = (f_d, ..., f_1) as {output:
+    coeff}, zero coefficients dropped; m maps a key to its terms."""
+    f = cat.field
+    signed = f.name != "f2"
+    d = len(inputs)
+    degs = None
+    acc = {}
+    for i in range(d - 1):
+        for j in range(i + 2, d + 1):
+            # the inner operation takes f_{n+l}, ..., f_{n+1} with
+            # l = j - i and n = d - j
+            for ci, si in m(inputs[i:j]):
+                for co, so in m(inputs[:i] + (si,) + inputs[j:]):
+                    coeff = f.mul(ci, co)
+                    if signed:
+                        if degs is None:
+                            # degrees listed from f_1 upward
+                            degs = [cat.degree(s) for s in reversed(inputs)]
+                        if sign_exponent(degs, d - j) % 2:
+                            coeff = f.neg(coeff)
+                    s = f.add(acc.get(so, f.zero), coeff)
+                    if s == f.zero:
+                        acc.pop(so, None)
+                    else:
+                        acc[so] = s
+    return acc
+
+
+def insertion_tuples(cat, d_max, degree_max):
+    """(ops, tuples) for the relation check on tables; None where m is
+    not given by tables.
+
+    The inner keys are the nonzero m on identity-free tuples of arity
+    2..d_max-1 with inputs of degree <= degree_max.  The outer keys are
+    the nonzero m of the same arities with inputs of degree <= D, the
+    largest inner output degree (or degree_max if larger), plus the unit
+    laws m_2(a, 1) and m_2(1, b) for inner outputs that are units.  tuples
+    holds the composable T = O[:j] + K + O[j+1:] with O[j] the output of
+    K, |T| <= d_max and every input a non-unit basis element of degree <=
+    degree_max; a relation term at any other tuple has a zero factor.
+    ops holds m on the inner and outer keys except the unit laws."""
+    inner = cat.closed_operations(d_max - 1, degree_max)
+    if inner is None:
+        return None
+    by_source = _by_source(cat, degree_max)
+    hom = {s: (x, y) for x, maps in by_source.items() for s, y in maps}
+    by_output = {}
+    for k, (_c, out) in inner.items():
+        if all(s in hom for s in k):
+            by_output.setdefault(out, []).append(k)
+    if not by_output:
+        return inner, set()
+    top = max(max(map(cat.degree, by_output)), degree_max)
+    ops = cat.closed_operations(d_max - 1, top)
+    outers = list(ops)
+    for x, u in cat.units.items():
+        if u in by_output:
+            outers += [(a, u) for a, _y in by_source.get(x, ())]
+            outers += [(u, b) for b, (_w, y) in hom.items() if y == x]
+    tuples = set()
+    for o in outers:
+        for j, s in enumerate(o):
+            for k in by_output.get(s, ()):
+                t = o[:j] + k + o[j + 1:]
+                if (len(t) <= d_max and all(x in hom for x in t)
+                        and all(hom[a][0] == hom[b][1] for a, b in zip(t, t[1:]))):
+                    tuples.add(t)
+    return ops, tuples
+
+
+def _by_source(cat, degree_max):
+    """{x: [(s, y)]}: the non-unit basis maps s: x -> y of degree <=
+    degree_max, in hom_basis order."""
     by_source = {}
     for x in cat.objects:
         for y in cat.objects:
             for s in cat.hom_basis(x, y, degree_max):
                 if not cat.is_unit(s):
                     by_source.setdefault(x, []).append((s, y))
+    return by_source
+
+
+def _walk_order(by_source):
+    """Sort key that puts tuples in composable_tuples order: the start
+    object's rank, then each map's position among the maps out of its
+    source, from f_1 on (a walk comes before its extensions)."""
+    rank = {x: i for i, x in enumerate(sorted(by_source))}
+    src = {s: x for x, maps in by_source.items() for s, _y in maps}
+    pos = {s: i for maps in by_source.values() for i, (s, _y) in enumerate(maps)}
+    return lambda t: (rank[src[t[-1]]],) + tuple(pos[s] for s in reversed(t))
+
+
+def composable_tuples(cat, d_max, degree_max):
+    """Identity-free composable tuples (f_d, ..., f_1), d <= d_max."""
+    by_source = _by_source(cat, degree_max)
 
     def extend(chain, tgt):
         if len(chain) >= 2:
@@ -222,6 +322,23 @@ def composable_tuples(cat, d_max, degree_max):
     for x in sorted(by_source):
         for s, y in by_source[x]:
             yield from extend([s], y)
+
+
+def count_composable_tuples(cat, d_max, degree_max):
+    """The number of tuples composable_tuples yields, counted as walks of
+    length 2..d_max in the graph of basis maps rather than enumerated."""
+    by_source = _by_source(cat, degree_max)
+    ends = {x: 1 for x in by_source}      # walks of the current length ending at x
+    total = 0
+    for length in range(1, d_max + 1):
+        nxt = {}
+        for x, n in ends.items():
+            for _s, y in by_source.get(x, ()):
+                nxt[y] = nxt.get(y, 0) + n
+        ends = nxt
+        if length >= 2:
+            total += sum(ends.values())
+    return total
 
 
 def unitality_check(cat, degree_max=6):

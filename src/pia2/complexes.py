@@ -449,14 +449,6 @@ class EndCategory:
     def zero_elem(self, src, tgt, deg):
         return HomElement(self, src, tgt, deg, {})
 
-    def elem_from_chain_map(self, src, tgt, cm):
-        coeffs = {}
-        X, Y = self.complexes[src], self.complexes[tgt]
-        for i, m in cm.components.items():
-            for k, v in self._coordinatize(X.reps[i], Y.reps[i + cm.degree], m):
-                coeffs[(i, k)] = v
-        return HomElement(self, src, tgt, cm.degree, coeffs)
-
     def chain_map_from_elem(self, elem):
         X, Y = self.complexes[elem.src], self.complexes[elem.tgt]
         comps = {}

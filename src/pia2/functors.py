@@ -16,6 +16,7 @@ from itertools import product as iproduct
 from .linalg import F2
 from .table import OperationTable
 from .ainf import AInfCategory, Memo
+from .transfer import SymbolicBackend, compute_operation_table
 from . import symbols as sym
 
 
@@ -85,9 +86,11 @@ def build_fukaya(n, grading, field=F2, name=None, object_names=None,
 
 def pi_category(table, evaluator=None, field=F2):
     """Wrap a computed preprojective table; operations outside the table's
-    bounds fall back to the transfer evaluator so that relation checks see
-    the genuine structure."""
-    fallback = None
+    bounds come from the transfer evaluator, one at a time for point
+    queries and as a closed table (a chart scan reusing the evaluator's
+    slice memo) for relation checks, so that both see the genuine
+    structure."""
+    fallback = closure = None
     if evaluator is not None:
         parsed = Memo(sym.ext_from_str)
 
@@ -96,12 +99,16 @@ def pi_category(table, evaluator=None, field=F2):
             out = evaluator.transfer(tup)
             return [(v, sym.ext_to_str(k)) for k, v in out.items()]
 
+        def closure(arity_max, degree_max):
+            return compute_operation_table(arity_max, degree_max,
+                                           evaluator.backend, evaluator=evaluator)
+
     def hom_basis(x, y, degree_max):
         return [sym.ext_to_str(s) for s in sym.hom_basis(x, y, degree_max)]
 
     cat = AInfCategory("Pi", list(sym.OBJECTS), hom_basis, table,
                        {o: f"1_{o}" for o in sym.OBJECTS}, field,
-                       m_fallback=fallback)
+                       m_fallback=fallback, closure=closure)
     cat.symbol_hom = _pi_symbol_hom(12)
     return cat
 
@@ -117,7 +124,8 @@ def _pi_symbol_hom(degree_max):
 
 def build_pi_simple(field=F2, degree_max=12):
     """The full subcategory on the two simple modules; it is formal, so
-    the table holds compositions only."""
+    the table holds compositions only, and closing it at a higher degree
+    bound builds it again there."""
     table = OperationTable({"arity_max": 2, "degree_max": degree_max,
                             "field": field.name, "backend": "builtin",
                             "window": 0, "homotopy": "paper"})
@@ -153,8 +161,12 @@ def build_pi_simple(field=F2, degree_max=12):
         out = m2(a, b)
         return [] if out is None else [(field.one, sym.ext_to_str(out))]
 
+    def closure(arity_max, dmax):
+        return build_pi_simple(field, dmax).table
+
     cat = AInfCategory("pi", objs, hom_basis, table,
-                       {o: f"1_{o}" for o in objs}, field, m_fallback=fallback)
+                       {o: f"1_{o}" for o in objs}, field, m_fallback=fallback,
+                       closure=closure)
     cat.symbol_hom = {k: v for k, v in _pi_symbol_hom(degree_max).items()
                       if v[0] in objs and v[1] in objs}
     return cat
@@ -413,7 +425,6 @@ def build_pants(degree_max, pi_table=None, field=F2):
     # higher operations: pull the preprojective table back along the
     # dictionary
     if pi_table is None:
-        from .transfer import SymbolicBackend, compute_operation_table
         pi_table = compute_operation_table(9, degree_max, SymbolicBackend())
     inv = g_inverse_dictionary()
     skipped_blocks = []
@@ -477,6 +488,10 @@ class AInfFunctorData:
             raise KeyError(f"functor {self.name} undefined on {s!r}")
         return self.f1[s]
 
+    def defined(self, s):
+        """Whether F1 has a value (possibly zero) on the basis symbol s."""
+        return self.source.is_unit(s) or s in self.f1
+
     def source_object_of_unit(self, s):
         for x, u in self.source.units.items():
             if u == s:
@@ -495,6 +510,8 @@ class AInfFunctorData:
 def verify_functor(functor, arity_max, degree_max, exhaustive=False):
     """Check the strict functor equation on every composable identity-free
     source tuple within the bounds, plus unit and degree compatibility.
+    A tuple on which F1 is undefined (an input or an output symbol the
+    description leaves out) is a violation that names the symbols.
 
     With F^d = 0 for d >= 2 both sides vanish on every tuple that neither
     lies in the source table nor maps onto a target table key, so the
@@ -529,8 +546,15 @@ def verify_functor(functor, arity_max, degree_max, exhaustive=False):
                                "got": functor.image(u)})
 
     def check(inputs):
+        terms = src_cat.m(inputs)
+        undefined = [s for s in dict.fromkeys(inputs + tuple(s for _c, s in terms))
+                     if not functor.defined(s)]
+        if undefined:
+            violations.append({"tuple": list(inputs), "expected": "F1 defined",
+                               "got": "undefined on " + ", ".join(map(repr, undefined))})
+            return
         rhs = {}
-        for c, s in src_cat.m(inputs):
+        for c, s in terms:
             t = functor.image(s)
             if t is None:
                 continue

@@ -6,7 +6,8 @@ from pia2.table import OperationTable, diff_tables
 from pia2.transfer import SymbolicBackend, TransferEvaluator, compute_operation_table
 from pia2.ainf import (AInfCategory, stasheff_check, unitality_check,
                        kappa_symmetry_check, classification_check,
-                       expected_table, sign_exponent, composable_tuples)
+                       expected_table, sign_exponent, composable_tuples,
+                       count_composable_tuples, insertion_tuples)
 from pia2.functors import (pi_category, build_delta, build_fukaya,
                            build_pi_prime, build_pi_simple)
 
@@ -55,10 +56,12 @@ def test_stasheff_detects_corruption():
 
 
 def stasheff_reference(cat, d_max, degree_max):
-    """The relation loop with every term sent through cat.m, as the
-    oracle for stasheff_check's lookup path."""
+    """The relation loop over every composable tuple with every term sent
+    through cat.m, as the oracle for stasheff_check's insertion path.
+    Returns the report and the tuples whose relation has a nonzero term."""
     f = cat.field
     violations = []
+    touched = set()
     checked = 0
     for inputs in composable_tuples(cat, d_max, degree_max):
         d = len(inputs)
@@ -72,6 +75,8 @@ def stasheff_reference(cat, d_max, degree_max):
                     outer = inputs[: d - n - l] + (si,) + inputs[d - n:]
                     for co, so in cat.m(outer):
                         coeff = f.mul(ci, co)
+                        if coeff != f.zero:
+                            touched.add(inputs)
                         if f.name != "f2" and sign_exponent(degs, n) % 2:
                             coeff = f.neg(coeff)
                         s = f.add(acc.get(so, f.zero), coeff)
@@ -82,8 +87,8 @@ def stasheff_reference(cat, d_max, degree_max):
         if acc:
             violations.append({"tuple": list(inputs), "expected": "0",
                                "got": {k: str(v) for k, v in acc.items()}})
-    return {"check": "stasheff", "status": "fail" if violations else "pass",
-            "violations": violations, "checked": checked}
+    return ({"check": "stasheff", "status": "fail" if violations else "pass",
+             "violations": violations, "checked": checked}, touched)
 
 
 def _corrupt_output(pi):
@@ -106,6 +111,28 @@ def _pi_q():
     return pi_category(compute_operation_table(4, 2, sb, evaluator=ev), ev, QQ)
 
 
+def _nonassociative():
+    """m_2 alone, failing associativity on (f, g, h) through the inner
+    product in the last slot only, m_2(f, m_2(g, h)), and on the mirror
+    (f', g', h') through the first slot only, m_2(m_2(f', g'), h')."""
+    hom = {"h": ("A", "B"), "g": ("B", "C"), "f": ("C", "D"), "k": ("A", "C"),
+           "l": ("A", "D"), "h'": ("E", "F"), "g'": ("F", "G"),
+           "f'": ("G", "H"), "k'": ("F", "H"), "l'": ("E", "H")}
+    objects = "ABCDEFGH"
+    t = OperationTable({"arity_max": 2, "degree_max": 0})
+    for (a, b), out in ((("g", "h"), "k"), (("f", "k"), "l"),
+                        (("f'", "g'"), "k'"), (("k'", "h'"), "l'")):
+        t.add((a, b), [hom[b][0], hom[b][1], hom[a][1]], F2.one, out, 0)
+
+    def hom_basis(x, y, dmax):
+        return ([f"1_{x}"] if x == y else []) + \
+            [s for s, xy in hom.items() if xy == (x, y)]
+
+    return AInfCategory("assoc", list(objects), hom_basis, t,
+                        {o: f"1_{o}" for o in objects}, F2,
+                        degree_of=lambda s: 0)
+
+
 STASHEFF_CASES = {
     "pi": (lambda: make_pi(4, 2), 4, 2),
     "pi-q": (_pi_q, 4, 2),
@@ -117,6 +144,7 @@ STASHEFF_CASES = {
     "pi-prime": (lambda: build_pi_prime(make_pi(4, 2), 2), 4, 2),
     "pi-bad-output": (lambda: _corrupt_output(make_pi(4, 2)), 4, 2),
     "pi-q-bad-coeff": (lambda: _corrupt_coeff(_pi_q()), 4, 2),
+    "toy-bad-assoc": (_nonassociative, 3, 0),
 }
 
 
@@ -125,14 +153,21 @@ def test_stasheff_lookup_path_matches_reference(case):
     make, d_max, degree_max = STASHEFF_CASES[case]
     cat = make()
     rep = stasheff_check(cat, d_max, degree_max)
-    assert rep == stasheff_reference(cat, d_max, degree_max)
+    ref, touched = stasheff_reference(cat, d_max, degree_max)
+    evaluated = rep.pop("evaluated")
+    assert rep == ref
     assert rep["checked"] > 0
-    tuples = list(composable_tuples(cat, d_max, degree_max))
-    decided = sum(cat.table_decides(t) for t in tuples)
+    support = insertion_tuples(cat, d_max, degree_max)
     if case == "pi-prime":
-        assert decided == 0  # MatCategory computes m blockwise
+        assert support is None  # MatCategory computes m blockwise
+        assert evaluated == rep["checked"]
     else:
-        assert decided > 0
+        _ops, tuples = support
+        assert 0 < evaluated == len(tuples) < rep["checked"]
+        # every tuple with a nonzero relation term, so every violation,
+        # is an insertion tuple and was evaluated
+        assert touched <= tuples
+        assert {tuple(v["tuple"]) for v in ref["violations"]} <= touched
     if "bad" in case:
         assert rep["violations"]
 
@@ -142,7 +177,25 @@ def test_stasheff_report_counts_tuples_checked():
     rep = stasheff_check(pi, 4, 2)
     n = len(list(composable_tuples(pi, 4, 2)))
     assert n > 0
-    assert rep["checked"] == n
+    assert rep["checked"] == n == count_composable_tuples(pi, 4, 2)
+
+
+def test_stasheff_reads_the_whole_tuple_source():
+    pi = make_pi(5, 4)
+    tuples = list(composable_tuples(pi, 5, 4))
+    source = iter(tuples)
+    rep = stasheff_check(pi, 5, 4, tuple_source=source)
+    assert next(source, None) is None
+    assert rep["checked"] == len(tuples) == count_composable_tuples(pi, 5, 4)
+    assert rep == stasheff_check(pi, 5, 4)
+    assert 0 < rep["evaluated"] < rep["checked"]
+
+
+def test_stasheff_fails_when_nothing_was_checked():
+    pi = make_pi(4, 2)
+    rep = stasheff_check(pi, 1, 2)
+    assert rep["checked"] == 0 and not rep["violations"]
+    assert rep["status"] == "fail"
 
 
 def test_unitality_laws_f2_and_q():

@@ -170,3 +170,23 @@ def test_verify_functor_rejects_malformed_files(edit, tmp_path, capsys):
               "--degree-max", "2"])
     assert exc.value.code == 2
     assert "usage" in capsys.readouterr().err
+
+
+def test_verify_functor_reports_symbols_f1_leaves_out(tmp_path, capsys):
+    """An F1 that leaves out a symbol the check reaches is a verification
+    failure (exit 1) with a JSON report naming the symbol, not a crash."""
+    doc = json.loads(json.dumps(IOTA1))
+    doc["F1"] = [{"from": "alpha", "to": "j1"}]
+    fd = tmp_path / "functor.json"
+    fd.write_text(json.dumps(doc))
+    code, out_text, _e = run(["verify-functor", "--file", str(fd),
+                              "--arity-max", "4", "--degree-max", "2"], capsys)
+    assert code == 1
+    rep = json.loads(out_text)
+    assert rep["status"] == "fail"
+    undefined = [v for v in rep["violations"] if v["expected"] == "F1 defined"]
+    assert undefined
+    for v in undefined:
+        assert v["got"].startswith("undefined on ")
+        assert "'gamma'" in v["got"] and "'beta'" in v["got"]
+        assert "'alpha'" not in v["got"]

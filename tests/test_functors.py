@@ -208,4 +208,9 @@ def test_functor_undefined_component():
     f = AInfFunctorData("partial", delta, pi, {"A": "S2", "B": "P1", "C": "S1"},
                         {"alpha": "j1"})
     with pytest.raises(KeyError):
-        verify_functor(f, 4, 2)
+        f.image("gamma")
+    # the check reports the symbols F1 leaves out instead of crashing
+    rep = verify_functor(f, 4, 2)
+    assert rep["status"] == "fail"
+    named = {v["got"] for v in rep["violations"] if v["expected"] == "F1 defined"}
+    assert named == {"undefined on 'gamma', 'beta'", "undefined on 'beta', 'gamma'"}
