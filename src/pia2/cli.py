@@ -167,7 +167,7 @@ def _build_category(name, args, pi=None):
     if name == "pi-simple":
         return build_pi_simple(field)
     if name == "pi-prime":
-        return build_pi_prime(_build_category("pi", args), args.degree_max)
+        return build_pi_prime(_build_category("pi", args))
     if name == "delta":
         return build_delta(field)
     if name.startswith("fukaya"):

@@ -289,8 +289,11 @@ class EndCategory:
 
     Flattens Hom^n(X, Y) to coefficient vectors over per-position bases of
     module homomorphisms and provides the differential and composition in
-    those coordinates.
+    those coordinates.  `window` is the truncation length L of the
+    resolutions ([-L, 0]); 0 when no window was set.
     """
+
+    window = 0
 
     def __init__(self, complexes, field):
         self.complexes = dict(complexes)

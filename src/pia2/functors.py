@@ -109,17 +109,50 @@ def pi_category(table, evaluator=None, field=F2):
     cat = AInfCategory("Pi", list(sym.OBJECTS), hom_basis, table,
                        {o: f"1_{o}" for o in sym.OBJECTS}, field,
                        m_fallback=fallback, closure=closure)
-    cat.symbol_hom = _pi_symbol_hom(12)
+    cat.symbol_hom = _PiSymbolHom()
     return cat
 
 
-def _pi_symbol_hom(degree_max):
-    out = {}
-    for x in sym.OBJECTS:
-        for y in sym.OBJECTS:
-            for s in sym.hom_basis(x, y, degree_max):
-                out[sym.ext_to_str(s)] = (x, y)
-    return out
+def _pi_endpoints(s):
+    """(source, target) in Pi of the symbol named s, of any degree; None
+    when s names no Ext basis symbol."""
+    try:
+        e = sym.ext_from_str(s)
+        ends = (sym.ext_source(e), sym.ext_target(e))
+        ok = sym.ext_to_str(e) == s and sym.ext_degree(e) >= 0
+    except (KeyError, ValueError):
+        return None
+    return ends if ok and all(o in sym.OBJECTS for o in ends) else None
+
+
+class _PiSymbolHom(dict):
+    """symbol -> (source, target) for a category on Pi's symbols.
+
+    Entries are read off the symbol grammar on first use, so a symbol of
+    any degree has its endpoints; a string that names no symbol, or a
+    symbol between objects the category leaves out, is not a key.  rename
+    maps Pi's objects to the category's (Pi' joins P1 and P2 into P).
+    """
+
+    def __init__(self, rename=None):
+        super().__init__()
+        self.rename = rename or {o: o for o in sym.OBJECTS}
+
+    def __missing__(self, s):
+        ends = _pi_endpoints(s)
+        if ends is None or not all(o in self.rename for o in ends):
+            raise KeyError(s)
+        out = self[s] = (self.rename[ends[0]], self.rename[ends[1]])
+        return out
+
+    def get(self, s, default=None):
+        try:
+            return self[s]
+        except KeyError:
+            return default
+
+    def __contains__(self, s):
+        return self.get(s) is not None
 
 
 def build_pi_simple(field=F2, degree_max=12):
@@ -167,8 +200,7 @@ def build_pi_simple(field=F2, degree_max=12):
     cat = AInfCategory("pi", objs, hom_basis, table,
                        {o: f"1_{o}" for o in objs}, field, m_fallback=fallback,
                        closure=closure)
-    cat.symbol_hom = {k: v for k, v in _pi_symbol_hom(degree_max).items()
-                      if v[0] in objs and v[1] in objs}
+    cat.symbol_hom = _PiSymbolHom({o: o for o in objs})
     return cat
 
 
@@ -207,7 +239,7 @@ class MatCategory(AInfCategory):
         return self.inner.m(inputs)
 
 
-def build_pi_prime(pi_cat, degree_max=8):
+def build_pi_prime(pi_cat):
     """The full subcategory of Mat(Pi) on S1, S2 and P = P1 (+) P2.
 
     Morphism symbols are the underlying preprojective basis elements; each
@@ -226,15 +258,11 @@ def build_pi_prime(pi_cat, degree_max=8):
                     out.append(sym.ext_to_str(s))
         return out
 
-    block_of = _pi_symbol_hom(max(degree_max, 12))
     units = {"S1": "1_S1", "S2": "1_S2", "P": "1_P"}
-    cat = MatCategory("PiPrime", objs, hom_basis, units, pi_cat, block_of,
-                      pi_cat.field)
-    cat.symbol_hom = {}
-    for x in objs:
-        for y in objs:
-            for s in hom_basis(x, y, max(degree_max, 12)):
-                cat.symbol_hom[s] = (x, y)
+    cat = MatCategory("PiPrime", objs, hom_basis, units, pi_cat,
+                      _PiSymbolHom(), pi_cat.field)
+    cat.symbol_hom = _PiSymbolHom({"S1": "S1", "S2": "S2",
+                                   "P1": "P", "P2": "P"})
     cat.symbol_hom["1_P"] = ("P", "P")
     return cat
 
@@ -661,7 +689,7 @@ def builtin_functors(pi_cat, degree_max=4, field=F2):
                                {"f1": "u2^1", "f2": "j1", "f3": "(12)", "f4": "p2"}))
 
     pants = build_pants(degree_max, pi_table=pi_cat.table, field=field)
-    pi_prime = build_pi_prime(pi_cat, degree_max)
+    pi_prime = build_pi_prime(pi_cat)
     img = g_dictionary()
     f1g = {}
     for (x, y), syms in _pants_hom_data(degree_max).items():
@@ -712,11 +740,15 @@ def functor_from_json(doc, categories):
 
 def _is_symbol(cat, s):
     """Whether s names a basis element of cat: a listed symbol, or one the
-    category can give a degree."""
+    category can give a degree.  A category on Pi's symbols lists every
+    symbol it has, of any degree, so there the listing decides."""
     if not isinstance(s, str):
         return False
-    if s in getattr(cat, "symbol_hom", ()):
+    hom = getattr(cat, "symbol_hom", ())
+    if s in hom:
         return True
+    if isinstance(hom, _PiSymbolHom):
+        return False
     try:
         cat.degree(s)
     except (KeyError, ValueError):

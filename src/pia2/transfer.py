@@ -7,9 +7,13 @@ evaluates either against the symbol tables (`SymbolicBackend`) or against
 matrix contraction data (`MatrixBackend`).
 
 Summing over shapes distributes over the root split, so the evaluator
-uses the slice recursion A(s) = sum over splits of sign * H(mu(A(s1),
+uses the slice values A(s) = sum over splits of sign * H(mu(A(s1),
 A(s2))) with a shared memo; evaluating every shape separately gives the
-same answer (tested) but is exponentially slower at high arity.
+same answer (tested) but is exponentially slower at high arity.  A query
+fills these values into an interval table, bottom-up by slice length and
+by index (A[i][j] is the value of inputs[i:j]), so a slice is looked up
+in the memo once and its cuts are list reads; m_n takes its root cuts from
+the table's first row and last column.
 
 The same split makes table scans output-sensitive: a slice, or an input
 tuple of m_d, is nonzero only if some cut splits it into two parts that
@@ -22,6 +26,8 @@ Sign convention over Q: composing tensor-product operators picks up the
 Koszul sign (-1)^{|A_right| * deg(left slice)} where |A_right| is the
 operator degree 1 - leaves(right subtree); over F2 all signs are +1.
 """
+
+import functools
 
 from .trees import LEAF, enumerate_trees, leaves
 from .table import OperationTable
@@ -39,6 +45,8 @@ class SymbolicBackend:
     """
 
     name = "symbolic"
+    window = 0            # no resolution is truncated
+    homotopy = "paper"    # the homotopy tables of the symbol grammar
 
     def __init__(self, field=F2):
         if field.name != "f2":
@@ -61,6 +69,8 @@ class SymbolicBackend:
 
     def to_str(self, s):
         return sym.ext_to_str(s)
+
+    class_str = to_str     # outputs are Ext symbols too
 
     # elements ------------------------------------------------------------
     def leaf(self, s):
@@ -145,6 +155,8 @@ class MatrixBackend:
         self.contraction = contraction
         self.field = cat.field
         self.symbols = list(symbols)
+        self.window = cat.window
+        self.homotopy = contraction.mode
 
     @classmethod
     def for_pia2(cls, cat, contraction, degree_max=None):
@@ -218,8 +230,6 @@ class MatrixBackend:
 
 
 def _koszul_sign(field, right_leaves, left_deg):
-    if field.name == "f2":
-        return field.one
     e = (1 - right_leaves) * left_deg
     return field.one if e % 2 == 0 else field.of(-1)
 
@@ -264,20 +274,105 @@ def evaluate_tree(shape, inputs, backend):
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _spans(n, top, edges):
+    """The slices (i, j) = inputs[i:j] of length 2..top that a fill of n
+    inputs visits, shortest first: all of them, or with `edges` only the
+    prefixes (i = 0) and suffixes (j = n)."""
+    return tuple((i, i + length) for length in range(2, top + 1)
+                 for i in range(n - length + 1)
+                 if not edges or i == 0 or i + length == n)
+
+
 class TransferEvaluator:
-    """Slice-memoized evaluation of m_n over all planar shapes at once."""
+    """Slice-memoized evaluation of m_n over all planar shapes at once.
+
+    A query on inputs (f_n, ..., f_1) fills an interval table A bottom-up
+    by slice length: A[i][j] is the value of the slice inputs[i:j] (the
+    leaf itself when j = i + 1, None when the slice is zero), computed from
+    its cuts c as the signed sum of H(mu(A[i][c], A[c][j])).  The table is
+    mirrored, A[j][i] = A[i][j], so the right factors of the slices ending
+    at j are read along row j, and stored as one flat list, A[i][j] at
+    index i * (n + 1) + j: one allocation per query instead of n + 1 rows,
+    which short warm queries (the chart scans) feel.  Each slice of length
+    >= 2 that the fill visits is looked up in `memo` once, by its tuple
+    key; a miss is computed and stored there, so the memo is shared across
+    queries and holds every slice of every query (the root slice only
+    through `_A` or `_memo_root`).  A query whose longest prefix and
+    suffix are memoized visits only its prefixes and suffixes (see
+    `_fill`).
+
+    `memo` maps a slice to its value (None when zero); an entry written
+    from outside must hold the true value.  Fills keep the memo closed
+    under sub-slices; where an outside write breaks that, the
+    prefix-and-suffix shortcut falls back to a full fill.
+    """
 
     def __init__(self, backend):
         self.backend = backend
         self.memo = {}
-        self._deg = {}
 
-    def _degree(self, s):
-        d = self._deg.get(s)
-        if d is None:
-            d = self.backend.deg(s)
-            self._deg[s] = d
-        return d
+    def _prefix_degrees(self, inputs):
+        """pre[c] - pre[i] is the degree of inputs[i:c], the left factor of
+        a cut; None over F2, where every Koszul sign is +1."""
+        if self.backend.field.name == "f2":
+            return None
+        pre = [0]
+        for s in inputs:
+            pre.append(pre[-1] + self.backend.deg(s))
+        return pre
+
+    def _fill(self, inputs, top, pre, edges=None):
+        """The mirrored interval table of `inputs` (flat, rows of n + 1)
+        for slice lengths up to `top`; each slice the fill visits is read
+        from or written to the memo.  pre is `_prefix_degrees(inputs)`.
+
+        A fill stores a slice only after all of its sub-slices, so the
+        memo holds every sub-slice of a slice it holds.  When it holds the
+        two longest proper slices, every prefix and suffix is there: only
+        those and the root (if top reaches it) are visited, and only the
+        two end leaves are built.  Should a prefix or suffix be missing
+        after all, that shortcut gives way to a full fill."""
+        n = len(inputs)
+        backend, field, memo = self.backend, self.backend.field, self.memo
+        mu_h, is_zero, add = backend.mu_h, backend.is_zero, backend.add
+        w = n + 1
+        A = [None] * (w * w)
+        if edges is None:
+            edges = (n > 2 and bool(memo)
+                     and inputs[:-1] in memo and inputs[1:] in memo)
+        for i in (0, n - 1) if edges else range(n):
+            A[i * w + i + 1] = A[(i + 1) * w + i] = backend.leaf(inputs[i])
+        for i, j in _spans(n, top, edges):
+            key = inputs[i:j]
+            acc = memo.get(key, _MISS)
+            if acc is _MISS:
+                if edges and j - i < n:
+                    # its interior slices were not built: fill them all
+                    return self._fill(inputs, top, pre, edges=False)
+                acc = None
+                row_i, row_j = i * w, j * w
+                # slice order is (f_d, ..., f_1): the left factor is the prefix
+                for c in range(i + 1, j):
+                    el = A[row_i + c]
+                    if el is None:
+                        continue
+                    er = A[row_j + c]
+                    if er is None:
+                        continue
+                    out = mu_h(el, er)
+                    if out is None or is_zero(out):
+                        continue
+                    if pre is not None:
+                        sign = _koszul_sign(field, j - c, pre[c] - pre[i])
+                        if sign != field.one:
+                            out = backend.scale(out, sign)
+                    acc = out if acc is None else add(acc, out)
+                if acc is not None and is_zero(acc):
+                    acc = None
+                memo[key] = acc
+            A[i * w + j] = A[j * w + i] = acc
+        return A
 
     def _A(self, slice_key):
         if len(slice_key) == 1:
@@ -285,42 +380,29 @@ class TransferEvaluator:
         hit = self.memo.get(slice_key, _MISS)
         if hit is not _MISS:
             return hit
-        backend, field = self.backend, self.backend.field
-        acc = None
-        for cut in range(1, len(slice_key)):
-            # slice order is (f_d, ..., f_1): the left factor is the prefix
-            el = self._A(slice_key[:cut])
-            er = self._A(slice_key[cut:])
-            if el is None or er is None:
-                continue
-            out = backend.mu_h(el, er)
-            if out is None or backend.is_zero(out):
-                continue
-            sign = _koszul_sign(field, len(slice_key) - cut,
-                                sum(self._degree(s) for s in slice_key[:cut]))
-            if sign != field.one:
-                out = backend.scale(out, sign)
-            acc = out if acc is None else backend.add(acc, out)
-        if acc is not None and backend.is_zero(acc):
-            acc = None
-        self.memo[slice_key] = acc
-        return acc
+        n = len(slice_key)
+        return self._fill(slice_key, n, self._prefix_degrees(slice_key))[n]
 
-    def transfer(self, inputs):
-        """m_d(f_d, ..., f_1) as {output symbol: coeff}."""
+    def transfer(self, inputs, _memo_root=False):
+        """m_d(f_d, ..., f_1) as {output symbol: coeff}.  The root slice
+        (all of inputs) is memoized too when _memo_root is set, so a
+        later `_A(inputs)` is a lookup."""
         inputs = tuple(inputs)
-        if len(inputs) < 2:
+        n = len(inputs)
+        if n < 2:
             return {}
         backend, field = self.backend, self.backend.field
+        pre = self._prefix_degrees(inputs)
+        A = self._fill(inputs, n if _memo_root else n - 1, pre)
+        row_n = n * (n + 1)
         total = {}
-        for cut in range(1, len(inputs)):
-            el = self._A(inputs[:cut])
-            er = self._A(inputs[cut:])
+        for cut in range(1, n):
+            el, er = A[cut], A[row_n + cut]
             if el is None or er is None:
                 continue
             out = backend.mu_p(el, er)
-            sign = _koszul_sign(field, len(inputs) - cut,
-                                sum(self._degree(s) for s in inputs[:cut]))
+            sign = (field.one if pre is None
+                    else _koszul_sign(field, n - cut, pre[cut]))
             for k, v in out.items():
                 s = field.add(total.get(k, field.zero), field.mul(sign, v))
                 if s == field.zero:
@@ -331,7 +413,7 @@ class TransferEvaluator:
 
 
 def transfer_mn(inputs, backend, evaluator=None):
-    """Sum over all planar rooted binary shapes (slice recursion)."""
+    """Sum over all planar rooted binary shapes (interval table of slices)."""
     ev = evaluator or TransferEvaluator(backend)
     return ev.transfer(inputs)
 
@@ -374,11 +456,10 @@ def compute_operation_table(arity_max, degree_max, backend, max_tuples=None,
     leaves = backend.scan_symbols(degree_max)
     names = {s: backend.to_str(s) for s in leaves}
 
-    window = getattr(getattr(backend, "cat", None), "window", 0)
     table = OperationTable({
         "arity_max": arity_max, "degree_max": degree_max,
-        "field": field.name, "backend": backend.name, "window": window,
-        "homotopy": getattr(getattr(backend, "contraction", None), "mode", "paper"),
+        "field": field.name, "backend": backend.name,
+        "window": backend.window, "homotopy": backend.homotopy,
     })
 
     def emit(key, inputs, out):
@@ -389,9 +470,7 @@ def compute_operation_table(arity_max, degree_max, backend, max_tuples=None,
         for s in reversed(inputs):
             objects.append(backend.tgt(s))
         degree = sum(backend.deg(s) for s in inputs) + 2 - len(inputs)
-        out_name = backend.class_str(osym) if hasattr(backend, "class_str") \
-            else backend.to_str(osym)
-        table.add(key, objects, coeff, out_name, degree)
+        table.add(key, objects, coeff, backend.class_str(osym), degree)
 
     # nonzero[n]: the leaves (n = 1) or nonzero slices of length n, keyed
     # by the target of their first map, the object a prefix must start at
@@ -414,7 +493,9 @@ def compute_operation_table(arity_max, degree_max, backend, max_tuples=None,
             raise ResourceWarning("tuple budget exceeded")
         grown = {}
         for inputs, key in sorted(candidates.items(), key=lambda kv: kv[1]):
-            out = ev.transfer(inputs)
+            # one fill per candidate; below arity_max it memoizes the
+            # whole slice, so _A(inputs) is a lookup
+            out = ev.transfer(inputs, _memo_root=k < arity_max)
             if out:
                 emit(key, inputs, out)
             if k < arity_max and ev._A(inputs) is not None:

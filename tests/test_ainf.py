@@ -141,7 +141,7 @@ STASHEFF_CASES = {
     "pi-simple": (build_pi_simple, 4, 4),
     "delta": (build_delta, 5, 1),
     "fukaya4": (lambda: build_fukaya(4, (2, 0, 0, 0)), 5, 2),
-    "pi-prime": (lambda: build_pi_prime(make_pi(4, 2), 2), 4, 2),
+    "pi-prime": (lambda: build_pi_prime(make_pi(4, 2)), 4, 2),
     "pi-bad-output": (lambda: _corrupt_output(make_pi(4, 2)), 4, 2),
     "pi-q-bad-coeff": (lambda: _corrupt_coeff(_pi_q()), 4, 2),
     "toy-bad-assoc": (_nonassociative, 3, 0),

@@ -190,3 +190,52 @@ def test_verify_functor_reports_symbols_f1_leaves_out(tmp_path, capsys):
         assert v["got"].startswith("undefined on ")
         assert "'gamma'" in v["got"] and "'beta'" in v["got"]
         assert "'alpha'" not in v["got"]
+
+
+def _pi_simple_identity(degree_max):
+    """The identity on Pi's simple part, written out up to degree_max."""
+    from pia2 import symbols as sym
+    f1 = [{"from": sym.ext_to_str(e), "to": sym.ext_to_str(e)}
+          for x in ("S1", "S2") for y in ("S1", "S2")
+          for e in sym.hom_basis(x, y, degree_max) if not sym.is_identity(e)]
+    return {"name": "id", "source": "pi-simple", "target": "pi",
+            "object_map": {"S1": "S1", "S2": "S2"}, "F1": f1, "higher": []}
+
+
+@pytest.mark.parametrize("edit, code, expected", [
+    (lambda f1: None, 0, None),
+    (lambda f1: f1.append({"from": "u1^7", "to": "u2^7"}), 1, "hom ('S1', 'S1')"),
+], ids=["identity", "wrong-hom"])
+def test_verify_functor_symbols_above_listed_degree(edit, code, expected,
+                                                    tmp_path, capsys):
+    """F1 may name symbols of any degree: u1^7 (degree 14) lies above the
+    degree up to which the categories list their symbols, and its
+    endpoints come from the symbol grammar.  The verdict is a JSON report,
+    not a traceback."""
+    doc = _pi_simple_identity(14)
+    assert {"from": "u1^7", "to": "u1^7"} in doc["F1"]
+    edit(doc["F1"])
+    fd = tmp_path / "functor.json"
+    fd.write_text(json.dumps(doc))
+    got, out_text, err = run(["verify-functor", "--file", str(fd),
+                              "--arity-max", "3", "--degree-max", "2"], capsys)
+    assert got == code
+    assert "Traceback" not in err
+    rep = json.loads(out_text)
+    assert rep["status"] == ("pass" if code == 0 else "fail")
+    if expected is not None:
+        assert expected in [v["expected"] for v in rep["violations"]]
+
+
+def test_verify_functor_rejects_symbol_outside_source(tmp_path, capsys):
+    """j1 is a symbol of Pi but not of pi-simple (it ends at P1): naming it
+    in F1 is a usage error (exit 2), like any unknown source symbol."""
+    doc = _pi_simple_identity(2)
+    doc["F1"].append({"from": "j1", "to": "j1"})
+    fd = tmp_path / "functor.json"
+    fd.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-functor", "--file", str(fd), "--arity-max", "3",
+              "--degree-max", "2"])
+    assert exc.value.code == 2
+    assert "unknown source symbol 'j1'" in capsys.readouterr().err

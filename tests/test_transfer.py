@@ -149,8 +149,7 @@ def exhaustive_table(arity_max, degree_max, backend):
     table = OperationTable({
         "arity_max": arity_max, "degree_max": degree_max,
         "field": backend.field.name, "backend": backend.name,
-        "window": getattr(getattr(backend, "cat", None), "window", 0),
-        "homotopy": getattr(getattr(backend, "contraction", None), "mode", "paper"),
+        "window": backend.window, "homotopy": backend.homotopy,
     })
     by_source = {}
     for s in backend.scan_symbols(degree_max):
@@ -163,10 +162,9 @@ def exhaustive_table(arity_max, degree_max, backend):
             if out:
                 (osym, coeff), = out.items()
                 objects = [backend.src(chain[0])] + [backend.tgt(s) for s in chain]
-                out_name = backend.class_str(osym) if hasattr(backend, "class_str") \
-                    else backend.to_str(osym)
                 table.add([backend.to_str(s) for s in inputs], objects, coeff,
-                          out_name, sum(backend.deg(s) for s in inputs) + 2 - len(inputs))
+                          backend.class_str(osym),
+                          sum(backend.deg(s) for s in inputs) + 2 - len(inputs))
         if len(chain) < arity_max:
             for s in by_source.get(backend.tgt(chain[-1]), ()):
                 walk(chain + [s])
