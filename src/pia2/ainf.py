@@ -3,18 +3,20 @@
 AInfCategory wraps an operation table with strict unitality handled
 structurally: identities never appear inside stored keys, m_2 with a unit
 argument follows the unit laws (with the sign (-1)^{|g|} on the left unit
-over Q), and any higher operation with a unit argument vanishes.
+over Q), and any higher operation with a unit argument vanishes.  Past
+the table's bounds m is read from the category's closure: one table of
+all operations at wider bounds, built on first use and cached by its
+bounds, for point queries and relation checks alike.
 
 stasheff_check evaluates the quadratic relations with the sign exponent
 s_n = |f_n| + ... + |f_1| - n.  A relation term at a tuple T is nonzero
 only when T = O o_j K: an outer operation's key O with slot j, which
 holds the output of an inner operation's key K, replaced by the inputs
-of K (the tree formula on its support).  Where m is given by tables the
-check enumerates these insertion tuples (insertion_tuples), closing the
-table past its own bounds through the category's closure hook, and
-evaluates the relation there by dict lookups; every other composable
-tuple is zero.  The remaining checks (unitality, kappa symmetry,
-classification, table diff) are scans over stored entries.
+of K (the tree formula on its support).  The check enumerates these
+insertion tuples (insertion_tuples) from the category's closed
+operations and evaluates the relation there by dict lookups; every other
+composable tuple is zero.  The remaining checks (unitality, kappa
+symmetry, classification, table diff) are scans over stored entries.
 """
 
 from .linalg import F2
@@ -38,14 +40,13 @@ class AInfCategory:
     """Objects + graded hom basis + operation table + units."""
 
     def __init__(self, name, objects, hom_basis, table, units, field=F2,
-                 degree_of=None, m_fallback=None, closure=None):
+                 degree_of=None, closure=None):
         """hom_basis: callable (x, y, degree_max) -> list of symbol strings;
         units: {object: unit symbol string}; degree_of: callable on symbol
-        strings (defaults to the preprojective symbol grammar); m_fallback
-        computes one operation outside the stored table's bounds, and
-        closure(arity_max, degree_max) -> OperationTable all of them at
-        once (the relation check feeds high-degree inner outputs back in
-        and needs the second)."""
+        strings (defaults to the preprojective symbol grammar); the table
+        is complete within its metadata bounds, and closure(arity_max,
+        degree_max) -> OperationTable, when given, holds the operations
+        at wider bounds (without it m past the bounds is zero)."""
         self.name = name
         self.objects = list(objects)
         self._hom_basis = hom_basis
@@ -55,9 +56,8 @@ class AInfCategory:
         self._unit_set = set(units.values())
         self._degrees = Memo(degree_of or
                              (lambda s: sym.ext_degree(sym.ext_from_str(s))))
-        self._m_fallback = m_fallback
         self._closure = closure
-        self._fallback_memo = {}
+        self._closed = {}     # (arity_max, degree_max) -> past-bound operations
 
     def hom_basis(self, x, y, degree_max):
         return self._hom_basis(x, y, degree_max)
@@ -90,14 +90,19 @@ class AInfCategory:
             # m_2(1, g) = (-1)^{|g|} g
             sign = f.one if (self.degree(b) % 2 == 0 or f.name == "f2") else f.of(-1)
             return [(sign, b)]
-        if self._m_fallback is None:
+        return self._m_fallback(inputs)
+
+    def _m_fallback(self, inputs):
+        """m on an identity-free tuple that is no stored key: zero within
+        the table's bounds, and past them read from the closure at (the
+        arity, the larger of the top input degree and the table's degree
+        bound), so that point queries within one such bound share it."""
+        top = max(map(self.degree, inputs))
+        if self._in_table_bounds(len(inputs), top):
             return []
-        out = self._fallback_memo.get(inputs)   # holds out-of-bounds keys only
-        if out is None:
-            if self._in_table_bounds(inputs):
-                return []
-            out = self._fallback_memo[inputs] = self._m_fallback(inputs)
-        return out
+        dmax = self.table.metadata.get("degree_max")
+        t = self._past_bounds(len(inputs), max(top, dmax or 0)).get(inputs)
+        return [] if t is None else [t]
 
     def stored_term(self, e):
         """The (coeff, symbol) term of a table entry; coefficients read
@@ -109,34 +114,36 @@ class AInfCategory:
         """m as {key: (coeff, output)} on every identity-free tuple of
         arity 2..arity_max with inputs of degree <= degree_max where m()
         gives a nonzero value: the stored entries (kept whatever their
-        input degrees), and past the table's bounds the closure's keys.
-        None when m is not given by tables: a subclass computes it, or a
-        fallback has no closure to tabulate it."""
-        if type(self).m is not AInfCategory.m:
-            return None
+        input degrees), and past the table's bounds the closure's keys
+        within the requested bounds."""
         ops = {k: self.stored_term(e) for k, e in self.table.entries.items()
                if 2 <= len(k) <= arity_max}
-        if self._m_fallback is None:
-            return ops
-        if self._closure is None:
-            return None
-        amax = self.table.metadata.get("arity_max")
-        dmax = self.table.metadata.get("degree_max")
-        if ((amax is None or arity_max <= amax)
-                and (dmax is None or degree_max <= dmax)):
-            return ops                    # the table covers the bounds
-        for k, e in self._closure(arity_max, degree_max).entries.items():
-            if not self._in_table_bounds(k):
-                ops[k] = self.stored_term(e)
+        if not self._in_table_bounds(arity_max, degree_max):
+            for k, t in self._past_bounds(arity_max, degree_max).items():
+                if len(k) <= arity_max and max(map(self.degree, k)) <= degree_max:
+                    ops[k] = t
         return ops
 
-    def _in_table_bounds(self, inputs):
-        dmax = self.table.metadata.get("degree_max")
+    def _past_bounds(self, arity_max, degree_max):
+        """The closure's operations on keys past the table's bounds, from
+        the kept closure whose bounds cover (arity_max, degree_max); when
+        none does, one is built there and kept.  {} without a closure."""
+        if self._closure is None:
+            return {}
+        for (a, d), ops in self._closed.items():
+            if arity_max <= a and degree_max <= d:
+                return ops
+        ops = self._closed[arity_max, degree_max] = {
+            k: self.stored_term(e)
+            for k, e in self._closure(arity_max, degree_max).entries.items()
+            if not self._in_table_bounds(len(k), max(map(self.degree, k)))}
+        return ops
+
+    def _in_table_bounds(self, arity, degree):
         amax = self.table.metadata.get("arity_max")
-        if amax is not None and len(inputs) > amax:
-            return False
-        return dmax is None or max(map(self._degrees.__getitem__, inputs),
-                                   default=0) <= dmax
+        dmax = self.table.metadata.get("degree_max")
+        return ((amax is None or arity <= amax)
+                and (dmax is None or degree <= dmax))
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +167,9 @@ def stasheff_check(cat, d_max, degree_max, tuple_source=None):
     """The quadratic A-infinity relations on all composable identity-free
     tuples of length d <= d_max within the per-input degree bound.
 
-    Where m is given by tables (AInfCategory.closed_operations), the
-    relation is evaluated on the insertion tuples only (insertion_tuples),
-    in composable_tuples order, and every term is a dict lookup; the
-    other tuples are zero.  Elsewhere (MatCategory computes m blockwise)
-    every tuple is evaluated with every term sent through cat.m.
+    The relation is evaluated on the insertion tuples only
+    (insertion_tuples), in composable_tuples order, and every term is a
+    lookup in the category's closed operations; the other tuples are zero.
 
     tuple_source, when given, replaces the walk: all of it is read, every
     tuple of length >= 2 counts as checked, and the relation is evaluated
@@ -172,33 +177,26 @@ def stasheff_check(cat, d_max, degree_max, tuple_source=None):
     composable tuples covered (a walk count, not an enumeration, when no
     source is given) and "evaluated" those whose relation was evaluated.
     A report that checked nothing over a non-empty table fails."""
-    support = insertion_tuples(cat, d_max, degree_max)
-    if support is None:
-        m, insertions = cat.m, None
-    else:
-        ops, insertions = support
-        units = cat._unit_set
+    ops, insertions = insertion_tuples(cat, d_max, degree_max)
+    units = cat._unit_set
 
-        def m(key):
-            t = ops.get(key)
-            if t is not None:
-                return (t,)
-            return () if units.isdisjoint(key) else cat.m(key)   # unit laws
-    checked = None                        # None: count the tuples read
-    if tuple_source is not None:
-        tuples = tuple_source
-    elif insertions is None:
-        tuples = composable_tuples(cat, d_max, degree_max)
-    else:
+    def m(key):
+        t = ops.get(key)
+        if t is not None:
+            return (t,)
+        return () if units.isdisjoint(key) else cat.m(key)   # unit laws
+    if tuple_source is None:
         tuples = sorted(insertions, key=_walk_order(_by_source(cat, degree_max)))
         checked = count_composable_tuples(cat, d_max, degree_max)
+    else:
+        tuples, checked = tuple_source, None   # None: count the tuples read
     violations = []
     seen = evaluated = 0
     for inputs in tuples:
         if len(inputs) < 2:
             continue
         seen += 1
-        if insertions is not None and inputs not in insertions:
+        if inputs not in insertions:
             continue
         evaluated += 1
         acc = _relation(cat, m, inputs)
@@ -242,8 +240,8 @@ def _relation(cat, m, inputs):
 
 
 def insertion_tuples(cat, d_max, degree_max):
-    """(ops, tuples) for the relation check on tables; None where m is
-    not given by tables.
+    """(ops, tuples) for the relation check, read off the category's
+    closed operations.
 
     The inner keys are the nonzero m on identity-free tuples of arity
     2..d_max-1 with inputs of degree <= degree_max.  The outer keys are
@@ -255,8 +253,6 @@ def insertion_tuples(cat, d_max, degree_max):
     degree_max; a relation term at any other tuple has a zero factor.
     ops holds m on the inner and outer keys except the unit laws."""
     inner = cat.closed_operations(d_max - 1, degree_max)
-    if inner is None:
-        return None
     by_source = _by_source(cat, degree_max)
     hom = {s: (x, y) for x, maps in by_source.items() for s, y in maps}
     by_output = {}

@@ -15,7 +15,6 @@ configurations produce byte-identical files.
 
 import argparse
 import json
-import os
 import sys
 
 from .linalg import field_by_name
@@ -226,10 +225,6 @@ def main(argv=None):
         prog="pia2",
         description="exact minimal A-infinity models for the A2 quiver and "
                     "its preprojective algebra")
-    parser.add_argument("--jobs", type=int,
-                        default=int(os.environ.get("PIA2_JOBS", "0")) or None,
-                        help="parallelism cap (reserved; scans are sequential "
-                             "and deterministic)")
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("minimal-model", help="compute an operation table")

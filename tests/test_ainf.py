@@ -49,7 +49,6 @@ def test_stasheff_trick_instance():
 
 def test_stasheff_detects_corruption():
     pi = make_pi(4, 2)
-    pi._m_fallback = None  # force table-only lookups
     del pi.table.entries[("a.u2^0", "p2", "(12)")]
     rep = stasheff_check(pi, 4, 2)
     assert rep["status"] == "fail"
@@ -136,7 +135,7 @@ def _nonassociative():
 STASHEFF_CASES = {
     "pi": (lambda: make_pi(4, 2), 4, 2),
     "pi-q": (_pi_q, 4, 2),
-    # checked past the table's arity and degree bounds: the fallback
+    # checked past the table's arity and degree bounds: the closure
     "pi-past-bounds": (lambda: make_pi(3, 2), 4, 3),
     "pi-simple": (build_pi_simple, 4, 4),
     "delta": (build_delta, 5, 1),
@@ -157,19 +156,50 @@ def test_stasheff_lookup_path_matches_reference(case):
     evaluated = rep.pop("evaluated")
     assert rep == ref
     assert rep["checked"] > 0
-    support = insertion_tuples(cat, d_max, degree_max)
-    if case == "pi-prime":
-        assert support is None  # MatCategory computes m blockwise
-        assert evaluated == rep["checked"]
-    else:
-        _ops, tuples = support
-        assert 0 < evaluated == len(tuples) < rep["checked"]
-        # every tuple with a nonzero relation term, so every violation,
-        # is an insertion tuple and was evaluated
-        assert touched <= tuples
-        assert {tuple(v["tuple"]) for v in ref["violations"]} <= touched
+    _ops, tuples = insertion_tuples(cat, d_max, degree_max)
+    assert 0 < evaluated == len(tuples) < rep["checked"]
+    # every tuple with a nonzero relation term, so every violation, is an
+    # insertion tuple and was evaluated
+    assert touched <= tuples
+    assert {tuple(v["tuple"]) for v in ref["violations"]} <= touched
     if "bad" in case:
         assert rep["violations"]
+
+
+def test_past_bound_m_reads_one_cached_closure():
+    """Past the table's bounds m reads the closure: each arity-4 point
+    query on a table built at arity 3 equals a fresh transfer, all of them
+    share one closure, the per-point entry point sees every such call, and
+    a repeated check builds no closure."""
+    sb = SymbolicBackend()
+    ev = TransferEvaluator(sb)
+    pi = pi_category(compute_operation_table(3, 2, sb, evaluator=ev), ev)
+    builds = []
+    closure = pi._closure
+    pi._closure = lambda a, d: builds.append((a, d)) or closure(a, d)
+    calls = []
+    fallback = pi._m_fallback
+    pi._m_fallback = lambda inputs: calls.append(inputs) or fallback(inputs)
+    rep = stasheff_check(pi, 4, 2)
+    assert rep["status"] == "pass" and not calls
+    closed = list(builds)
+    assert closed and all(a == 3 for a, _d in closed)
+    tuples = [t for t in composable_tuples(pi, 4, 2) if len(t) == 4]
+    nonzero = 0
+    for t in tuples:
+        out = TransferEvaluator(sb).transfer(tuple(map(sym.ext_from_str, t)))
+        want = [(v, sym.ext_to_str(k)) for k, v in out.items()]
+        assert pi.m(t) == want, t
+        nonzero += bool(want)
+    assert nonzero > 0
+    assert builds == closed + [(4, 2)]
+    assert calls == tuples
+    assert stasheff_check(pi, 4, 2) == rep
+    # a request inside a kept closure reads it, filtered to its own bounds
+    assert closed[0][1] > 3
+    fresh = pi_category(pi.table, TransferEvaluator(sb))
+    assert pi.closed_operations(3, 3) == fresh.closed_operations(3, 3)
+    assert builds == closed + [(4, 2)]
 
 
 def test_stasheff_report_counts_tuples_checked():

@@ -5,7 +5,7 @@ import pytest
 from pia2.linalg import F2
 from pia2 import symbols as sym
 from pia2.transfer import SymbolicBackend, TransferEvaluator, compute_operation_table
-from pia2.ainf import stasheff_check, unitality_check
+from pia2.ainf import stasheff_check, unitality_check, count_composable_tuples
 from pia2.functors import (build_delta, build_fukaya, build_pants,
                            build_pi_prime, build_pi_simple, pi_category,
                            builtin_functors, verify_functor, AInfFunctorData,
@@ -138,9 +138,23 @@ def test_builtin_functors_verify():
     pi = make_pi()
     fs = {f.name: f for f in builtin_functors(pi, degree_max=4)}
     assert set(fs) == {"iota", "iota1", "iota2", "kappa1", "kappa2", "G"}
-    for name in ("iota", "iota1", "iota2", "kappa1", "kappa2"):
-        rep = verify_functor(fs[name], 6, 4)
-        assert rep["status"] == "pass", (name, rep["violations"][:3])
+    checked = {}
+    for name, f in fs.items():
+        rep = verify_functor(f, 6, 4)
+        checked[name] = rep["checked"]
+        if name != "G":
+            assert rep["status"] == "pass", (name, rep["violations"][:3])
+    # each report counts the support tuples it evaluated
+    assert all(checked.values())
+    assert sum(checked.values()) == 298
+
+
+def test_functor_report_that_checked_nothing_fails():
+    pi = make_pi()
+    iota1 = {f.name: f for f in builtin_functors(pi, degree_max=4)}["iota1"]
+    rep = verify_functor(iota1, 1, 4)
+    assert rep["checked"] == 0 and not rep["violations"]
+    assert rep["status"] == "fail"
 
 
 def test_support_scan_matches_exhaustive():
@@ -149,6 +163,8 @@ def test_support_scan_matches_exhaustive():
     for f in fs:
         fast = verify_functor(f, 4, 2)
         slow = verify_functor(f, 4, 2, exhaustive=True)
+        assert slow["checked"] == count_composable_tuples(f.source, 4, 2)
+        assert 0 < fast["checked"] <= slow["checked"]
         assert sorted(map(str, (v["tuple"] for v in fast["violations"]))) == \
             sorted(map(str, (v["tuple"] for v in slow["violations"]))), f.name
 

@@ -256,8 +256,10 @@ def test_matrix_backend_agreement():
 
 
 def test_generic_homotopy_reproduces_compositions():
-    """Any valid contraction induces the same m_2; the generic-mode table
-    beyond m_2 may differ from the tabulated homotopy's by a gauge."""
+    """Any valid contraction induces the same m_2, and the generic
+    homotopy's higher operations agree with the tabulated ones too: at
+    (6,4) every key, output and coefficient of the generic-mode table
+    equals the symbolic table's."""
     cat = pia2_end_category(16, F2)
     mb = MatrixBackend.for_pia2(cat, generic_contraction(cat), degree_max=4)
     sb = SymbolicBackend()
@@ -265,6 +267,13 @@ def test_generic_homotopy_reproduces_compositions():
     t_sym = compute_operation_table(2, 4, sb)
     assert {k: v["output"] for k, v in t_gen.entries.items()} == \
         {k: v["output"] for k, v in t_sym.entries.items()}
+    cat = pia2_end_category(24, F2)
+    mb = MatrixBackend.for_pia2(cat, generic_contraction(cat), degree_max=4)
+    t_gen = compute_operation_table(6, 4, mb)
+    t_sym = compute_operation_table(6, 4, sb)
+    assert max(map(len, t_gen.entries)) == 6
+    assert {k: (str(v["coeff"]), v["output"]) for k, v in t_gen.entries.items()} == \
+        {k: (str(v["coeff"]), v["output"]) for k, v in t_sym.entries.items()}
 
 
 def test_a2_minimal_model_is_the_triangle_category():
