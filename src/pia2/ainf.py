@@ -46,7 +46,10 @@ class AInfCategory:
         strings (defaults to the preprojective symbol grammar); the table
         is complete within its metadata bounds, and closure(arity_max,
         degree_max) -> OperationTable, when given, holds the operations
-        at wider bounds (without it m past the bounds is zero)."""
+        at wider bounds (without it m past the bounds is zero).  A
+        closure's table covers the bounds its metadata states, and a
+        bound stated as None is no bound: a formal category's closure
+        covers every arity."""
         self.name = name
         self.objects = list(objects)
         self._hom_basis = hom_basis
@@ -57,7 +60,7 @@ class AInfCategory:
         self._degrees = Memo(degree_of or
                              (lambda s: sym.ext_degree(sym.ext_from_str(s))))
         self._closure = closure
-        self._closed = {}     # (arity_max, degree_max) -> past-bound operations
+        self._closed = {}     # covered (arity_max, degree_max) -> past-bound operations
 
     def hom_basis(self, x, y, degree_max):
         return self._hom_basis(x, y, degree_max)
@@ -127,15 +130,18 @@ class AInfCategory:
     def _past_bounds(self, arity_max, degree_max):
         """The closure's operations on keys past the table's bounds, from
         the kept closure whose bounds cover (arity_max, degree_max); when
-        none does, one is built there and kept.  {} without a closure."""
+        none does, one is built there and kept under the bounds its table
+        states.  {} without a closure."""
         if self._closure is None:
             return {}
         for (a, d), ops in self._closed.items():
-            if arity_max <= a and degree_max <= d:
+            if (a is None or arity_max <= a) and (d is None or degree_max <= d):
                 return ops
-        ops = self._closed[arity_max, degree_max] = {
-            k: self.stored_term(e)
-            for k, e in self._closure(arity_max, degree_max).entries.items()
+        closed = self._closure(arity_max, degree_max)
+        bounds = (closed.metadata.get("arity_max", arity_max),
+                  closed.metadata.get("degree_max", degree_max))
+        ops = self._closed[bounds] = {
+            k: self.stored_term(e) for k, e in closed.entries.items()
             if not self._in_table_bounds(len(k), max(map(self.degree, k)))}
         return ops
 
@@ -149,13 +155,13 @@ class AInfCategory:
 # ---------------------------------------------------------------------------
 # checks
 
-def _report(check, violations, checked=None):
-    rep = {"check": check,
-           "status": "pass" if not violations else "fail",
-           "violations": violations}
-    if checked is not None:
-        rep["checked"] = checked
-    return rep
+def _report(check, violations, checked, nonempty=True):
+    """A check's report; "checked" counts what it examined.  A report
+    that examined nothing over a non-empty input fails: a pass over zero
+    cases is no pass."""
+    ok = not violations and (checked or not nonempty)
+    return {"check": check, "status": "pass" if ok else "fail",
+            "violations": violations, "checked": checked}
 
 
 def sign_exponent(degrees, n):
@@ -203,10 +209,9 @@ def stasheff_check(cat, d_max, degree_max, tuple_source=None):
         if acc:
             violations.append({"tuple": list(inputs), "expected": "0",
                                "got": {k: str(v) for k, v in acc.items()}})
-    rep = _report("stasheff", violations, seen if checked is None else checked)
+    rep = _report("stasheff", violations, seen if checked is None else checked,
+                  bool(cat.table.entries))
     rep["evaluated"] = evaluated
-    if not rep["checked"] and cat.table.entries:
-        rep["status"] = "fail"
     return rep
 
 
@@ -342,17 +347,22 @@ def unitality_check(cat, degree_max=6):
 
     The container enforces these structurally, so this check exercises the
     m() accessor plus the invariant that no stored key contains a unit.
+    The report's "checked" counts the unit-padded tuples evaluated and
+    the stored keys scanned.
     """
     f = cat.field
     violations = []
+    checked = 0
     for x in cat.objects:
         u = cat.units[x]
         for y in cat.objects:
             for s in cat.hom_basis(x, y, degree_max):
+                checked += 1
                 got = cat.m((s, u))  # m_2(f, 1_X) = f for f: X -> Y
                 if got != [(f.one, s)]:
                     violations.append({"tuple": [s, u], "expected": s, "got": got})
             for s in cat.hom_basis(y, x, degree_max):
+                checked += 1
                 got = cat.m((u, s))  # (-1)^{|g|} m_2(1_X, g) = g
                 want_sign = f.one if (cat.degree(s) % 2 == 0 or f.name == "f2") \
                     else f.of(-1)
@@ -360,17 +370,20 @@ def unitality_check(cat, degree_max=6):
                     violations.append({"tuple": [u, s], "expected": s, "got": got})
         # a unit in any slot of a higher operation gives zero
         for s in cat.hom_basis(x, x, degree_max):
+            checked += 3
             if cat.m((s, u, s)) or cat.m((u, s, s)) or cat.m((s, s, u)):
                 violations.append({"tuple": [s, u, s], "expected": "0", "got": "nonzero"})
+    checked += len(cat.table.entries)
     for key in cat.table.entries:
         if any(cat.is_unit(s) for s in key):
             violations.append({"tuple": list(key), "expected": "identity-free key",
                                "got": "unit argument stored"})
-    return _report("unitality", violations)
+    return _report("unitality", violations, checked, bool(cat.objects))
 
 
 def kappa_symmetry_check(table):
-    """Invariance of a preprojective table under the 1 <-> 2 relabeling."""
+    """Invariance of a preprojective table under the 1 <-> 2 relabeling;
+    "checked" counts the entries compared with their image."""
     violations = []
     for key, v in table.entries.items():
         kkey = tuple(kappa_str(s) for s in key)
@@ -379,7 +392,7 @@ def kappa_symmetry_check(table):
                 or str(w["coeff"]) != str(v["coeff"]):
             violations.append({"tuple": list(key), "expected": "kappa image present",
                                "got": "missing or different"})
-    return _report("kappa", violations)
+    return _report("kappa", violations, len(table.entries), bool(table.entries))
 
 
 def kappa_str(s):
@@ -393,15 +406,19 @@ def classification_check(table):
 
     The leading p_i may be absent when the shape starts the tuple (the
     complete operation list contains families like ((12),(212)^n, j1,
-    b.u1^n) = j2 where the p has been consumed by the output)."""
+    b.u1^n) = j2 where the p has been consumed by the output).  "checked"
+    counts the entries of arity >= 3 examined, so over a table of binary
+    products alone the check examines nothing and fails."""
     violations = []
+    checked = 0
     for key, v in table.entries.items():
         if len(key) < 3:
             continue
+        checked += 1
         if not _contains_classified_factor(key):
             violations.append({"tuple": list(key), "expected": "a classified factor",
                                "got": "none"})
-    return _report("classification", violations)
+    return _report("classification", violations, checked, bool(table.entries))
 
 
 def _loops(i, n):

@@ -13,7 +13,15 @@ same answer (tested) but is exponentially slower at high arity.  A query
 fills these values into an interval table, bottom-up by slice length and
 by index (A[i][j] is the value of inputs[i:j]), so a slice is looked up
 in the memo once and its cuts are list reads; m_n takes its root cuts from
-the table's first row and last column.
+the table's first row and last column.  Bitmasks of the nonzero slices
+starting and ending at each position give every slice its live cuts, the
+cuts whose two factors are both nonzero, and only those are visited: the
+fill's work follows the nonzero products, not the number of cuts.
+
+Both backends' mu_h returns None when the product is zero.  The symbolic
+backend reads the H and p images of a symbol pair from one pair table,
+filled with one mu per distinct pair, and sums terms over F2 by toggling
+them in a set-like dict.
 
 The same split makes table scans output-sensitive: a slice, or an input
 tuple of m_d, is nonzero only if some cut splits it into two parts that
@@ -35,6 +43,7 @@ from . import symbols as sym
 from .linalg import F2
 
 _MISS = object()
+_NO_IMAGES = (None, None)    # the H and p images of a zero product
 
 
 class SymbolicBackend:
@@ -52,7 +61,8 @@ class SymbolicBackend:
         if field.name != "f2":
             raise ValueError("the symbolic tables carry F2 coefficients")
         self.field = field
-        self._mu_memo = {}
+        # (a, b) -> (h_apply(mu(a, b)), p_apply(mu(a, b))), one mu per pair
+        self._pair = {}
 
     # symbols -------------------------------------------------------------
     def scan_symbols(self, degree_max):
@@ -93,50 +103,44 @@ class SymbolicBackend:
                 out[k] = s
         return out
 
-    def _mu(self, a, b):
-        key = (a, b)
-        r = self._mu_memo.get(key, _MISS)
-        if r is _MISS:
-            r = sym.mu(a, b)
-            self._mu_memo[key] = r
+    # products: over F2 every coefficient is one, so a formal sum is the
+    # set of its terms; images are toggled in and a repeated one cancels
+    def _images(self, a, b):
+        """(h_apply(m), p_apply(m)) for m = mu(a, b), stored in the pair
+        table: one mu per distinct pair serves both mu_h and mu_p."""
+        m = sym.mu(a, b)
+        r = self._pair[a, b] = (_NO_IMAGES if m is None else
+                                (sym.h_apply(m), sym.p_apply(m)))
         return r
 
     def mu_h(self, ea, eb):
-        """H(mu(ea, eb)) for formal sums; {} when everything dies."""
-        f = self.field
+        """H(mu(ea, eb)) for formal sums; None when everything dies."""
+        pair, one = self._pair, self.field.one
         out = {}
-        for a, va in ea.items():
-            for b, vb in eb.items():
-                r = self._mu(a, b)
-                if r is None:
-                    continue
-                h = sym.h_apply(r)
+        for a in ea:
+            for b in eb:
+                h = (pair.get((a, b)) or self._images(a, b))[0]
                 if h is None:
                     continue
-                s = f.add(out.get(h, f.zero), f.mul(va, vb))
-                if s == f.zero:
-                    out.pop(h, None)
+                if h in out:
+                    del out[h]
                 else:
-                    out[h] = s
-        return out
+                    out[h] = one
+        return out or None
 
     def mu_p(self, ea, eb):
         """p(mu(ea, eb)): {Ext symbol: coeff}."""
-        f = self.field
+        pair, one = self._pair, self.field.one
         out = {}
-        for a, va in ea.items():
-            for b, vb in eb.items():
-                r = self._mu(a, b)
-                if r is None:
-                    continue
-                cls = sym.p_apply(r)
+        for a in ea:
+            for b in eb:
+                cls = (pair.get((a, b)) or self._images(a, b))[1]
                 if cls is None:
                     continue
-                s = f.add(out.get(cls, f.zero), f.mul(va, vb))
-                if s == f.zero:
-                    out.pop(cls, None)
+                if cls in out:
+                    del out[cls]
                 else:
-                    out[cls] = s
+                    out[cls] = one
         return out
 
 
@@ -290,7 +294,8 @@ class TransferEvaluator:
     A query on inputs (f_n, ..., f_1) fills an interval table A bottom-up
     by slice length: A[i][j] is the value of the slice inputs[i:j] (the
     leaf itself when j = i + 1, None when the slice is zero), computed from
-    its cuts c as the signed sum of H(mu(A[i][c], A[c][j])).  The table is
+    its live cuts c, those with A[i][c] and A[c][j] both nonzero, as the
+    signed sum of H(mu(A[i][c], A[c][j])).  The table is
     mirrored, A[j][i] = A[i][j], so the right factors of the slices ending
     at j are read along row j, and stored as one flat list, A[i][j] at
     index i * (n + 1) + j: one allocation per query instead of n + 1 rows,
@@ -324,25 +329,38 @@ class TransferEvaluator:
 
     def _fill(self, inputs, top, pre, edges=None):
         """The mirrored interval table of `inputs` (flat, rows of n + 1)
-        for slice lengths up to `top`; each slice the fill visits is read
-        from or written to the memo.  pre is `_prefix_degrees(inputs)`.
+        for slice lengths up to `top`, and the root's live cuts; each
+        slice the fill visits is read from or written to the memo.  pre
+        is `_prefix_degrees(inputs)`.
+
+        Next to the table the fill keeps two bitmasks per position: bit c
+        of nz_l[i] is set when inputs[i:c] is nonzero (a leaf or a nonzero
+        slice), bit c of nz_r[j] when inputs[c:j] is.  The live cuts of a
+        slice i:j are the set bits of nz_l[i] & nz_r[j], the cuts whose
+        two factors are both nonzero; only those are visited, and a slice
+        with none is stored as None without a loop.  The root's live cuts
+        are returned as nz_l[0] & nz_r[n].
 
         A fill stores a slice only after all of its sub-slices, so the
         memo holds every sub-slice of a slice it holds.  When it holds the
         two longest proper slices, every prefix and suffix is there: only
         those and the root (if top reaches it) are visited, and only the
-        two end leaves are built.  Should a prefix or suffix be missing
+        two end leaves are built; the memo hits set the prefix and suffix
+        bits the root's cuts read.  Should a prefix or suffix be missing
         after all, that shortcut gives way to a full fill."""
         n = len(inputs)
         backend, field, memo = self.backend, self.backend.field, self.memo
-        mu_h, is_zero, add = backend.mu_h, backend.is_zero, backend.add
+        mu_h, add = backend.mu_h, backend.add
         w = n + 1
         A = [None] * (w * w)
+        nz_l, nz_r = [0] * w, [0] * w
         if edges is None:
             edges = (n > 2 and bool(memo)
                      and inputs[:-1] in memo and inputs[1:] in memo)
         for i in (0, n - 1) if edges else range(n):
             A[i * w + i + 1] = A[(i + 1) * w + i] = backend.leaf(inputs[i])
+            nz_l[i] |= 1 << (i + 1)
+            nz_r[i + 1] |= 1 << i
         for i, j in _spans(n, top, edges):
             key = inputs[i:j]
             acc = memo.get(key, _MISS)
@@ -351,28 +369,30 @@ class TransferEvaluator:
                     # its interior slices were not built: fill them all
                     return self._fill(inputs, top, pre, edges=False)
                 acc = None
+                live = nz_l[i] & nz_r[j]
                 row_i, row_j = i * w, j * w
-                # slice order is (f_d, ..., f_1): the left factor is the prefix
-                for c in range(i + 1, j):
-                    el = A[row_i + c]
-                    if el is None:
-                        continue
-                    er = A[row_j + c]
-                    if er is None:
-                        continue
-                    out = mu_h(el, er)
-                    if out is None or is_zero(out):
+                while live:
+                    # slice order is (f_d, ..., f_1): the left factor is
+                    # the prefix
+                    low = live & -live
+                    live ^= low
+                    c = low.bit_length() - 1
+                    out = mu_h(A[row_i + c], A[row_j + c])
+                    if out is None:
                         continue
                     if pre is not None:
                         sign = _koszul_sign(field, j - c, pre[c] - pre[i])
                         if sign != field.one:
                             out = backend.scale(out, sign)
                     acc = out if acc is None else add(acc, out)
-                if acc is not None and is_zero(acc):
+                if acc is not None and backend.is_zero(acc):
                     acc = None
                 memo[key] = acc
-            A[i * w + j] = A[j * w + i] = acc
-        return A
+            if acc is not None:
+                A[i * w + j] = A[j * w + i] = acc
+                nz_l[i] |= 1 << j
+                nz_r[j] |= 1 << i
+        return A, nz_l[0] & nz_r[n]
 
     def _A(self, slice_key):
         if len(slice_key) == 1:
@@ -381,26 +401,26 @@ class TransferEvaluator:
         if hit is not _MISS:
             return hit
         n = len(slice_key)
-        return self._fill(slice_key, n, self._prefix_degrees(slice_key))[n]
+        return self._fill(slice_key, n, self._prefix_degrees(slice_key))[0][n]
 
     def transfer(self, inputs, _memo_root=False):
-        """m_d(f_d, ..., f_1) as {output symbol: coeff}.  The root slice
-        (all of inputs) is memoized too when _memo_root is set, so a
-        later `_A(inputs)` is a lookup."""
+        """m_d(f_d, ..., f_1) as {output symbol: coeff}, summed over the
+        root's live cuts.  The root slice (all of inputs) is memoized too
+        when _memo_root is set, so a later `_A(inputs)` is a lookup."""
         inputs = tuple(inputs)
         n = len(inputs)
         if n < 2:
             return {}
         backend, field = self.backend, self.backend.field
         pre = self._prefix_degrees(inputs)
-        A = self._fill(inputs, n if _memo_root else n - 1, pre)
+        A, live = self._fill(inputs, n if _memo_root else n - 1, pre)
         row_n = n * (n + 1)
         total = {}
-        for cut in range(1, n):
-            el, er = A[cut], A[row_n + cut]
-            if el is None or er is None:
-                continue
-            out = backend.mu_p(el, er)
+        while live:
+            low = live & -live
+            live ^= low
+            cut = low.bit_length() - 1
+            out = backend.mu_p(A[cut], A[row_n + cut])
             sign = (field.one if pre is None
                     else _koszul_sign(field, n - cut, pre[cut]))
             for k, v in out.items():

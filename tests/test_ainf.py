@@ -302,6 +302,22 @@ def test_classification():
     assert classification_check(bogus)["status"] == "fail"
 
 
+def test_scan_reports_count_what_they_checked():
+    pi = make_pi(6, 4)
+    for rep in (unitality_check(pi, 4), kappa_symmetry_check(pi.table),
+                classification_check(pi.table)):
+        assert rep["status"] == "pass" and rep["checked"] > 0, rep["check"]
+
+
+def test_scan_report_that_checked_nothing_fails():
+    """Classification examines operations of arity >= 3; over a table of
+    binary products alone it examines nothing, and that is no pass."""
+    rep = classification_check(expected_table(2, 4))
+    assert rep["checked"] == 0 and not rep["violations"]
+    assert rep["status"] == "fail"
+    assert kappa_symmetry_check(OperationTable({}))["checked"] == 0
+
+
 def test_restriction_to_simples_is_formal():
     pi = make_pi(7, 4)
     sub = pi.table.restrict_objects({"S1", "S2"})

@@ -99,6 +99,36 @@ def _memo(ev):
     return {k: _value(v) for k, v in ev.memo.items()}
 
 
+def _count_calls(backend, name):
+    """Wrap backend.<name> on the instance; the list holds the call count."""
+    calls = [0]
+    inner = getattr(backend, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+    setattr(backend, name, counted)
+    return calls
+
+
+def _nonzero(memo, part):
+    return len(part) == 1 or memo[part] is not None
+
+
+def _live_cuts(memo):
+    """The cuts of every memoized slice whose two factors are nonzero (a
+    leaf or a nonzero memo value): the mu_h calls that computing the
+    memo takes when only live cuts are visited."""
+    return sum(_nonzero(memo, key[:c]) and _nonzero(memo, key[c:])
+               for key in memo for c in range(1, len(key)))
+
+
+def _root_live_cuts(memo, inputs):
+    """The root cuts of inputs with two nonzero factors: its mu_p calls."""
+    return sum(_nonzero(memo, inputs[:c]) and _nonzero(memo, inputs[c:])
+               for c in range(1, len(inputs)))
+
+
 def _pia2_matrix(field, contraction, window=14, degree_max=2):
     cat = pia2_end_category(window, field)
     return MatrixBackend.for_pia2(cat, contraction(cat), degree_max=degree_max)
@@ -129,26 +159,40 @@ def _point_queries(n, arity_lo, arity_hi, degree_max, seed):
 
 
 def test_cold_point_queries_match_recursion():
+    """Outputs and memos equal the recursion's, and mu_h and mu_p run on
+    the live cuts alone: the cuts whose two factors are nonzero."""
     backend = SymbolicBackend()
-    nonzero = 0
+    mu_h, mu_p = _count_calls(backend, "mu_h"), _count_calls(backend, "mu_p")
+    nonzero = dead = 0
     for q in _point_queries(300, 4, 6, 4, seed=7):
-        new, old = TransferEvaluator(backend), RecursiveEvaluator(backend)
+        new, old = TransferEvaluator(backend), RecursiveEvaluator(SymbolicBackend())
+        mu_h[0] = mu_p[0] = 0
         out = new.transfer(q)
         assert out == old.transfer(q), q
         assert _memo(new) == _memo(old), q
+        assert mu_h[0] == _live_cuts(old.memo), q
+        assert mu_p[0] == _root_live_cuts(old.memo, q), q
+        dead += sum(len(k) - 1 for k in old.memo) - mu_h[0]
         nonzero += bool(out)
     assert nonzero >= 150
+    assert dead > 0
 
 
 def test_warm_point_queries_match_recursion():
     """One evaluator for all queries, with each query's longest prefix
-    memoized first, so fills start from partly warm memos."""
+    memoized first, so fills start from partly warm memos; the memo hits
+    of the prefix-and-suffix shortcut set the bits the root cuts read."""
     backend = SymbolicBackend()
-    new, old = TransferEvaluator(backend), RecursiveEvaluator(backend)
+    mu_h, mu_p = _count_calls(backend, "mu_h"), _count_calls(backend, "mu_p")
+    new, old = TransferEvaluator(backend), RecursiveEvaluator(SymbolicBackend())
+    root_cuts = 0
     for q in _point_queries(300, 4, 6, 4, seed=8):
         assert new._A(q[:-1]) == old._A(q[:-1])
         assert new.transfer(q) == old.transfer(q), q
+        root_cuts += _root_live_cuts(old.memo, q)
     assert _memo(new) == _memo(old)
+    assert mu_h[0] == _live_cuts(old.memo)
+    assert mu_p[0] == root_cuts > 0
 
 
 def test_root_slice_is_memoized_on_request():
@@ -228,10 +272,15 @@ def test_koszul_signs_match_recursion_and_trees():
     for n in range(2, 7):
         inputs = tuple(letters[:n])
         new, old = TransferEvaluator(backend), RecursiveEvaluator(backend)
+        mu_h = _count_calls(backend, "mu_h")
         out = new.transfer(inputs, _memo_root=True)
+        del backend.mu_h
         assert out == old.transfer(inputs) == transfer_mn_by_trees(inputs, backend)
         old._A(inputs)
         assert new.memo == old.memo
+        # no product vanishes in the free magma: every cut is live
+        assert mu_h[0] == _live_cuts(old.memo) == sum(
+            len(k) - 1 for k in old.memo)
         negative += sum(v == -1 for val in new.memo.values() for v in val.values())
     assert negative > 0
 
@@ -264,14 +313,104 @@ def test_chart_scans_match_recursion():
     for arity_max, degree_max, make_backend in SCANS:
         backend = make_backend()
         new, old = FillCounter(backend), RecursiveEvaluator(backend)
+        mu_h = _count_calls(backend, "mu_h")
         table = compute_operation_table(arity_max, degree_max, backend, evaluator=new)
+        del backend.mu_h
         expected = compute_operation_table(arity_max, degree_max, backend,
                                            evaluator=old)
         assert len(expected) > 0
         assert table.dumps() == expected.dumps()
         assert _memo(new) == _memo(old)
+        assert mu_h[0] == _live_cuts(old.memo)
         # one fill per candidate: the root slice comes from the same fill
         assert new.fills == new.transfers > 0
+
+
+# -- the symbolic pair table ---------------------------------------------------
+
+def _direct(ea, eb, apply):
+    """The image of mu on formal sums the long way: mu per term pair,
+    then `apply`, summed with the field's arithmetic."""
+    out = {}
+    for a, va in ea.items():
+        for b, vb in eb.items():
+            m = sym.mu(a, b)
+            x = None if m is None else apply(m)
+            if x is None:
+                continue
+            v = F2.add(out.get(x, F2.zero), F2.mul(va, vb))
+            if v == F2.zero:
+                out.pop(x, None)
+            else:
+                out[x] = v
+    return out
+
+
+def _check_pair_table(backend, ea, eb, h_first):
+    calls = [("mu_h", sym.h_apply), ("mu_p", sym.p_apply)]
+    for name, apply in calls if h_first else calls[::-1]:
+        want = _direct(ea, eb, apply)
+        got = getattr(backend, name)(ea, eb)
+        assert got == ((want or None) if name == "mu_h" else want), (name, ea, eb)
+
+
+def test_pair_table_matches_mu_then_image(monkeypatch):
+    """On single terms, in either order of the two products; one mu per
+    pair serves both images."""
+    want = {(a, b): (_direct({a: 1}, {b: 1}, sym.h_apply) or None,
+                     _direct({a: 1}, {b: 1}, sym.p_apply))
+            for a, b in sym._composable_pairs(3)}
+    mu_calls = []
+    mu = sym.mu
+    monkeypatch.setattr(sym, "mu", lambda a, b: mu_calls.append((a, b)) or mu(a, b))
+    for h_first in (True, False):
+        backend = SymbolicBackend()
+        for (a, b), (h, p) in want.items():
+            ea, eb = {a: 1}, {b: 1}
+            if h_first:
+                got = backend.mu_h(ea, eb), backend.mu_p(ea, eb)
+            else:
+                p_got = backend.mu_p(ea, eb)
+                got = backend.mu_h(ea, eb), p_got
+            assert got == (h, p), (a, b)
+        assert len(mu_calls) == len(want)
+        mu_calls.clear()
+
+
+def test_pair_table_on_two_term_sums():
+    """Homogeneous two-term sums, among them every pair of products with
+    the same class image, which cancel over F2."""
+    pairs = list(sym._composable_pairs(3))
+    images = {}
+    for a, b in pairs:
+        m = sym.mu(a, b)
+        if m is not None and sym.p_apply(m) is not None:
+            images.setdefault(sym.p_apply(m), []).append((a, b))
+    sums = []
+    for group in images.values():
+        for n, (a1, b1) in enumerate(group):
+            for a2, b2 in group[n + 1:]:
+                if (a1 != a2 and b1 != b2
+                        and sym.elem_source(a1) == sym.elem_source(a2)
+                        and sym.elem_target(b1) == sym.elem_target(b2)):
+                    sums.append(({a1: 1, a2: 1}, {b1: 1, b2: 1}))
+    cancelling = len(sums)
+    assert cancelling > 0
+    rng = random.Random(13)
+    for _ in range(500):
+        (a1, b1), (a2, b2) = rng.sample(pairs, 2)
+        if (sym.elem_source(a1) == sym.elem_source(a2)
+                and sym.elem_target(b1) == sym.elem_target(b2)):
+            sums.append(({a1: 1, a2: 1}, {b1: 1}))
+            sums.append(({a1: 1}, {b1: 1, b2: 1}))
+    assert len(sums) > cancelling
+    backend = SymbolicBackend()
+    for n, (ea, eb) in enumerate(sums):
+        _check_pair_table(backend, ea, eb, h_first=n % 2 == 0)
+    ea, eb = {sym.ext_u(1, 1): 1, sym.ext_u(1, 2): 1}, {sym.ext_u(1, 1): 1,
+                                                         sym.ext_u(1, 2): 1}
+    # u1^1 u1^2 + u1^2 u1^1 = 0: only u1^2 and u1^4 survive
+    assert backend.mu_p(ea, eb) == {sym.ext_u(1, 2): 1, sym.ext_u(1, 4): 1}
 
 
 # -- property: cold, warm and the literal tree sum agree ---------------------

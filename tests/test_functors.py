@@ -169,6 +169,20 @@ def test_support_scan_matches_exhaustive():
             sorted(map(str, (v["tuple"] for v in slow["violations"]))), f.name
 
 
+def test_formal_closure_is_built_once_for_all_arities():
+    """pi-simple is formal: its closure's table states no arity bound, so
+    the exhaustive iota check past arity 2 builds it once, not once per
+    arity."""
+    pi = make_pi()
+    iota = {f.name: f for f in builtin_functors(pi, degree_max=4)}["iota"]
+    builds = []
+    closure = iota.source._closure
+    iota.source._closure = lambda a, d: builds.append((a, d)) or closure(a, d)
+    rep = verify_functor(iota, 4, 4, exhaustive=True)
+    assert rep["status"] == "pass" and rep["checked"] == 672
+    assert builds == [(3, 12)]
+
+
 def test_g_functor_known_block_identity_gap():
     """The pants functor satisfies the functor equation everywhere except
     on tuples whose preprojective value is a block identity of P: there
