@@ -24,32 +24,25 @@ from .table import OperationTable
 from . import symbols as sym
 
 
-class Memo(dict):
-    """A dict that fills a missing key with fn(key)."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
 class AInfCategory:
-    """Objects + graded hom basis + operation table + units."""
+    """Objects + graded hom basis + operation table + units.
 
-    def __init__(self, name, objects, hom_basis, table, units, field=F2,
-                 degree_of=None, closure=None):
+    A basis symbol is a string, and `symbols` maps each symbol the
+    category has to its (source, target, degree): the one place the
+    category, its checks and the functors read a symbol's facts."""
+
+    def __init__(self, name, objects, hom_basis, table, units, field=F2, *,
+                 symbols, closure=None):
         """hom_basis: callable (x, y, degree_max) -> list of symbol strings;
-        units: {object: unit symbol string}; degree_of: callable on symbol
-        strings (defaults to the preprojective symbol grammar); the table
-        is complete within its metadata bounds, and closure(arity_max,
-        degree_max) -> OperationTable, when given, holds the operations
-        at wider bounds (without it m past the bounds is zero).  A
-        closure's table covers the bounds its metadata states, and a
-        bound stated as None is no bound: a formal category's closure
-        covers every arity."""
+        units: {object: unit symbol string}; symbols: a mapping symbol ->
+        (source, target, degree) that holds the units and every listed
+        symbol (a symbol of Pi's grammar is looked up in the symbols table
+        on first use); the table is complete within its metadata bounds,
+        and closure(arity_max, degree_max) -> OperationTable, when given,
+        holds the operations at wider bounds (without it m past the bounds
+        is zero).  A closure's table covers the bounds its metadata
+        states, and a bound stated as None is no bound: a formal
+        category's closure covers every arity."""
         self.name = name
         self.objects = list(objects)
         self._hom_basis = hom_basis
@@ -57,8 +50,7 @@ class AInfCategory:
         self.units = dict(units)
         self.field = field
         self._unit_set = set(units.values())
-        self._degrees = Memo(degree_of or
-                             (lambda s: sym.ext_degree(sym.ext_from_str(s))))
+        self.symbols = symbols
         self._closure = closure
         self._closed = {}     # covered (arity_max, degree_max) -> past-bound operations
 
@@ -66,8 +58,7 @@ class AInfCategory:
         return self._hom_basis(x, y, degree_max)
 
     def degree(self, s):
-        """The degree of a basis symbol; each symbol is parsed once."""
-        return self._degrees[s]
+        return self.symbols[s][2]
 
     def is_unit(self, s):
         return s in self._unit_set
@@ -386,17 +377,13 @@ def kappa_symmetry_check(table):
     "checked" counts the entries compared with their image."""
     violations = []
     for key, v in table.entries.items():
-        kkey = tuple(kappa_str(s) for s in key)
+        kkey = tuple(map(sym.kappa_str, key))
         w = table.entries.get(kkey)
-        if w is None or w["output"] != kappa_str(v["output"]) \
+        if w is None or w["output"] != sym.kappa_str(v["output"]) \
                 or str(w["coeff"]) != str(v["coeff"]):
             violations.append({"tuple": list(key), "expected": "kappa image present",
                                "got": "missing or different"})
     return _report("kappa", violations, len(table.entries), bool(table.entries))
-
-
-def kappa_str(s):
-    return sym.ext_to_str(sym.kappa_ext(sym.ext_from_str(s)))
 
 
 def classification_check(table):
@@ -622,5 +609,5 @@ def m2_reference_table(nm_max, degree_max, field=F2):
 
 
 def _exponent_sum(s):
-    t = sym.ext_from_str(s)
+    t = sym.SYMBOLS[s][0]
     return t[2] if t[0] in ("u", "g") else 0

@@ -19,7 +19,6 @@ import sys
 
 from .linalg import field_by_name
 from .table import OperationTable, diff_tables
-from . import symbols as sym
 from .transfer import (SymbolicBackend, MatrixBackend, TransferEvaluator,
                        compute_operation_table)
 from .complexes import (pia2_end_category, a2_end_category, tabulated_contraction,

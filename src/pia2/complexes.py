@@ -740,11 +740,13 @@ class TabulatedContraction(Contraction):
         self._plans = {}    # (src, tgt, deg) -> back-substitution steps or None
 
     def classes(self, src, tgt, deg):
-        return [s for s in sym.hom_basis(src, tgt, max(deg, 0)) if sym.ext_degree(s) == deg]
+        return [s for s in sym.hom_names(src, tgt, max(deg, 0))
+                if sym.SYMBOLS[s][3] == deg]
 
     def include(self, src, tgt, deg, name):
-        assert sym.ext_source(name) == src and sym.ext_target(name) == tgt
-        return realize_ext_symbol(self.cat, name)
+        e, x, y, _d = sym.SYMBOLS[name]
+        assert (x, y) == (src, tgt)
+        return realize_ext_symbol(self.cat, e)
 
     def _top(self, src, tgt, deg):
         """(first class, key of the top position) of a class-carrying
@@ -1078,11 +1080,11 @@ def generic_contraction(cat, deg_lo=None, deg_hi=None, class_names=None):
 def pia2_class_names(deg_lo, deg_hi):
     """Expected Ext classes per hom pair and degree, named by symbol."""
     out = {}
-    for src in ("S1", "S2", "P1", "P2"):
-        for tgt in ("S1", "S2", "P1", "P2"):
-            basis = sym.hom_basis(src, tgt, max(deg_hi, 0))
+    for src in sym.OBJECTS:
+        for tgt in sym.OBJECTS:
+            basis = sym.hom_names(src, tgt, max(deg_hi, 0))
             for n in range(deg_lo, deg_hi + 1):
-                out[(src, tgt, n)] = [s for s in basis if sym.ext_degree(s) == n]
+                out[(src, tgt, n)] = [s for s in basis if sym.SYMBOLS[s][3] == n]
     return out
 
 

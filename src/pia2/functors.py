@@ -45,12 +45,9 @@ def build_fukaya(n, grading, field=F2, name=None, object_names=None,
         raise ValueError("gradings must sum to n - 2")
     objs = list(object_names) if object_names else [f"X{i}" for i in range(1, n + 1)]
     maps = list(map_names) if map_names else [f"f{i}" for i in range(1, n + 1)]
-    degree = {maps[i]: grading[i] for i in range(n)}
-    src = {maps[i]: objs[i] for i in range(n)}
-    tgt = {maps[i]: objs[(i + 1) % n] for i in range(n)}
     units = {o: f"1_{o}" for o in objs}
-    for o in objs:
-        degree[units[o]] = 0
+    symbols = {maps[i]: (objs[i], objs[(i + 1) % n], grading[i]) for i in range(n)}
+    symbols.update({u: (o, o, 0) for o, u in units.items()})
 
     table = OperationTable({"arity_max": n, "degree_max": max(grading),
                             "field": field.name, "backend": "builtin",
@@ -59,9 +56,7 @@ def build_fukaya(n, grading, field=F2, name=None, object_names=None,
         # rotation based at X_{i+1}: rightmost factor f_{i+1}
         idx = [(i + k) % n for k in range(n)]          # f_{i+1}, f_{i+2}, ...
         inputs = tuple(maps[j] for j in reversed(idx))
-        objects = [src[inputs[-1]]]
-        for s in reversed(inputs):
-            objects.append(tgt[s])
+        objects = [symbols[inputs[-1]][0]] + [symbols[s][1] for s in reversed(inputs)]
         table.add(inputs, objects, field.one, units[objs[i]], 0)
 
     def hom_basis(x, y, degree_max):
@@ -69,16 +64,13 @@ def build_fukaya(n, grading, field=F2, name=None, object_names=None,
         if x == y:
             out.append(units[x])
         for m in maps:
-            if src[m] == x and tgt[m] == y and degree[m] <= degree_max:
+            src, tgt, deg = symbols[m]
+            if (src, tgt) == (x, y) and deg <= degree_max:
                 out.append(m)
         return out
 
-    cat = AInfCategory(name or f"fukaya{n}", objs, hom_basis, table, units,
-                       field, degree_of=lambda s: degree[s])
-    cat.symbol_hom = {m: (src[m], tgt[m]) for m in maps}
-    for o in objs:
-        cat.symbol_hom[units[o]] = (o, o)
-    return cat
+    return AInfCategory(name or f"fukaya{n}", objs, hom_basis, table, units,
+                        field, symbols=symbols)
 
 
 # ---------------------------------------------------------------------------
@@ -95,34 +87,18 @@ def pi_category(table, evaluator=None, field=F2):
             return compute_operation_table(arity_max, degree_max,
                                            evaluator.backend, evaluator=evaluator)
 
-    def hom_basis(x, y, degree_max):
-        return [sym.ext_to_str(s) for s in sym.hom_basis(x, y, degree_max)]
-
-    cat = AInfCategory("Pi", list(sym.OBJECTS), hom_basis, table,
-                       {o: f"1_{o}" for o in sym.OBJECTS}, field, closure=closure)
-    cat.symbol_hom = _PiSymbolHom()
-    return cat
+    return AInfCategory("Pi", list(sym.OBJECTS), sym.hom_names, table,
+                        {o: f"1_{o}" for o in sym.OBJECTS}, field,
+                        symbols=_PiSymbols(), closure=closure)
 
 
-def _pi_endpoints(s):
-    """(source, target) in Pi of the symbol named s, of any degree; None
-    when s names no Ext basis symbol."""
-    try:
-        e = sym.ext_from_str(s)
-        ends = (sym.ext_source(e), sym.ext_target(e))
-        ok = sym.ext_to_str(e) == s and sym.ext_degree(e) >= 0
-    except (KeyError, ValueError):
-        return None
-    return ends if ok and all(o in sym.OBJECTS for o in ends) else None
+class _PiSymbols(dict):
+    """symbol -> (source, target, degree) for a category on Pi's symbols.
 
-
-class _PiSymbolHom(dict):
-    """symbol -> (source, target) for a category on Pi's symbols.
-
-    Entries are read off the symbol grammar on first use, so a symbol of
-    any degree has its endpoints; a string that names no symbol, or a
-    symbol between objects the category leaves out, is not a key.  rename
-    maps Pi's objects to the category's (Pi' joins P1 and P2 into P).
+    Entries are read off the symbols table on first use, so a symbol of
+    any degree is there; a string that names no symbol, or a symbol
+    between objects the category leaves out, is not a key.  rename maps
+    Pi's objects to the category's (Pi' joins P1 and P2 into P).
     """
 
     def __init__(self, rename=None):
@@ -130,20 +106,18 @@ class _PiSymbolHom(dict):
         self.rename = rename or {o: o for o in sym.OBJECTS}
 
     def __missing__(self, s):
-        ends = _pi_endpoints(s)
-        if ends is None or not all(o in self.rename for o in ends):
+        _e, x, y, deg = sym.SYMBOLS[s]
+        if x not in self.rename or y not in self.rename:
             raise KeyError(s)
-        out = self[s] = (self.rename[ends[0]], self.rename[ends[1]])
+        out = self[s] = (self.rename[x], self.rename[y], deg)
         return out
 
-    def get(self, s, default=None):
-        try:
-            return self[s]
-        except KeyError:
-            return default
-
     def __contains__(self, s):
-        return self.get(s) is not None
+        try:
+            self[s]
+        except KeyError:
+            return False
+        return True
 
 
 def build_pi_simple(field=F2, degree_max=12):
@@ -155,39 +129,28 @@ def build_pi_simple(field=F2, degree_max=12):
                             "field": field.name, "backend": "builtin",
                             "window": 0, "homotopy": "paper"})
 
-    def m2(a, b):
-        r = sym.mu(a, b)
-        return sym.p_apply(r)
-
     objs = ["S1", "S2"]
+    units = {o: f"1_{o}" for o in objs}
     for x in objs:
         for mid in objs:
             for y in objs:
-                for b in sym.hom_basis(x, mid, degree_max):
-                    for a in sym.hom_basis(mid, y, degree_max):
-                        if sym.is_identity(a) or sym.is_identity(b):
+                for b in sym.hom_names(x, mid, degree_max):
+                    for a in sym.hom_names(mid, y, degree_max):
+                        if a == units[mid] or b == units[x]:
                             continue
-                        out = m2(a, b)
-                        if out is None:
+                        out = sym.product_class(a, b)
+                        if out is None or (a, b) in table:
                             continue
-                        key = (sym.ext_to_str(a), sym.ext_to_str(b))
-                        if key in table:
-                            continue
-                        table.add(key, [x, mid, y], field.one,
-                                  sym.ext_to_str(out), sym.ext_degree(out))
-
-    def hom_basis(x, y, dmax):
-        return [sym.ext_to_str(s) for s in sym.hom_basis(x, y, dmax)]
+                        table.add((a, b), [x, mid, y], field.one, out,
+                                  sym.SYMBOLS[out][3])
 
     def closure(arity_max, dmax):
         closed = build_pi_simple(field, dmax).table
         closed.metadata["arity_max"] = None
         return closed
 
-    cat = AInfCategory("pi", objs, hom_basis, table,
-                       {o: f"1_{o}" for o in objs}, field, closure=closure)
-    cat.symbol_hom = _PiSymbolHom({o: o for o in objs})
-    return cat
+    return AInfCategory("pi", objs, sym.hom_names, table, units, field,
+                        symbols=_PiSymbols({o: o for o in objs}), closure=closure)
 
 
 class MatCategory(AInfCategory):
@@ -195,17 +158,17 @@ class MatCategory(AInfCategory):
     of the underlying category and operations are blockwise; the table is
     empty, so m past the unit laws comes from the inner category."""
 
-    def __init__(self, name, objects, hom_basis, units, inner, block_of,
+    def __init__(self, name, objects, hom_basis, units, inner, symbols,
                  field=F2):
         super().__init__(name, objects, hom_basis, OperationTable({}), units,
-                         field, degree_of=inner.degree)
+                         field, symbols=symbols)
         self.inner = inner
-        self.block_of = block_of  # symbol -> (inner source, inner target)
 
     def _m_fallback(self, inputs):
         # blockwise: consecutive inner endpoints must chain
+        block = self.inner.symbols
         for a, b in zip(inputs, inputs[1:]):
-            if self.block_of[a][0] != self.block_of[b][1]:
+            if block[a][0] != block[b][1]:
                 return []
         return self.inner.m(inputs)
 
@@ -239,20 +202,14 @@ def build_pi_prime(pi_cat):
     expand = {"S1": ["S1"], "S2": ["S2"], "P": ["P1", "P2"]}
 
     def hom_basis(x, y, dmax):
-        out = []
-        for xi in expand[x]:
-            for yi in expand[y]:
-                for s in sym.hom_basis(xi, yi, dmax):
-                    out.append(sym.ext_to_str(s))
-        return out
+        return [s for xi in expand[x] for yi in expand[y]
+                for s in sym.hom_names(xi, yi, dmax)]
 
     units = {"S1": "1_S1", "S2": "1_S2", "P": "1_P"}
-    cat = MatCategory("PiPrime", objs, hom_basis, units, pi_cat,
-                      _PiSymbolHom(), pi_cat.field)
-    cat.symbol_hom = _PiSymbolHom({"S1": "S1", "S2": "S2",
-                                   "P1": "P", "P2": "P"})
-    cat.symbol_hom["1_P"] = ("P", "P")
-    return cat
+    symbols = _PiSymbols({"S1": "S1", "S2": "S2", "P1": "P", "P2": "P"})
+    symbols["1_P"] = ("P", "P", 0)
+    return MatCategory("PiPrime", objs, hom_basis, units, pi_cat, symbols,
+                       pi_cat.field)
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +374,8 @@ def build_pants(degree_max, pi_table=None, field=F2):
                             "field": field.name, "backend": "builtin",
                             "window": 0, "homotopy": "paper"})
 
-    src_tgt = {}
-    for (x, y), syms in homs.items():
-        for s in syms:
-            src_tgt[s] = (x, y)
+    symbols = {s: (x, y, pants_degree(s)) for (x, y), syms in homs.items()
+               for s in syms}
 
     # m2 from the composition rules
     for (x, y), bs in homs.items():
@@ -459,20 +414,19 @@ def build_pants(degree_max, pi_table=None, field=F2):
             continue
         if any(pants_degree(p) > degree_max for p in pre):
             continue
-        objects = [src_tgt[pre[-1]][0]] + [src_tgt[s][1] for s in reversed(pre)]
+        objects = [symbols[pre[-1]][0]] + [symbols[s][1] for s in reversed(pre)]
         table.add(tuple(pre), objects, v["coeff"], out, v["degree"])
 
     # the two rotations valued at 1_{X2}, as the triangle list states them
     for tup in (("u12", "u01", "u20"), ("v02", "v10", "v21")):
-        objects = [src_tgt[tup[-1]][0]] + [src_tgt[s][1] for s in reversed(tup)]
+        objects = [symbols[tup[-1]][0]] + [symbols[s][1] for s in reversed(tup)]
         table.add(tup, objects, field.one, "1_X2", 0)
 
     def hom_basis(x, y, dmax):
-        return [s for s in homs.get((x, y), []) if pants_degree(s) <= dmax]
+        return [s for s in homs.get((x, y), []) if symbols[s][2] <= dmax]
 
     cat = AInfCategory("pants", objs, hom_basis, table, units, field,
-                       degree_of=pants_degree)
-    cat.symbol_hom = dict(src_tgt)
+                       symbols=symbols)
     cat.block_identity_tuples = skipped_blocks
     return cat
 
@@ -545,16 +499,15 @@ def verify_functor(functor, arity_max, degree_max, exhaustive=False):
     for s, t in functor.f1.items():
         if t is None:
             continue
-        if src_cat.degree(s) != tgt_cat.degree(t):
+        sx, sy, sd = src_cat.symbols[s]
+        tx, ty, td = tgt_cat.symbols[t]
+        if sd != td:
             violations.append({"tuple": [s], "expected": "degree match",
-                               "got": [src_cat.degree(s), tgt_cat.degree(t)]})
-        if hasattr(src_cat, "symbol_hom") and hasattr(tgt_cat, "symbol_hom"):
-            sx, sy = src_cat.symbol_hom[s]
-            want = (functor.object_map[sx], functor.object_map[sy])
-            got = tgt_cat.symbol_hom.get(t)
-            if got is not None and got != want:
-                violations.append({"tuple": [s], "expected": f"hom {want}",
-                                   "got": f"hom {got}"})
+                               "got": [sd, td]})
+        want = (functor.object_map[sx], functor.object_map[sy])
+        if (tx, ty) != want:
+            violations.append({"tuple": [s], "expected": f"hom {want}",
+                               "got": f"hom {(tx, ty)}"})
 
     for x in src_cat.objects:
         u = src_cat.units[x]
@@ -636,13 +589,8 @@ def _support_tuples(functor, arity_max, degree_max):
 
 
 def _composable_in(cat, key):
-    hom = getattr(cat, "symbol_hom", None)
-    if hom is None:
-        return True
-    for a, b in zip(key, key[1:]):
-        if hom[a][0] != hom[b][1]:
-            return False
-    return True
+    hom = cat.symbols
+    return all(hom[a][0] == hom[b][1] for a, b in zip(key, key[1:]))
 
 
 def builtin_functors(pi_cat, degree_max=4, field=F2):
@@ -729,18 +677,8 @@ def functor_from_json(doc, categories):
 
 
 def _is_symbol(cat, s):
-    """Whether s names a basis element of cat: a listed symbol, or one the
-    category can give a degree.  A category on Pi's symbols lists every
-    symbol it has, of any degree, so there the listing decides."""
-    if not isinstance(s, str):
-        return False
-    hom = getattr(cat, "symbol_hom", ())
-    if s in hom:
-        return True
-    if isinstance(hom, _PiSymbolHom):
-        return False
+    """Whether s names a basis element of cat: a key of its symbols."""
     try:
-        cat.degree(s)
-    except (KeyError, ValueError):
+        return s in cat.symbols
+    except TypeError:     # an unhashable JSON value
         return False
-    return True

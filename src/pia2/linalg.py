@@ -155,13 +155,6 @@ class SparseMatrix:
     def sub(self, other):
         return self.add(other.neg())
 
-    def transpose(self):
-        return SparseMatrix(self.cols, self.rows, self.field,
-                            {(c, r): v for (r, c), v in self.entries.items()})
-
-    def to_dense(self):
-        return [[self.get(r, c) for c in range(self.cols)] for r in range(self.rows)]
-
     def _check_shape(self, other, same=False):
         if self.field != other.field:
             raise ValueError(f"field mismatch: {self.field} vs {other.field}")
@@ -266,10 +259,6 @@ def rref(m):
         kernel_basis.append(vec)
     transform = SparseMatrix.from_rows(trans, f) if m.rows else SparseMatrix.zero(0, 0, f)
     return rank, pivot_cols, kernel_basis, transform
-
-
-def rank(m):
-    return rref(m)[0]
 
 
 def factorize(m):

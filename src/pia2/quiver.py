@@ -10,8 +10,6 @@ edge; the matrix of an edge e: u -> v maps the vertex-u component to the
 vertex-v component.
 """
 
-import json
-
 from .linalg import SparseMatrix, mat_mul, rref, field_by_name, F2
 
 
@@ -441,9 +439,3 @@ def _maybe_int(v):
 def _fraction(s):
     from fractions import Fraction
     return Fraction(s)
-
-
-def dump_json(obj, path):
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -8,7 +8,7 @@ resolutions.  ``mu`` multiplies two such elements at the chain level and
 lookup tables with default ZERO, matching the finite case analysis that
 drives the tree-sum evaluation.
 
-Symbols are plain tuples so they hash fast inside the scan loops:
+Inside this module symbols are grammar tuples:
   Ext:   ("1", X) | ("j", i) | ("p", i) | ("E", i) | ("u", i, n)
          | ("g", i, n)            # g = the odd generators: ("g",1,n) is
                                   # a.u2^n : S2 -> S1, ("g",2,n) is b.u1^n
@@ -25,6 +25,15 @@ mu returns one of
   ("B", hsym)         a null-homotopic element whose H-image is hsym
   ("N", name, params) a terminating non-cycle (H and p both kill it)
   ZERO (None)
+
+Outside it, and outside the matrix realization of the grammar
+(`complexes.realize_ext_symbol`, `realize_h_symbol`), an Ext basis symbol
+is its canonical string: "u1^2", "(12)", "1_P1", "b.u1^0".  SYMBOLS maps
+each such string to its grammar tuple, source, target and degree, the one
+place those facts are read; `hom_names` lists hom bases by string, and
+`pair_images` and `product_class` evaluate products of named factors.
+H symbols have no string spelling: they stay grammar tuples, opaque to
+the transfer layer that carries them in formal sums.
 """
 
 ZERO = None
@@ -475,6 +484,64 @@ def p_apply(x):
         # an H symbol passed through a unit; its class is zero
         return ZERO
     raise ValueError(f"p_apply expects a mu result, got {x!r}")
+
+
+# ---------------------------------------------------------------------------
+# canonical strings: the spelling of a basis symbol outside this module
+
+class _SymbolTable(dict):
+    """canonical string -> (grammar tuple, source, target, degree) of the
+    Ext basis symbol it names, of any degree.  An entry is made on the
+    first lookup of its string, so nothing is enumerated at import; a
+    lookup of anything else (a string that is not the canonical spelling,
+    a negative exponent, an object outside OBJECTS, or no string at all)
+    raises KeyError and stores nothing."""
+
+    def __missing__(self, s):
+        try:
+            e = ext_from_str(s)
+        except (AttributeError, ValueError):
+            raise KeyError(s) from None
+        rec = (e, ext_source(e), ext_target(e), ext_degree(e))
+        if (ext_to_str(e) != s or rec[3] < 0
+                or rec[1] not in OBJECTS or rec[2] not in OBJECTS):
+            raise KeyError(s)
+        self[s] = rec
+        return rec
+
+
+SYMBOLS = _SymbolTable()
+
+
+def hom_names(x, y, degree_max):
+    """hom_basis(x, y, degree_max) by canonical string."""
+    return [ext_to_str(s) for s in hom_basis(x, y, degree_max)]
+
+
+def kappa_str(s):
+    """The 1 <-> 2 relabeling of the symbol named s."""
+    return ext_to_str(kappa_ext(SYMBOLS[s][0]))
+
+
+def _class_name(e):
+    return None if e is ZERO else ext_to_str(e)
+
+
+def pair_images(a, b):
+    """(H image, class name) of m = mu(a, b), with one mu for both: the
+    H symbol h_apply(m) and the canonical string of p_apply(m), each None
+    when zero.  A factor is an Ext symbol by canonical string or an H
+    symbol."""
+    m = mu(a if is_h(a) else SYMBOLS[a][0], b if is_h(b) else SYMBOLS[b][0])
+    if m is ZERO:
+        return None, None
+    return h_apply(m), _class_name(p_apply(m))
+
+
+def product_class(a, b):
+    """The class name of p(mu(a, b)) for the Ext symbols named a and b;
+    None when it is zero."""
+    return _class_name(p_apply(mu(SYMBOLS[a][0], SYMBOLS[b][0])))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,13 @@ backend reads the H and p images of a symbol pair from one pair table,
 filled with one mu per distinct pair, and sums terms over F2 by toggling
 them in a set-like dict.
 
+Both backends scan, take as leaves and output Ext basis symbols by their
+canonical strings, so slice keys, table keys and outputs are strings from
+the scan to the JSON.  A scan symbol's source, target and degree come
+from one place: the symbols table (`symbols.SYMBOLS`) for the symbolic
+backend, and for the matrix backend the dict of its class names that
+`for_pia2`/`for_classes` build.
+
 The same split makes table scans output-sensitive: a slice, or an input
 tuple of m_d, is nonzero only if some cut splits it into two parts that
 are each a single input (a leaf) or a nonzero slice, since a cut with a
@@ -43,14 +50,14 @@ from . import symbols as sym
 from .linalg import F2
 
 _MISS = object()
-_NO_IMAGES = (None, None)    # the H and p images of a zero product
 
 
 class SymbolicBackend:
     """Tree evaluation in the finite symbol grammar (F2 coefficients).
 
     Elements are formal sums {operand: coeff} where an operand is an Ext
-    symbol (leaves, class reads) or an H symbol (internal edges).
+    symbol by canonical string (leaves, class reads) or an H symbol
+    (internal edges), a grammar value this module only passes on.
     """
 
     name = "symbolic"
@@ -61,26 +68,26 @@ class SymbolicBackend:
         if field.name != "f2":
             raise ValueError("the symbolic tables carry F2 coefficients")
         self.field = field
-        # (a, b) -> (h_apply(mu(a, b)), p_apply(mu(a, b))), one mu per pair
+        # (a, b) -> (H image, class name) of mu(a, b), one mu per pair
         self._pair = {}
 
     # symbols -------------------------------------------------------------
     def scan_symbols(self, degree_max):
-        return sym.all_ext_symbols(degree_max)
+        return [s for x in sym.OBJECTS for y in sym.OBJECTS
+                for s in sym.hom_names(x, y, degree_max) if s != "1_" + x]
 
     def src(self, s):
-        return sym.ext_source(s)
+        return sym.SYMBOLS[s][1]
 
     def tgt(self, s):
-        return sym.ext_target(s)
+        return sym.SYMBOLS[s][2]
 
     def deg(self, s):
-        return sym.ext_degree(s)
+        return sym.SYMBOLS[s][3]
 
     def to_str(self, s):
-        return sym.ext_to_str(s)
-
-    class_str = to_str     # outputs are Ext symbols too
+        """The canonical string of a scan symbol: the symbol itself."""
+        return s
 
     # elements ------------------------------------------------------------
     def leaf(self, s):
@@ -106,11 +113,9 @@ class SymbolicBackend:
     # products: over F2 every coefficient is one, so a formal sum is the
     # set of its terms; images are toggled in and a repeated one cancels
     def _images(self, a, b):
-        """(h_apply(m), p_apply(m)) for m = mu(a, b), stored in the pair
-        table: one mu per distinct pair serves both mu_h and mu_p."""
-        m = sym.mu(a, b)
-        r = self._pair[a, b] = (_NO_IMAGES if m is None else
-                                (sym.h_apply(m), sym.p_apply(m)))
+        """The pair table's entry for (a, b), made on a miss: one mu
+        serves both mu_h and mu_p."""
+        r = self._pair[a, b] = sym.pair_images(a, b)
         return r
 
     def mu_h(self, ea, eb):
@@ -129,7 +134,7 @@ class SymbolicBackend:
         return out or None
 
     def mu_p(self, ea, eb):
-        """p(mu(ea, eb)): {Ext symbol: coeff}."""
+        """p(mu(ea, eb)): {class name: coeff}."""
         pair, one = self._pair, self.field.one
         out = {}
         for a in ea:
@@ -147,9 +152,9 @@ class SymbolicBackend:
 class MatrixBackend:
     """Tree evaluation through an EndCategory and contraction data.
 
-    Scan symbols are (name, src, tgt, degree) tuples where name is either
-    an Ext symbol tuple (preprojective instance) or a class-name string
-    (generic instances such as A2).
+    Scan symbols are the contraction's class names, canonical strings of
+    Ext symbols on the preprojective instance; `symbols` maps each to its
+    (source, target, degree).
     """
 
     name = "matrix"
@@ -158,57 +163,41 @@ class MatrixBackend:
         self.cat = cat
         self.contraction = contraction
         self.field = cat.field
-        self.symbols = list(symbols)
+        self.symbols = dict(symbols)
         self.window = cat.window
         self.homotopy = contraction.mode
 
     @classmethod
     def for_pia2(cls, cat, contraction, degree_max=None):
         degree_max = degree_max if degree_max is not None else cat.window - 4
-        syms = [(s, sym.ext_source(s), sym.ext_target(s), sym.ext_degree(s))
-                for s in sym.all_ext_symbols(degree_max, include_identities=True)]
-        return cls(cat, contraction, syms)
+        return cls(cat, contraction, {
+            s: sym.SYMBOLS[s][1:] for x in sym.OBJECTS for y in sym.OBJECTS
+            for s in sym.hom_names(x, y, degree_max)})
 
     @classmethod
     def for_classes(cls, cat, contraction, deg_max):
-        syms = []
-        for src in sorted(cat.complexes):
-            for tgt in sorted(cat.complexes):
-                for deg in range(0, deg_max + 1):
-                    for name in contraction.classes(src, tgt, deg):
-                        syms.append((name, src, tgt, deg))
-        return cls(cat, contraction, syms)
+        return cls(cat, contraction, {
+            name: (src, tgt, deg) for src in sorted(cat.complexes)
+            for tgt in sorted(cat.complexes) for deg in range(0, deg_max + 1)
+            for name in contraction.classes(src, tgt, deg)})
 
     # symbols -------------------------------------------------------------
     def scan_symbols(self, degree_max):
-        return [s for s in self.symbols
-                if s[3] <= degree_max and not self._is_identity(s)]
-
-    @staticmethod
-    def _is_identity(s):
-        name = s[0]
-        if isinstance(name, tuple):
-            return sym.is_identity(name)
-        return name.startswith("1_")
+        return [s for s, (x, _y, d) in self.symbols.items()
+                if d <= degree_max and s != "1_" + x]
 
     def src(self, s):
-        return s[1]
+        return self.symbols[s][0]
 
     def tgt(self, s):
-        return s[2]
+        return self.symbols[s][1]
 
     def deg(self, s):
-        return s[3]
-
-    def to_str(self, s):
-        return sym.ext_to_str(s[0]) if isinstance(s[0], tuple) else s[0]
-
-    def class_str(self, name):
-        return sym.ext_to_str(name) if isinstance(name, tuple) else name
+        return self.symbols[s][2]
 
     # elements ------------------------------------------------------------
     def leaf(self, s):
-        return self.contraction.include(s[1], s[2], s[3], s[0])
+        return self.contraction.include(*self.symbols[s], s)
 
     def is_zero(self, e):
         return e is None or e.is_zero()
@@ -474,7 +463,6 @@ def compute_operation_table(arity_max, degree_max, backend, max_tuples=None,
     field = backend.field
     ev = evaluator or TransferEvaluator(backend)
     leaves = backend.scan_symbols(degree_max)
-    names = {s: backend.to_str(s) for s in leaves}
 
     table = OperationTable({
         "arity_max": arity_max, "degree_max": degree_max,
@@ -482,7 +470,7 @@ def compute_operation_table(arity_max, degree_max, backend, max_tuples=None,
         "window": backend.window, "homotopy": backend.homotopy,
     })
 
-    def emit(key, inputs, out):
+    def emit(inputs, out):
         if len(out) != 1:
             raise AssertionError(f"non-monomial transfer output at {inputs}: {out}")
         (osym, coeff), = out.items()
@@ -490,7 +478,7 @@ def compute_operation_table(arity_max, degree_max, backend, max_tuples=None,
         for s in reversed(inputs):
             objects.append(backend.tgt(s))
         degree = sum(backend.deg(s) for s in inputs) + 2 - len(inputs)
-        table.add(key, objects, coeff, backend.class_str(osym), degree)
+        table.add(inputs, objects, coeff, osym, degree)
 
     # nonzero[n]: the leaves (n = 1) or nonzero slices of length n, keyed
     # by the target of their first map, the object a prefix must start at
@@ -499,25 +487,23 @@ def compute_operation_table(arity_max, degree_max, backend, max_tuples=None,
         nonzero[1].setdefault(backend.tgt(s), []).append((s,))
     evaluated = 0
     for k in range(2, arity_max + 1):
-        candidates = {}
+        candidates = set()
         for i in range(1, k):
             suffixes = nonzero[k - i]
             for group in nonzero[i].values():
                 for p in group:
                     for q in suffixes.get(backend.src(p[-1]), ()):
-                        c = p + q
-                        if c not in candidates:
-                            candidates[c] = tuple(names[s] for s in c)
+                        candidates.add(p + q)
         evaluated += len(candidates)
         if max_tuples is not None and evaluated > max_tuples:
             raise ResourceWarning("tuple budget exceeded")
         grown = {}
-        for inputs, key in sorted(candidates.items(), key=lambda kv: kv[1]):
+        for inputs in sorted(candidates):
             # one fill per candidate; below arity_max it memoizes the
             # whole slice, so _A(inputs) is a lookup
             out = ev.transfer(inputs, _memo_root=k < arity_max)
             if out:
-                emit(key, inputs, out)
+                emit(inputs, out)
             if k < arity_max and ev._A(inputs) is not None:
                 grown.setdefault(backend.tgt(inputs[0]), []).append(inputs)
         nonzero[k] = grown

@@ -33,7 +33,8 @@ def test_stasheff_trivial_formal_table():
         return [f"1_{x}"] if x == y else (["a"] if (x, y) == ("X", "Y") else [])
 
     cat = AInfCategory("formal", ["X", "Y"], hom, t, {"X": "1_X", "Y": "1_Y"},
-                       F2, degree_of=lambda s: 0)
+                       F2, symbols={"1_X": ("X", "X", 0), "1_Y": ("Y", "Y", 0),
+                                    "a": ("X", "Y", 0)})
     assert stasheff_check(cat, 4, 2)["status"] == "pass"
 
 
@@ -129,7 +130,8 @@ def _nonassociative():
 
     return AInfCategory("assoc", list(objects), hom_basis, t,
                         {o: f"1_{o}" for o in objects}, F2,
-                        degree_of=lambda s: 0)
+                        symbols={**{s: (x, y, 0) for s, (x, y) in hom.items()},
+                                 **{f"1_{o}": (o, o, 0) for o in objects}})
 
 
 STASHEFF_CASES = {
@@ -187,8 +189,8 @@ def test_past_bound_m_reads_one_cached_closure():
     tuples = [t for t in composable_tuples(pi, 4, 2) if len(t) == 4]
     nonzero = 0
     for t in tuples:
-        out = TransferEvaluator(sb).transfer(tuple(map(sym.ext_from_str, t)))
-        want = [(v, sym.ext_to_str(k)) for k, v in out.items()]
+        out = TransferEvaluator(sb).transfer(t)
+        want = [(v, k) for k, v in out.items()]
         assert pi.m(t) == want, t
         nonzero += bool(want)
     assert nonzero > 0
@@ -241,7 +243,7 @@ def test_unitality_laws_f2_and_q():
         return out
 
     cat = AInfCategory("toy", ["X"], hom, t, {"X": "1_X"}, QQ,
-                       degree_of=lambda s: 1 if s == "g" else 0)
+                       symbols={"1_X": ("X", "X", 0), "g": ("X", "X", 1)})
     assert cat.m(("g", "1_X")) == [(QQ.one, "g")]
     assert cat.m(("1_X", "g")) == [(QQ.of(-1), "g")]
     assert cat.m(("g", "1_X", "g")) == []
@@ -262,7 +264,7 @@ def test_expected_table_instances():
     assert ("1_S1", "p1") not in exp
     # every entry satisfies the degree law
     for key, v in exp.entries.items():
-        degs = [sym.ext_degree(sym.ext_from_str(s)) for s in key]
+        degs = [sym.SYMBOLS[s][3] for s in key]
         assert v["degree"] == sum(degs) + 2 - len(key)
 
 
@@ -347,3 +349,20 @@ def test_triangle_morphism_restriction():
         ("p1", "j1", "b.u1^0"): "1_S1",
         ("j1", "b.u1^0", "p1"): "1_P1",
     }
+
+
+@pytest.mark.parametrize("make", [build_delta, lambda: make_pi(4, 4)],
+                         ids=["delta", "pi"])
+def test_unitality_counts_what_it_checked(make):
+    """"checked" is each hom_basis symbol out of and into every object
+    (the two unit laws), three unit-padded triples per endomorphism, and
+    every stored key."""
+    cat = make()
+    want = len(cat.table.entries)
+    for x in cat.objects:
+        for y in cat.objects:
+            want += len(cat.hom_basis(x, y, 4)) + len(cat.hom_basis(y, x, 4))
+        want += 3 * len(cat.hom_basis(x, x, 4))
+    rep = unitality_check(cat, 4)
+    assert rep["status"] == "pass"
+    assert rep["checked"] == want > len(cat.table.entries)

@@ -195,9 +195,9 @@ def test_verify_functor_reports_symbols_f1_leaves_out(tmp_path, capsys):
 def _pi_simple_identity(degree_max):
     """The identity on Pi's simple part, written out up to degree_max."""
     from pia2 import symbols as sym
-    f1 = [{"from": sym.ext_to_str(e), "to": sym.ext_to_str(e)}
+    f1 = [{"from": e, "to": e}
           for x in ("S1", "S2") for y in ("S1", "S2")
-          for e in sym.hom_basis(x, y, degree_max) if not sym.is_identity(e)]
+          for e in sym.hom_names(x, y, degree_max) if e != f"1_{x}"]
     return {"name": "id", "source": "pi-simple", "target": "pi",
             "object_map": {"S1": "S1", "S2": "S2"}, "F1": f1, "higher": []}
 
@@ -239,3 +239,19 @@ def test_verify_functor_rejects_symbol_outside_source(tmp_path, capsys):
               "--degree-max", "2"])
     assert exc.value.code == 2
     assert "unknown source symbol 'j1'" in capsys.readouterr().err
+
+
+def test_verify_functor_rejects_pants_symbol_past_its_bound(tmp_path, capsys):
+    """The pants category built at --degree-max 2 truncates its loops at
+    exponent 2, so x0^9 is none of its basis symbols: a usage error."""
+    doc = {"name": "g", "source": "pants", "target": "pi-prime",
+           "object_map": {"X0": "S1", "X1": "S2", "X2": "P"},
+           "F1": [{"from": "u12", "to": "j1"}, {"from": "x0^9", "to": "0"}],
+           "higher": []}
+    fd = tmp_path / "functor.json"
+    fd.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-functor", "--file", str(fd), "--arity-max", "3",
+              "--degree-max", "2"])
+    assert exc.value.code == 2
+    assert "unknown source symbol 'x0^9'" in capsys.readouterr().err

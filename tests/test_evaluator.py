@@ -138,22 +138,22 @@ def _point_queries(n, arity_lo, arity_hi, degree_max, seed):
     """Seeded composable tuples: half nonzero operations of the expected
     table, half random walks."""
     rng = random.Random(seed)
-    syms = sorted(SymbolicBackend().scan_symbols(degree_max), key=sym.ext_to_str)
+    syms = sorted(SymbolicBackend().scan_symbols(degree_max))
     by_source = {}
     for s in syms:
-        by_source.setdefault(sym.ext_source(s), []).append(s)
+        by_source.setdefault(sym.SYMBOLS[s][1], []).append(s)
     hits = sorted(k for k in expected_table(arity_hi, degree_max).entries
                   if arity_lo <= len(k) <= arity_hi)
     out = []
     for i in range(n):
         if i % 2 == 0:
-            out.append(tuple(sym.ext_from_str(s) for s in rng.choice(hits)))
+            out.append(rng.choice(hits))
             continue
         chain, obj = [], rng.choice(sorted(by_source))
         for _ in range(rng.randint(arity_lo, arity_hi)):
             s = rng.choice(by_source[obj])
             chain.append(s)
-            obj = sym.ext_target(s)
+            obj = sym.SYMBOLS[s][2]
         out.append(tuple(reversed(chain)))
     return out
 
@@ -197,7 +197,7 @@ def test_warm_point_queries_match_recursion():
 
 def test_root_slice_is_memoized_on_request():
     backend = SymbolicBackend()
-    q = (sym.E12, ("j", 1), sym.ext_g(2, 1), ("p", 1), sym.E21)
+    q = ("(12)", "j1", "b.u1^1", "p1", "(21)")
     ev = TransferEvaluator(backend)
     ev.transfer(q)
     assert q not in ev.memo and q[1:] in ev.memo and q[:-1] in ev.memo
@@ -328,9 +328,16 @@ def test_chart_scans_match_recursion():
 
 # -- the symbolic pair table ---------------------------------------------------
 
+def _named(x):
+    """A grammar factor as the symbolic backend takes and gives it: an Ext
+    symbol by its canonical string, an H symbol as it is."""
+    return x if sym.is_h(x) else sym.ext_to_str(x)
+
+
 def _direct(ea, eb, apply):
-    """The image of mu on formal sums the long way: mu per term pair,
-    then `apply`, summed with the field's arithmetic."""
+    """The image of mu on formal sums of grammar factors the long way: mu
+    per term pair, then `apply`, summed with the field's arithmetic and
+    named as the backend names it."""
     out = {}
     for a, va in ea.items():
         for b, vb in eb.items():
@@ -338,6 +345,7 @@ def _direct(ea, eb, apply):
             x = None if m is None else apply(m)
             if x is None:
                 continue
+            x = _named(x)
             v = F2.add(out.get(x, F2.zero), F2.mul(va, vb))
             if v == F2.zero:
                 out.pop(x, None)
@@ -350,7 +358,8 @@ def _check_pair_table(backend, ea, eb, h_first):
     calls = [("mu_h", sym.h_apply), ("mu_p", sym.p_apply)]
     for name, apply in calls if h_first else calls[::-1]:
         want = _direct(ea, eb, apply)
-        got = getattr(backend, name)(ea, eb)
+        got = getattr(backend, name)({_named(a): v for a, v in ea.items()},
+                                     {_named(b): v for b, v in eb.items()})
         assert got == ((want or None) if name == "mu_h" else want), (name, ea, eb)
 
 
@@ -366,7 +375,7 @@ def test_pair_table_matches_mu_then_image(monkeypatch):
     for h_first in (True, False):
         backend = SymbolicBackend()
         for (a, b), (h, p) in want.items():
-            ea, eb = {a: 1}, {b: 1}
+            ea, eb = {_named(a): 1}, {_named(b): 1}
             if h_first:
                 got = backend.mu_h(ea, eb), backend.mu_p(ea, eb)
             else:
@@ -407,10 +416,9 @@ def test_pair_table_on_two_term_sums():
     backend = SymbolicBackend()
     for n, (ea, eb) in enumerate(sums):
         _check_pair_table(backend, ea, eb, h_first=n % 2 == 0)
-    ea, eb = {sym.ext_u(1, 1): 1, sym.ext_u(1, 2): 1}, {sym.ext_u(1, 1): 1,
-                                                         sym.ext_u(1, 2): 1}
+    ea, eb = {"u1^1": 1, "u1^2": 1}, {"u1^1": 1, "u1^2": 1}
     # u1^1 u1^2 + u1^2 u1^1 = 0: only u1^2 and u1^4 survive
-    assert backend.mu_p(ea, eb) == {sym.ext_u(1, 2): 1, sym.ext_u(1, 4): 1}
+    assert backend.mu_p(ea, eb) == {"u1^2": 1, "u1^4": 1}
 
 
 # -- property: cold, warm and the literal tree sum agree ---------------------
@@ -428,12 +436,10 @@ def _shared(name):
     operations of the expected table (6,4) in the backend's symbols."""
     if name not in _SHARED:
         backend = _BACKENDS[name]()
-        by_source, by_name = {}, {}
+        by_source = {}
         for s in backend.scan_symbols(4):
             by_source.setdefault(backend.src(s), []).append(s)
-            by_name[backend.to_str(s)] = s
-        hits = [tuple(by_name[x] for x in key)
-                for key in sorted(expected_table(6, 4).entries)]
+        hits = sorted(expected_table(6, 4).entries)
         _SHARED[name] = (backend, TransferEvaluator(backend), by_source, hits)
     return _SHARED[name]
 

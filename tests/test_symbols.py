@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from pia2 import symbols as sym
@@ -27,13 +32,37 @@ def test_h_degrees_match_contraction_bookkeeping():
 
 
 def test_hom_basis_examples():
-    assert [sym.ext_to_str(s) for s in sym.hom_basis("P1", "P2", 5)] == ["(12)"]
-    assert [sym.ext_to_str(s) for s in sym.hom_basis("S1", "S1", 4)] == \
-        ["1_S1", "u1^1", "u1^2"]
+    assert sym.hom_names("P1", "P2", 5) == ["(12)"]
+    assert sym.hom_names("S1", "S1", 4) == ["1_S1", "u1^1", "u1^2"]
     assert sym.hom_basis("S1", "P1", 4) == []
-    assert [sym.ext_to_str(s) for s in sym.hom_basis("S2", "S1", 5)] == \
-        ["a.u2^0", "a.u2^1", "a.u2^2"]
-    assert [sym.ext_to_str(s) for s in sym.hom_basis("P2", "P2", 0)] == ["1_P2"]
+    assert sym.hom_names("S2", "S1", 5) == ["a.u2^0", "a.u2^1", "a.u2^2"]
+    assert sym.hom_names("P2", "P2", 0) == ["1_P2"]
+
+
+def test_symbols_table():
+    """Each canonical string gives its grammar tuple, source, target and
+    degree, at any degree; anything else is no key and is not stored."""
+    for x in sym.OBJECTS:
+        for y in sym.OBJECTS:
+            for s, e in zip(sym.hom_names(x, y, 9), sym.hom_basis(x, y, 9)):
+                assert sym.SYMBOLS[s] == (e, x, y, sym.ext_degree(e))
+    assert sym.SYMBOLS["u1^37"] == (("u", 1, 37), "S1", "S1", 74)
+    for bad in ("u1^0", "u1^-1", "a.u2^-1", "u1^02", "1_P", "j3", "zz", 5,
+                ("j", 1)):
+        with pytest.raises(KeyError):
+            sym.SYMBOLS[bad]
+        assert bad not in sym.SYMBOLS
+
+
+def test_importing_the_package_fills_no_table():
+    """The symbols table is filled on first use: importing the package
+    stores no string."""
+    src = str(Path(sym.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", "import pia2.cli, pia2.symbols as s; print(len(s.SYMBOLS))"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "0"
 
 
 def test_string_roundtrip():

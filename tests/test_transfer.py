@@ -11,18 +11,21 @@ from pia2.complexes import (pia2_end_category, tabulated_contraction,
                             generic_contraction, a2_end_category,
                             a2_class_names)
 
-U, G = sym.ext_u, sym.ext_g
-J1, J2, P1, P2 = ("j", 1), ("j", 2), ("p", 1), ("p", 2)
-E12, E21 = sym.E12, sym.E21
+def U(i, n):
+    return f"u{i}^{n}"
+
+
+def G(i, n):
+    return f"a.u2^{n}" if i == 1 else f"b.u1^{n}"
+
+
+J1, J2, P1, P2 = "j1", "j2", "p1", "p2"
+E12, E21 = "(12)", "(21)"
 AL, BE = G(1, 0), G(2, 0)
 
 
-def named(out):
-    return {sym.ext_to_str(k): v for k, v in out.items()}
-
-
 def m(*inputs):
-    return named(transfer_mn(inputs, SymbolicBackend()))
+    return transfer_mn(inputs, SymbolicBackend())
 
 
 def test_m2_matches_composition():
@@ -102,7 +105,7 @@ def test_evaluate_tree_shapes():
     sb = SymbolicBackend()
     joins_right = ("*", ("*", "*"))
     out = evaluate_tree(joins_right, (AL, P2, J2), sb)
-    assert named(out) == {"1_S1": 1}
+    assert out == {"1_S1": 1}
     joins_left = (("*", "*"), "*")
     assert evaluate_tree(joins_left, (AL, P2, J2), sb) == {}
     with pytest.raises(ValueError):
@@ -134,9 +137,9 @@ def test_compute_table_metadata_and_degree_law():
     assert table.metadata["backend"] == "symbolic"
     assert table.metadata["field"] == "f2"
     for key, v in table.entries.items():
-        degs = [sym.ext_degree(sym.ext_from_str(s)) for s in key]
+        degs = [sym.SYMBOLS[s][3] for s in key]
         assert v["degree"] == sum(degs) + 2 - len(key)
-        assert v["degree"] == sym.ext_degree(sym.ext_from_str(v["output"]))
+        assert v["degree"] == sym.SYMBOLS[v["output"]][3]
         assert all(not s.startswith("1_") for s in key)
     # arity 1 produces an empty table: the minimal model has m_1 = 0
     assert len(compute_operation_table(1, 4, sb)) == 0
@@ -162,8 +165,7 @@ def exhaustive_table(arity_max, degree_max, backend):
             if out:
                 (osym, coeff), = out.items()
                 objects = [backend.src(chain[0])] + [backend.tgt(s) for s in chain]
-                table.add([backend.to_str(s) for s in inputs], objects, coeff,
-                          backend.class_str(osym),
+                table.add(inputs, objects, coeff, osym,
                           sum(backend.deg(s) for s in inputs) + 2 - len(inputs))
         if len(chain) < arity_max:
             for s in by_source.get(backend.tgt(chain[-1]), ()):
@@ -226,32 +228,28 @@ def test_matrix_backend_agreement():
     sev, mev = TransferEvaluator(sb), TransferEvaluator(mb)
     by_source = {}
     for s in sb.scan_symbols(6):
-        by_source.setdefault(sym.ext_source(s), []).append(s)
+        by_source.setdefault(sb.src(s), []).append(s)
     count = 0
 
     def scan(chain, tgt, totdeg):
         nonlocal count
         if len(chain) >= 2:
             inputs = tuple(reversed(chain))
-            a = sev.transfer(inputs)
-            b = mev.transfer(tuple(
-                (s, sym.ext_source(s), sym.ext_target(s), sym.ext_degree(s))
-                for s in inputs))
-            assert named(a) == {sym.ext_to_str(k): v for k, v in b.items()}, inputs
+            assert sev.transfer(inputs) == mev.transfer(inputs), inputs
             count += 1
         if len(chain) == 5:
             return
         for s in by_source.get(tgt, ()):
-            d = sym.ext_degree(s)
+            d = sb.deg(s)
             if totdeg + d > 6:
                 continue
             chain.append(s)
-            scan(chain, sym.ext_target(s), totdeg + d)
+            scan(chain, sb.tgt(s), totdeg + d)
             chain.pop()
 
     for start in sorted(by_source):
         for s in by_source[start]:
-            scan([s], sym.ext_target(s), sym.ext_degree(s))
+            scan([s], sb.tgt(s), sb.deg(s))
     assert count > 1500
 
 
@@ -319,9 +317,38 @@ def test_evaluate_tree_matrix_backend_matches_symbolic():
     mb = MatrixBackend.for_pia2(cat, tabulated_contraction(cat), degree_max=2)
     sb = SymbolicBackend()
     for shape in enumerate_trees(3):
-        tup_s = (AL, P2, J2)
-        tup_m = tuple((s, sym.ext_source(s), sym.ext_target(s), sym.ext_degree(s))
-                      for s in tup_s)
-        out_s = {sym.ext_to_str(k): v for k, v in evaluate_tree(shape, tup_s, sb).items()}
-        out_m = {sym.ext_to_str(k): v for k, v in evaluate_tree(shape, tup_m, mb).items()}
-        assert out_s == out_m, shape
+        tup = (AL, P2, J2)
+        assert evaluate_tree(shape, tup, sb) == evaluate_tree(shape, tup, mb), shape
+
+
+@pytest.mark.parametrize("arity_max, degree_max, make_backend", [
+    (5, 4, SymbolicBackend),
+    (4, 2, lambda: _pia2_matrix(F2, tabulated_contraction)),
+    (3, 2, lambda: _pia2_matrix(F2, generic_contraction)),
+    (4, 2, lambda: _pia2_matrix(QQ, tabulated_contraction)),
+    (5, 2, _a2_matrix),
+], ids=["symbolic", "tabulated-f2", "generic-f2", "tabulated-q", "a2-classes"])
+def test_one_symbol_spelling(arity_max, degree_max, make_backend):
+    """A basis symbol is its canonical string from the scan to the table:
+    scan symbols, every key element and output, and on the matrix
+    backends every key of the contraction's projections."""
+    backend = make_backend()
+    projected = []
+    con = getattr(backend, "contraction", None)
+    if con is not None:
+        project = con.project
+
+        def recorded(elem):
+            out = project(elem)
+            projected.extend(out)
+            return out
+        con.project = recorded
+    scan = backend.scan_symbols(degree_max)
+    assert scan and all(type(s) is str for s in scan)
+    table = compute_operation_table(arity_max, degree_max, backend)
+    assert len(table) > 0
+    for key, v in table.entries.items():
+        assert all(type(s) is str for s in key), key
+        assert type(v["output"]) is str, key
+    if con is not None:
+        assert projected and all(type(k) is str for k in projected)
