@@ -169,9 +169,12 @@ def _build_category(name, args, pi=None):
     if name == "delta":
         return build_delta(field)
     if name.startswith("fukaya"):
-        n, grading = name[6:].split(":")
-        return build_fukaya(int(n), tuple(int(g) for g in grading.split(",")),
-                            field)
+        try:
+            n, grading = name[6:].split(":")
+            n, grading = int(n), tuple(int(g) for g in grading.split(","))
+        except ValueError:
+            raise KeyError(name) from None
+        return build_fukaya(n, grading, field)
     if name == "pants":
         return build_pants(args.degree_max,
                            pi_table=_build_category("pi", args).table,
@@ -183,12 +186,19 @@ CATEGORY_NAMES = ("pi", "pi-simple", "pi-prime", "delta",
                   "fukaya<n>:<g1,..,gn>", "pants")
 
 
-def cmd_export_category(args, parser):
+def _category_or_usage_error(name, args, parser):
+    """_build_category, with an unknown name and a builder's refusal of
+    the flags both reported as usage errors (exit 2)."""
     try:
-        cat = _build_category(args.category, args)
-    except (KeyError, ValueError):
-        parser.error(f"unknown category {args.category!r}; "
-                     f"choose from {CATEGORY_NAMES}")
+        return _build_category(name, args)
+    except KeyError:
+        parser.error(f"unknown category {name!r}; choose from {CATEGORY_NAMES}")
+    except ValueError as exc:
+        parser.error(f"cannot build category {name!r}: {exc}")
+
+
+def cmd_export_category(args, parser):
+    cat = _category_or_usage_error(args.category, args, parser)
     if hasattr(cat, "inner"):
         parser.error("the additivized category is exported via its inner table")
     _write(cat.table.dumps(), args.output)
@@ -206,10 +216,7 @@ def cmd_verify_functor(args, parser):
         name = doc.get(role) if isinstance(doc, dict) else None
         if not isinstance(name, str):
             parser.error(f"functor file names no {role} category")
-        try:
-            cats[name] = _build_category(name, args)
-        except (KeyError, ValueError):
-            parser.error(f"unknown category {name!r}")
+        cats[name] = _category_or_usage_error(name, args, parser)
     try:
         functor = functor_from_json(doc, cats)
     except ValueError as exc:

@@ -1,11 +1,12 @@
 """Window-truncated complexes of projectives and their dg endomorphisms.
 
 A TruncatedComplex lives in cohomological positions lo..hi (resolutions
-use [-L, 0]) with differential d_i: position i -> i+1.  Chain maps carry
-one module-map component per position.  EndCategory flattens each graded
-Hom-space Hom^n(X, Y) = prod_i Hom(X_i, Y_{i+n}) to coefficient vectors
-over per-position bases of module homomorphisms, which is where the
-contraction data (i, p, H) and the transfer trees do their matrix work.
+use [-L, 0]) with differential d_i: position i -> i+1.  EndCategory
+flattens each graded Hom-space Hom^n(X, Y) = prod_i Hom(X_i, Y_{i+n}) to
+coefficient vectors over per-position bases of module homomorphisms, which
+is where the contraction data (i, p, H) and the transfer trees do their
+matrix work.  Chain maps are EndCategory elements (HomElement): the cone
+and the JSON export read each position's module map off those bases.
 
 The degree convention matches the dg endomorphism algebra of a resolution:
 (df)_i = d_{i+n} f_i - (-1)^n f_{i+1} d_i, and for a window [-L, 0] the
@@ -94,97 +95,32 @@ def build_resolution(simple, window, field, reps=None, maps=None):
     return TruncatedComplex(f"Q{top}", cx_reps, diffs, field)
 
 
-class ChainMap:
-    """A degree-n map of truncated complexes, one component per position."""
-
-    def __init__(self, source, target, degree, components, cycle=False):
-        self.source = source
-        self.target = target
-        self.degree = degree
-        self.components = {}
-        for i, m in components.items():
-            if m is None or m.is_zero():
-                continue
-            if i not in self.source.reps or i + degree not in self.target.reps:
-                raise ValueError(f"component at {i} outside windows")
-            if m.source is not self.source.reps[i] or m.target is not self.target.reps[i + degree]:
-                raise ValueError(f"component at {i} connects wrong representations")
-            self.components[i] = m
-        self.cycle = cycle
-
-    def component(self, i):
-        return self.components.get(i)
-
-    def is_zero(self):
-        return not self.components
-
-    def add(self, other):
-        comps = dict(self.components)
-        for i, m in other.components.items():
-            comps[i] = comps[i].add(m) if i in comps else m
-        return ChainMap(self.source, self.target, self.degree,
-                        {i: m for i, m in comps.items() if not m.is_zero()})
-
-    def scale(self, c):
-        return ChainMap(self.source, self.target, self.degree,
-                        {i: m.scale(c) for i, m in self.components.items()})
-
-
-def dg_compose(g, f):
-    """Componentwise composite g o f; degrees add."""
-    if f.target is not g.source:
-        raise ValueError("complex mismatch in dg_compose")
+def _module_maps(elem):
+    """(X, Y, {position: module map}) of a HomElement: each coefficient
+    scales its mod_hom_basis map, and zero sums are dropped."""
+    cat = elem.cat
+    X, Y = cat.complexes[elem.src], cat.complexes[elem.tgt]
     comps = {}
-    for i, fm in f.components.items():
-        gm = g.components.get(i + f.degree)
-        if gm is not None:
-            m = gm.compose(fm)
-            if not m.is_zero():
-                comps[i] = m
-    return ChainMap(f.source, g.target, f.degree + g.degree, comps)
+    for (i, k), v in elem.coeffs.items():
+        add = cat.mod_hom_basis(X.reps[i], Y.reps[i + elem.deg])[k].scale(v)
+        comps[i] = comps[i].add(add) if i in comps else add
+    return X, Y, {i: m for i, m in comps.items() if not m.is_zero()}
 
 
-def dg_differential(f):
-    """(df)_i = d_{i+n} o f_i - (-1)^n f_{i+1} o d_i."""
-    field = f.source.field
-    n = f.degree
-    sign = field.of(-1) if n % 2 else field.one
+def chain_map_to_json(elem, window=None):
+    """Triplet-list export of an EndCategory element, tagged with window,
+    degree and the resolution names; one block of (row, col, value)
+    triplets per position and vertex."""
+    X, Y, maps = _module_maps(elem)
     comps = {}
-    for i, m in f.components.items():
-        dt = f.target.d(i + n)
-        if dt is not None:
-            comps[i] = dt.compose(m)
-    for i, m in f.components.items():
-        ds = f.source.d(i - 1)
-        if ds is not None:
-            add = m.compose(ds).scale(field.neg(sign))
-            j = i - 1
-            comps[j] = comps[j].add(add) if j in comps else add
-    return ChainMap(f.source, f.target, n + 1,
-                    {i: m for i, m in comps.items() if not m.is_zero()})
-
-
-def identity_chain_map(cx):
-    comps = {}
-    for i in cx.positions():
-        r = cx.reps[i]
-        blocks = {v: SparseMatrix.identity(r.dims[v], cx.field) for v in r.dims}
-        comps[i] = ModuleMap(r, r, blocks)
-    return ChainMap(cx, cx, 0, comps, cycle=True)
-
-
-def chain_map_to_json(cm, window=None):
-    """Triplet-list export, tagged with window, degree and the resolution
-    names; one block of (row, col, value) triplets per position and vertex."""
-    comps = {}
-    for i, m in sorted(cm.components.items()):
+    for i, m in sorted(maps.items()):
         comps[str(i)] = {
             str(v): [[r, c, str(val)] for (r, c), val in sorted(b.entries.items())]
             for v, b in m.blocks.items() if not b.is_zero()}
-    return {"source": cm.source.name, "target": cm.target.name,
-            "degree": cm.degree, "window": [cm.source.lo, cm.source.hi]
+    return {"source": X.name, "target": Y.name,
+            "degree": elem.deg, "window": [X.lo, X.hi]
             if window is None else window,
-            "field": cm.source.field.name, "components": comps}
+            "field": X.field.name, "components": comps}
 
 
 # ---------------------------------------------------------------------------
@@ -225,16 +161,16 @@ def _block_map(src, tgt, tl, tr, bl, br, rows_split, cols_split):
 
 
 def cone(f):
-    """Mapping cone of a degree-0 cycle f: X -> Y.
+    """Mapping cone of a degree-0 cycle f: X -> Y of an EndCategory.
 
     Position i carries X_{i+1} (+) Y_i and the differential is the block
     matrix [[-d_X, 0], [f, d_Y]].
     """
-    if f.degree != 0:
+    if f.deg != 0:
         raise ValueError("cone needs a degree-0 chain map")
-    if not dg_differential(f).is_zero():
+    if not f.cat.differential(f).is_zero():
         raise ValueError("cone needs a cycle")
-    X, Y = f.source, f.target
+    X, Y, maps = _module_maps(f)
     field = X.field
     lo = min(X.lo - 1, Y.lo)
     hi = max(X.hi - 1, Y.hi)
@@ -260,7 +196,7 @@ def cone(f):
         ya, yb = rep_at(Y, i), rep_at(Y, i + 1)
         dX = X.d(i + 1) if (i + 1) in X.diffs else None
         dY = Y.d(i) if i in Y.diffs else None
-        fc = f.component(i + 1)
+        fc = maps.get(i + 1)
         rows_split = {v: xb.dims[v] for v in xb.dims}
         cols_split = {v: xa.dims[v] for v in xa.dims}
         tl = dX.scale(field.of(-1)) if dX is not None else None
@@ -451,15 +387,6 @@ class EndCategory:
 
     def zero_elem(self, src, tgt, deg):
         return HomElement(self, src, tgt, deg, {})
-
-    def chain_map_from_elem(self, elem):
-        X, Y = self.complexes[elem.src], self.complexes[elem.tgt]
-        comps = {}
-        for (i, k), v in elem.coeffs.items():
-            mb = self.mod_hom_basis(X.reps[i], Y.reps[i + elem.deg])[k]
-            add = mb.scale(v)
-            comps[i] = comps[i].add(add) if i in comps else add
-        return ChainMap(X, Y, elem.deg, comps)
 
     def compose(self, g, f):
         """g o f in flat coordinates."""
@@ -695,28 +622,9 @@ def realize_h_symbol(cat, h, contraction=None):
 
 
 # ---------------------------------------------------------------------------
-# contraction data
+# contraction data: both kinds offer classes, include (i), project (p), H
 
-class Contraction:
-    """Common interface: i (include a class), p (project), H (homotopy)."""
-
-    def __init__(self, cat):
-        self.cat = cat
-
-    def classes(self, src, tgt, deg):
-        raise NotImplementedError
-
-    def include(self, src, tgt, deg, name):
-        raise NotImplementedError
-
-    def project(self, elem):
-        raise NotImplementedError
-
-    def H(self, elem):
-        raise NotImplementedError
-
-
-class TabulatedContraction(Contraction):
+class TabulatedContraction:
     """The contraction of the preprojective instance dictated by the
     homotopy tables: i realizes the named basis cycles, p reads the
     coefficient at the top position of a class-carrying degree, and H
@@ -735,7 +643,7 @@ class TabulatedContraction(Contraction):
     mode = "paper"
 
     def __init__(self, cat):
-        super().__init__(cat)
+        self.cat = cat
         self._tops = {}     # (src, tgt, deg) -> (first class, (top, 0)) or None
         self._plans = {}    # (src, tgt, deg) -> back-substitution steps or None
 
@@ -837,7 +745,7 @@ class TabulatedContraction(Contraction):
         return HomElement(cat, src, tgt, n - 1, {(i, 0): v for i, v in c.items()})
 
 
-class GenericContraction(Contraction):
+class GenericContraction:
     """Standard rref-based contraction of a windowed Hom-complex.
 
     Per degree splits chains = boundaries + chosen class representatives +
@@ -857,7 +765,7 @@ class GenericContraction(Contraction):
     mode = "generic"
 
     def __init__(self, cat, deg_lo, deg_hi, class_names=None):
-        super().__init__(cat)
+        self.cat = cat
         self.deg_lo = deg_lo
         self.deg_hi = deg_hi
         self.class_names = class_names  # optional {(src,tgt,deg): [names]}

@@ -380,12 +380,6 @@ def pia2_indecomposables(field=F2):
     return {"S1": s1, "S2": s2, "P1": p1, "P2": p2}
 
 
-def kappa_object(name):
-    """The involution swapping vertices 1 and 2 on object names."""
-    table = {"S1": "S2", "S2": "S1", "P1": "P2", "P2": "P1"}
-    return table.get(name, name)
-
-
 def pia2_named_maps(field=F2, reps=None):
     """The generating module maps j1, j2, p1, p2, (12), (21) as matrices."""
     M = reps or pia2_indecomposables(field)

@@ -385,7 +385,7 @@ def test_criterion_10_combinatorics():
         elem = HomElement(cat, src, tgt, 0, coeffs)
         if elem.is_zero():
             continue
-        c = cone(cat.chain_map_from_elem(elem))
+        c = cone(elem)
         assert c.check_d_squared()
         built += 1
     # the two short exact sequences and the universal A2 sequence

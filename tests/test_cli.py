@@ -54,6 +54,12 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["minimal-model", "--window", "6"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    # a malformed fukaya name is an unknown category, not a builder error
+    with pytest.raises(SystemExit) as exc:
+        main(["export-category", "fukaya3"])
+    assert exc.value.code == 2
+    assert "unknown category 'fukaya3'" in capsys.readouterr().err
 
 
 def test_default_window_follows_the_bounds(tmp_path, capsys):
@@ -255,3 +261,27 @@ def test_verify_functor_rejects_pants_symbol_past_its_bound(tmp_path, capsys):
               "--degree-max", "2"])
     assert exc.value.code == 2
     assert "unknown source symbol 'x0^9'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("category, flags, message", [
+    ("pi", ["--field", "q"], "the symbolic tables carry F2 coefficients"),
+    ("fukaya3:0,0,0", [], "gradings must sum to n - 2"),
+], ids=["pi-over-q", "fukaya-bad-grading"])
+@pytest.mark.parametrize("command", ["export-category", "verify-functor"])
+def test_builder_refusal_is_not_an_unknown_category(command, category, flags,
+                                                     message, tmp_path, capsys):
+    """A known category whose builder refuses the flags is a usage error
+    (exit 2) that names the category and gives the builder's message."""
+    if command == "export-category":
+        argv = ["export-category", category]
+    else:
+        doc = dict(IOTA1, source=category, target=category)
+        fd = tmp_path / "functor.json"
+        fd.write_text(json.dumps(doc))
+        argv = ["verify-functor", "--file", str(fd)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flags + ["--arity-max", "4", "--degree-max", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"cannot build category {category!r}: {message}" in err
+    assert "unknown category" not in err

@@ -1,10 +1,11 @@
 import pytest
 
 from pia2.linalg import F2, QQ, SparseMatrix
+from pia2.symbols import kappa_object
 from pia2.quiver import (Quiver, PathAlgebraElement, a_n_quiver, double_quiver,
                          preprojective_relation, multiply, pia2_quiver,
                          pia2_relations, pia2_indecomposables, pia2_named_maps,
-                         a2_representations, kappa_object, check_exact,
+                         a2_representations, check_exact,
                          ModuleMap, Representation, representation_from_json)
 
 
