@@ -227,11 +227,7 @@ def _relation(cat, m, inputs):
                             degs = [cat.degree(s) for s in reversed(inputs)]
                         if sign_exponent(degs, d - j) % 2:
                             coeff = f.neg(coeff)
-                    s = f.add(acc.get(so, f.zero), coeff)
-                    if s == f.zero:
-                        acc.pop(so, None)
-                    else:
-                        acc[so] = s
+                    f.accumulate(acc, so, coeff)
     return acc
 
 

@@ -21,8 +21,7 @@ from .linalg import field_by_name
 from .table import OperationTable, diff_tables
 from .transfer import (SymbolicBackend, MatrixBackend, TransferEvaluator,
                        compute_operation_table)
-from .complexes import (pia2_end_category, a2_end_category, tabulated_contraction,
-                        generic_contraction, a2_class_names, contraction_audit)
+from .complexes import build_contraction, contraction_audit
 from .ainf import (expected_table, stasheff_check, unitality_check,
                    kappa_symmetry_check, classification_check)
 from .functors import (pi_category, builtin_functors, verify_functor,
@@ -44,11 +43,7 @@ def _add_common(p):
     p.add_argument("--output", default=None)
 
 
-def _check_config(args, parser):
-    if args.backend == "symbolic" and args.algebra != "pia2":
-        parser.error("the symbolic backend exists for the preprojective algebra only")
-    if args.backend == "symbolic" and args.field != "f2":
-        parser.error("the symbolic tables carry F2 coefficients")
+def _check_window(args, parser):
     want = 2 * args.degree_max + args.arity_max + 4
     if args.window is None:
         args.window = max(24, want)
@@ -56,18 +51,34 @@ def _check_config(args, parser):
         parser.error(f"window must be at least 2*degree_max + arity_max + 4 = {want}")
 
 
-def _make_backend(args):
-    field = field_by_name(args.field)
-    if args.algebra == "a2":
-        cat = a2_end_category(field)
-        con = generic_contraction(cat, -4, 4, a2_class_names())
-        return MatrixBackend.for_classes(cat, con, max(args.degree_max, 1))
+def _contraction(args, parser):
+    """The (instance, contraction) pair that --algebra, --homotopy,
+    --window and --field name, a builder's refusal being a usage error."""
+    try:
+        return build_contraction(args.window, args.homotopy,
+                                 field_by_name(args.field), args.algebra)
+    except ValueError as exc:
+        parser.error(f"cannot build the contraction: {exc}")
+
+
+def _make_backend(args, parser):
     if args.backend == "symbolic":
-        return SymbolicBackend(field)
-    cat = pia2_end_category(args.window, field)
-    con = tabulated_contraction(cat) if args.homotopy == "paper" \
-        else generic_contraction(cat)
+        return SymbolicBackend(field_by_name(args.field))
+    cat, con = _contraction(args, parser)
+    if args.algebra == "a2":
+        return MatrixBackend.for_classes(cat, con, max(args.degree_max, 1))
     return MatrixBackend.for_pia2(cat, con, args.degree_max)
+
+
+def _pi_category(args):
+    """Pi: the symbolic table at arity max(arity_max, 6) and degree_max
+    as a category, with its evaluator for points past the table."""
+    field = field_by_name(args.field)
+    sb = SymbolicBackend(field)
+    ev = TransferEvaluator(sb)
+    table = compute_operation_table(max(args.arity_max, 6), args.degree_max,
+                                    sb, evaluator=ev)
+    return pi_category(table, ev, field)
 
 
 def _write(doc, path):
@@ -81,8 +92,12 @@ def _write(doc, path):
 
 
 def cmd_minimal_model(args, parser):
-    _check_config(args, parser)
-    backend = _make_backend(args)
+    if args.backend == "symbolic" and args.algebra != "pia2":
+        parser.error("the symbolic backend exists for the preprojective algebra only")
+    if args.backend == "symbolic" and args.field != "f2":
+        parser.error("the symbolic tables carry F2 coefficients")
+    _check_window(args, parser)
+    backend = _make_backend(args, parser)
     table = compute_operation_table(args.arity_max, args.degree_max, backend)
     _write(table.dumps(), args.output)
     counts = table.arities()
@@ -99,21 +114,17 @@ def cmd_expected_table(args, parser):
 
 
 def cmd_verify(args, parser):
-    _check_config(args, parser)
-    field = field_by_name(args.field)
+    """The table checks read Pi's symbolic table; the contraction audit
+    reads the pair `_contraction` builds and no table."""
+    _check_window(args, parser)
     which = args.which
     reports = []
-    needs_table = which in ("stasheff", "unital", "kappa", "classification",
-                            "functors", "all")
-    pi = None
-    if needs_table:
-        sb = SymbolicBackend(field) if args.field == "f2" else None
-        if sb is None:
+    if which != "contraction":
+        if args.algebra != "pia2":
+            parser.error("table verification runs on the preprojective algebra only")
+        if args.field != "f2":
             parser.error("table verification runs over F2")
-        ev = TransferEvaluator(sb)
-        table = compute_operation_table(max(args.arity_max, 6), args.degree_max,
-                                        sb, evaluator=ev)
-        pi = pi_category(table, ev, field)
+        pi = _pi_category(args)
     if which in ("stasheff", "all"):
         reports.append(stasheff_check(pi, args.arity_max, args.degree_max))
     if which in ("unital", "all"):
@@ -123,8 +134,7 @@ def cmd_verify(args, parser):
     if which in ("classification", "all"):
         reports.append(classification_check(pi.table))
     if which in ("contraction", "all"):
-        cat = pia2_end_category(args.window, field)
-        reports.append(contraction_audit(cat, tabulated_contraction(cat)))
+        reports.append(contraction_audit(*_contraction(args, parser)))
     if which in ("functors", "all"):
         for f in builtin_functors(pi, degree_max=args.degree_max):
             reports.append(verify_functor(f, max(args.arity_max, 6),
@@ -152,16 +162,10 @@ def cmd_diff(args, parser):
     return 0 if rep["identical"] else 1
 
 
-def _build_category(name, args, pi=None):
+def _build_category(name, args):
     field = field_by_name(args.field)
     if name == "pi":
-        if pi is None:
-            sb = SymbolicBackend(field)
-            ev = TransferEvaluator(sb)
-            table = compute_operation_table(max(args.arity_max, 6),
-                                            args.degree_max, sb, evaluator=ev)
-            pi = pi_category(table, ev, field)
-        return pi
+        return _pi_category(args)
     if name == "pi-simple":
         return build_pi_simple(field)
     if name == "pi-prime":
@@ -198,9 +202,9 @@ def _category_or_usage_error(name, args, parser):
 
 
 def cmd_export_category(args, parser):
-    cat = _category_or_usage_error(args.category, args, parser)
-    if hasattr(cat, "inner"):
+    if args.category == "pi-prime":
         parser.error("the additivized category is exported via its inner table")
+    cat = _category_or_usage_error(args.category, args, parser)
     _write(cat.table.dumps(), args.output)
     return 0
 

@@ -154,9 +154,8 @@ def _block_map(src, tgt, tl, tr, bl, br, rows_split, cols_split):
             if m is None:
                 continue
             for (r, c), val in m.blocks[v].entries.items():
-                ent[(r + ro, c + co)] = field.add(ent.get((r + ro, c + co), field.zero), val)
-        blocks[v] = SparseMatrix(rows, cols, field, {k: v2 for k, v2 in ent.items()
-                                                     if v2})
+                field.accumulate(ent, (r + ro, c + co), val)
+        blocks[v] = SparseMatrix(rows, cols, field, ent)
     return ModuleMap(src, tgt, blocks)
 
 
@@ -265,14 +264,13 @@ class EndCategory:
                     for k in range(ra.dims[t]):
                         v = Me.get(k, c)
                         if v:
-                            idx = offs[t] + k + r * ra.dims[t]
-                            row[idx] = field.add(row.get(idx, field.zero), v)
+                            field.accumulate(row, offs[t] + k + r * ra.dims[t], v)
                     # -(N phi_s)_rc = -sum_k N[r,k] phi_s[k,c]
                     for k in range(rb.dims[s]):
                         v = Ne.get(r, k)
                         if v:
-                            idx = offs[s] + c + k * ra.dims[s]
-                            row[idx] = field.sub(row.get(idx, field.zero), v)
+                            field.accumulate(row, offs[s] + c + k * ra.dims[s],
+                                             field.neg(v))
                     if row:
                         rows.append(row)
         mat = SparseMatrix(len(rows), len(slots), field,
@@ -368,18 +366,15 @@ class EndCategory:
                 m = dt.compose(fm)
                 if not m.is_zero():
                     for j, v in self._coordinatize(X.reps[i], Y.reps[i + deg + 1], m):
-                        r = cod_index[(i, j)]
-                        ent[(r, col)] = field.add(ent.get((r, col), field.zero), v)
+                        field.accumulate(ent, (cod_index[(i, j)], col), v)
             ds = X.d(i - 1)
             if ds is not None:
                 m = fm.compose(ds).scale(field.neg(sign))
                 if not m.is_zero():
                     for j, v in self._coordinatize(X.reps[i - 1], Y.reps[i + deg], m):
-                        r = cod_index[(i - 1, j)]
-                        ent[(r, col)] = field.add(ent.get((r, col), field.zero), v)
+                        field.accumulate(ent, (cod_index[(i - 1, j)], col), v)
         rows = len(self.flat_basis(src, tgt, deg + 1))
-        mat = SparseMatrix(rows, len(dom), field,
-                           {k: v for k, v in ent.items() if v})
+        mat = SparseMatrix(rows, len(dom), field, ent)
         self._dmat[key] = mat
         return mat
 
@@ -404,12 +399,7 @@ class EndCategory:
                     continue
                 consts = self._compose_consts(X.reps[i], Ymid.reps[i2], Z.reps[i2 + g.deg], l, k)
                 for m, c in consts:
-                    key = (i, m)
-                    s = field.add(out.get(key, field.zero), field.mul(c, field.mul(vg, vf)))
-                    if not s:
-                        out.pop(key, None)
-                    else:
-                        out[key] = s
+                    field.accumulate(out, (i, m), field.mul(c, field.mul(vg, vf)))
         return HomElement(self, f.src, g.tgt, deg, out)
 
     def _compose_consts(self, ra, rb, rc, l, k):
@@ -464,11 +454,7 @@ class HomElement:
         field = self.cat.field
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            s = field.add(out.get(k, field.zero), v)
-            if not s:
-                out.pop(k, None)
-            else:
-                out[k] = s
+            field.accumulate(out, k, v)
         return HomElement(self.cat, self.src, self.tgt, self.deg, out)
 
     def scale(self, c):
@@ -885,12 +871,7 @@ class GenericContraction:
                 continue
             w = prev["W"][k]
             for r, val in w.items():
-                key = basis_prev[r]
-                s = field.add(out.get(key, field.zero), field.mul(v, val))
-                if not s:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                field.accumulate(out, basis_prev[r], field.mul(v, val))
         return HomElement(self.cat, elem.src, elem.tgt, elem.deg - 1, out)
 
 
@@ -908,13 +889,9 @@ class _Span:
         while v:
             piv = min(v)
             if piv in self.rows:
-                coeff = v[piv]
+                factor = f.neg(v[piv])
                 for j, w in self.rows[piv].items():
-                    s = f.sub(v.get(j, f.zero), f.mul(coeff, w))
-                    if not s:
-                        v.pop(j, None)
-                    else:
-                        v[j] = s
+                    f.accumulate(v, j, f.mul(factor, w))
             else:
                 inv = f.div(f.one, v[piv])
                 self.rows[piv] = {j: f.mul(inv, w) for j, w in v.items()}

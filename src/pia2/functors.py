@@ -528,20 +528,12 @@ def verify_functor(functor, arity_max, degree_max, exhaustive=False):
             t = functor.image(s)
             if t is None:
                 continue
-            acc = f.add(rhs.get(t, f.zero), c)
-            if acc == f.zero:
-                rhs.pop(t, None)
-            else:
-                rhs[t] = acc
+            f.accumulate(rhs, t, c)
         images = [functor.image(s) for s in inputs]
         lhs = {}
         if all(t is not None for t in images):
             for c, t in tgt_cat.m(tuple(images)):
-                acc = f.add(lhs.get(t, f.zero), c)
-                if acc == f.zero:
-                    lhs.pop(t, None)
-                else:
-                    lhs[t] = acc
+                f.accumulate(lhs, t, c)
         if lhs != rhs:
             violations.append({"tuple": list(inputs),
                                "expected": {k: str(v) for k, v in rhs.items()},

@@ -3,8 +3,13 @@
 Matrices are stored as dicts {(row, col): scalar} with no explicit zeros.
 Everything is exact: F2 entries are ints mod 2, QQ entries are
 ``fractions.Fraction`` (arbitrary-precision).  A scalar is zero exactly
-when it is falsy, and the matrix layer tests it that way: comparing two
+when it is falsy, and the package tests it that way: comparing two
 Fractions with == costs an abstract-base-class check per call.
+
+Every sparse sum in the package ({key: scalar} with no explicit zeros:
+matrix entries, flat Hom coordinates, formal sums of symbols, path
+algebra terms) adds a term through `Field.accumulate`, the one place
+that rule lives: the key is dropped when its sum is zero.
 """
 
 from fractions import Fraction
@@ -40,6 +45,17 @@ class Field:
 
     def sub(self, a, b):
         return (a - b) % 2 if self.name == "f2" else a - b
+
+    def accumulate(self, vec, key, value):
+        """vec[key] += value in place, the key dropped when the sum is
+        zero."""
+        s = vec.get(key, self.zero) + value
+        if self.name == "f2":
+            s %= 2
+        if s:
+            vec[key] = s
+        else:
+            vec.pop(key, None)
 
     def mul(self, a, b):
         return (a * b) % 2 if self.name == "f2" else a * b
@@ -134,11 +150,7 @@ class SparseMatrix:
         f = self.field
         ent = dict(self.entries)
         for pos, v in other.entries.items():
-            s = f.add(ent.get(pos, f.zero), v)
-            if not s:
-                ent.pop(pos, None)
-            else:
-                ent[pos] = s
+            f.accumulate(ent, pos, v)
         return SparseMatrix(self.rows, self.cols, f, ent)
 
     def scale(self, a):
@@ -176,12 +188,7 @@ def mat_mul(a, b):
     ent = {}
     for (r, k), va in a.entries.items():
         for c, vb in b_by_row.get(k, ()):
-            pos = (r, c)
-            s = f.add(ent.get(pos, f.zero), f.mul(va, vb))
-            if not s:
-                ent.pop(pos, None)
-            else:
-                ent[pos] = s
+            f.accumulate(ent, (r, c), f.mul(va, vb))
     return SparseMatrix(a.rows, b.cols, f, ent)
 
 
@@ -193,11 +200,7 @@ def mat_vec(m, vec):
         x = vec.get(c)
         if x is None:
             continue
-        s = f.add(out.get(r, f.zero), f.mul(v, x))
-        if not s:
-            out.pop(r, None)
-        else:
-            out[r] = s
+        f.accumulate(out, r, f.mul(v, x))
     return out
 
 

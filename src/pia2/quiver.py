@@ -112,11 +112,7 @@ class PathAlgebraElement:
         f = self.field
         terms = dict(self.terms)
         for p, c in other.terms.items():
-            s = f.add(terms.get(p, f.zero), c)
-            if s == f.zero:
-                terms.pop(p, None)
-            else:
-                terms[p] = s
+            f.accumulate(terms, p, c)
         return PathAlgebraElement(self.quiver, f, terms)
 
     def scale(self, c):
@@ -196,11 +192,7 @@ def multiply(a, b, relations=None):
                 pq = relations.reduce_path(pq)
                 if pq is None:
                     continue
-            s = f.add(terms.get(pq, f.zero), f.mul(cp, cq))
-            if s == f.zero:
-                terms.pop(pq, None)
-            else:
-                terms[pq] = s
+            f.accumulate(terms, pq, f.mul(cp, cq))
     return PathAlgebraElement(a.quiver, f, terms)
 
 

@@ -57,7 +57,9 @@ class SymbolicBackend:
 
     Elements are formal sums {operand: coeff} where an operand is an Ext
     symbol by canonical string (leaves, class reads) or an H symbol
-    (internal edges), a grammar value this module only passes on.
+    (internal edges), a grammar value this module only passes on.  It
+    has no `scale`: over F2 every Koszul sign is +1, so the evaluators,
+    which scale only by a sign other than one, never ask for it.
     """
 
     name = "symbolic"
@@ -96,18 +98,11 @@ class SymbolicBackend:
     def is_zero(self, e):
         return not e
 
-    def scale(self, e, c):
-        return {k: self.field.mul(c, v) for k, v in e.items()}
-
     def add(self, a, b):
         f = self.field
         out = dict(a)
         for k, v in b.items():
-            s = f.add(out.get(k, f.zero), v)
-            if s == f.zero:
-                out.pop(k, None)
-            else:
-                out[k] = s
+            f.accumulate(out, k, v)
         return out
 
     # products: over F2 every coefficient is one, so a formal sum is the
@@ -413,11 +408,7 @@ class TransferEvaluator:
             sign = (field.one if pre is None
                     else _koszul_sign(field, n - cut, pre[cut]))
             for k, v in out.items():
-                s = field.add(total.get(k, field.zero), field.mul(sign, v))
-                if s == field.zero:
-                    total.pop(k, None)
-                else:
-                    total[k] = s
+                field.accumulate(total, k, field.mul(sign, v))
         return total
 
 
@@ -434,11 +425,7 @@ def transfer_mn_by_trees(inputs, backend):
     for shape in enumerate_trees(len(inputs)):
         out = evaluate_tree(shape, inputs, backend)
         for k, v in out.items():
-            s = field.add(total.get(k, field.zero), v)
-            if s == field.zero:
-                total.pop(k, None)
-            else:
-                total[k] = s
+            field.accumulate(total, k, v)
     return total
 
 

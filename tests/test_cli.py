@@ -3,6 +3,8 @@ import json
 import pytest
 
 from pia2.cli import main
+from pia2.complexes import (GenericContraction, TabulatedContraction,
+                            contraction_audit)
 
 IOTA1 = {"name": "iota1", "source": "delta", "target": "pi",
          "object_map": {"A": "S2", "B": "P1", "C": "S1"},
@@ -120,6 +122,91 @@ def test_verify_contraction_small_window(tmp_path, capsys):
     rep = json.loads(out.read_text())
     assert rep["status"] == "pass"
     assert rep["reports"][0]["checked"] > 0
+
+
+def test_contraction_audit_over_q_reads_no_backend_flag(tmp_path, capsys):
+    """The contraction audit builds no symbolic table, so Q needs no
+    --backend flag; minimal-model's symbolic backend still refuses Q."""
+    out = tmp_path / "contraction.json"
+    code, _o, _e = run(["verify", "--which", "contraction", "--field", "q",
+                        "--window", "14", "--arity-max", "2", "--degree-max", "2",
+                        "--output", str(out)], capsys)
+    assert code == 0
+    rep = json.loads(out.read_text())
+    assert rep["status"] == "pass"
+    assert rep["reports"][0]["checked"] > 0
+    with pytest.raises(SystemExit) as exc:
+        main(["minimal-model", "--backend", "symbolic", "--field", "q"])
+    assert exc.value.code == 2
+    assert "the symbolic tables carry F2 coefficients" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, algebra, kind, checked", [
+    (["--algebra", "a2"], "a2", GenericContraction, 18),
+    (["--homotopy", "generic", "--window", "14"], "pia2", GenericContraction, None),
+    (["--window", "14"], "pia2", TabulatedContraction, None),
+], ids=["a2", "pia2-generic", "pia2-paper"])
+def test_verify_contraction_audits_the_flags_pair(flags, algebra, kind, checked,
+                                                 monkeypatch, tmp_path, capsys):
+    """The audit reads the pair that --algebra, --homotopy and --window
+    name, whatever --backend says."""
+    from pia2 import cli
+    seen = []
+
+    def audit(cat, con):
+        seen.append((cat.algebra, type(con)))
+        return contraction_audit(cat, con)
+
+    monkeypatch.setattr(cli, "contraction_audit", audit)
+    out = tmp_path / "contraction.json"
+    code, _o, _e = run(["verify", "--which", "contraction", "--backend", "matrix",
+                        "--arity-max", "2", "--degree-max", "2",
+                        "--output", str(out)] + flags, capsys)
+    assert code == 0
+    assert seen == [(algebra, kind)]
+    rep = json.loads(out.read_text())["reports"][0]
+    assert rep["status"] == "pass" and rep["checked"] > 0
+    if checked is not None:
+        assert rep["checked"] == checked
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--which", "stasheff", "--algebra", "a2", "--backend", "matrix"],
+     "table verification runs on the preprojective algebra only"),
+    (["verify", "--which", "all", "--algebra", "a2"],
+     "table verification runs on the preprojective algebra only"),
+    (["verify", "--which", "kappa", "--field", "q", "--backend", "matrix"],
+     "table verification runs over F2"),
+    (["verify", "--which", "contraction", "--window", "6", "--degree-max", "0"],
+     "cannot build the contraction: window too small"),
+], ids=["stasheff-a2", "all-a2", "kappa-q", "window-below-8"])
+def test_verify_usage_errors(argv, message, monkeypatch, capsys):
+    """Flags the checks cannot honour are usage errors (exit 2), refused
+    before any table is computed."""
+    from pia2 import cli
+
+    def no_table(*_a, **_k):
+        raise AssertionError("a table was computed")
+
+    monkeypatch.setattr(cli, "compute_operation_table", no_table)
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--arity-max", "2"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_export_pi_prime_is_refused_by_name(monkeypatch, capsys):
+    """pi-prime is refused before Pi's table is computed."""
+    from pia2 import cli
+
+    def no_table(*_a, **_k):
+        raise AssertionError("a table was computed")
+
+    monkeypatch.setattr(cli, "compute_operation_table", no_table)
+    with pytest.raises(SystemExit) as exc:
+        main(["export-category", "pi-prime"])
+    assert exc.value.code == 2
+    assert "exported via its inner table" in capsys.readouterr().err
 
 
 def test_export_category_and_verify_functor(tmp_path, capsys):

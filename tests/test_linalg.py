@@ -16,6 +16,41 @@ def test_field_arithmetic_exact():
         F2.div(1, 0)
 
 
+@pytest.mark.parametrize("field, half", [(F2, 1), (QQ, Fraction(1, 2))],
+                         ids=["f2", "q"])
+def test_accumulate_drops_zero_sums(field, half):
+    """vec[key] += value, and a key whose sum is zero is removed: 1 + 1
+    over F2, 1/2 + (-1/2) over Q."""
+    vec = {"a": field.one}
+    field.accumulate(vec, "k", half)
+    assert vec == {"a": field.one, "k": half}
+    field.accumulate(vec, "k", field.neg(half))
+    assert vec == {"a": field.one}
+    # zero added to an absent key stores nothing
+    field.accumulate(vec, "z", field.zero)
+    assert vec == {"a": field.one}
+    # a sum that stays nonzero is stored in the field's own scalar type
+    field.accumulate(vec, "a", field.one)
+    field.accumulate(vec, "a", field.one)
+    want = field.one if field is F2 else Fraction(3)
+    assert vec == {"a": want}
+    assert type(vec["a"]) is type(field.one)
+
+
+def test_accumulate_sums_match_field_add():
+    """A run of accumulations holds what repeated Field.add gives, with
+    exactly the zero sums left out."""
+    rng = random.Random(7)
+    for field in (F2, QQ):
+        vec, ref = {}, {}
+        for _ in range(400):
+            key, value = rng.randrange(6), field.of(rng.randrange(-2, 3))
+            field.accumulate(vec, key, value)
+            ref[key] = field.add(ref.get(key, field.zero), value)
+        assert vec == {k: v for k, v in ref.items() if v}
+        assert all(type(v) is type(field.one) for v in vec.values())
+
+
 def test_matmul_identity_and_zero():
     m = SparseMatrix.from_rows([[1, 2], [0, 3], [4, 0]], QQ)
     assert mat_mul(SparseMatrix.identity(3, QQ), m) == m
