@@ -81,9 +81,7 @@ class AInfCategory:
                 return [(f.one, b)]
             if self.is_unit(b):           # m_2(f, 1) = f
                 return [(f.one, a)]
-            # m_2(1, g) = (-1)^{|g|} g
-            sign = f.one if (self.degree(b) % 2 == 0 or f.name == "f2") else f.of(-1)
-            return [(sign, b)]
+            return [(f.sign(self.degree(b)), b)]   # m_2(1, g) = (-1)^{|g|} g
         return self._m_fallback(inputs)
 
     def _m_fallback(self, inputs):
@@ -351,9 +349,7 @@ def unitality_check(cat, degree_max=6):
             for s in cat.hom_basis(y, x, degree_max):
                 checked += 1
                 got = cat.m((u, s))  # (-1)^{|g|} m_2(1_X, g) = g
-                want_sign = f.one if (cat.degree(s) % 2 == 0 or f.name == "f2") \
-                    else f.of(-1)
-                if got != [(want_sign, s)]:
+                if got != [(f.sign(cat.degree(s)), s)]:
                     violations.append({"tuple": [u, s], "expected": s, "got": got})
         # a unit in any slot of a higher operation gives zero
         for s in cat.hom_basis(x, x, degree_max):
@@ -446,164 +442,129 @@ def expected_table(arity_max, degree_max, field=F2):
     """Instantiate the complete list of nonzero operations together with
     the composition table and all 1 <-> 2 mirror images.
 
-    Families are instantiated over all parameter values with the written
-    exponents nonnegative; instances whose output exponent would be
-    negative are omitted (they vanish), and instances containing an
-    identity input are left to strict unitality.
+    Each family is written once, in canonical strings with the i = 1
+    labels, and every instance within the bounds is stored together with
+    its kappa image (kappa relabels 1 <-> 2 and keeps arity, degrees and
+    identities).  Families are instantiated over all parameter values with
+    the written exponents nonnegative; instances whose output exponent
+    would be negative are omitted (they vanish), and instances containing
+    an identity input are left to strict unitality.
     """
     table = OperationTable({"arity_max": arity_max, "degree_max": degree_max,
                             "field": field.name, "backend": "expected",
                             "window": 0, "homotopy": "paper"})
-    seen = {}
+    symbols, kappa = sym.SYMBOLS, sym.kappa_str
+    units = {f"1_{x}" for x in sym.OBJECTS}
+    kappa_object = {x: sym.kappa_object(x) for x in sym.OBJECTS}
 
-    def u(i, n):
-        return sym.ext_u(i, n)
-
-    def g(i, n):
-        return sym.ext_g(i, n)
+    def store(key, objects, out, degree):
+        e = table.entries.get(key)
+        if e is None:
+            table.add(key, objects, field.one, out, degree)
+        else:
+            assert e["output"] == out, f"family overlap disagrees at {key}"
 
     def add(inputs, output):
         if len(inputs) > arity_max:
             return
-        if any(sym.is_identity(s) for s in inputs):
+        recs = [symbols[s] for s in inputs]
+        if any(r[3] > degree_max for r in recs) or not units.isdisjoint(inputs):
             return
-        if any(sym.ext_degree(s) > degree_max for s in inputs):
-            return
-        for a, b in zip(inputs, inputs[1:]):
-            assert sym.ext_source(a) == sym.ext_target(b), (inputs, "not composable")
-        key = tuple(sym.ext_to_str(s) for s in inputs)
-        out = sym.ext_to_str(output)
-        if key in seen:
-            assert seen[key] == out, f"family overlap disagrees at {key}"
-            return
-        seen[key] = out
-        objects = [sym.ext_source(inputs[-1])]
-        for s in reversed(inputs):
-            objects.append(sym.ext_target(s))
-        degree = sum(sym.ext_degree(s) for s in inputs) + 2 - len(inputs)
-        assert degree == sym.ext_degree(output), (key, out)
-        table.add(key, objects, field.one, out, degree)
-
-    def both(make):
-        """Instantiate a family and its kappa image."""
-        for swap in (False, True):
-            def E(i):
-                return ("E", 3 - i) if swap else ("E", i)
-
-            def J(i):
-                return ("j", 3 - i) if swap else ("j", i)
-
-            def P(i):
-                return ("p", 3 - i) if swap else ("p", i)
-
-            def U(i, n):
-                return u(3 - i, n) if swap else u(i, n)
-
-            def G(i, n):
-                return g(3 - i, n) if swap else g(i, n)
-
-            make(E, J, P, U, G)
-
-    def loops(E, i, n):
-        # (212)^n for i = 1: factors (21),(12) repeated; E(i) is the arrow
-        # landing at P_i
-        return (E(i), E(3 - i)) * n
+        for a, b in zip(recs, recs[1:]):
+            assert a[1] == b[2], (inputs, "not composable")
+        degree = sum(r[3] for r in recs) + 2 - len(inputs)
+        assert degree == symbols[output][3], (inputs, output)
+        objects = [recs[-1][1]] + [r[2] for r in reversed(recs)]
+        store(inputs, tuple(objects), output, degree)
+        store(tuple(map(kappa, inputs)), tuple(kappa_object[x] for x in objects),
+              kappa(output), degree)
 
     nmax = arity_max // 2 + degree_max // 2 + 3
     rng = range(0, nmax + 1)
-
-    def families(E, J, P, U, G):
+    for n in rng:
+        for k in rng:
+            # m_{2n+2k+5}((12),(212)^k, j1, b.u1^{n+k+1}, p1, (212)^n, (21)) = 1_P2
+            add(("(12)",) + _loops(1, k) + ("j1", f"b.u1^{n + k + 1}", "p1")
+                + _loops(1, n) + ("(21)",), "1_P2")
+    for n in rng:
+        # m_{2n+3}((12),(212)^n, j1, b.u1^n) = j2
+        add(("(12)",) + _loops(1, n) + ("j1", f"b.u1^{n}"), "j2")
+    for n in rng:
+        for k in range(0, n + 1):
+            # m_{2n+3}((212)^k, j1, b.u1^n, p1, (212)^{n-k}) = 1_P1
+            add(_loops(1, k) + ("j1", f"b.u1^{n}", "p1") + _loops(1, n - k), "1_P1")
+    for n in rng:
+        for k in rng:
+            if k >= n + 1:
+                # m_{2n+3}(u1^k, p1, (212)^n, j1) = u1^{k-n-1} a
+                add((f"u1^{k}", "p1") + _loops(1, n) + ("j1",), f"a.u2^{k - n - 1}")
+            if k >= n:
+                # m_{2n+3}(u2^k b, p1, (212)^n, j1) = u2^{k-n}
+                add((f"b.u1^{k}", "p1") + _loops(1, n) + ("j1",), _u(2, k - n))
+            if k >= n + 1:
+                # m_{2n+4}(u1^k, p1, (212)^n, (21), j2) = u1^{k-n-1}
+                add((f"u1^{k}", "p1") + _loops(1, n) + ("(21)", "j2"), _u(1, k - n - 1))
+                # m_{2n+4}(p1, (212)^n, (21), j2, u1^k) = u1^{k-n-1}
+                add(("p1",) + _loops(1, n) + ("(21)", "j2", f"u1^{k}"), _u(1, k - n - 1))
+                # m_{2n+4}(u2^k b, p1, (212)^n, (21), j2) = u2^{k-n-1} b
+                add((f"b.u1^{k}", "p1") + _loops(1, n) + ("(21)", "j2"),
+                    f"b.u1^{k - n - 1}")
+    for n in rng:
+        # m_{2n+3}(u2^n b, p1, (212)^n, (21)) = p2
+        add((f"b.u1^{n}", "p1") + _loops(1, n) + ("(21)",), "p2")
+        # m_{2n+2}(u1^n, p1, (212)^n) = p1   (n >= 1: n = 0 is the unit law)
+        if n >= 1:
+            add((f"u1^{n}", "p1") + _loops(1, n), "p1")
+    for n in rng:
+        for k in rng:
+            # m_{2k+2n+4}((121)^k, j2, u1^{n+k+1}, p1, (212)^n, (21)) = 1_P2
+            add(_loops(2, k) + ("j2", f"u1^{n + k + 1}", "p1") + _loops(1, n)
+                + ("(21)",), "1_P2")
+    for n in rng:
+        # m_{2n+4}((121)^{n+1}, j2, u1^{n+1}) = j2
+        add(_loops(2, n + 1) + ("j2", f"u1^{n + 1}"), "j2")
+    for n in rng:
+        for k in range(0, n + 1):
+            # m_{2n+4}((212)^k, (21), j2, u1^{n+1}, p1, (212)^{n-k}) = 1_P1
+            add(_loops(1, k) + ("(21)", "j2", f"u1^{n + 1}", "p1") + _loops(1, n - k),
+                "1_P1")
+    for m in rng:
         for n in rng:
-            for k in rng:
-                # m_{2n+2k+5}((12),(212)^k, j1, b.u1^{n+k+1}, p1, (212)^n, (21)) = 1_P2
-                add((E(2),) + loops(E, 1, k) + (J(1), G(2, n + k + 1), P(1))
-                    + loops(E, 1, n) + (E(1),), sym.ext_identity("P2") if not _swapped(E) else sym.ext_identity("P1"))
-        for n in rng:
-            # m_{2n+3}((12),(212)^n, j1, b.u1^n) = j2
-            add((E(2),) + loops(E, 1, n) + (J(1), G(2, n)), J(2))
-        for n in rng:
-            for k in range(0, n + 1):
-                # m_{2n+3}((212)^k, j1, b.u1^n, p1, (212)^{n-k}) = 1_P1
-                add(loops(E, 1, k) + (J(1), G(2, n), P(1)) + loops(E, 1, n - k),
-                    sym.ext_identity("P1") if not _swapped(E) else sym.ext_identity("P2"))
-        for n in rng:
-            for k in rng:
-                if k >= n + 1:
-                    # m_{2n+3}(u1^k, p1, (212)^n, j1) = u1^{k-n-1} a
-                    add((U(1, k), P(1)) + loops(E, 1, n) + (J(1),), G(1, k - n - 1))
-                if k >= n:
-                    # m_{2n+3}(u2^k b, p1, (212)^n, j1) = u2^{k-n}
-                    add((G(2, k), P(1)) + loops(E, 1, n) + (J(1),), U(2, k - n))
-                if k >= n + 1:
-                    # m_{2n+4}(u1^k, p1, (212)^n, (21), j2) = u1^{k-n-1}
-                    add((U(1, k), P(1)) + loops(E, 1, n) + (E(1), J(2)), U(1, k - n - 1))
-                    # m_{2n+4}(p1, (212)^n, (21), j2, u1^k) = u1^{k-n-1}
-                    add((P(1),) + loops(E, 1, n) + (E(1), J(2), U(1, k)), U(1, k - n - 1))
-                    # m_{2n+4}(u2^k b, p1, (212)^n, (21), j2) = u2^{k-n-1} b
-                    add((G(2, k), P(1)) + loops(E, 1, n) + (E(1), J(2)), G(2, k - n - 1))
-        for n in rng:
-            # m_{2n+3}(u2^n b, p1, (212)^n, (21)) = p2
-            add((G(2, n), P(1)) + loops(E, 1, n) + (E(1),), P(2))
-            # m_{2n+2}(u1^n, p1, (212)^n) = p1   (n >= 1: n = 0 is the unit law)
-            if n >= 1:
-                add((U(1, n), P(1)) + loops(E, 1, n), P(1))
-        for n in rng:
-            for k in rng:
-                # m_{2k+2n+4}((121)^k, j2, u1^{n+k+1}, p1, (212)^n, (21)) = 1_P2
-                add(loops(E, 2, k) + (J(2), U(1, n + k + 1), P(1)) + loops(E, 1, n)
-                    + (E(1),), sym.ext_identity("P2") if not _swapped(E) else sym.ext_identity("P1"))
-        for n in rng:
-            # m_{2n+4}((121)^{n+1}, j2, u1^{n+1}) = j2
-            add(loops(E, 2, n + 1) + (J(2), U(1, n + 1)), J(2))
-        for n in rng:
-            for k in range(0, n + 1):
-                # m_{2n+4}((212)^k, (21), j2, u1^{n+1}, p1, (212)^{n-k}) = 1_P1
-                add(loops(E, 1, k) + (E(1), J(2), U(1, n + 1), P(1))
-                    + loops(E, 1, n - k),
-                    sym.ext_identity("P1") if not _swapped(E) else sym.ext_identity("P2"))
+            if n >= m:
+                # m_{2m+3}(p2, (121)^m, j2, a.u2^n) = u2^{n-m}
+                add(("p2",) + _loops(2, m) + ("j2", f"a.u2^{n}"), _u(2, n - m))
+            if n >= m + 1:
+                # m_{2m+3}(p2, (121)^m, j2, u1^n) = b.u1^{n-m-1}
+                add(("p2",) + _loops(2, m) + ("j2", f"u1^{n}"), f"b.u1^{n - m - 1}")
+            if n >= m:
+                # m_{2m+4}(p1, (21), (121)^m, j2, a.u2^{n+1}) = a.u2^{n-m}
+                add(("p1", "(21)") + _loops(2, m) + ("j2", f"a.u2^{n + 1}"),
+                    f"a.u2^{n - m}")
+    # the composition table
+    add(("j1", "p2"), "(21)")
+    for n in rng:
         for m in rng:
-            for n in rng:
-                if n >= m:
-                    # m_{2m+3}(p2, (121)^m, j2, a.u2^n) = u2^{n-m}
-                    add((P(2),) + loops(E, 2, m) + (J(2), G(1, n)), U(2, n - m))
-                if n >= m + 1:
-                    # m_{2m+3}(p2, (121)^m, j2, u1^n) = b.u1^{n-m-1}
-                    add((P(2),) + loops(E, 2, m) + (J(2), U(1, n)), G(2, n - m - 1))
-                if n >= m:
-                    # m_{2m+4}(p1, (21), (121)^m, j2, a.u2^{n+1}) = a.u2^{n-m}
-                    add((P(1), E(1)) + loops(E, 2, m) + (J(2), G(1, n + 1)),
-                        G(1, n - m))
-
-    def _swapped(E):
-        return E(1) == ("E", 2)
-
-    def m2_families(E, J, P, U, G):
-        add((J(1), P(2)), E(1))
-        for n in rng:
-            for m in rng:
-                if n >= 1 and m >= 1:
-                    add((U(1, n), U(1, m)), U(1, n + m))
-                if n >= 1:
-                    add((G(2, m), U(1, n)), G(2, n + m))
-                    add((U(2, n), G(2, m)), G(2, n + m))
-                add((G(1, m), G(2, n)), U(1, n + m + 1))
-
-    both(families)
-    both(m2_families)
+            if n >= 1 and m >= 1:
+                add((f"u1^{n}", f"u1^{m}"), f"u1^{n + m}")
+            if n >= 1:
+                add((f"b.u1^{m}", f"u1^{n}"), f"b.u1^{n + m}")
+                add((f"u2^{n}", f"b.u1^{m}"), f"b.u1^{n + m}")
+            add((f"a.u2^{m}", f"b.u1^{n}"), f"u1^{n + m + 1}")
     return table
 
 
+def _u(i, n):
+    """u_i^n by its canonical string; u_i^0 is the identity of S_i."""
+    return f"u{i}^{n}" if n else f"1_S{i}"
+
+
 def m2_reference_table(nm_max, degree_max, field=F2):
-    """The composition table alone, instantiated for n + m <= nm_max."""
+    """The composition table alone, instantiated for n + m <= nm_max: a
+    symbol's exponent is n for u^n, a.u2^n and b.u1^n (half its degree,
+    rounded down) and 0 otherwise."""
     full = expected_table(2, degree_max, field)
     out = OperationTable(full.metadata)
     for key, v in full.entries.items():
-        exps = [_exponent_sum(s) for s in key]
-        if sum(exps) <= nm_max:
+        if sum(sym.SYMBOLS[s][3] // 2 for s in key) <= nm_max:
             out.entries[key] = v
     return out
-
-
-def _exponent_sum(s):
-    t = sym.SYMBOLS[s][0]
-    return t[2] if t[0] in ("u", "g") else 0

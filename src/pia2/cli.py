@@ -162,14 +162,19 @@ def cmd_diff(args, parser):
     return 0 if rep["identical"] else 1
 
 
-def _build_category(name, args):
+def _build_category(name, args, built):
+    """The category `name` under the flags in args.  `built` holds the
+    categories of one invocation by name: Pi, which pants and pi-prime
+    both read, is built once."""
     field = field_by_name(args.field)
     if name == "pi":
-        return _pi_category(args)
+        if "pi" not in built:
+            built["pi"] = _pi_category(args)
+        return built["pi"]
     if name == "pi-simple":
         return build_pi_simple(field)
     if name == "pi-prime":
-        return build_pi_prime(_build_category("pi", args))
+        return build_pi_prime(_build_category("pi", args, built))
     if name == "delta":
         return build_delta(field)
     if name.startswith("fukaya"):
@@ -181,7 +186,7 @@ def _build_category(name, args):
         return build_fukaya(n, grading, field)
     if name == "pants":
         return build_pants(args.degree_max,
-                           pi_table=_build_category("pi", args).table,
+                           pi_table=_build_category("pi", args, built).table,
                            field=field)
     raise KeyError(name)
 
@@ -190,11 +195,11 @@ CATEGORY_NAMES = ("pi", "pi-simple", "pi-prime", "delta",
                   "fukaya<n>:<g1,..,gn>", "pants")
 
 
-def _category_or_usage_error(name, args, parser):
+def _category_or_usage_error(name, args, parser, built):
     """_build_category, with an unknown name and a builder's refusal of
     the flags both reported as usage errors (exit 2)."""
     try:
-        return _build_category(name, args)
+        return _build_category(name, args, built)
     except KeyError:
         parser.error(f"unknown category {name!r}; choose from {CATEGORY_NAMES}")
     except ValueError as exc:
@@ -204,7 +209,7 @@ def _category_or_usage_error(name, args, parser):
 def cmd_export_category(args, parser):
     if args.category == "pi-prime":
         parser.error("the additivized category is exported via its inner table")
-    cat = _category_or_usage_error(args.category, args, parser)
+    cat = _category_or_usage_error(args.category, args, parser, {})
     _write(cat.table.dumps(), args.output)
     return 0
 
@@ -215,12 +220,12 @@ def cmd_verify_functor(args, parser):
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         parser.error(f"cannot parse functor file: {exc}")
-    cats = {}
+    cats, built = {}, {}
     for role in ("source", "target"):
         name = doc.get(role) if isinstance(doc, dict) else None
         if not isinstance(name, str):
             parser.error(f"functor file names no {role} category")
-        cats[name] = _category_or_usage_error(name, args, parser)
+        cats[name] = _category_or_usage_error(name, args, parser, built)
     try:
         functor = functor_from_json(doc, cats)
     except ValueError as exc:

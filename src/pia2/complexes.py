@@ -18,6 +18,7 @@ from .linalg import SparseMatrix, factorize, rref, solve_factored
 from .quiver import (ModuleMap, Representation, pia2_indecomposables,
                      pia2_named_maps, a2_representations)
 from . import symbols as sym
+from .ainf import _report
 
 
 class TruncatedComplex:
@@ -357,7 +358,7 @@ class EndCategory:
         X, Y = self.complexes[src], self.complexes[tgt]
         dom = self.flat_basis(src, tgt, deg)
         cod_index = self.flat_index(src, tgt, deg + 1)
-        sign = field.of(-1) if deg % 2 else field.one
+        sign = field.sign(deg)
         ent = {}
         for col, (i, k) in enumerate(dom):
             fm = self.mod_hom_basis(X.reps[i], Y.reps[i + deg])[k]
@@ -558,8 +559,7 @@ def _full_shift(cat, src, tgt, deg):
         mb = cat.mod_hom_basis(X.reps[i], Y.reps[i + deg])
         if len(mb) != 1:
             raise ValueError("shift map needs one-dimensional components")
-        sign = field.one if (deg % 2 == 0 or (top - i) % 2 == 0) else field.of(-1)
-        coeffs[(i, 0)] = sign
+        coeffs[(i, 0)] = field.sign(deg * (top - i))
     return HomElement(cat, src, tgt, deg, coeffs)
 
 
@@ -876,7 +876,9 @@ class GenericContraction:
 
 
 class _Span:
-    """Incremental span with exact elimination; add returns True if new."""
+    """Incremental span with exact elimination; add returns True if new.
+    A vector's zero coordinates are dropped as it comes in, so no pivot is
+    ever a stored zero."""
 
     def __init__(self, dim, field):
         self.dim = dim
@@ -885,7 +887,7 @@ class _Span:
 
     def add(self, vec):
         f = self.field
-        v = dict(vec)
+        v = {j: c for j, c in vec.items() if c}
         while v:
             piv = min(v)
             if piv in self.rows:
@@ -937,9 +939,7 @@ def contraction_audit(cat, con):
                     if not con.H(hx).restrict(trusted).is_zero():
                         violations.append({"tuple": [src, tgt, n, list(b)],
                                            "expected": "H^2 = 0", "got": "nonzero"})
-    return {"check": "contraction",
-            "status": "pass" if checked and not violations else "fail",
-            "violations": violations, "checked": checked}
+    return _report("contraction", violations, checked)
 
 
 def tabulated_contraction(cat):

@@ -9,7 +9,9 @@ Fractions with == costs an abstract-base-class check per call.
 Every sparse sum in the package ({key: scalar} with no explicit zeros:
 matrix entries, flat Hom coordinates, formal sums of symbols, path
 algebra terms) adds a term through `Field.accumulate`, the one place
-that rule lives: the key is dropped when its sum is zero.
+that rule lives: the key is dropped when its sum is zero.  Every sign
+(-1)^e (Koszul signs of the transfer, the unit law, the differential of
+Hom complexes, shift maps) is `Field.sign(e)`, which is one over F2.
 """
 
 from fractions import Fraction
@@ -24,6 +26,7 @@ class Field:
         # every read
         self.one = Fraction(1) if name == "q" else 1
         self.zero = Fraction(0) if name == "q" else 0
+        self._minus_one = self.of(-1)
 
     def __repr__(self):
         return self.name
@@ -39,6 +42,10 @@ class Field:
         if self.name == "f2":
             return n % 2
         return Fraction(n)
+
+    def sign(self, e):
+        """(-1)^e in the field: the field's one over F2."""
+        return self._minus_one if e % 2 else self.one
 
     def add(self, a, b):
         return (a + b) % 2 if self.name == "f2" else a + b

@@ -217,11 +217,6 @@ class MatrixBackend:
         return self.contraction.project(prod)
 
 
-def _koszul_sign(field, right_leaves, left_deg):
-    e = (1 - right_leaves) * left_deg
-    return field.one if e % 2 == 0 else field.of(-1)
-
-
 def evaluate_tree(shape, inputs, backend):
     """Evaluate one decorated tree on (f_n, ..., f_1); returns the
     {output symbol: coeff} dict after the root projection."""
@@ -246,7 +241,7 @@ def evaluate_tree(shape, inputs, backend):
         out = backend.mu_h(el, er)
         if out is None or backend.is_zero(out):
             return None
-        sign = _koszul_sign(field, leaves(right), sum(degs[off:off + nl]))
+        sign = field.sign((1 - leaves(right)) * sum(degs[off:off + nl]))
         return out if sign == field.one else backend.scale(out, sign)
 
     left, right = shape
@@ -256,7 +251,7 @@ def evaluate_tree(shape, inputs, backend):
     if el is None or er is None:
         return {}
     out = backend.mu_p(el, er)
-    sign = _koszul_sign(field, leaves(right), sum(degs[:nl]))
+    sign = field.sign((1 - leaves(right)) * sum(degs[:nl]))
     if sign != field.one:
         out = {k: field.mul(sign, v) for k, v in out.items()}
     return out
@@ -365,7 +360,7 @@ class TransferEvaluator:
                     if out is None:
                         continue
                     if pre is not None:
-                        sign = _koszul_sign(field, j - c, pre[c] - pre[i])
+                        sign = field.sign((1 - j + c) * (pre[c] - pre[i]))
                         if sign != field.one:
                             out = backend.scale(out, sign)
                     acc = out if acc is None else add(acc, out)
@@ -405,8 +400,7 @@ class TransferEvaluator:
             live ^= low
             cut = low.bit_length() - 1
             out = backend.mu_p(A[cut], A[row_n + cut])
-            sign = (field.one if pre is None
-                    else _koszul_sign(field, n - cut, pre[cut]))
+            sign = field.one if pre is None else field.sign((1 - n + cut) * pre[cut])
             for k, v in out.items():
                 field.accumulate(total, k, field.mul(sign, v))
         return total

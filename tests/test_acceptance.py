@@ -179,6 +179,21 @@ def test_criterion_3_arity_coverage_at_degree_8():
            time.time() - t0)
 
 
+def test_criterion_3_frontier_at_13_12():
+    """The complete operation list against the transfer at arity <= 13 and
+    degree <= 12: the only test that reaches arities 10-13."""
+    t0 = time.time()
+    computed = compute_operation_table(13, 12, SymbolicBackend())
+    rep = diff_tables(computed, expected_table(13, 12))
+    assert rep["identical"], {k: v[:4] for k, v in rep.items() if v and k != "identical"}
+    assert len(computed) == 774
+    arities = computed.arities()
+    assert all(arities.get(a) for a in range(10, 14)), arities
+    report(3, f"complete operation list reproduced both directions at "
+              f"arity <= 13, degree <= 12 ({len(computed)} operations)",
+           time.time() - t0)
+
+
 def test_criterion_4_stasheff_suite(engine):
     t0 = time.time()
     rep = stasheff_check(engine["pi"], 7, 4)

@@ -372,3 +372,34 @@ def test_builder_refusal_is_not_an_unknown_category(command, category, flags,
     err = capsys.readouterr().err
     assert f"cannot build category {category!r}: {message}" in err
     assert "unknown category" not in err
+
+
+def test_verify_functor_builds_pi_once(monkeypatch, tmp_path, capsys):
+    """A functor from pants to pi-prime reads Pi's table through both
+    categories; one invocation computes it once, and the report is the
+    library's verdict on the built-in pants functor."""
+    from pia2 import cli
+    from pia2.functors import builtin_functors, pi_category, verify_functor
+    from pia2.transfer import SymbolicBackend, TransferEvaluator
+
+    sb = SymbolicBackend()
+    ev = TransferEvaluator(sb)
+    pi = pi_category(cli.compute_operation_table(6, 2, sb, evaluator=ev), ev)
+    g = builtin_functors(pi, degree_max=2)[-1]
+    assert g.name == "G"
+    want = verify_functor(g, 3, 2)
+    builds = []
+    compute = cli.compute_operation_table
+
+    def counted(*a, **k):
+        builds.append(a[:2])
+        return compute(*a, **k)
+
+    monkeypatch.setattr(cli, "compute_operation_table", counted)
+    fd = tmp_path / "functor.json"
+    fd.write_text(json.dumps(dict(g.to_json(), source="pants", target="pi-prime")))
+    code, out_text, _e = run(["verify-functor", "--file", str(fd),
+                              "--arity-max", "3", "--degree-max", "2"], capsys)
+    assert builds == [(6, 2)]
+    assert code == (0 if want["status"] == "pass" else 1)
+    assert json.loads(out_text) == json.loads(json.dumps(want))

@@ -9,7 +9,7 @@ from pia2.complexes import (build_resolution, cone, pia2_end_category,
                             generic_contraction, a2_class_names,
                             realize_ext_symbol, realize_h_symbol,
                             build_contraction, contraction_audit, HomElement,
-                            EndCategory, TabulatedContraction)
+                            EndCategory, TabulatedContraction, _Span)
 
 
 def test_build_resolution_pattern():
@@ -333,6 +333,18 @@ def test_contraction_audit_counts_cases():
     nothing.trusted = cat.trusted
     empty = contraction_audit(nothing, con)
     assert empty["checked"] == 0 and empty["status"] == "fail"
+
+
+@pytest.mark.parametrize("field", [F2, QQ], ids=["f2", "q"])
+def test_span_add_ignores_zero_coordinates(field):
+    """A zero coordinate in an incoming vector is no pivot: add returns
+    whether the vector is new to the span, and a zero vector is not."""
+    span = _Span(2, field)
+    assert span.add({0: field.zero, 1: field.one}) is True
+    assert span.add({0: field.zero}) is False
+    assert span.add({1: field.of(3), 0: field.zero}) is False
+    assert span.add({0: field.one, 1: field.zero}) is True
+    assert span.rows == {1: {1: field.one}, 0: {0: field.one}}
 
 
 def test_generic_contraction_axioms_and_side_conditions():
