@@ -100,7 +100,7 @@ class AInfCategory:
         """The (coeff, symbol) term of a table entry; coefficients read
         from JSON are strings."""
         c = e["coeff"]
-        return (self.field.of(int(c)) if isinstance(c, str) else c), e["output"]
+        return (self.field.parse(c) if isinstance(c, str) else c), e["output"]
 
     def closed_operations(self, arity_max, degree_max):
         """m as {key: (coeff, output)} on every identity-free tuple of
@@ -479,8 +479,12 @@ def expected_table(arity_max, degree_max, field=F2):
         store(tuple(map(kappa, inputs)), tuple(kappa_object[x] for x in objects),
               kappa(output), degree)
 
-    nmax = arity_max // 2 + degree_max // 2 + 3
-    rng = range(0, nmax + 1)
+    # Every family parameter is at most the exponent e of one of its
+    # inputs u_i^e, a.u2^e or b.u1^e, whose degree 2e or 2e + 1 the degree
+    # bound caps, so no instance lies past e = degree_max // 2.  The range
+    # is tight at every degree_max >= 1: the top value is reached by the
+    # composition u1^e u1^1 (degree_max >= 2) or a.u2^0 b.u1^0 (degree_max 1).
+    rng = range(0, degree_max // 2 + 1)
     for n in rng:
         for k in rng:
             # m_{2n+2k+5}((12),(212)^k, j1, b.u1^{n+k+1}, p1, (212)^n, (21)) = 1_P2

@@ -199,7 +199,7 @@ def cone(f):
         fc = maps.get(i + 1)
         rows_split = {v: xb.dims[v] for v in xb.dims}
         cols_split = {v: xa.dims[v] for v in xa.dims}
-        tl = dX.scale(field.of(-1)) if dX is not None else None
+        tl = dX.scale(field.sign(1)) if dX is not None else None
         blocks = _block_map(src, tgt,
                             _lift(tl, xa, xb), None,
                             _lift(fc, xa, yb), _lift(dY, ya, yb),
@@ -276,7 +276,7 @@ class EndCategory:
                         rows.append(row)
         mat = SparseMatrix(len(rows), len(slots), field,
                            {(i, j): v for i, row in enumerate(rows) for j, v in row.items()})
-        _rk, _piv, kernel, _t = rref(mat)
+        _rk, _piv, kernel = rref(mat)
         basis = []
         for vec in kernel:
             blocks = {v: {} for v in q.vertices}
@@ -768,7 +768,7 @@ class GenericContraction:
             basis = cat.flat_basis(src, tgt, n)
             dim = len(basis)
             dmat = cat.d_matrix(src, tgt, n)
-            _rank, pivots, kernel, _t = rref(dmat)
+            _rank, pivots, kernel = rref(dmat)
             # complement of the kernel: unit vectors at pivot columns
             W = [{j: field.one} for j in pivots]
             # boundaries: d of the previous complement

@@ -1,10 +1,12 @@
 """Exact scalar arithmetic and sparse linear algebra over QQ and F2.
 
 Matrices are stored as dicts {(row, col): scalar} with no explicit zeros.
-Everything is exact: F2 entries are ints mod 2, QQ entries are
-``fractions.Fraction`` (arbitrary-precision).  A scalar is zero exactly
-when it is falsy, and the package tests it that way: comparing two
-Fractions with == costs an abstract-base-class check per call.
+Everything is exact: F2 entries are ints mod 2.  QQ entries are Python
+ints while they are integral, and a ``fractions.Fraction`` comes only
+from `Field.div` or `Field.parse`, reduced back to an int when its
+denominator is one; an int and a Fraction of equal value compare and
+hash equal, and print the same through ``str``.  A scalar is zero
+exactly when it is falsy, and the package tests it that way.
 
 Every sparse sum in the package ({key: scalar} with no explicit zeros:
 matrix entries, flat Hom coordinates, formal sums of symbols, path
@@ -22,10 +24,8 @@ class Field:
 
     def __init__(self, name):
         self.name = name
-        # shared constants: Fraction is immutable, so one instance serves
-        # every read
-        self.one = Fraction(1) if name == "q" else 1
-        self.zero = Fraction(0) if name == "q" else 0
+        self.one = 1
+        self.zero = 0
         self._minus_one = self.of(-1)
 
     def __repr__(self):
@@ -39,9 +39,7 @@ class Field:
 
     def of(self, n):
         """Coerce an integer into the field."""
-        if self.name == "f2":
-            return n % 2
-        return Fraction(n)
+        return n % 2 if self.name == "f2" else n
 
     def sign(self, e):
         """(-1)^e in the field: the field's one over F2."""
@@ -71,11 +69,33 @@ class Field:
         return (-a) % 2 if self.name == "f2" else -a
 
     def div(self, a, b):
+        """a / b; over QQ an int whenever the quotient is integral."""
         if self.name == "f2":
             if b % 2 == 0:
                 raise ZeroDivisionError("division by zero in F2")
             return a % 2
-        return Fraction(a) / b
+        if b == 1:
+            return a
+        if b == -1:
+            return -a
+        q = Fraction(a) / b
+        return q.numerator if q.denominator == 1 else q
+
+    def parse(self, text):
+        """The scalar a string such as "-1" or "1/3" spells (JSON stores
+        scalars as strings).  Over F2 a fraction is its residue, which
+        needs an odd denominator; an even one raises ValueError."""
+        if "/" not in text:
+            return self.of(int(text))
+        try:
+            q = Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"scalar {text!r} divides by zero") from None
+        if self.name == "f2":
+            if q.denominator % 2 == 0:
+                raise ValueError(f"scalar {text!r} has no value in F2")
+            return q.numerator % 2
+        return q.numerator if q.denominator == 1 else q
 
 
 F2 = Field("f2")
@@ -120,7 +140,7 @@ class SparseMatrix:
 
     @classmethod
     def from_rows(cls, data, field):
-        """Build from a list of row lists of ints/Fractions."""
+        """Build from a list of row lists of scalars."""
         rows = len(data)
         cols = len(data[0]) if rows else 0
         ent = {}
@@ -169,7 +189,7 @@ class SparseMatrix:
                             {pos: f.mul(a, v) for pos, v in self.entries.items()})
 
     def neg(self):
-        return self.scale(self.field.of(-1))
+        return self.scale(self.field.sign(1))
 
     def sub(self, other):
         return self.add(other.neg())
@@ -214,15 +234,14 @@ def mat_vec(m, vec):
 def rref(m):
     """Reduced row echelon form of m by exact Gauss-Jordan elimination.
 
-    Returns (rank, pivot_cols, kernel_basis, transform) where
-    transform * m is in reduced row echelon form and kernel_basis is a list
-    of dict-vectors {col: scalar} spanning the null space exactly.
+    Returns (rank, pivot_cols, kernel_basis), where kernel_basis is a list
+    of dict-vectors {col: scalar} spanning the null space exactly, one per
+    non-pivot column c: c maps to one and each pivot column to minus the
+    reduced form's entry at (its row, c).
     """
     f = m.field
-    zero = f.zero
     # dense row-major working copy; instances here are desk-scale
     work = [[m.get(r, c) for c in range(m.cols)] for r in range(m.rows)]
-    trans = [[f.one if i == j else zero for j in range(m.rows)] for i in range(m.rows)]
     pivot_cols = []
     piv_r = 0
     for c in range(m.cols):
@@ -235,27 +254,21 @@ def rref(m):
             continue
         if sel != piv_r:
             work[piv_r], work[sel] = work[sel], work[piv_r]
-            trans[piv_r], trans[sel] = trans[sel], trans[piv_r]
         inv = f.div(f.one, work[piv_r][c])
         if inv != f.one:
             work[piv_r] = [f.mul(inv, v) for v in work[piv_r]]
-            trans[piv_r] = [f.mul(inv, v) for v in trans[piv_r]]
         # only the nonzero entries of the pivot row change the other rows
         work_nz = [(k, w) for k, w in enumerate(work[piv_r]) if w]
-        trans_nz = [(k, w) for k, w in enumerate(trans[piv_r]) if w]
         for r in range(m.rows):
             if r != piv_r and work[r][c]:
                 factor = work[r][c]
-                row, trow = work[r], trans[r]
+                row = work[r]
                 for k, w in work_nz:
                     row[k] = f.sub(row[k], f.mul(factor, w))
-                for k, w in trans_nz:
-                    trow[k] = f.sub(trow[k], f.mul(factor, w))
         pivot_cols.append(c)
         piv_r += 1
         if piv_r == m.rows:
             break
-    rank = len(pivot_cols)
     pivot_set = set(pivot_cols)
     kernel_basis = []
     for free in range(m.cols):
@@ -267,15 +280,35 @@ def rref(m):
             if v:
                 vec[pc] = f.neg(v)
         kernel_basis.append(vec)
-    transform = SparseMatrix.from_rows(trans, f) if m.rows else SparseMatrix.zero(0, 0, f)
-    return rank, pivot_cols, kernel_basis, transform
+    return len(pivot_cols), pivot_cols, kernel_basis
 
 
 def factorize(m):
     """What solving against m needs, computed once: (rank, pivot columns,
-    transform, transform * m) from the reduced row echelon form."""
-    rk, pivot_cols, _, transform = rref(m)
-    return rk, pivot_cols, transform, mat_mul(transform, m)
+    transform, transform * m), the transform invertible and transform * m
+    in reduced row echelon form.
+
+    Both are read off rref([m | I]) = [transform * m | transform].  Every
+    row of [m | I] is a pivot row, the first rank of them with pivots in
+    m; a pivot column of the reduced form is the unit vector at its row,
+    and a free column is given by its kernel vector (see `rref`)."""
+    f = m.field
+    n = m.cols
+    aug = dict(m.entries)
+    aug.update(((i, n + i), f.one) for i in range(m.rows))
+    _rows, pivots, kernel = rref(SparseMatrix(m.rows, n + m.rows, f, aug))
+    reduced = {(i, pc): f.one for i, pc in enumerate(pivots)}
+    row_of = {pc: i for i, pc in enumerate(pivots)}
+    free = (c for c in range(n + m.rows) if c not in row_of)
+    for c, vec in zip(free, kernel):
+        for pc, v in vec.items():
+            if pc != c:
+                reduced[(row_of[pc], c)] = f.neg(v)
+    red = {(r, c): v for (r, c), v in reduced.items() if c < n}
+    transform = {(r, c - n): v for (r, c), v in reduced.items() if c >= n}
+    rk = sum(1 for pc in pivots if pc < n)
+    return (rk, pivots[:rk], SparseMatrix(m.rows, m.rows, f, transform),
+            SparseMatrix(m.rows, n, f, red))
 
 
 def solve(m, target):

@@ -85,7 +85,7 @@ class PathAlgebraElement:
         if terms:
             for path, coeff in terms.items():
                 coeff = field.of(coeff) if isinstance(coeff, int) else coeff
-                if coeff != field.zero:
+                if coeff:
                     self.terms[path] = coeff
 
     @classmethod
@@ -203,7 +203,7 @@ def preprojective_relation(q, field=F2):
     for name, _s, _t in q.edges:
         star = _star_name(name)
         ff = PathAlgebraElement.path(dq, field, (name, star))
-        sf = PathAlgebraElement.path(dq, field, (star, name)).scale(field.of(-1))
+        sf = PathAlgebraElement.path(dq, field, (star, name)).scale(field.sign(1))
         rho = rho.add(ff).add(sf)
     return rho
 
@@ -409,8 +409,7 @@ def representation_from_json(doc):
     mats = {}
     for e, triplets in doc["mats"].items():
         s, t = q.start(e), q.tail(e)
-        ent = {(r, c): field.of(int(v)) if "/" not in v else _fraction(v)
-               for r, c, v in triplets}
+        ent = {(r, c): field.parse(v) for r, c, v in triplets}
         mats[e] = SparseMatrix(dims[t], dims[s], field, ent)
     return Representation(q, field, dims, mats, doc.get("name", ""))
 
@@ -420,8 +419,3 @@ def _maybe_int(v):
         return int(v)
     except ValueError:
         return v
-
-
-def _fraction(s):
-    from fractions import Fraction
-    return Fraction(s)

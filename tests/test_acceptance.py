@@ -390,7 +390,7 @@ def test_criterion_10_combinatorics():
     while built < 100:
         src, tgt = pairs[built % len(pairs)]
         mat = cat.d_matrix(src, tgt, 0)
-        _rk, _p, kernel, _t = rref(mat)
+        _rk, _p, kernel = rref(mat)
         basis = cat.flat_basis(src, tgt, 0)
         coeffs = {}
         for vec in kernel:

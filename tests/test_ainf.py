@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from pia2.linalg import F2, QQ
@@ -366,3 +368,26 @@ def test_unitality_counts_what_it_checked(make):
     rep = unitality_check(cat, 4)
     assert rep["status"] == "pass"
     assert rep["checked"] == want > len(cat.table.entries)
+
+
+@pytest.mark.parametrize("arity_max", [2, 3, 4, 5])
+def test_expected_equals_computed_on_a_grid(arity_max):
+    """expected_table's family range is tight: the paper's list matches
+    the transferred table at every degree bound 0..14, among them arity
+    2 and 3, where a family range shorter by one loses instances."""
+    for degree_max in range(0, 15):
+        computed = compute_operation_table(arity_max, degree_max, SymbolicBackend())
+        rep = diff_tables(computed, expected_table(arity_max, degree_max))
+        assert rep["identical"], (arity_max, degree_max, rep)
+
+
+@pytest.mark.parametrize("field, text, value", [
+    (QQ, "1/2", Fraction(1, 2)), (F2, "1/3", 1)], ids=["q-half", "f2-third"])
+def test_stored_term_reads_json_scalars_in_the_field(field, text, value):
+    """A coefficient read from JSON is a string, parsed in the category's
+    field: a fraction over Q, its residue over F2."""
+    cat = AInfCategory("toy", ["X"], lambda x, y, d: ["1_X"], OperationTable({}),
+                       {"X": "1_X"}, field, symbols={"1_X": ("X", "X", 0)})
+    coeff, out = cat.stored_term({"coeff": text, "output": "1_X"})
+    assert (coeff, out) == (value, "1_X")
+    assert type(coeff) is type(value)

@@ -450,7 +450,7 @@ def random_cycle(cat, src, tgt, rng):
     """A random exact cycle of degree zero in the windowed Hom complex."""
     from pia2.linalg import rref
     mat = cat.d_matrix(src, tgt, 0)
-    _rk, _piv, kernel, _t = rref(mat)
+    _rk, _piv, kernel = rref(mat)
     if not kernel:
         return None
     basis = cat.flat_basis(src, tgt, 0)

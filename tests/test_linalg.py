@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pia2.linalg import F2, QQ, SparseMatrix, mat_mul, mat_vec, rref, solve
+from pia2.linalg import (F2, QQ, SparseMatrix, factorize, mat_mul, mat_vec, rref,
+                         solve)
 
 
 def test_field_arithmetic_exact():
@@ -83,22 +84,23 @@ def test_no_stored_zeros_and_duplicates():
 
 
 def test_rref_identity_and_zero():
-    rank, piv, ker, _t = rref(SparseMatrix.identity(4, QQ))
+    rank, piv, ker = rref(SparseMatrix.identity(4, QQ))
     assert rank == 4 and piv == [0, 1, 2, 3] and ker == []
-    rank, piv, ker, _t = rref(SparseMatrix.zero(3, 3, F2))
+    rank, piv, ker = rref(SparseMatrix.zero(3, 3, F2))
     assert rank == 0 and len(ker) == 3
 
 
 def test_rref_rank_one_symmetric():
     m = SparseMatrix.from_rows([[1, 1], [1, 1]], QQ)
-    rank, _piv, ker, t = rref(m)
+    rank, _piv, ker = rref(m)
     assert rank == 1
     assert len(ker) == 1
     v = ker[0]
     # kernel spanned by (1, -1)
     assert v[0] == -v[1]
     # transform * m is in rref
-    red = mat_mul(t, m)
+    _rk, _piv, t, red = factorize(m)
+    assert red == mat_mul(t, m)
     assert red.get(0, 0) == 1 and red.get(0, 1) == 1
     assert red.get(1, 0) == 0 and red.get(1, 1) == 0
 
@@ -120,7 +122,7 @@ def test_rank_nullity_on_random_matrices(field):
     for _ in range(40):
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         m = _random_matrix(rng, rows, cols, field)
-        rank, _piv, ker, _t = rref(m)
+        rank, _piv, ker = rref(m)
         assert rank + len(ker) == cols
         for v in ker:
             assert mat_vec(m, v) == {}
@@ -141,10 +143,40 @@ def test_matmul_associative_on_random_triples(field):
                 min_size=1, max_size=5))
 def test_solve_consistency(rows):
     m = SparseMatrix.from_rows(rows, QQ)
-    rank, _piv, ker, _t = rref(m)
+    rank, _piv, ker = rref(m)
     # any image vector is solvable and the solution reproduces it
     x = {c: QQ.of(c + 1) for c in range(3)}
     target = mat_vec(m, x)
     sol = solve(m, target)
     assert sol is not None
     assert mat_vec(m, sol) == target
+
+
+def test_qq_scalars_are_ints_until_a_division_needs_a_fraction():
+    """QQ's constants and coercions are ints; a quotient is an int when it
+    is integral and a Fraction only when it is not."""
+    assert all(type(x) is int for x in (QQ.one, QQ.zero, QQ.of(3), QQ.sign(1)))
+    for a, b, want in ((3, 3, 1), (-6, 3, -2), (5, -1, -5),
+                       (Fraction(2, 3), Fraction(1, 3), 2)):
+        q = QQ.div(a, b)
+        assert q == want and type(q) is int
+    assert QQ.div(1, 3) == Fraction(1, 3) and type(QQ.div(1, 3)) is Fraction
+    with pytest.raises(ZeroDivisionError):
+        QQ.div(1, 0)
+
+
+@pytest.mark.parametrize("field, text, value", [
+    (QQ, "-1", -1), (QQ, "4/2", 2), (QQ, "1/2", Fraction(1, 2)),
+    (F2, "3", 1), (F2, "1/3", 1), (F2, "-2/3", 0)],
+    ids=["q-int", "q-integral-fraction", "q-half", "f2-int", "f2-third",
+         "f2-even-numerator"])
+def test_parse_gives_the_fields_own_scalar(field, text, value):
+    got = field.parse(text)
+    assert got == value and type(got) is type(value)
+
+
+@pytest.mark.parametrize("field, text", [(F2, "1/2"), (QQ, "1/0"), (QQ, "x")],
+                         ids=["f2-even-denominator", "q-zero-denominator", "q-junk"])
+def test_parse_refuses_what_names_no_scalar(field, text):
+    with pytest.raises(ValueError):
+        field.parse(text)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from pia2.linalg import F2, QQ, SparseMatrix
@@ -141,6 +143,18 @@ def test_representation_json_roundtrip():
     assert back.dims == M["P2"].dims
     for e in back.mats:
         assert back.mats[e].entries == M["P2"].mats[e].entries
+
+
+@pytest.mark.parametrize("field, text, value", [
+    (F2, "1/3", 1), (QQ, "1/3", Fraction(1, 3))], ids=["f2", "q"])
+def test_representation_json_reads_scalars_in_its_field(field, text, value):
+    """A matrix entry "1/3" is the field's own scalar: its residue 1 over
+    F2, a Fraction over Q."""
+    doc = a2_representations(field)["P"].to_json()
+    doc["mats"]["(12)"][0][2] = text
+    entries = representation_from_json(doc).mats["(12)"].entries
+    assert entries == {(0, 0): value}
+    assert type(entries[(0, 0)]) is type(value)
 
 
 def test_representation_shape_validation():

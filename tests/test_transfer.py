@@ -289,7 +289,9 @@ def test_a2_minimal_model_is_the_triangle_category():
 
 def test_q_mode_support_equality():
     """Over Q with the Koszul sign convention the support of the matrix table
-    matches the F2 table (coefficients are compared up to sign only)."""
+    matches the F2 table (coefficients are compared up to sign only).  Every
+    pivot and coupling of the tabulated contraction is a unit, so the
+    coefficients never leave the ints."""
     catq = pia2_end_category(14, QQ)
     mbq = MatrixBackend.for_pia2(catq, tabulated_contraction(catq), degree_max=2)
     tq = compute_operation_table(4, 2, mbq)
@@ -298,6 +300,7 @@ def test_q_mode_support_equality():
     assert {k: v["output"] for k, v in tq.entries.items()} == \
         {k: v["output"] for k, v in tf.entries.items()}
     assert all(str(v["coeff"]) in ("1", "-1") for v in tq.entries.values())
+    assert all(type(v["coeff"]) is int for v in tq.entries.values())
 
 
 def test_matrix_table_window_stability():
