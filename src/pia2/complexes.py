@@ -12,9 +12,17 @@ The degree convention matches the dg endomorphism algebra of a resolution:
 (df)_i = d_{i+n} f_i - (-1)^n f_{i+1} d_i, and for a window [-L, 0] the
 left edge -L is a truncation artifact: operator identities are asserted
 on a trusted sub-window only.
+
+The Hom differential is composition with each complex's own differential,
+d(f) = d_Y o f - (-1)^n f o d_X, read off the same composition constants
+as `compose` (the coordinates of each product of two module-hom basis
+maps): each complex's differential is put in module-hom coordinates once,
+so a column of `d_matrix` is a sum of stored constants.  The constants,
+like the module-hom bases, are keyed by representation names, which must
+therefore be unique within a category.
 """
 
-from .linalg import SparseMatrix, factorize, rref, solve_factored
+from .linalg import SparseMatrix, factorize, mat_vec, rref, solve_factored
 from .quiver import (ModuleMap, Representation, pia2_indecomposables,
                      pia2_named_maps, a2_representations)
 from . import symbols as sym
@@ -240,6 +248,7 @@ class EndCategory:
         self._flat_index = {}
         self._dmat = {}           # (src, tgt, deg) -> SparseMatrix
         self._comp_consts = {}    # structure constants for composition
+        self._dcoords = {}        # complex name -> {pos: coordinates of d}
 
     # -- module-level Hom spaces ------------------------------------------
 
@@ -349,31 +358,47 @@ class EndCategory:
         self.flat_basis(src, tgt, deg)
         return self._flat_index[(src, tgt, deg)]
 
+    def _d_coords(self, cx):
+        """{pos: ((l, c), ...)}: the complex's differential at each position
+        in the coordinates of mod_hom_basis(X_pos, X_pos+1), computed once."""
+        if cx not in self._dcoords:
+            X = self.complexes[cx]
+            self._dcoords[cx] = {
+                i: tuple(self._coordinatize(X.reps[i], X.reps[i + 1], d))
+                for i, d in X.diffs.items()}
+        return self._dcoords[cx]
+
     def d_matrix(self, src, tgt, deg):
-        """Matrix of d: Hom^deg -> Hom^{deg+1} in the flat bases."""
+        """Matrix of d: Hom^deg -> Hom^{deg+1} in the flat bases.
+
+        d(f) = d_Y o f - (-1)^deg f o d_X, read off the composition
+        constants: column (i, k) sums c_l consts(X_i, Y_{i+deg}, Y_{i+deg+1},
+        l, k) over the coordinates c_l of d_Y at i + deg, and
+        -(-1)^deg c'_l consts(X_{i-1}, X_i, Y_{i+deg}, k, l) over those of
+        d_X at i - 1."""
         key = (src, tgt, deg)
         if key in self._dmat:
             return self._dmat[key]
         field = self.field
         X, Y = self.complexes[src], self.complexes[tgt]
+        dX, dY = self._d_coords(src), self._d_coords(tgt)
         dom = self.flat_basis(src, tgt, deg)
         cod_index = self.flat_index(src, tgt, deg + 1)
-        sign = field.sign(deg)
+        minus_sign = field.neg(field.sign(deg))
         ent = {}
         for col, (i, k) in enumerate(dom):
-            fm = self.mod_hom_basis(X.reps[i], Y.reps[i + deg])[k]
-            dt = Y.d(i + deg)
-            if dt is not None and i + deg + 1 <= Y.hi:
-                m = dt.compose(fm)
-                if not m.is_zero():
-                    for j, v in self._coordinatize(X.reps[i], Y.reps[i + deg + 1], m):
-                        field.accumulate(ent, (cod_index[(i, j)], col), v)
-            ds = X.d(i - 1)
-            if ds is not None:
-                m = fm.compose(ds).scale(field.neg(sign))
-                if not m.is_zero():
-                    for j, v in self._coordinatize(X.reps[i - 1], Y.reps[i + deg], m):
-                        field.accumulate(ent, (cod_index[(i - 1, j)], col), v)
+            j = i + deg
+            out = {}
+            # d_Y o f has its component at position i
+            for l, c in dY.get(j, ()):
+                self._add_product(out, i, X.reps[i], Y.reps[j], Y.reps[j + 1],
+                                  l, k, c)
+            # -(-1)^deg f o d_X has its component at position i - 1
+            for l, c in dX.get(i - 1, ()):
+                self._add_product(out, i - 1, X.reps[i - 1], X.reps[i],
+                                  Y.reps[j], k, l, field.mul(minus_sign, c))
+            for b, v in out.items():
+                ent[(cod_index[b], col)] = v
         rows = len(self.flat_basis(src, tgt, deg + 1))
         mat = SparseMatrix(rows, len(dom), field, ent)
         self._dmat[key] = mat
@@ -393,15 +418,24 @@ class EndCategory:
         Ymid = self.complexes[f.tgt]
         Z = self.complexes[g.tgt]
         deg = f.deg + g.deg
+        g_at = {}
+        for (i2, l), vg in g.coeffs.items():
+            g_at.setdefault(i2, []).append((l, vg))
         out = {}
         for (i, k), vf in f.coeffs.items():
-            for (i2, l), vg in g.coeffs.items():
-                if i2 != i + f.deg:
-                    continue
-                consts = self._compose_consts(X.reps[i], Ymid.reps[i2], Z.reps[i2 + g.deg], l, k)
-                for m, c in consts:
-                    field.accumulate(out, (i, m), field.mul(c, field.mul(vg, vf)))
+            i2 = i + f.deg
+            for l, vg in g_at.get(i2, ()):
+                self._add_product(out, i, X.reps[i], Ymid.reps[i2],
+                                  Z.reps[i2 + g.deg], l, k, field.mul(vg, vf))
         return HomElement(self, f.src, g.tgt, deg, out)
+
+    def _add_product(self, out, pos, ra, rb, rc, l, k, coeff):
+        """out[(pos, m)] += coeff * c over the coordinates (m, c) of
+        basis_l(rb, rc) o basis_k(ra, rb): the one place where a product
+        of two module-hom basis maps enters flat coordinates."""
+        field = self.field
+        for m, c in self._compose_consts(ra, rb, rc, l, k):
+            field.accumulate(out, (pos, m), field.mul(c, coeff))
 
     def _compose_consts(self, ra, rb, rc, l, k):
         key = (ra.name, rb.name, rc.name, l, k)
@@ -417,7 +451,6 @@ class EndCategory:
         mat = self.d_matrix(elem.src, elem.tgt, elem.deg)
         index = self.flat_index(elem.src, elem.tgt, elem.deg)
         basis_out = self.flat_basis(elem.src, elem.tgt, elem.deg + 1)
-        from .linalg import mat_vec
         vec = {index[b]: v for b, v in elem.coeffs.items()}
         img = mat_vec(mat, vec)
         return HomElement(self, elem.src, elem.tgt, elem.deg + 1,
@@ -774,7 +807,6 @@ class GenericContraction:
             # boundaries: d of the previous complement
             B = []
             for w in w_prev.get(n - 1, []):
-                from .linalg import mat_vec
                 B.append(mat_vec(cat.d_matrix(src, tgt, n - 1), w))
             # class representatives: extend B to a basis of the kernel,
             # taking left-localized candidates first

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pia2.linalg import F2, QQ, mat_mul, solve
+from pia2.linalg import F2, QQ, SparseMatrix, mat_mul, solve
 from pia2 import symbols as sym
 from pia2.complexes import (build_resolution, cone, pia2_end_category,
                             a2_end_category, tabulated_contraction,
@@ -53,24 +53,125 @@ def test_hom_complexes_square_to_zero(field):
     assert products == 16 * 21
 
 
+def _random_element(cat, rng, src, tgt):
+    """A seeded random element of Hom^n(src, tgt), |n| <= 4, with about
+    half of its flat coordinates set to 1, -1 or 3."""
+    field = cat.field
+    deg = rng.choice([n for n in range(-4, 5) if cat.flat_basis(src, tgt, n)])
+    return HomElement(cat, src, tgt, deg,
+                      {b: field.of(rng.choice((1, -1, 3)))
+                       for b in cat.flat_basis(src, tgt, deg)
+                       if rng.random() < 0.5})
+
+
+def d_matrix_reference(cat, src, tgt, deg):
+    """The Hom differential column by column, by module maps: each basis
+    map f is composed with the complexes' differentials as module maps,
+    d_Y o f - (-1)^deg f o d_X, and each product is put in coordinates by
+    a linear solve.  Shares only the bases and _coordinatize with
+    EndCategory.d_matrix, which reads the composition constants."""
+    field = cat.field
+    X, Y = cat.complexes[src], cat.complexes[tgt]
+    dom = cat.flat_basis(src, tgt, deg)
+    cod_index = cat.flat_index(src, tgt, deg + 1)
+    sign = field.sign(deg)
+    ent = {}
+    for col, (i, k) in enumerate(dom):
+        fm = cat.mod_hom_basis(X.reps[i], Y.reps[i + deg])[k]
+        dt = Y.d(i + deg)
+        if dt is not None:
+            m = dt.compose(fm)
+            if not m.is_zero():
+                for j, v in cat._coordinatize(X.reps[i], Y.reps[i + deg + 1], m):
+                    field.accumulate(ent, (cod_index[(i, j)], col), v)
+        ds = X.d(i - 1)
+        if ds is not None:
+            m = fm.compose(ds).scale(field.neg(sign))
+            if not m.is_zero():
+                for j, v in cat._coordinatize(X.reps[i - 1], Y.reps[i + deg], m):
+                    field.accumulate(ent, (cod_index[(i - 1, j)], col), v)
+    rows = len(cat.flat_basis(src, tgt, deg + 1))
+    return SparseMatrix(rows, len(dom), field, ent)
+
+
+def compose_reference(cat, g, f):
+    """g o f over every pair of coefficients, the pairs whose positions do
+    not meet skipped one by one."""
+    field = cat.field
+    X, Y, Z = (cat.complexes[c] for c in (f.src, f.tgt, g.tgt))
+    out = {}
+    for (i, k), vf in f.coeffs.items():
+        for (i2, l), vg in g.coeffs.items():
+            if i2 != i + f.deg:
+                continue
+            for m, c in cat._compose_consts(X.reps[i], Y.reps[i2],
+                                            Z.reps[i2 + g.deg], l, k):
+                field.accumulate(out, (i, m), field.mul(c, field.mul(vg, vf)))
+    return HomElement(cat, f.src, g.tgt, f.deg + g.deg, out)
+
+
+def _typed(coeffs):
+    return {k: (v, type(v)) for k, v in coeffs.items()}
+
+
+@pytest.mark.parametrize("field", [F2, QQ], ids=["f2", "q"])
+def test_d_matrix_matches_module_map_reference(field):
+    """d_matrix, read off the composition constants, equals the module-map
+    construction on every hom pair and degree of the windows 8 and 14 and
+    of the A2 instance: the same entries with the same scalar types."""
+    checked = nonzero = 0
+    for cat in (pia2_end_category(8, field), pia2_end_category(14, field),
+                a2_end_category(field)):
+        names = sorted(cat.complexes)
+        for src in names:
+            for tgt in names:
+                for n in range(-cat.window - 2, cat.window + 3):
+                    got = cat.d_matrix(src, tgt, n)
+                    want = d_matrix_reference(cat, src, tgt, n)
+                    assert (got.rows, got.cols) == (want.rows, want.cols)
+                    assert _typed(got.entries) == _typed(want.entries), \
+                        (cat.window, src, tgt, n)
+                    checked += 1
+                    nonzero += not want.is_zero()
+    assert checked == 16 * 21 + 16 * 33 + 9 * 7
+    assert nonzero == 179
+
+
+@pytest.mark.parametrize("field", [F2, QQ], ids=["f2", "q"])
+def test_compose_matches_all_pairs_reference(field):
+    """compose, which meets each coefficient of f only with those of g at
+    its target position, equals the all-pairs loop on seeded random
+    elements, including pairs whose positions never meet."""
+    cat = pia2_end_category(10, field)
+    rng = random.Random(11)
+    nonzero = 0
+    for _ in range(300):
+        x, y, z = (rng.choice(sym.OBJECTS) for _ in range(3))
+        f = _random_element(cat, rng, x, y)
+        g = _random_element(cat, rng, y, z)
+        got, want = cat.compose(g, f), compose_reference(cat, g, f)
+        assert (got.src, got.tgt, got.deg) == (want.src, want.tgt, want.deg)
+        assert _typed(got.coeffs) == _typed(want.coeffs), (x, y, z, f.deg, g.deg)
+        nonzero += not want.is_zero()
+    assert nonzero > 20
+
+
 @pytest.mark.parametrize("field", [F2, QQ], ids=["f2", "q"])
 def test_hom_differential_graded_leibniz(field):
     """d(g o f) = dg o f + (-1)^|g| g o df on seeded random composable
-    elements; "checked" counts the triples where some term is nonzero."""
+    elements; "checked" counts the triples where some term is nonzero.
+
+    d_matrix is read off the same composition constants as compose, so a
+    fault in those constants can show on both sides of this identity and
+    cancel: Leibniz no longer checks d independently of compose.
+    test_d_matrix_matches_module_map_reference, which builds d from module
+    maps, carries that weight."""
     cat = pia2_end_category(10, field)
     rng = random.Random(5)
-
-    def draw(src, tgt):
-        deg = rng.choice([n for n in range(-4, 5) if cat.flat_basis(src, tgt, n)])
-        return HomElement(cat, src, tgt, deg,
-                          {b: field.of(rng.choice((1, -1, 3)))
-                           for b in cat.flat_basis(src, tgt, deg)
-                           if rng.random() < 0.5})
-
     checked = 0
     for _ in range(400):
         x, y, z = (rng.choice(sym.OBJECTS) for _ in range(3))
-        f, g = draw(x, y), draw(y, z)
+        f, g = _random_element(cat, rng, x, y), _random_element(cat, rng, y, z)
         lhs = cat.differential(cat.compose(g, f))
         dg_f = cat.compose(cat.differential(g), f)
         g_df = cat.compose(g, cat.differential(f))
