@@ -29,15 +29,21 @@ from .functors import (pi_category, builtin_functors, verify_functor,
                        build_pi_simple, functor_from_json)
 
 
-def _add_common(p):
+def _add_instance(p):
+    """The flags that name an instance and its contraction, read by
+    minimal-model and verify.  verify takes --backend and does not read
+    it: perfbench's contraction audits pass it."""
     p.add_argument("--algebra", choices=("pia2", "a2"), default="pia2")
     p.add_argument("--backend", choices=("symbolic", "matrix"), default="symbolic")
     p.add_argument("--homotopy", choices=("paper", "generic"), default="paper")
-    p.add_argument("--field", choices=("f2", "q"), default="f2")
     p.add_argument("--window", type=int, default=None,
                    help="resolution window of the matrix backend and the "
                         "contraction audit (default: max(24, 2*degree_max "
                         "+ arity_max + 4))")
+
+
+def _add_common(p):
+    p.add_argument("--field", choices=("f2", "q"), default="f2")
     p.add_argument("--arity-max", type=int, default=4)
     p.add_argument("--degree-max", type=int, default=4)
     p.add_argument("--output", default=None)
@@ -243,6 +249,7 @@ def main(argv=None):
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("minimal-model", help="compute an operation table")
+    _add_instance(p)
     _add_common(p)
     p.set_defaults(func=cmd_minimal_model)
 
@@ -251,6 +258,7 @@ def main(argv=None):
     p.set_defaults(func=cmd_expected_table)
 
     p = subs.add_parser("verify", help="run verification suites")
+    _add_instance(p)
     _add_common(p)
     p.add_argument("--which", default="all",
                    choices=("stasheff", "unital", "kappa", "classification",

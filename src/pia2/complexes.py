@@ -7,6 +7,10 @@ coefficient vectors over per-position bases of module homomorphisms, which
 is where the contraction data (i, p, H) and the transfer trees do their
 matrix work.  Chain maps are EndCategory elements (HomElement): the cone
 and the JSON export read each position's module map off those bases.
+Each basis map comes from a kernel vector of the naturality equations,
+so it is one at its own free slot and zero at every other basis map's:
+coordinate k of a module map is its entry at basis map k's free slot,
+and a map those entries do not give back is outside the span (ValueError).
 
 The degree convention matches the dg endomorphism algebra of a resolution:
 (df)_i = d_{i+n} f_i - (-1)^n f_{i+1} d_i, and for a window [-L, 0] the
@@ -135,37 +139,14 @@ def chain_map_to_json(elem, window=None):
 # ---------------------------------------------------------------------------
 # cones
 
-def _direct_sum_rep(a, b, name):
-    dims = {v: a.dims[v] + b.dims[v] for v in a.dims}
-    field = a.field
-    mats = {}
-    for e, _s, _t in a.quiver.edges:
-        ma, mb = a.mats[e], b.mats[e]
-        ent = dict(ma.entries)
-        sh_r, sh_c = ma.rows, ma.cols
-        for (r, c), v in mb.entries.items():
-            ent[(r + sh_r, c + sh_c)] = v
-        s, t = a.quiver.start(e), a.quiver.tail(e)
-        mats[e] = SparseMatrix(dims[t], dims[s], field, ent)
-    return Representation(a.quiver, field, dims, mats, name)
-
-
-def _block_map(src, tgt, tl, tr, bl, br, rows_split, cols_split):
-    """Module map into/out of direct sums from four optional blocks."""
-    field = src.field
-    blocks = {}
-    for v in src.dims:
-        rows = tgt.dims[v]
-        cols = src.dims[v]
-        ent = {}
-        for m, (ro, co) in ((tl, (0, 0)), (tr, (0, cols_split[v])),
-                            (bl, (rows_split[v], 0)), (br, (rows_split[v], cols_split[v]))):
-            if m is None:
-                continue
-            for (r, c), val in m.blocks[v].entries.items():
-                field.accumulate(ent, (r + ro, c + co), val)
-        blocks[v] = SparseMatrix(rows, cols, field, ent)
-    return ModuleMap(src, tgt, blocks)
+def _place(rows, cols, field, blocks):
+    """The rows x cols matrix holding each (block, row offset, column
+    offset) of `blocks` at its offset."""
+    ent = {}
+    for m, ro, co in blocks:
+        for (r, c), v in m.entries.items():
+            field.accumulate(ent, (r + ro, c + co), v)
+    return SparseMatrix(rows, cols, field, ent)
 
 
 def cone(f):
@@ -180,49 +161,33 @@ def cone(f):
         raise ValueError("cone needs a cycle")
     X, Y, maps = _module_maps(f)
     field = X.field
-    lo = min(X.lo - 1, Y.lo)
-    hi = max(X.hi - 1, Y.hi)
-    zero_rep_cache = {}
-
-    def rep_at(cx, i):
-        if i in cx.reps:
-            return cx.reps[i]
-        key = (id(cx.reps[cx.lo].quiver),)
-        if key not in zero_rep_cache:
-            q = cx.reps[cx.lo].quiver
-            zero_rep_cache[key] = Representation(q, field, {v: 0 for v in q.vertices},
-                                                 name="0")
-        return zero_rep_cache[key]
-
+    q = X.reps[X.lo].quiver
+    zero = Representation(q, field, {v: 0 for v in q.vertices}, name="0")
+    lo, hi = min(X.lo - 1, Y.lo), max(X.hi - 1, Y.hi)
+    xs = {i: X.reps.get(i + 1, zero) for i in range(lo, hi + 1)}
     reps = {}
     for i in range(lo, hi + 1):
-        reps[i] = _direct_sum_rep(rep_at(X, i + 1), rep_at(Y, i), f"C{i}")
+        x, y = xs[i], Y.reps.get(i, zero)
+        dims = {v: x.dims[v] + y.dims[v] for v in q.vertices}
+        reps[i] = Representation(q, field, dims, {
+            e: _place(dims[t], dims[s], field,
+                      ((x.mats[e], 0, 0), (y.mats[e], x.dims[t], x.dims[s])))
+            for e, s, t in q.edges}, f"C{i}")
     diffs = {}
     for i in range(lo, hi):
-        src, tgt = reps[i], reps[i + 1]
-        xa, xb = rep_at(X, i + 1), rep_at(X, i + 2)
-        ya, yb = rep_at(Y, i), rep_at(Y, i + 1)
-        dX = X.d(i + 1) if (i + 1) in X.diffs else None
-        dY = Y.d(i) if i in Y.diffs else None
-        fc = maps.get(i + 1)
-        rows_split = {v: xb.dims[v] for v in xb.dims}
-        cols_split = {v: xa.dims[v] for v in xa.dims}
-        tl = dX.scale(field.sign(1)) if dX is not None else None
-        blocks = _block_map(src, tgt,
-                            _lift(tl, xa, xb), None,
-                            _lift(fc, xa, yb), _lift(dY, ya, yb),
-                            rows_split, cols_split)
-        diffs[i] = blocks
+        dX, fc, dY = X.d(i + 1), maps.get(i + 1), Y.d(i)
+        blocks = {}
+        for v in q.vertices:
+            # the X summands come first in the rows and the columns
+            rs, cs = xs[i + 1].dims[v], xs[i].dims[v]
+            parts = [] if dX is None else [(dX.blocks[v].neg(), 0, 0)]
+            if fc is not None:
+                parts.append((fc.blocks[v], rs, 0))
+            if dY is not None:
+                parts.append((dY.blocks[v], rs, cs))
+            blocks[v] = _place(reps[i + 1].dims[v], reps[i].dims[v], field, parts)
+        diffs[i] = ModuleMap(reps[i], reps[i + 1], blocks)
     return TruncatedComplex(f"cone({X.name}->{Y.name})", reps, diffs, field)
-
-
-def _lift(m, src, tgt):
-    """Rebind a module map to equal-dimension rep objects (or pass None)."""
-    if m is None:
-        return None
-    if m.source is src and m.target is tgt:
-        return m
-    return ModuleMap(src, tgt, m.blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +208,7 @@ class EndCategory:
         self.complexes = dict(complexes)
         self.field = field
         self._mod_basis = {}      # (repA name, repB name) -> [ModuleMap]
-        self._mod_solver = {}     # (repA name, repB name) -> (slots, factors)
+        self._free_slots = {}     # (repA name, repB name) -> [(v, r, c)]
         self._flat = {}           # (src, tgt, deg) -> list[(pos, k)]
         self._flat_index = {}
         self._dmat = {}           # (src, tgt, deg) -> SparseMatrix
@@ -285,7 +250,11 @@ class EndCategory:
                         rows.append(row)
         mat = SparseMatrix(len(rows), len(slots), field,
                            {(i, j): v for i, row in enumerate(rows) for j, v in row.items()})
-        _rk, _piv, kernel = rref(mat)
+        _rk, piv, kernel = rref(mat)
+        pivots = set(piv)
+        # kernel vector k is one at the k-th free column, zero at the others
+        self._free_slots[key] = [slot for j, slot in enumerate(slots)
+                                 if j not in pivots]
         basis = []
         for vec in kernel:
             blocks = {v: {} for v in q.vertices}
@@ -299,42 +268,21 @@ class EndCategory:
         return basis
 
     def _coordinatize(self, ra, rb, mmap):
-        """Coefficients of a module map in mod_hom_basis(ra, rb)."""
-        key = (ra.name, rb.name)
+        """Coefficients of a module map in mod_hom_basis(ra, rb): coefficient
+        k is the map's entry at basis map k's free slot, where every other
+        basis map is zero.  A map outside the span raises ValueError."""
         basis = self.mod_hom_basis(ra, rb)
-        if not basis:
-            if not mmap.is_zero():
-                raise ValueError("map outside the (empty) hom space")
-            return []
-        if key not in self._mod_solver:
-            cols = []
-            for b in basis:
-                cols.append(self._flatten_map(b))
-            slots = sorted({s for col in cols for s in col})
-            slot_index = {s: i for i, s in enumerate(slots)}
-            mat = SparseMatrix(len(slots), len(basis), self.field,
-                               {(slot_index[s], j): v for j, col in enumerate(cols)
-                                for s, v in col.items()})
-            self._mod_solver[key] = (slot_index, factorize(mat))
-        slot_index, factors = self._mod_solver[key]
-        target = {}
-        flat = self._flatten_map(mmap)
-        for s, v in flat.items():
-            if s not in slot_index:
-                raise ValueError("map outside the hom space span")
-            target[slot_index[s]] = v
-        solvec = solve_factored(factors, target)
-        if solvec is None:
+        coords = []
+        for k, (v, r, c) in enumerate(self._free_slots[(ra.name, rb.name)]):
+            val = mmap.blocks[v].get(r, c)
+            if val:
+                coords.append((k, val))
+        span = ModuleMap(ra, rb, {})
+        for k, val in coords:
+            span = span.add(basis[k].scale(val))
+        if span.blocks != mmap.blocks:
             raise ValueError("map is not in the hom-space span")
-        return [(j, v) for j, v in sorted(solvec.items())]
-
-    @staticmethod
-    def _flatten_map(mmap):
-        out = {}
-        for v, block in mmap.blocks.items():
-            for (r, c), val in block.entries.items():
-                out[(v, r, c)] = val
-        return out
+        return coords
 
     # -- flattened Hom complexes ------------------------------------------
 
@@ -667,8 +615,7 @@ class TabulatedContraction:
         self._plans = {}    # (src, tgt, deg) -> back-substitution steps or None
 
     def classes(self, src, tgt, deg):
-        return [s for s in sym.hom_names(src, tgt, max(deg, 0))
-                if sym.SYMBOLS[s][3] == deg]
+        return pia2_classes(src, tgt, deg)
 
     def include(self, src, tgt, deg, name):
         e, x, y, _d = sym.SYMBOLS[name]
@@ -994,15 +941,17 @@ def generic_contraction(cat, deg_lo=None, deg_hi=None, class_names=None):
     return GenericContraction(cat, deg_lo, deg_hi, class_names)
 
 
+def pia2_classes(src, tgt, deg):
+    """The Ext classes src -> tgt of degree deg, named by symbol."""
+    return [s for s in sym.hom_names(src, tgt, max(deg, 0))
+            if sym.SYMBOLS[s][3] == deg]
+
+
 def pia2_class_names(deg_lo, deg_hi):
     """Expected Ext classes per hom pair and degree, named by symbol."""
-    out = {}
-    for src in sym.OBJECTS:
-        for tgt in sym.OBJECTS:
-            basis = sym.hom_names(src, tgt, max(deg_hi, 0))
-            for n in range(deg_lo, deg_hi + 1):
-                out[(src, tgt, n)] = [s for s in basis if sym.SYMBOLS[s][3] == n]
-    return out
+    return {(src, tgt, n): pia2_classes(src, tgt, n)
+            for src in sym.OBJECTS for tgt in sym.OBJECTS
+            for n in range(deg_lo, deg_hi + 1)}
 
 
 def build_contraction(window, mode, field, algebra="pia2"):

@@ -64,6 +64,22 @@ def test_usage_errors(capsys):
     assert "unknown category 'fukaya3'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["expected-table", "--algebra", "a2"],
+    ["export-category", "delta", "--window", "30"],
+    ["verify-functor", "--file", "f.json", "--homotopy", "generic"],
+], ids=["expected-table-algebra", "export-category-window",
+        "verify-functor-homotopy"])
+def test_commands_refuse_flags_they_do_not_read(argv, capsys):
+    """expected-table, export-category and verify-functor take no
+    --algebra, --backend, --homotopy or --window: passing one is a usage
+    error (exit 2), not a flag silently ignored."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_default_window_follows_the_bounds(tmp_path, capsys):
     """Without --window the window defaults to max(24, 2*degree_max +
     arity_max + 4), so a symbolic scan at degree 8 needs no window."""

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from pia2.linalg import F2, QQ, SparseMatrix, mat_mul, solve
+from pia2.quiver import ModuleMap
 from pia2 import symbols as sym
 from pia2.complexes import (build_resolution, cone, pia2_end_category,
                             a2_end_category, tabulated_contraction,
@@ -68,7 +69,7 @@ def d_matrix_reference(cat, src, tgt, deg):
     """The Hom differential column by column, by module maps: each basis
     map f is composed with the complexes' differentials as module maps,
     d_Y o f - (-1)^deg f o d_X, and each product is put in coordinates by
-    a linear solve.  Shares only the bases and _coordinatize with
+    _coordinatize.  Shares only the bases and _coordinatize with
     EndCategory.d_matrix, which reads the composition constants."""
     field = cat.field
     X, Y = cat.complexes[src], cat.complexes[tgt]
@@ -112,6 +113,20 @@ def compose_reference(cat, g, f):
 
 def _typed(coeffs):
     return {k: (v, type(v)) for k, v in coeffs.items()}
+
+
+@pytest.mark.parametrize("field", [F2, QQ], ids=["f2", "q"])
+def test_coordinatize_refuses_a_map_outside_the_span(field):
+    """A module map's coordinates are its entries at the basis maps' free
+    slots.  The non-natural map P1 -> P1 that is one at vertex 1 and zero
+    at vertex 2 is zero at the free slot of End(P1)'s one basis map, so
+    only the give-back check can refuse it."""
+    cat = pia2_end_category(8, field)
+    p1 = cat.complexes["P1"].reps[0]
+    one, zero = SparseMatrix.identity(1, field), SparseMatrix.zero(1, 1, field)
+    assert cat._coordinatize(p1, p1, ModuleMap(p1, p1, {1: one, 2: one})) == [(0, 1)]
+    with pytest.raises(ValueError, match="not in the hom-space span"):
+        cat._coordinatize(p1, p1, ModuleMap(p1, p1, {1: one, 2: zero}))
 
 
 @pytest.mark.parametrize("field", [F2, QQ], ids=["f2", "q"])
@@ -517,8 +532,11 @@ def test_hom_homology_dims_and_window_stability():
             {0: 1, 1: 0, 2: 0, 3: 0}
 
 
-def test_cone_of_zero_identity_and_random_cycles():
-    cat = pia2_end_category(8, F2)
+@pytest.mark.parametrize("field", [F2, QQ], ids=["f2", "q"])
+def test_cone_of_zero_identity_and_random_cycles(field):
+    """Over Q the cone's -d_X block carries a sign that F2 cannot see: with
+    +d_X the identity cones of S1 and S2 fail d^2 = 0."""
+    cat = pia2_end_category(8, field)
     # cone of the zero map: block diagonal differential, d^2 = 0
     zero = cat.zero_elem("S1", "S2", 0)
     c0 = cone(zero)
@@ -542,13 +560,14 @@ def test_cone_of_zero_identity_and_random_cycles():
         assert c.check_d_squared()
         count += 1
     # a non-cycle is rejected
-    bad = HomElement(cat, "S1", "S1", 0, {(-3, 0): F2.one})
+    bad = HomElement(cat, "S1", "S1", 0, {(-3, 0): field.one})
     with pytest.raises(ValueError):
         cone(bad)
 
 
 def random_cycle(cat, src, tgt, rng):
-    """A random exact cycle of degree zero in the windowed Hom complex."""
+    """A random exact cycle of degree zero in the windowed Hom complex: the
+    sum of a random subset of the kernel vectors of d."""
     from pia2.linalg import rref
     mat = cat.d_matrix(src, tgt, 0)
     _rk, _piv, kernel = rref(mat)
@@ -559,8 +578,7 @@ def random_cycle(cat, src, tgt, rng):
     for vec in kernel:
         if rng.random() < 0.5:
             for j, v in vec.items():
-                key = basis[j]
-                coeffs[key] = F2.add(coeffs.get(key, 0), v)
+                cat.field.accumulate(coeffs, basis[j], v)
     elem = HomElement(cat, src, tgt, 0, coeffs)
     if elem.is_zero():
         return None
