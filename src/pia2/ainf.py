@@ -292,22 +292,24 @@ def _walk_order(by_source):
 
 
 def composable_tuples(cat, d_max, degree_max):
-    """Identity-free composable tuples (f_d, ..., f_1), d <= d_max."""
+    """Identity-free composable tuples (f_d, ..., f_1), 2 <= d <= d_max.
+
+    The order is a depth-first walk: by the start object's rank (objects
+    sorted), then by each map's position among the maps out of its
+    source, from f_1 on, and a walk comes before its extensions.
+    _walk_order is the sort key of this order.  One stack of (tuple,
+    target) pairs holds the walk; children are pushed in reverse so that
+    they pop in hom_basis order, and a tuple grows at the front."""
     by_source = _by_source(cat, degree_max)
-
-    def extend(chain, tgt):
-        if len(chain) >= 2:
-            yield tuple(reversed(chain))
-        if len(chain) == d_max:
-            return
-        for s, y in by_source.get(tgt, ()):
-            chain.append(s)
-            yield from extend(chain, y)
-            chain.pop()
-
+    reverse = {x: maps[::-1] for x, maps in by_source.items()}
     for x in sorted(by_source):
-        for s, y in by_source[x]:
-            yield from extend([s], y)
+        stack = [((s,), y) for s, y in reverse[x]]
+        while stack:
+            t, y = stack.pop()
+            if len(t) >= 2:
+                yield t
+            if len(t) < d_max:
+                stack += [((s,) + t, z) for s, z in reverse.get(y, ())]
 
 
 def count_composable_tuples(cat, d_max, degree_max):

@@ -44,9 +44,21 @@ def _add_instance(p):
 
 def _add_common(p):
     p.add_argument("--field", choices=("f2", "q"), default="f2")
-    p.add_argument("--arity-max", type=int, default=4)
-    p.add_argument("--degree-max", type=int, default=4)
+    p.add_argument("--arity-max", type=_at_least(2), default=4)
+    p.add_argument("--degree-max", type=_at_least(0), default=4)
     p.add_argument("--output", default=None)
+
+
+def _at_least(least):
+    """An argparse type: an int no smaller than least, so that a bound no
+    operation or tuple lies within is a usage error (exit 2)."""
+    def parse(text):
+        n = int(text)
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        return n
+    parse.__name__ = "int"    # argparse's "invalid int value" for a non-integer
+    return parse
 
 
 def _check_window(args, parser):

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from pia2.linalg import F2
+from pia2.linalg import F2, QQ
 from pia2 import symbols as sym
 from pia2.table import diff_tables
 from pia2.trees import enumerate_trees, catalan
@@ -24,7 +24,7 @@ from pia2.complexes import (pia2_end_category, a2_end_category,
                             tabulated_contraction, generic_contraction,
                             a2_class_names, realize_ext_symbol,
                             realize_h_symbol, contraction_audit, HomElement,
-                            cone)
+                            cone, build_contraction)
 from pia2.ainf import (stasheff_check, kappa_symmetry_check,
                        expected_table, m2_reference_table, insertion_tuples)
 from pia2.functors import pi_category, builtin_functors, verify_functor
@@ -225,6 +225,61 @@ def test_criterion_4_stasheff_at_9_8():
     report(4, f"quadratic relations hold for d <= 9, per-input degree <= 8 "
               f"({rep['evaluated']} of {rep['checked']} tuples evaluated, "
               f"outer table closed at degree {top})", time.time() - t0)
+
+
+def test_criterion_4_stasheff_at_11_10():
+    """The relations at arity <= 11 and degree <= 10, on Pi's table at the
+    same bounds: 304,568,294,658 composable tuples covered, 8,464 of them
+    evaluated."""
+    t0 = time.time()
+    sb = SymbolicBackend()
+    ev = TransferEvaluator(sb)
+    pi = pi_category(compute_operation_table(11, 10, sb, evaluator=ev), ev)
+    rep = stasheff_check(pi, 11, 10)
+    assert rep["status"] == "pass", rep["violations"][:3]
+    assert rep["checked"] == 304_568_294_658
+    assert rep["evaluated"] == 8_464
+    report(4, f"quadratic relations hold for d <= 11, per-input degree <= 10 "
+              f"({rep['evaluated']} of {rep['checked']} tuples evaluated)",
+           time.time() - t0)
+
+
+def _matrix_table(field, homotopy, arity_max, degree_max, window):
+    cat, con = build_contraction(window, homotopy, field)
+    return compute_operation_table(arity_max, degree_max,
+                                   MatrixBackend.for_pia2(cat, con, degree_max))
+
+
+def _assert_same_entries(a, b):
+    rep = diff_tables(a, b)
+    assert rep["identical"], {k: v[:4] for k, v in rep.items() if v and k != "identical"}
+
+
+def test_criterion_1_backends_agree_at_9_8_over_f2():
+    """The tabulated and the generic homotopy on the matrix backend and
+    the symbolic backend give the same F2 table at (9,8), window 29:
+    keys, outputs and coefficients."""
+    t0 = time.time()
+    symbolic = compute_operation_table(9, 8, SymbolicBackend())
+    assert len(symbolic) == 354
+    for homotopy in ("paper", "generic"):
+        _assert_same_entries(_matrix_table(F2, homotopy, 9, 8, 29), symbolic)
+    report(1, f"tabulated F2 = generic F2 = symbolic at arity <= 9, degree <= 8 "
+              f"({len(symbolic)} operations)", time.time() - t0)
+
+
+def test_criterion_1_homotopies_agree_at_9_8_over_q():
+    """Over Q the tabulated and the generic homotopy give the same table
+    at (9,8), window 29, signs included; the symbolic backend carries F2
+    coefficients only."""
+    t0 = time.time()
+    tabulated = _matrix_table(QQ, "paper", 9, 8, 29)
+    generic = _matrix_table(QQ, "generic", 9, 8, 29)
+    _assert_same_entries(tabulated, generic)
+    assert len(tabulated) == 354
+    assert any(str(e["coeff"]) == "-1" for e in tabulated.entries.values())
+    report(1, f"tabulated Q = generic Q at arity <= 9, degree <= 8 "
+              f"({len(tabulated)} operations)", time.time() - t0)
 
 
 def test_criterion_5_contraction_audit():

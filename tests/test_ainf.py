@@ -9,9 +9,10 @@ from pia2.transfer import SymbolicBackend, TransferEvaluator, compute_operation_
 from pia2.ainf import (AInfCategory, stasheff_check, unitality_check,
                        kappa_symmetry_check, classification_check,
                        expected_table, sign_exponent, composable_tuples,
-                       count_composable_tuples, insertion_tuples)
+                       count_composable_tuples, insertion_tuples,
+                       _by_source, _walk_order)
 from pia2.functors import (pi_category, build_delta, build_fukaya,
-                           build_pi_prime, build_pi_simple)
+                           build_pants, build_pi_prime, build_pi_simple)
 
 
 def make_pi(arity=6, degree=4):
@@ -326,6 +327,71 @@ def test_restriction_to_simples_is_formal():
     pi = make_pi(7, 4)
     sub = pi.table.restrict_objects({"S1", "S2"})
     assert set(sub.arities()) == {2}
+
+
+def composable_tuples_recursive(cat, d_max, degree_max):
+    """A frozen copy of the recursive walk composable_tuples replaced: the
+    oracle for its order.  Each tuple is built from a chain of maps f_1,
+    f_2, ... and passed up one nested generator per map."""
+    by_source = _by_source(cat, degree_max)
+
+    def extend(chain, tgt):
+        if len(chain) >= 2:
+            yield tuple(reversed(chain))
+        if len(chain) == d_max:
+            return
+        for s, y in by_source.get(tgt, ()):
+            chain.append(s)
+            yield from extend(chain, y)
+            chain.pop()
+
+    for x in sorted(by_source):
+        for s, y in by_source[x]:
+            yield from extend([s], y)
+
+
+def _pi_walk_cases():
+    """Pi as the benchmark builds it, tables at (6,4) and (6,6), walked on
+    the grid (2..6) x (0..6): its hom bases do not depend on the table, so
+    the grid is walked once, on the (6,6) table, and the benchmark's walks
+    (6,4) and (5,6) each on the table it reads them from."""
+    pi64, pi66 = make_pi(6, 4), make_pi(6, 6)
+    yield pi64, 6, 4
+    yield pi66, 5, 6
+    for d_max in range(2, 7):
+        for degree_max in range(7):
+            yield pi66, d_max, degree_max
+
+
+def _other_walk_cases():
+    pi = make_pi(4, 4)
+    yield build_pi_simple(), 4, 4
+    yield build_delta(), 5, 1
+    yield build_pi_prime(pi), 4, 2
+    yield build_pants(4, pi_table=pi.table), 4, 4
+
+
+def test_walk_matches_recursive_oracle():
+    """The explicit-stack walk yields the recursive walk's tuples in the
+    same order; its length is the walk count, and _walk_order sorts the
+    insertion tuples into the order the walk meets them."""
+    for cat, d_max, degree_max in list(_pi_walk_cases()) + list(_other_walk_cases()):
+        walk = list(composable_tuples(cat, d_max, degree_max))
+        assert walk == list(composable_tuples_recursive(cat, d_max, degree_max)), \
+            (cat.name, d_max, degree_max)
+        assert len(walk) == count_composable_tuples(cat, d_max, degree_max)
+        _ops, insertions = insertion_tuples(cat, d_max, degree_max)
+        order = _walk_order(_by_source(cat, degree_max))
+        assert sorted(insertions, key=order) == [t for t in walk if t in insertions]
+
+
+def test_walk_below_arity_two_yields_nothing():
+    """No tuple has fewer than two maps: the walk yields nothing and the
+    count agrees.  The recursive walk never stopped below d_max = 1."""
+    for cat in (make_pi(4, 2), build_delta()):
+        for d_max in (-1, 0, 1):
+            assert list(composable_tuples(cat, d_max, 2)) == []
+            assert count_composable_tuples(cat, d_max, 2) == 0
 
 
 def test_composable_tuples_are_composable_and_identity_free():

@@ -211,6 +211,48 @@ def test_verify_usage_errors(argv, message, monkeypatch, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["minimal-model", "--arity-max", "0"], "--arity-max: must be at least 2, got 0"),
+    (["minimal-model", "--degree-max", "-2"], "--degree-max: must be at least 0, got -2"),
+    (["expected-table", "--arity-max", "0"], "--arity-max: must be at least 2, got 0"),
+    (["verify", "--which", "stasheff", "--arity-max", "0"],
+     "--arity-max: must be at least 2, got 0"),
+    (["verify", "--which", "contraction", "--arity-max", "-5"],
+     "--arity-max: must be at least 2, got -5"),
+    (["export-category", "delta", "--arity-max", "1"],
+     "--arity-max: must be at least 2, got 1"),
+    (["verify-functor", "--file", "f.json", "--degree-max", "-1"],
+     "--degree-max: must be at least 0, got -1"),
+    (["minimal-model", "--arity-max", "x"], "--arity-max: invalid int value: 'x'"),
+], ids=["minimal-model-arity-0", "minimal-model-degree-neg", "expected-table-arity-0",
+        "verify-stasheff-arity-0", "verify-contraction-arity-neg",
+        "export-category-arity-1", "verify-functor-degree-neg", "not-an-int"])
+def test_bounds_below_their_least_are_usage_errors(argv, message, monkeypatch, capsys):
+    """An arity bound below 2 or a degree bound below 0 holds no operation
+    and no tuple: every command that takes the bounds refuses it (exit 2)
+    before it computes anything, where it used to write an empty table,
+    report a check over nothing or fail with a traceback."""
+    from pia2 import cli
+
+    def no_work(*_a, **_k):
+        raise AssertionError("work was done")
+
+    for name in ("compute_operation_table", "expected_table", "contraction_audit"):
+        monkeypatch.setattr(cli, name, no_work)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_least_bounds_are_accepted(tmp_path, capsys):
+    out = tmp_path / "e.json"
+    code, _o, _e = run(["expected-table", "--arity-max", "2", "--degree-max", "0",
+                        "--output", str(out)], capsys)
+    assert code == 0
+    assert json.loads(out.read_text())["entries"]
+
+
 def test_export_pi_prime_is_refused_by_name(monkeypatch, capsys):
     """pi-prime is refused before Pi's table is computed."""
     from pia2 import cli

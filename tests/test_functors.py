@@ -155,6 +155,9 @@ def test_functor_report_that_checked_nothing_fails():
     rep = verify_functor(iota1, 1, 4)
     assert rep["checked"] == 0 and not rep["violations"]
     assert rep["status"] == "fail"
+    # the exhaustive walk below arity 2 is empty too: the same report
+    for arity_max in (0, 1):
+        assert verify_functor(iota1, arity_max, 4, exhaustive=True) == rep
 
 
 def test_support_scan_matches_exhaustive():
