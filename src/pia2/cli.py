@@ -83,8 +83,6 @@ def _make_backend(args, parser):
     if args.backend == "symbolic":
         return SymbolicBackend(field_by_name(args.field))
     cat, con = _contraction(args, parser)
-    if args.algebra == "a2":
-        return MatrixBackend.for_classes(cat, con, max(args.degree_max, 1))
     return MatrixBackend.for_pia2(cat, con, args.degree_max)
 
 
@@ -295,11 +293,7 @@ def main(argv=None):
     p.set_defaults(func=cmd_verify_functor)
 
     args = parser.parse_args(argv)
-    try:
-        return args.func(args, parser)
-    except ResourceWarning as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return args.func(args, parser)
 
 
 if __name__ == "__main__":

@@ -791,15 +791,17 @@ class GenericContraction:
         return data
 
     def classes(self, src, tgt, deg):
-        data = self._decompose(src, tgt)
-        if deg not in data:
+        """The class names of a degree: the expected ones where class_names
+        lists the degree, read without decomposing the hom pair, and
+        otherwise e(src->tgt)^deg_k for each computed class."""
+        if not self.deg_lo <= deg <= self.deg_hi:
             return []
         names = None if self.class_names is None else \
             self.class_names.get((src, tgt, deg))
         if names is not None:
             return list(names)
         return [f"e({src}->{tgt})^{deg}_{k}"
-                for k in range(data[deg]["n_true"])]
+                for k in range(self._decompose(src, tgt)[deg]["n_true"])]
 
     def include(self, src, tgt, deg, name):
         data = self._decompose(src, tgt)[deg]

@@ -7,8 +7,10 @@ verify_functor checks the strict functor equation
 
     m^D(F1 f_d, ..., F1 f_1) = F1(m^C(f_d, ..., f_1))
 
-on every composable identity-free source tuple within bounds (all
-built-in functors have vanishing higher components).
+on every composable identity-free source tuple within bounds.  A functor
+here is strict: it has a linear component F1 and no higher components
+(F^d = 0 for d >= 2), and a description that states higher components is
+refused.
 """
 
 from itertools import product as iproduct
@@ -16,7 +18,7 @@ from itertools import product as iproduct
 from .linalg import F2
 from .table import OperationTable
 from .ainf import AInfCategory
-from .transfer import SymbolicBackend, compute_operation_table
+from .transfer import compute_operation_table
 from . import symbols as sym
 
 
@@ -76,16 +78,14 @@ def build_fukaya(n, grading, field=F2, name=None, object_names=None,
 # ---------------------------------------------------------------------------
 # the preprojective category and its simple-objects subcategory
 
-def pi_category(table, evaluator=None, field=F2):
-    """Wrap a computed preprojective table.  With an evaluator, operations
-    past the table's bounds come from its closure, a chart scan at the
-    wider bounds that reuses the evaluator's slice memo, so that point
-    queries and relation checks see the genuine structure."""
-    closure = None
-    if evaluator is not None:
-        def closure(arity_max, degree_max):
-            return compute_operation_table(arity_max, degree_max,
-                                           evaluator.backend, evaluator=evaluator)
+def pi_category(table, evaluator, field=F2):
+    """Wrap a computed preprojective table with the evaluator that built
+    it.  Operations past the table's bounds come from its closure, a chart
+    scan at the wider bounds that reuses the evaluator's slice memo, so
+    that point queries and relation checks see the genuine structure."""
+    def closure(arity_max, degree_max):
+        return compute_operation_table(arity_max, degree_max,
+                                       evaluator.backend, evaluator=evaluator)
 
     return AInfCategory("Pi", list(sym.OBJECTS), sym.hom_names, table,
                         {o: f"1_{o}" for o in sym.OBJECTS}, field,
@@ -352,7 +352,7 @@ def g_inverse_dictionary():
     return inv
 
 
-def build_pants(degree_max, pi_table=None, field=F2):
+def build_pants(degree_max, pi_table, field=F2):
     """The wrapped-pants generating category: three objects, loop algebras
     k[x_i, y_i]/(x_i y_i), connecting arrows composing by the wheel rule,
     and the triangle products m_3(u,u,u) = 1 = m_3(v,v,v) in all three
@@ -360,9 +360,10 @@ def build_pants(degree_max, pi_table=None, field=F2):
 
     Higher operations extend the six triangle identities exactly as the
     preprojective operations extend the basic triangles: they are obtained
-    by pulling the preprojective table back along the morphism dictionary
-    (tuples meeting the dictionary's kernel carry no operations).  The two
-    rotations valued at the identity of X2 are stored as written.
+    by pulling the preprojective table pi_table back along the morphism
+    dictionary (tuples meeting the dictionary's kernel carry no
+    operations).  The two rotations valued at the identity of X2 are
+    stored as written.
     """
     if degree_max < 1:
         raise ValueError("need degree bound >= 1")
@@ -395,8 +396,6 @@ def build_pants(degree_max, pi_table=None, field=F2):
 
     # higher operations: pull the preprojective table back along the
     # dictionary
-    if pi_table is None:
-        pi_table = compute_operation_table(9, degree_max, SymbolicBackend())
     inv = g_inverse_dictionary()
     skipped_blocks = []
     for key, v in pi_table.entries.items():
@@ -436,18 +435,14 @@ def build_pants(degree_max, pi_table=None, field=F2):
 
 class AInfFunctorData:
     """A strict functor description: object map plus the linear component
-    on basis symbols (higher components vanish for every built-in)."""
+    on basis symbols.  It has no higher components: F^d = 0 for d >= 2."""
 
-    def __init__(self, name, source, target, object_map, f1, higher=None):
+    def __init__(self, name, source, target, object_map, f1):
         self.name = name
         self.source = source
         self.target = target
         self.object_map = dict(object_map)
         self.f1 = dict(f1)  # source symbol -> target symbol string or None
-        self.higher = dict(higher or {})
-        if self.higher:
-            raise NotImplementedError("only strict functors (F^d = 0, d >= 2) "
-                                      "are supported")
 
     def image(self, s):
         """F1 on a basis symbol; None encodes zero."""
@@ -473,8 +468,7 @@ class AInfFunctorData:
                 "source": self.source.name, "target": self.target.name,
                 "object_map": dict(sorted(self.object_map.items())),
                 "F1": [{"from": k, "to": v if v is not None else "0"}
-                       for k, v in sorted(self.f1.items())],
-                "higher": []}
+                       for k, v in sorted(self.f1.items())]}
 
 
 def verify_functor(functor, arity_max, degree_max, exhaustive=False):
@@ -633,9 +627,10 @@ def builtin_functors(pi_cat, degree_max=4, field=F2):
 
 def functor_from_json(doc, categories):
     """Build functor data from the JSON schema {source, target, object_map,
-    F1: [{from, to}], higher: []}; categories maps names to instances.
-    A malformed description (a missing key, an unknown category, object or
-    symbol) raises ValueError."""
+    F1: [{from, to}]}; categories maps names to instances.  A malformed
+    description (a missing key, an unknown category, object or symbol)
+    raises ValueError, and so does a non-empty "higher": only strict
+    functors are supported, so "higher" may be absent or []."""
     if not isinstance(doc, dict):
         raise ValueError("a functor description is a JSON object")
     missing = [k for k in ("source", "target", "object_map", "F1") if k not in doc]

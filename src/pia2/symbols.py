@@ -243,14 +243,6 @@ def kappa_h(h):
     return ("h", kind, other(i), n)
 
 
-def h_to_str(h):
-    _, kind, i, n = h
-    o = other(i)
-    name = {"ss": f"h(S{i},S{i})", "sn": f"h(S{i},S{o})", "sp": f"h(S{i},P{i})",
-            "pn_t": f"h(S{i},P{o})", "ps": f"h(P{i},S{i})", "pn_s": f"h(P{o},S{i})"}[kind]
-    return f"{name}^{n}"
-
-
 def is_h(x):
     return isinstance(x, tuple) and x[0] == "h"
 
@@ -545,41 +537,7 @@ def product_class(a, b):
 
 
 # ---------------------------------------------------------------------------
-# documentation dump
-
-def dump_tables(n_max=3):
-    """All mu/h_apply entries with parameters <= n_max, as JSON-able dicts."""
-    entries = []
-    for a, b in _composable_pairs(n_max):
-        r = mu(a, b)
-        if r is ZERO:
-            continue
-        entries.append({
-            "left": _name(a), "right": _name(b),
-            "mu": _result_name(r),
-            "H": _name(h_apply(r)) if h_apply(r) is not ZERO else "0",
-            "p": _name(p_apply(r)) if p_apply(r) is not ZERO else "0",
-        })
-    return entries
-
-
-def _name(x):
-    if x is ZERO:
-        return "0"
-    return h_to_str(x) if is_h(x) else ext_to_str(x)
-
-
-def _result_name(r):
-    if r is ZERO:
-        return "0"
-    if r[0] == "E":
-        return "class " + ext_to_str(r[1])
-    if r[0] == "B":
-        return "boundary -> " + h_to_str(r[1])
-    if r[0] == "N":
-        return f"noncycle {r[1]}{list(r[2])}"
-    return str(r)
-
+# enumerations of the grammar's symbols
 
 def all_ext_symbols(degree_max, include_identities=False):
     out = []

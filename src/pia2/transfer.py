@@ -27,8 +27,8 @@ Both backends scan, take as leaves and output Ext basis symbols by their
 canonical strings, so slice keys, table keys and outputs are strings from
 the scan to the JSON.  A scan symbol's source, target and degree come
 from one place: the symbols table (`symbols.SYMBOLS`) for the symbolic
-backend, and for the matrix backend the dict of its class names that
-`for_pia2`/`for_classes` build.
+backend, and for the matrix backend the dict that `for_pia2` reads off
+its contraction's classes.
 
 The same split makes table scans output-sensitive: a slice, or an input
 tuple of m_d, is nonzero only if some cut splits it into two parts that
@@ -164,16 +164,16 @@ class MatrixBackend:
 
     @classmethod
     def for_pia2(cls, cat, contraction, degree_max=None):
-        degree_max = degree_max if degree_max is not None else cat.window - 4
+        """The backend whose symbols are the contraction's classes of
+        degree 0..degree_max (default window - 4) between the category's
+        objects; it serves the A2 instance as well as the preprojective
+        one."""
+        if degree_max is None:
+            degree_max = cat.window - 4
+        objs = sorted(cat.complexes)
         return cls(cat, contraction, {
-            s: sym.SYMBOLS[s][1:] for x in sym.OBJECTS for y in sym.OBJECTS
-            for s in sym.hom_names(x, y, degree_max)})
-
-    @classmethod
-    def for_classes(cls, cat, contraction, deg_max):
-        return cls(cat, contraction, {
-            name: (src, tgt, deg) for src in sorted(cat.complexes)
-            for tgt in sorted(cat.complexes) for deg in range(0, deg_max + 1)
+            name: (src, tgt, deg) for src in objs for tgt in objs
+            for deg in range(degree_max + 1)
             for name in contraction.classes(src, tgt, deg)})
 
     # symbols -------------------------------------------------------------
@@ -406,12 +406,6 @@ class TransferEvaluator:
         return total
 
 
-def transfer_mn(inputs, backend, evaluator=None):
-    """Sum over all planar rooted binary shapes (interval table of slices)."""
-    ev = evaluator or TransferEvaluator(backend)
-    return ev.transfer(inputs)
-
-
 def transfer_mn_by_trees(inputs, backend):
     """Reference evaluation shape by shape (the literal tree sum)."""
     field = backend.field
@@ -423,11 +417,10 @@ def transfer_mn_by_trees(inputs, backend):
     return total
 
 
-def compute_operation_table(arity_max, degree_max, backend, max_tuples=None,
-                            evaluator=None):
-    """Evaluate transfer_mn over the composable identity-free tuples with
-    arity <= arity_max and per-input degree <= degree_max; only nonzero
-    operations are stored.
+def compute_operation_table(arity_max, degree_max, backend, evaluator=None):
+    """Evaluate m_d (`TransferEvaluator.transfer`) over the composable
+    identity-free tuples with arity <= arity_max and per-input degree
+    <= degree_max; only nonzero operations are stored.
 
     A tuple (f_d, ..., f_1) is visited only if some cut splits it into a
     prefix P and a suffix Q that are each a leaf or a nonzero slice, with
@@ -435,9 +428,8 @@ def compute_operation_table(arity_max, degree_max, backend, max_tuples=None,
     zero: m_d and the slice value A both sum over root cuts, and each term
     has a zero factor.  Candidates are built by length, from the nonzero
     slices of the shorter lengths, so the cost follows the support rather
-    than the number of composable tuples.  max_tuples bounds the number of
-    candidates evaluated.  Deterministic: entries are inserted in
-    (arity, key) order.
+    than the number of composable tuples.  Deterministic: entries are
+    inserted in (arity, key) order.
     """
     if arity_max < 1:
         raise ValueError("arity bound must be at least 1")
@@ -466,7 +458,6 @@ def compute_operation_table(arity_max, degree_max, backend, max_tuples=None,
     nonzero = {1: {}}
     for s in leaves:
         nonzero[1].setdefault(backend.tgt(s), []).append((s,))
-    evaluated = 0
     for k in range(2, arity_max + 1):
         candidates = set()
         for i in range(1, k):
@@ -475,9 +466,6 @@ def compute_operation_table(arity_max, degree_max, backend, max_tuples=None,
                 for p in group:
                     for q in suffixes.get(backend.src(p[-1]), ()):
                         candidates.add(p + q)
-        evaluated += len(candidates)
-        if max_tuples is not None and evaluated > max_tuples:
-            raise ResourceWarning("tuple budget exceeded")
         grown = {}
         for inputs in sorted(candidates):
             # one fill per candidate; below arity_max it memoizes the

@@ -359,7 +359,7 @@ def test_criterion_6_a2_oracle():
     t0 = time.time()
     cat = a2_end_category(F2)
     con = generic_contraction(cat, -4, 4, a2_class_names())
-    mb = MatrixBackend.for_classes(cat, con, 2)
+    mb = MatrixBackend.for_pia2(cat, con, 2)
     table = compute_operation_table(6, 2, mb)
     entries = {k: (v["coeff"], v["output"]) for k, v in table.entries.items()}
     # exactly the triangle category: identity triple products, nothing else

@@ -408,6 +408,19 @@ def test_verify_functor_rejects_pants_symbol_past_its_bound(tmp_path, capsys):
     assert "unknown source symbol 'x0^9'" in capsys.readouterr().err
 
 
+def test_verify_functor_rejects_higher_components(tmp_path, capsys):
+    """Only strict functors are supported: a file whose "higher" states a
+    component is a usage error (exit 2), where "higher": [] passes."""
+    doc = dict(IOTA1, higher=[{"from": ["beta", "alpha"], "to": "0"}])
+    fd = tmp_path / "functor.json"
+    fd.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-functor", "--file", str(fd), "--arity-max", "3",
+              "--degree-max", "2"])
+    assert exc.value.code == 2
+    assert "only strict functors" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("category, flags, message", [
     ("pi", ["--field", "q"], "the symbolic tables carry F2 coefficients"),
     ("fukaya3:0,0,0", [], "gradings must sum to n - 2"),

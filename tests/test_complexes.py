@@ -11,6 +11,7 @@ from pia2.complexes import (build_resolution, cone, pia2_end_category,
                             realize_ext_symbol, realize_h_symbol,
                             build_contraction, contraction_audit, HomElement,
                             EndCategory, TabulatedContraction, _Span)
+from pia2.transfer import MatrixBackend
 
 
 def test_build_resolution_pattern():
@@ -690,6 +691,25 @@ def test_a2_category_and_classes():
     assert con.classes("P", "S1", 0) == ["g"]
     assert con.classes("S1", "S2", 1) == ["h"]
     assert con.classes("S2", "S2", 0) == ["1_S2"]
+
+
+def test_for_pia2_reads_classes_without_decomposing():
+    """The matrix backend's symbols are its contraction's classes: on the
+    preprojective instance both contractions give the symbols table's
+    entries.  Where the expected names list a degree, the generic
+    contraction answers without decomposing a hom pair, so building the
+    backend solves nothing; a degree above window - 4 lists no names, is
+    decomposed, and its classes are auto-named."""
+    want = {s: sym.SYMBOLS[s][1:] for x in sym.OBJECTS for y in sym.OBJECTS
+            for s in sym.hom_names(x, y, 4)}
+    cat = pia2_end_category(10, F2)
+    assert MatrixBackend.for_pia2(cat, tabulated_contraction(cat), 4).symbols == want
+    con = generic_contraction(cat)
+    assert MatrixBackend.for_pia2(cat, con, 4).symbols == want
+    assert con._split == {}
+    assert con.classes("S1", "S1", 8) == ["e(S1->S1)^8_0"]
+    assert con.classes("S1", "S2", 7) == ["e(S1->S2)^7_0"]
+    assert set(con._split) == {("S1", "S1"), ("S1", "S2")}
 
 
 def test_chain_map_json_export():

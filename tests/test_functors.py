@@ -231,8 +231,6 @@ def test_functor_json_roundtrip():
     back = functor_from_json(json.loads(json.dumps(doc)),
                              {"delta": delta, "Pi": pi})
     assert verify_functor(back, 5, 3)["status"] == "pass"
-    with pytest.raises(NotImplementedError):
-        AInfFunctorData("bad", delta, pi, {}, {}, higher={2: "x"})
 
 
 def test_functor_undefined_component():

@@ -152,10 +152,3 @@ def test_kappa_equivariance_and_degree_additivity():
                 assert sym.h_degree(r[1]) == \
                     sym.elem_degree(a) + sym.elem_degree(b) - 1
 
-
-def test_dump_tables():
-    entries = sym.dump_tables(1)
-    assert entries
-    assert all({"left", "right", "mu", "H", "p"} <= set(e) for e in entries)
-    names = {(e["left"], e["right"]): e for e in entries}
-    assert names[("p1", "j1")]["H"] == "h(S1,S2)^0"

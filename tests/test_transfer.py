@@ -3,7 +3,7 @@ import pytest
 from pia2.linalg import F2, QQ
 from pia2 import symbols as sym
 from pia2.transfer import (SymbolicBackend, MatrixBackend, TransferEvaluator,
-                           transfer_mn, transfer_mn_by_trees, evaluate_tree,
+                           transfer_mn_by_trees, evaluate_tree,
                            compute_operation_table)
 from pia2.table import OperationTable
 from pia2.trees import enumerate_trees
@@ -25,7 +25,7 @@ AL, BE = G(1, 0), G(2, 0)
 
 
 def m(*inputs):
-    return transfer_mn(inputs, SymbolicBackend())
+    return TransferEvaluator(SymbolicBackend()).transfer(inputs)
 
 
 def test_m2_matches_composition():
@@ -123,7 +123,7 @@ def test_tree_sum_equals_slice_recursion():
         (BE, AL, BE, AL),
     ]
     for tup in tuples:
-        assert transfer_mn(tup, sb) == transfer_mn_by_trees(tup, sb)
+        assert TransferEvaluator(sb).transfer(tup) == transfer_mn_by_trees(tup, sb)
 
 
 def test_symbolic_backend_rejects_q():
@@ -184,7 +184,7 @@ def _pia2_matrix(field, contraction):
 
 def _a2_matrix():
     cat = a2_end_category(F2)
-    return MatrixBackend.for_classes(
+    return MatrixBackend.for_pia2(
         cat, generic_contraction(cat, -4, 4, a2_class_names()), 2)
 
 
@@ -211,12 +211,6 @@ def test_scan_inserts_entries_in_arity_key_order():
     t = compute_operation_table(6, 6, SymbolicBackend())
     assert len(t.arities()) == 5
     assert list(t.entries) == sorted(t.entries, key=lambda k: (len(k), k))
-
-
-def test_tuple_budget():
-    sb = SymbolicBackend()
-    with pytest.raises(ResourceWarning):
-        compute_operation_table(4, 4, sb, max_tuples=10)
 
 
 def test_matrix_backend_agreement():
@@ -277,7 +271,7 @@ def test_generic_homotopy_reproduces_compositions():
 def test_a2_minimal_model_is_the_triangle_category():
     cat = a2_end_category(F2)
     con = generic_contraction(cat, -4, 4, a2_class_names())
-    mb = MatrixBackend.for_classes(cat, con, 2)
+    mb = MatrixBackend.for_pia2(cat, con, 2)
     table = compute_operation_table(5, 2, mb)
     entries = {k: (str(v["coeff"]), v["output"]) for k, v in table.entries.items()}
     assert entries == {
