@@ -25,31 +25,34 @@ from . import symbols as sym
 
 
 class AInfCategory:
-    """Objects + graded hom basis + operation table + units.
+    """Objects + graded hom basis + operation table.
 
     A basis symbol is a string, and `symbols` maps each symbol the
     category has to its (source, target, degree): the one place the
-    category, its checks and the functors read a symbol's facts."""
+    category, its checks and the functors read a symbol's facts.  Every
+    object x has the unit 1_x of degree 0: `units` maps x to it, and its
+    record (x, x, 0) is written into `symbols` here."""
 
-    def __init__(self, name, objects, hom_basis, table, units, field=F2, *,
+    def __init__(self, name, objects, hom_basis, table, field=F2, *,
                  symbols, closure=None):
-        """hom_basis: callable (x, y, degree_max) -> list of symbol strings;
-        units: {object: unit symbol string}; symbols: a mapping symbol ->
-        (source, target, degree) that holds the units and every listed
-        symbol (a symbol of Pi's grammar is looked up in the symbols table
-        on first use); the table is complete within its metadata bounds,
-        and closure(arity_max, degree_max) -> OperationTable, when given,
-        holds the operations at wider bounds (without it m past the bounds
-        is zero).  A closure's table covers the bounds its metadata
-        states, and a bound stated as None is no bound: a formal
-        category's closure covers every arity."""
+        """hom_basis: callable (x, y, degree_max) -> list of symbol strings,
+        the unit 1_x among those of (x, x); symbols: a mutable mapping
+        symbol -> (source, target, degree) that holds every listed symbol
+        other than the units (a symbol of Pi's grammar is looked up in the
+        symbols table on first use); the table is complete within its
+        metadata bounds, and closure(arity_max, degree_max) ->
+        OperationTable, when given, holds the operations at wider bounds
+        (without it m past the bounds is zero).  A closure's table covers
+        the bounds its metadata states, and a bound stated as None is no
+        bound: a formal category's closure covers every arity."""
         self.name = name
         self.objects = list(objects)
         self._hom_basis = hom_basis
         self.table = table
-        self.units = dict(units)
+        self.units = {x: "1_" + x for x in self.objects}
         self.field = field
-        self._unit_set = set(units.values())
+        self._unit_set = set(self.units.values())
+        symbols.update({u: (x, x, 0) for x, u in self.units.items()})
         self.symbols = symbols
         self._closure = closure
         self._closed = {}     # covered (arity_max, degree_max) -> past-bound operations

@@ -81,7 +81,7 @@ def _contraction(args, parser):
 
 def _make_backend(args, parser):
     if args.backend == "symbolic":
-        return SymbolicBackend(field_by_name(args.field))
+        return SymbolicBackend()
     cat, con = _contraction(args, parser)
     return MatrixBackend.for_pia2(cat, con, args.degree_max)
 
@@ -89,12 +89,13 @@ def _make_backend(args, parser):
 def _pi_category(args):
     """Pi: the symbolic table at arity max(arity_max, 6) and degree_max
     as a category, with its evaluator for points past the table."""
-    field = field_by_name(args.field)
-    sb = SymbolicBackend(field)
+    if args.field != "f2":
+        raise ValueError("the symbolic tables carry F2 coefficients")
+    sb = SymbolicBackend()
     ev = TransferEvaluator(sb)
     table = compute_operation_table(max(args.arity_max, 6), args.degree_max,
                                     sb, evaluator=ev)
-    return pi_category(table, ev, field)
+    return pi_category(table, ev)
 
 
 def _write(doc, path):
@@ -202,8 +203,7 @@ def _build_category(name, args, built):
         return build_fukaya(n, grading, field)
     if name == "pants":
         return build_pants(args.degree_max,
-                           pi_table=_build_category("pi", args, built).table,
-                           field=field)
+                           pi_table=_build_category("pi", args, built).table)
     raise KeyError(name)
 
 

@@ -15,11 +15,23 @@ refused.
 
 from itertools import product as iproduct
 
-from .linalg import F2
+from .linalg import F2, field_by_name
 from .table import OperationTable
 from .ainf import AInfCategory
 from .transfer import compute_operation_table
 from . import symbols as sym
+
+
+def _builtin_table(arity_max, degree_max, field):
+    """An empty table of a built-in category, with its metadata."""
+    return OperationTable({"arity_max": arity_max, "degree_max": degree_max,
+                           "field": field.name, "backend": "builtin",
+                           "window": 0, "homotopy": "paper"})
+
+
+def _objects(symbols, key):
+    """The object chain X0 -> ... -> Xd of a key (f_d, ..., f_1)."""
+    return [symbols[key[-1]][0]] + [symbols[s][1] for s in reversed(key)]
 
 
 # ---------------------------------------------------------------------------
@@ -47,49 +59,40 @@ def build_fukaya(n, grading, field=F2, name=None, object_names=None,
         raise ValueError("gradings must sum to n - 2")
     objs = list(object_names) if object_names else [f"X{i}" for i in range(1, n + 1)]
     maps = list(map_names) if map_names else [f"f{i}" for i in range(1, n + 1)]
-    units = {o: f"1_{o}" for o in objs}
     symbols = {maps[i]: (objs[i], objs[(i + 1) % n], grading[i]) for i in range(n)}
-    symbols.update({u: (o, o, 0) for o, u in units.items()})
 
-    table = OperationTable({"arity_max": n, "degree_max": max(grading),
-                            "field": field.name, "backend": "builtin",
-                            "window": 0, "homotopy": "paper"})
+    table = _builtin_table(n, max(grading), field)
     for i in range(n):
         # rotation based at X_{i+1}: rightmost factor f_{i+1}
         idx = [(i + k) % n for k in range(n)]          # f_{i+1}, f_{i+2}, ...
         inputs = tuple(maps[j] for j in reversed(idx))
-        objects = [symbols[inputs[-1]][0]] + [symbols[s][1] for s in reversed(inputs)]
-        table.add(inputs, objects, field.one, units[objs[i]], 0)
+        table.add(inputs, _objects(symbols, inputs), field.one, "1_" + objs[i], 0)
 
     def hom_basis(x, y, degree_max):
-        out = []
-        if x == y:
-            out.append(units[x])
-        for m in maps:
-            src, tgt, deg = symbols[m]
-            if (src, tgt) == (x, y) and deg <= degree_max:
-                out.append(m)
-        return out
+        units = ["1_" + x] if x == y else []
+        return units + [m for m in maps if symbols[m][:2] == (x, y)
+                        and symbols[m][2] <= degree_max]
 
-    return AInfCategory(name or f"fukaya{n}", objs, hom_basis, table, units,
-                        field, symbols=symbols)
+    return AInfCategory(name or f"fukaya{n}", objs, hom_basis, table, field,
+                        symbols=symbols)
 
 
 # ---------------------------------------------------------------------------
 # the preprojective category and its simple-objects subcategory
 
-def pi_category(table, evaluator, field=F2):
+def pi_category(table, evaluator):
     """Wrap a computed preprojective table with the evaluator that built
-    it.  Operations past the table's bounds come from its closure, a chart
-    scan at the wider bounds that reuses the evaluator's slice memo, so
-    that point queries and relation checks see the genuine structure."""
+    it, over its backend's field.  Operations past the table's bounds come
+    from its closure, a chart scan at the wider bounds that reuses the
+    evaluator's slice memo, so that point queries and relation checks see
+    the genuine structure."""
     def closure(arity_max, degree_max):
         return compute_operation_table(arity_max, degree_max,
                                        evaluator.backend, evaluator=evaluator)
 
     return AInfCategory("Pi", list(sym.OBJECTS), sym.hom_names, table,
-                        {o: f"1_{o}" for o in sym.OBJECTS}, field,
-                        symbols=_PiSymbols(), closure=closure)
+                        evaluator.backend.field, symbols=_PiSymbols(),
+                        closure=closure)
 
 
 class _PiSymbols(dict):
@@ -125,18 +128,14 @@ def build_pi_simple(field=F2, degree_max=12):
     the table holds compositions only, and closing it at a higher degree
     bound builds it again there.  The closure's table states no arity
     bound: it is complete at every arity, so one build serves them all."""
-    table = OperationTable({"arity_max": 2, "degree_max": degree_max,
-                            "field": field.name, "backend": "builtin",
-                            "window": 0, "homotopy": "paper"})
-
+    table = _builtin_table(2, degree_max, field)
     objs = ["S1", "S2"]
-    units = {o: f"1_{o}" for o in objs}
     for x in objs:
         for mid in objs:
             for y in objs:
                 for b in sym.hom_names(x, mid, degree_max):
                     for a in sym.hom_names(mid, y, degree_max):
-                        if a == units[mid] or b == units[x]:
+                        if a == "1_" + mid or b == "1_" + x:
                             continue
                         out = sym.product_class(a, b)
                         if out is None or (a, b) in table:
@@ -149,19 +148,20 @@ def build_pi_simple(field=F2, degree_max=12):
         closed.metadata["arity_max"] = None
         return closed
 
-    return AInfCategory("pi", objs, sym.hom_names, table, units, field,
+    return AInfCategory("pi", objs, sym.hom_names, table, field,
                         symbols=_PiSymbols({o: o for o in objs}), closure=closure)
 
 
 class MatCategory(AInfCategory):
     """Additivization over a direct sum: morphisms are the summand blocks
-    of the underlying category and operations are blockwise; the table is
-    empty, so m past the unit laws comes from the inner category."""
+    of the underlying category and operations are blockwise, over the
+    inner category's field; the table is empty, so m past the unit laws
+    comes from the inner category.  The unit 1_x of a sum x is the formal
+    sum of its block identities, handled structurally like every unit."""
 
-    def __init__(self, name, objects, hom_basis, units, inner, symbols,
-                 field=F2):
-        super().__init__(name, objects, hom_basis, OperationTable({}), units,
-                         field, symbols=symbols)
+    def __init__(self, name, objects, hom_basis, inner, symbols):
+        super().__init__(name, objects, hom_basis, OperationTable({}),
+                         inner.field, symbols=symbols)
         self.inner = inner
 
     def _m_fallback(self, inputs):
@@ -205,11 +205,8 @@ def build_pi_prime(pi_cat):
         return [s for xi in expand[x] for yi in expand[y]
                 for s in sym.hom_names(xi, yi, dmax)]
 
-    units = {"S1": "1_S1", "S2": "1_S2", "P": "1_P"}
     symbols = _PiSymbols({"S1": "S1", "S2": "S2", "P1": "P", "P2": "P"})
-    symbols["1_P"] = ("P", "P", 0)
-    return MatCategory("PiPrime", objs, hom_basis, units, pi_cat, symbols,
-                       pi_cat.field)
+    return MatCategory("PiPrime", objs, hom_basis, pi_cat, symbols)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +349,7 @@ def g_inverse_dictionary():
     return inv
 
 
-def build_pants(degree_max, pi_table, field=F2):
+def build_pants(degree_max, pi_table):
     """The wrapped-pants generating category: three objects, loop algebras
     k[x_i, y_i]/(x_i y_i), connecting arrows composing by the wheel rule,
     and the triangle products m_3(u,u,u) = 1 = m_3(v,v,v) in all three
@@ -362,18 +359,15 @@ def build_pants(degree_max, pi_table, field=F2):
     preprojective operations extend the basic triangles: they are obtained
     by pulling the preprojective table pi_table back along the morphism
     dictionary (tuples meeting the dictionary's kernel carry no
-    operations).  The two rotations valued at the identity of X2 are
-    stored as written.
+    operations), over the field pi_table states.  The two rotations valued
+    at the identity of X2 are stored as written.
     """
     if degree_max < 1:
         raise ValueError("need degree bound >= 1")
     exp_max = degree_max
-    objs = ["X0", "X1", "X2"]
+    field = field_by_name(pi_table.metadata["field"])
     homs = _pants_hom_data(exp_max)
-    units = {o: f"1_{o}" for o in objs}
-    table = OperationTable({"arity_max": 9, "degree_max": degree_max,
-                            "field": field.name, "backend": "builtin",
-                            "window": 0, "homotopy": "paper"})
+    table = _builtin_table(9, degree_max, field)
 
     symbols = {s: (x, y, pants_degree(s)) for (x, y), syms in homs.items()
                for s in syms}
@@ -413,18 +407,16 @@ def build_pants(degree_max, pi_table, field=F2):
             continue
         if any(pants_degree(p) > degree_max for p in pre):
             continue
-        objects = [symbols[pre[-1]][0]] + [symbols[s][1] for s in reversed(pre)]
-        table.add(tuple(pre), objects, v["coeff"], out, v["degree"])
+        table.add(tuple(pre), _objects(symbols, pre), v["coeff"], out, v["degree"])
 
     # the two rotations valued at 1_{X2}, as the triangle list states them
     for tup in (("u12", "u01", "u20"), ("v02", "v10", "v21")):
-        objects = [symbols[tup[-1]][0]] + [symbols[s][1] for s in reversed(tup)]
-        table.add(tup, objects, field.one, "1_X2", 0)
+        table.add(tup, _objects(symbols, tup), field.one, "1_X2", 0)
 
     def hom_basis(x, y, dmax):
         return [s for s in homs.get((x, y), []) if symbols[s][2] <= dmax]
 
-    cat = AInfCategory("pants", objs, hom_basis, table, units, field,
+    cat = AInfCategory("pants", ["X0", "X1", "X2"], hom_basis, table, field,
                        symbols=symbols)
     cat.block_identity_tuples = skipped_blocks
     return cat
@@ -445,10 +437,10 @@ class AInfFunctorData:
         self.f1 = dict(f1)  # source symbol -> target symbol string or None
 
     def image(self, s):
-        """F1 on a basis symbol; None encodes zero."""
+        """F1 on a basis symbol; None encodes zero.  The unit 1_x maps to
+        the unit of x's image."""
         if self.source.is_unit(s):
-            x = self.source_object_of_unit(s)
-            return self.target.units[self.object_map[x]]
+            return "1_" + self.object_map[s[2:]]
         if s not in self.f1:
             raise KeyError(f"functor {self.name} undefined on {s!r}")
         return self.f1[s]
@@ -456,12 +448,6 @@ class AInfFunctorData:
     def defined(self, s):
         """Whether F1 has a value (possibly zero) on the basis symbol s."""
         return self.source.is_unit(s) or s in self.f1
-
-    def source_object_of_unit(self, s):
-        for x, u in self.source.units.items():
-            if u == s:
-                return x
-        raise KeyError(s)
 
     def to_json(self):
         return {"name": self.name,
@@ -473,8 +459,8 @@ class AInfFunctorData:
 
 def verify_functor(functor, arity_max, degree_max, exhaustive=False):
     """Check the strict functor equation on every composable identity-free
-    source tuple within the bounds, plus unit and degree compatibility.
-    A tuple on which F1 is undefined (an input or an output symbol the
+    source tuple within the bounds, plus degree and endpoint compatibility
+    of F1 (a unit maps to a unit by construction: see image).  A tuple on which F1 is undefined (an input or an output symbol the
     description leaves out) is a violation that names the symbols.
 
     With F^d = 0 for d >= 2 both sides vanish on every tuple that neither
@@ -502,12 +488,6 @@ def verify_functor(functor, arity_max, degree_max, exhaustive=False):
         if (tx, ty) != want:
             violations.append({"tuple": [s], "expected": f"hom {want}",
                                "got": f"hom {(tx, ty)}"})
-
-    for x in src_cat.objects:
-        u = src_cat.units[x]
-        if functor.image(u) != tgt_cat.units[functor.object_map[x]]:
-            violations.append({"tuple": [u], "expected": "unit to unit",
-                               "got": functor.image(u)})
 
     def check(inputs):
         terms = src_cat.m(inputs)
@@ -579,9 +559,11 @@ def _composable_in(cat, key):
     return all(hom[a][0] == hom[b][1] for a, b in zip(key, key[1:]))
 
 
-def builtin_functors(pi_cat, degree_max=4, field=F2):
+def builtin_functors(pi_cat, degree_max=4):
     """The six functors: the simple-objects inclusion, the two triangle
-    inclusions, the two quadrilateral functors, and the pants functor."""
+    inclusions, the two quadrilateral functors, and the pants functor,
+    with their sources over Pi's field."""
+    field = pi_cat.field
     out = []
 
     pi_s = build_pi_simple(field)
@@ -607,12 +589,11 @@ def builtin_functors(pi_cat, degree_max=4, field=F2):
     out.append(AInfFunctorData("kappa1", f4, pi_cat,
                                {"X1": "S1", "X2": "S1", "X3": "P2", "X4": "P1"},
                                {"f1": "u1^1", "f2": "j2", "f3": "(21)", "f4": "p1"}))
-    f4b = build_fukaya(4, (2, 0, 0, 0), field)
-    out.append(AInfFunctorData("kappa2", f4b, pi_cat,
+    out.append(AInfFunctorData("kappa2", f4, pi_cat,
                                {"X1": "S2", "X2": "S2", "X3": "P1", "X4": "P2"},
                                {"f1": "u2^1", "f2": "j1", "f3": "(12)", "f4": "p2"}))
 
-    pants = build_pants(degree_max, pi_table=pi_cat.table, field=field)
+    pants = build_pants(degree_max, pi_table=pi_cat.table)
     pi_prime = build_pi_prime(pi_cat)
     img = g_dictionary()
     f1g = {}

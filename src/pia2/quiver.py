@@ -213,7 +213,7 @@ def pia2_quiver():
     return double_quiver(a_n_quiver(2))
 
 
-def pia2_relations(field=F2):
+def pia2_relations():
     return MonomialRelations(pia2_quiver(), [("(12)", "(21)"), ("(21)", "(12)")])
 
 

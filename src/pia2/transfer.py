@@ -37,9 +37,12 @@ zero part contributes nothing.  `compute_operation_table` therefore grows
 its candidate tuples bottom-up by length from the nonzero slices alone
 and never visits a tuple that this rule shows to be zero.
 
-Sign convention over Q: composing tensor-product operators picks up the
-Koszul sign (-1)^{|A_right| * deg(left slice)} where |A_right| is the
-operator degree 1 - leaves(right subtree); over F2 all signs are +1.
+Sign convention over Q, Seidel's (2008, section 1), which
+`ainf.stasheff_check` checks: a slice X of l inputs has degree |X| = (sum
+of its input degrees) - (l - 1), and a split into a left (prefix) slice L
+and a right slice R carries (-1)^{|L|} at an internal vertex and
+(-1)^{|R|} at the root.  This is mu^2(a_2, a_1) = (-1)^{|a_1|} a_2 a_1
+with the homotopy entering as (-1)^{|x|} H(x).  Over F2 every sign is +1.
 """
 
 import functools
@@ -65,11 +68,9 @@ class SymbolicBackend:
     name = "symbolic"
     window = 0            # no resolution is truncated
     homotopy = "paper"    # the homotopy tables of the symbol grammar
+    field = F2            # the symbol grammar carries F2 coefficients
 
-    def __init__(self, field=F2):
-        if field.name != "f2":
-            raise ValueError("the symbolic tables carry F2 coefficients")
-        self.field = field
+    def __init__(self):
         # (a, b) -> (H image, class name) of mu(a, b), one mu per pair
         self._pair = {}
 
@@ -149,16 +150,18 @@ class MatrixBackend:
 
     Scan symbols are the contraction's class names, canonical strings of
     Ext symbols on the preprojective instance; `symbols` maps each to its
-    (source, target, degree).
+    (source, target, degree), and holds every class of degree at most
+    `degree_max`, the bound a scan may ask for.
     """
 
     name = "matrix"
 
-    def __init__(self, cat, contraction, symbols):
+    def __init__(self, cat, contraction, symbols, degree_max):
         self.cat = cat
         self.contraction = contraction
         self.field = cat.field
         self.symbols = dict(symbols)
+        self.degree_max = degree_max
         self.window = cat.window
         self.homotopy = contraction.mode
 
@@ -174,10 +177,13 @@ class MatrixBackend:
         return cls(cat, contraction, {
             name: (src, tgt, deg) for src in objs for tgt in objs
             for deg in range(degree_max + 1)
-            for name in contraction.classes(src, tgt, deg)})
+            for name in contraction.classes(src, tgt, deg)}, degree_max)
 
     # symbols -------------------------------------------------------------
     def scan_symbols(self, degree_max):
+        if degree_max > self.degree_max:    # it would miss the classes above
+            raise ValueError(f"a scan at degree {degree_max} needs classes "
+                             f"past the degree {self.degree_max} this backend read")
         return [s for s, (x, _y, d) in self.symbols.items()
                 if d <= degree_max and s != "1_" + x]
 
@@ -241,7 +247,7 @@ def evaluate_tree(shape, inputs, backend):
         out = backend.mu_h(el, er)
         if out is None or backend.is_zero(out):
             return None
-        sign = field.sign((1 - leaves(right)) * sum(degs[off:off + nl]))
+        sign = field.sign(sum(degs[off:off + nl]) - (nl - 1))
         return out if sign == field.one else backend.scale(out, sign)
 
     left, right = shape
@@ -251,7 +257,7 @@ def evaluate_tree(shape, inputs, backend):
     if el is None or er is None:
         return {}
     out = backend.mu_p(el, er)
-    sign = field.sign((1 - leaves(right)) * sum(degs[:nl]))
+    sign = field.sign(sum(degs[nl:]) - (len(degs) - nl - 1))
     if sign != field.one:
         out = {k: field.mul(sign, v) for k, v in out.items()}
     return out
@@ -297,8 +303,8 @@ class TransferEvaluator:
         self.memo = {}
 
     def _prefix_degrees(self, inputs):
-        """pre[c] - pre[i] is the degree of inputs[i:c], the left factor of
-        a cut; None over F2, where every Koszul sign is +1."""
+        """pre[c] - pre[i] is the sum of the input degrees of inputs[i:c];
+        None over F2, where every sign is +1."""
         if self.backend.field.name == "f2":
             return None
         pre = [0]
@@ -360,7 +366,7 @@ class TransferEvaluator:
                     if out is None:
                         continue
                     if pre is not None:
-                        sign = field.sign((1 - j + c) * (pre[c] - pre[i]))
+                        sign = field.sign(pre[c] - pre[i] - (c - i - 1))
                         if sign != field.one:
                             out = backend.scale(out, sign)
                     acc = out if acc is None else add(acc, out)
@@ -400,7 +406,8 @@ class TransferEvaluator:
             live ^= low
             cut = low.bit_length() - 1
             out = backend.mu_p(A[cut], A[row_n + cut])
-            sign = field.one if pre is None else field.sign((1 - n + cut) * pre[cut])
+            sign = field.one if pre is None else \
+                field.sign(pre[n] - pre[cut] - (n - cut - 1))
             for k, v in out.items():
                 field.accumulate(total, k, field.mul(sign, v))
         return total

@@ -282,6 +282,24 @@ def test_criterion_1_homotopies_agree_at_9_8_over_q():
               f"({len(tabulated)} operations)", time.time() - t0)
 
 
+@pytest.mark.parametrize("homotopy", ["paper", "generic"])
+def test_criterion_4_stasheff_over_q(homotopy):
+    """Over Q the matrix tables satisfy the relations in the sign
+    convention the check uses: Pi on the (9,10) table at window 37, its
+    closure reading classes to degree 10, checked at (7,3)."""
+    t0 = time.time()
+    cat, con = build_contraction(37, homotopy, QQ)
+    backend = MatrixBackend.for_pia2(cat, con, 10)
+    ev = TransferEvaluator(backend)
+    pi = pi_category(compute_operation_table(9, 10, backend, evaluator=ev), ev)
+    rep = stasheff_check(pi, 7, 3)
+    assert rep["status"] == "pass", rep["violations"][:3]
+    assert (rep["checked"], rep["evaluated"]) == (26_096, 416)
+    report(4, f"quadratic relations hold over Q ({homotopy} homotopy) for "
+              f"d <= 7, per-input degree <= 3 ({rep['evaluated']} of "
+              f"{rep['checked']} tuples evaluated)", time.time() - t0)
+
+
 def test_criterion_5_contraction_audit():
     t0 = time.time()
     results = {}

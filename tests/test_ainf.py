@@ -5,7 +5,9 @@ import pytest
 from pia2.linalg import F2, QQ
 from pia2 import symbols as sym
 from pia2.table import OperationTable, diff_tables
-from pia2.transfer import SymbolicBackend, TransferEvaluator, compute_operation_table
+from pia2.transfer import (SymbolicBackend, MatrixBackend, TransferEvaluator,
+                           compute_operation_table)
+from pia2.complexes import pia2_end_category, tabulated_contraction
 from pia2.ainf import (AInfCategory, stasheff_check, unitality_check,
                        kappa_symmetry_check, classification_check,
                        expected_table, sign_exponent, composable_tuples,
@@ -35,9 +37,11 @@ def test_stasheff_trivial_formal_table():
     def hom(x, y, dmax):
         return [f"1_{x}"] if x == y else (["a"] if (x, y) == ("X", "Y") else [])
 
-    cat = AInfCategory("formal", ["X", "Y"], hom, t, {"X": "1_X", "Y": "1_Y"},
-                       F2, symbols={"1_X": ("X", "X", 0), "1_Y": ("Y", "Y", 0),
-                                    "a": ("X", "Y", 0)})
+    cat = AInfCategory("formal", ["X", "Y"], hom, t, F2,
+                       symbols={"a": ("X", "Y", 0)})
+    # the category derives its units and their records
+    assert cat.units == {"X": "1_X", "Y": "1_Y"}
+    assert cat.symbols["1_Y"] == ("Y", "Y", 0)
     assert stasheff_check(cat, 4, 2)["status"] == "pass"
 
 
@@ -104,14 +108,17 @@ def _corrupt_output(pi):
 def _corrupt_coeff(pi):
     # over Q, flip the sign of m_3(a, p2, (12)) = p1
     entry = pi.table.entries[("a.u2^0", "p2", "(12)")]
-    entry["coeff"] = QQ.of(-1)
+    entry["coeff"] = QQ.neg(entry["coeff"])
     return pi
 
 
 def _pi_q():
-    sb = SymbolicBackend()
-    ev = TransferEvaluator(sb)
-    return pi_category(compute_operation_table(4, 2, sb, evaluator=ev), ev, QQ)
+    """Pi over Q: the matrix backend's table with the tabulated homotopy
+    at window 16, its classes read to degree 4 for the closure."""
+    cat = pia2_end_category(16, QQ)
+    backend = MatrixBackend.for_pia2(cat, tabulated_contraction(cat), 4)
+    ev = TransferEvaluator(backend)
+    return pi_category(compute_operation_table(4, 2, backend, evaluator=ev), ev)
 
 
 def _nonassociative():
@@ -131,10 +138,8 @@ def _nonassociative():
         return ([f"1_{x}"] if x == y else []) + \
             [s for s, xy in hom.items() if xy == (x, y)]
 
-    return AInfCategory("assoc", list(objects), hom_basis, t,
-                        {o: f"1_{o}" for o in objects}, F2,
-                        symbols={**{s: (x, y, 0) for s, (x, y) in hom.items()},
-                                 **{f"1_{o}": (o, o, 0) for o in objects}})
+    return AInfCategory("assoc", list(objects), hom_basis, t, F2,
+                        symbols={s: (x, y, 0) for s, (x, y) in hom.items()})
 
 
 STASHEFF_CASES = {
@@ -245,8 +250,7 @@ def test_unitality_laws_f2_and_q():
             out.append("g")
         return out
 
-    cat = AInfCategory("toy", ["X"], hom, t, {"X": "1_X"}, QQ,
-                       symbols={"1_X": ("X", "X", 0), "g": ("X", "X", 1)})
+    cat = AInfCategory("toy", ["X"], hom, t, QQ, symbols={"g": ("X", "X", 1)})
     assert cat.m(("g", "1_X")) == [(QQ.one, "g")]
     assert cat.m(("1_X", "g")) == [(QQ.of(-1), "g")]
     assert cat.m(("g", "1_X", "g")) == []
@@ -453,7 +457,7 @@ def test_stored_term_reads_json_scalars_in_the_field(field, text, value):
     """A coefficient read from JSON is a string, parsed in the category's
     field: a fraction over Q, its residue over F2."""
     cat = AInfCategory("toy", ["X"], lambda x, y, d: ["1_X"], OperationTable({}),
-                       {"X": "1_X"}, field, symbols={"1_X": ("X", "X", 0)})
+                       field, symbols={})
     coeff, out = cat.stored_term({"coeff": text, "output": "1_X"})
     assert (coeff, out) == (value, "1_X")
     assert type(coeff) is type(value)

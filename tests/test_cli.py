@@ -423,8 +423,9 @@ def test_verify_functor_rejects_higher_components(tmp_path, capsys):
 
 @pytest.mark.parametrize("category, flags, message", [
     ("pi", ["--field", "q"], "the symbolic tables carry F2 coefficients"),
+    ("pants", ["--field", "q"], "the symbolic tables carry F2 coefficients"),
     ("fukaya3:0,0,0", [], "gradings must sum to n - 2"),
-], ids=["pi-over-q", "fukaya-bad-grading"])
+], ids=["pi-over-q", "pants-over-q", "fukaya-bad-grading"])
 @pytest.mark.parametrize("command", ["export-category", "verify-functor"])
 def test_builder_refusal_is_not_an_unknown_category(command, category, flags,
                                                      message, tmp_path, capsys):

@@ -23,10 +23,13 @@ from pia2.transfer import (SymbolicBackend, MatrixBackend, TransferEvaluator,
 _MISS = object()
 
 
-def _koszul_sign(field, right_leaves, left_deg):
+def _koszul_sign(field, backend, part):
+    """(-1)^|X| for a slice X of l inputs, |X| = sum of input degrees -
+    (l - 1): the left slice at an internal split, the right one at the
+    root."""
     if field.name == "f2":
         return field.one
-    e = (1 - right_leaves) * left_deg
+    e = sum(backend.deg(s) for s in part) - (len(part) - 1)
     return field.one if e % 2 == 0 else field.of(-1)
 
 
@@ -53,8 +56,7 @@ class RecursiveEvaluator:
             out = backend.mu_h(el, er)
             if out is None or backend.is_zero(out):
                 continue
-            sign = _koszul_sign(field, len(slice_key) - cut,
-                                sum(backend.deg(s) for s in slice_key[:cut]))
+            sign = _koszul_sign(field, backend, slice_key[:cut])
             if sign != field.one:
                 out = backend.scale(out, sign)
             acc = out if acc is None else backend.add(acc, out)
@@ -76,8 +78,7 @@ class RecursiveEvaluator:
             if el is None or er is None:
                 continue
             out = backend.mu_p(el, er)
-            sign = _koszul_sign(field, len(inputs) - cut,
-                                sum(backend.deg(s) for s in inputs[:cut]))
+            sign = _koszul_sign(field, backend, inputs[cut:])
             for k, v in out.items():
                 s = field.add(total.get(k, field.zero), field.mul(sign, v))
                 if s == field.zero:

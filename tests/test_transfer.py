@@ -6,6 +6,8 @@ from pia2.transfer import (SymbolicBackend, MatrixBackend, TransferEvaluator,
                            transfer_mn_by_trees, evaluate_tree,
                            compute_operation_table)
 from pia2.table import OperationTable
+from pia2.ainf import stasheff_check
+from pia2.functors import pi_category
 from pia2.trees import enumerate_trees
 from pia2.complexes import (pia2_end_category, tabulated_contraction,
                             generic_contraction, a2_end_category,
@@ -124,11 +126,6 @@ def test_tree_sum_equals_slice_recursion():
     ]
     for tup in tuples:
         assert TransferEvaluator(sb).transfer(tup) == transfer_mn_by_trees(tup, sb)
-
-
-def test_symbolic_backend_rejects_q():
-    with pytest.raises(ValueError):
-        SymbolicBackend(QQ)
 
 
 def test_compute_table_metadata_and_degree_law():
@@ -295,6 +292,26 @@ def test_q_mode_support_equality():
         {k: v["output"] for k, v in tf.entries.items()}
     assert all(str(v["coeff"]) in ("1", "-1") for v in tq.entries.values())
     assert all(type(v["coeff"]) is int for v in tq.entries.values())
+
+
+def test_matrix_scan_refuses_degrees_past_its_classes():
+    """A matrix backend holds the classes up to the degree it read.  A scan
+    past that degree, such as the closure of a Stasheff check, is refused
+    instead of dropping every tuple with an input above it; read to the
+    degree the closure needs, the Q relations hold."""
+    cat = pia2_end_category(26, QQ)
+    con = tabulated_contraction(cat)
+    for read, want in ((2, None), (4, (738, 116))):
+        backend = MatrixBackend.for_pia2(cat, con, read)
+        ev = TransferEvaluator(backend)
+        pi = pi_category(compute_operation_table(5, 2, backend, evaluator=ev), ev)
+        if want is None:
+            with pytest.raises(ValueError, match="degree 4 .* degree 2"):
+                stasheff_check(pi, 5, 2)
+            continue
+        rep = stasheff_check(pi, 5, 2)
+        assert rep["status"] == "pass", rep["violations"][:3]
+        assert (rep["checked"], rep["evaluated"]) == want
 
 
 def test_matrix_table_window_stability():
