@@ -566,14 +566,3 @@ def _u(i, n):
     """u_i^n by its canonical string; u_i^0 is the identity of S_i."""
     return f"u{i}^{n}" if n else f"1_S{i}"
 
-
-def m2_reference_table(nm_max, degree_max, field=F2):
-    """The composition table alone, instantiated for n + m <= nm_max: a
-    symbol's exponent is n for u^n, a.u2^n and b.u1^n (half its degree,
-    rounded down) and 0 otherwise."""
-    full = expected_table(2, degree_max, field)
-    out = OperationTable(full.metadata)
-    for key, v in full.entries.items():
-        if sum(sym.SYMBOLS[s][3] // 2 for s in key) <= nm_max:
-            out.entries[key] = v
-    return out

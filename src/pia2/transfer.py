@@ -18,6 +18,13 @@ starting and ending at each position give every slice its live cuts, the
 cuts whose two factors are both nonzero, and only those are visited: the
 fill's work follows the nonzero products, not the number of cuts.
 
+Before any fill the grading may already decide a query: m_n(f_n, ..., f_1)
+is a combination of Ext classes src(f_1) -> tgt(f_n) of degree
+sum |f_k| + 2 - n, so where Ext has none it is zero.  Each backend answers
+`has_class(src, tgt, deg)`, and a query it decides fills nothing and
+memoizes nothing.  A scan's queries below its top arity are not decided
+this way: the scan reads their root slice, which only the fill gives.
+
 Both backends' mu_h returns None when the product is zero.  The symbolic
 backend reads the H and p images of a symbol pair from one pair table,
 filled with one mu per distinct pair, and sums terms over F2 by toggling
@@ -47,7 +54,6 @@ with the homotopy entering as (-1)^{|x|} H(x).  Over F2 every sign is +1.
 
 import functools
 
-from .trees import LEAF, enumerate_trees, leaves
 from .table import OperationTable
 from . import symbols as sym
 from .linalg import F2
@@ -73,6 +79,8 @@ class SymbolicBackend:
     def __init__(self):
         # (a, b) -> (H image, class name) of mu(a, b), one mu per pair
         self._pair = {}
+        # (src, tgt, deg) -> whether Ext has a class there
+        self._has_class = {}
 
     # symbols -------------------------------------------------------------
     def scan_symbols(self, degree_max):
@@ -91,6 +99,16 @@ class SymbolicBackend:
     def to_str(self, s):
         """The canonical string of a scan symbol: the symbol itself."""
         return s
+
+    def has_class(self, src, tgt, deg):
+        """Is there an Ext class src -> tgt of degree deg?  Below degree 0
+        the answer is no: hom_names lists nothing there."""
+        key = (src, tgt, deg)
+        hit = self._has_class.get(key)
+        if hit is None:
+            hit = self._has_class[key] = any(
+                sym.SYMBOLS[s][3] == deg for s in sym.hom_names(src, tgt, deg))
+        return hit
 
     # elements ------------------------------------------------------------
     def leaf(self, s):
@@ -196,6 +214,11 @@ class MatrixBackend:
     def deg(self, s):
         return self.symbols[s][2]
 
+    def has_class(self, src, tgt, deg):
+        """Is there an Ext class src -> tgt of degree deg?  Exactly where
+        `project` can be nonzero: it names only the contraction's classes."""
+        return bool(self.contraction.classes(src, tgt, deg))
+
     # elements ------------------------------------------------------------
     def leaf(self, s):
         return self.contraction.include(*self.symbols[s], s)
@@ -223,46 +246,6 @@ class MatrixBackend:
         return self.contraction.project(prod)
 
 
-def evaluate_tree(shape, inputs, backend):
-    """Evaluate one decorated tree on (f_n, ..., f_1); returns the
-    {output symbol: coeff} dict after the root projection."""
-    inputs = tuple(inputs)
-    if leaves(shape) != len(inputs):
-        raise ValueError("leaf count does not match input tuple")
-    if len(inputs) < 2:
-        raise ValueError("need at least two inputs")
-    field = backend.field
-    elems = [backend.leaf(s) for s in inputs]
-    degs = [backend.deg(s) for s in inputs]
-
-    def eval_sub(node, off):
-        if node == LEAF:
-            return elems[off]
-        left, right = node
-        nl = leaves(left)
-        el = eval_sub(left, off)
-        er = eval_sub(right, off + nl)
-        if el is None or er is None or backend.is_zero(el) or backend.is_zero(er):
-            return None
-        out = backend.mu_h(el, er)
-        if out is None or backend.is_zero(out):
-            return None
-        sign = field.sign(sum(degs[off:off + nl]) - (nl - 1))
-        return out if sign == field.one else backend.scale(out, sign)
-
-    left, right = shape
-    nl = leaves(left)
-    el = eval_sub(left, 0)
-    er = eval_sub(right, nl)
-    if el is None or er is None:
-        return {}
-    out = backend.mu_p(el, er)
-    sign = field.sign(sum(degs[nl:]) - (len(degs) - nl - 1))
-    if sign != field.one:
-        out = {k: field.mul(sign, v) for k, v in out.items()}
-    return out
-
-
 @functools.lru_cache(maxsize=None)
 def _spans(n, top, edges):
     """The slices (i, j) = inputs[i:j] of length 2..top that a fill of n
@@ -287,10 +270,12 @@ class TransferEvaluator:
     which short warm queries (the chart scans) feel.  Each slice of length
     >= 2 that the fill visits is looked up in `memo` once, by its tuple
     key; a miss is computed and stored there, so the memo is shared across
-    queries and holds every slice of every query (the root slice only
-    through `_A` or `_memo_root`).  A query whose longest prefix and
-    suffix are memoized visits only its prefixes and suffixes (see
-    `_fill`).
+    queries and holds every slice of every query that fills (the root
+    slice only through `_A` or `_memo_root`).  A `transfer` without
+    `_memo_root` whose output degree carries no class (see `transfer`)
+    fills nothing, so its slices stay out of the memo.  A query whose
+    longest prefix and suffix are memoized visits only its prefixes and
+    suffixes (see `_fill`).
 
     `memo` maps a slice to its value (None when zero); an entry written
     from outside must hold the true value.  Fills keep the memo closed
@@ -391,12 +376,21 @@ class TransferEvaluator:
     def transfer(self, inputs, _memo_root=False):
         """m_d(f_d, ..., f_1) as {output symbol: coeff}, summed over the
         root's live cuts.  The root slice (all of inputs) is memoized too
-        when _memo_root is set, so a later `_A(inputs)` is a lookup."""
+        when _memo_root is set, so a later `_A(inputs)` is a lookup.
+
+        Without _memo_root the grading answers first: m_d is a class
+        src(f_1) -> tgt(f_d) of degree sum |f_k| + 2 - d, so where Ext has
+        no such class it is zero, and the query returns {} without a fill
+        and memoizes nothing."""
         inputs = tuple(inputs)
         n = len(inputs)
         if n < 2:
             return {}
         backend, field = self.backend, self.backend.field
+        if not _memo_root and not backend.has_class(
+                backend.src(inputs[-1]), backend.tgt(inputs[0]),
+                sum(map(backend.deg, inputs)) + 2 - n):
+            return {}
         pre = self._prefix_degrees(inputs)
         A, live = self._fill(inputs, n if _memo_root else n - 1, pre)
         row_n = n * (n + 1)
@@ -411,17 +405,6 @@ class TransferEvaluator:
             for k, v in out.items():
                 field.accumulate(total, k, field.mul(sign, v))
         return total
-
-
-def transfer_mn_by_trees(inputs, backend):
-    """Reference evaluation shape by shape (the literal tree sum)."""
-    field = backend.field
-    total = {}
-    for shape in enumerate_trees(len(inputs)):
-        out = evaluate_tree(shape, inputs, backend)
-        for k, v in out.items():
-            field.accumulate(total, k, v)
-    return total
 
 
 def compute_operation_table(arity_max, degree_max, backend, evaluator=None):

@@ -16,8 +16,8 @@ import pytest
 
 from pia2.linalg import F2, QQ
 from pia2 import symbols as sym
-from pia2.table import diff_tables
-from pia2.trees import enumerate_trees, catalan
+from pia2.table import OperationTable, diff_tables
+from tree_oracle import enumerate_trees, catalan
 from pia2.transfer import (SymbolicBackend, MatrixBackend, TransferEvaluator,
                            compute_operation_table)
 from pia2.complexes import (pia2_end_category, a2_end_category,
@@ -26,7 +26,7 @@ from pia2.complexes import (pia2_end_category, a2_end_category,
                             realize_h_symbol, contraction_audit, HomElement,
                             cone, build_contraction)
 from pia2.ainf import (stasheff_check, kappa_symmetry_check,
-                       expected_table, m2_reference_table, insertion_tuples)
+                       expected_table, insertion_tuples)
 from pia2.functors import pi_category, builtin_functors, verify_functor
 from pia2.quiver import pia2_named_maps, a2_representations, check_exact, ModuleMap
 from pia2.linalg import SparseMatrix
@@ -54,6 +54,18 @@ def _strip_provenance(table):
     doc["metadata"] = {k: v for k, v in doc["metadata"].items()
                        if k in ("arity_max", "degree_max", "field")}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def m2_reference_table(nm_max, degree_max, field=F2):
+    """The composition table alone, instantiated for n + m <= nm_max: a
+    symbol's exponent is n for u^n, a.u2^n and b.u1^n (half its degree,
+    rounded down) and 0 otherwise."""
+    full = expected_table(2, degree_max, field)
+    out = OperationTable(full.metadata)
+    for key, v in full.entries.items():
+        if sum(sym.SYMBOLS[s][3] // 2 for s in key) <= nm_max:
+            out.entries[key] = v
+    return out
 
 
 def test_criterion_1_m2_reproduction():

@@ -4,12 +4,16 @@ replaced, and against the literal tree sum.
 `RecursiveEvaluator` is a frozen copy of the recursive evaluator: it
 computes every slice as the signed sum over its cuts of H(mu(A(prefix),
 A(suffix))), recursing into both parts.  The interval table must give the
-same outputs and leave the same memo (keys and values), cold and warm,
-in point queries and in chart scans.
+same outputs, cold and warm, in point queries and in chart scans.  A
+query the grading decides (no class in its output's degree, see
+`_has_output_class`) fills nothing: the recursion must give {} there too,
+and the memo must gain nothing.  Every other query must leave the same
+memo (keys and values) as the recursion.
 """
 
 import random
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pia2 import symbols as sym
@@ -18,7 +22,8 @@ from pia2.complexes import (pia2_end_category, tabulated_contraction,
                             generic_contraction)
 from pia2.linalg import F2, QQ
 from pia2.transfer import (SymbolicBackend, MatrixBackend, TransferEvaluator,
-                           compute_operation_table, transfer_mn_by_trees)
+                           compute_operation_table)
+from tree_oracle import transfer_mn_by_trees
 
 _MISS = object()
 
@@ -135,6 +140,13 @@ def _pia2_matrix(field, contraction, window=14, degree_max=2):
     return MatrixBackend.for_pia2(cat, contraction(cat), degree_max=degree_max)
 
 
+def _has_output_class(backend, inputs):
+    """Whether Ext has a class of m_d(inputs)'s source, target and
+    degree: the test `TransferEvaluator.transfer` makes before a fill."""
+    return backend.has_class(backend.src(inputs[-1]), backend.tgt(inputs[0]),
+                             sum(map(backend.deg, inputs)) + 2 - len(inputs))
+
+
 def _point_queries(n, arity_lo, arity_hi, degree_max, seed):
     """Seeded composable tuples: half nonzero operations of the expected
     table, half random walks."""
@@ -160,16 +172,23 @@ def _point_queries(n, arity_lo, arity_hi, degree_max, seed):
 
 
 def test_cold_point_queries_match_recursion():
-    """Outputs and memos equal the recursion's, and mu_h and mu_p run on
-    the live cuts alone: the cuts whose two factors are nonzero."""
+    """Outputs equal the recursion's.  A query with a class in its output
+    degree leaves the recursion's memo, and mu_h and mu_p run on the live
+    cuts alone: the cuts whose two factors are nonzero.  A query without
+    one is zero in the recursion too and memoizes nothing."""
     backend = SymbolicBackend()
     mu_h, mu_p = _count_calls(backend, "mu_h"), _count_calls(backend, "mu_p")
-    nonzero = dead = 0
+    nonzero = dead = decided = 0
     for q in _point_queries(300, 4, 6, 4, seed=7):
         new, old = TransferEvaluator(backend), RecursiveEvaluator(SymbolicBackend())
         mu_h[0] = mu_p[0] = 0
         out = new.transfer(q)
         assert out == old.transfer(q), q
+        if not _has_output_class(backend, q):
+            assert out == {} and new.memo == {}, q
+            assert mu_h[0] == mu_p[0] == 0, q
+            decided += 1
+            continue
         assert _memo(new) == _memo(old), q
         assert mu_h[0] == _live_cuts(old.memo), q
         assert mu_p[0] == _root_live_cuts(old.memo, q), q
@@ -177,6 +196,7 @@ def test_cold_point_queries_match_recursion():
         nonzero += bool(out)
     assert nonzero >= 150
     assert dead > 0
+    assert decided > 0
 
 
 def test_warm_point_queries_match_recursion():
@@ -186,14 +206,60 @@ def test_warm_point_queries_match_recursion():
     backend = SymbolicBackend()
     mu_h, mu_p = _count_calls(backend, "mu_h"), _count_calls(backend, "mu_p")
     new, old = TransferEvaluator(backend), RecursiveEvaluator(SymbolicBackend())
-    root_cuts = 0
+    root_cuts = decided = 0
     for q in _point_queries(300, 4, 6, 4, seed=8):
         assert new._A(q[:-1]) == old._A(q[:-1])
-        assert new.transfer(q) == old.transfer(q), q
-        root_cuts += _root_live_cuts(old.memo, q)
+        if _has_output_class(backend, q):
+            assert new.transfer(q) == old.transfer(q), q
+            root_cuts += _root_live_cuts(old.memo, q)
+            continue
+        # the recursion runs on a copy of its memo, which keeps the slices
+        # it would add out of the comparison below
+        probe = RecursiveEvaluator(old.backend)
+        probe.memo = dict(old.memo)
+        before = dict(new.memo), mu_h[0], mu_p[0]
+        assert new.transfer(q) == probe.transfer(q) == {}, q
+        assert (new.memo, mu_h[0], mu_p[0]) == before, q
+        decided += 1
     assert _memo(new) == _memo(old)
     assert mu_h[0] == _live_cuts(old.memo)
     assert mu_p[0] == root_cuts > 0
+    assert decided > 0
+
+
+@pytest.mark.parametrize("field", [F2, QQ], ids=["f2", "q"])
+@pytest.mark.parametrize("contraction", [tabulated_contraction, generic_contraction],
+                         ids=["tabulated", "generic"])
+def test_has_class_agrees_across_backends(field, contraction):
+    """The symbols' answer is the contraction's classes' answer, on every
+    hom pair and every degree from -2 to window - 4."""
+    window = 14
+    symbolic = SymbolicBackend()
+    matrix = _pia2_matrix(field, contraction, window=window, degree_max=window - 4)
+    answers = [(x, y, d, symbolic.has_class(x, y, d))
+               for x in sym.OBJECTS for y in sym.OBJECTS
+               for d in range(-2, window - 3)]
+    for x, y, d, yes in answers:
+        assert matrix.has_class(x, y, d) == yes, (x, y, d)
+    assert sum(yes for *_, yes in answers) == 30
+    assert len(answers) == 208
+
+
+def test_tuples_without_an_output_class_are_zero():
+    """Every composable tuple of arity <= 5 and input degrees <= 3 that
+    the degree test rejects is zero in the recursion."""
+    backend = SymbolicBackend()
+    by_source = {}
+    for s in backend.scan_symbols(3):
+        by_source.setdefault(backend.src(s), []).append(s)
+    tuples, grown = [], [(s,) for group in by_source.values() for s in group]
+    for _ in range(2, 6):
+        grown = [(s,) + t for t in grown for s in by_source.get(backend.tgt(t[0]), ())]
+        tuples += grown
+    old = RecursiveEvaluator(backend)
+    rejected = [t for t in tuples if not _has_output_class(backend, t)]
+    assert all(old.transfer(t) == {} for t in rejected)
+    assert (len(rejected), len(tuples)) == (1732, 2224)
 
 
 def test_root_slice_is_memoized_on_request():
@@ -287,11 +353,13 @@ def test_koszul_signs_match_recursion_and_trees():
 
 
 class FillCounter(TransferEvaluator):
-    """Counts the interval-table fills next to the transfer calls."""
+    """Counts the interval-table fills next to the transfer calls, and
+    keeps the inputs of the transfers that made no fill."""
 
     def __init__(self, backend):
         super().__init__(backend)
         self.fills = self.transfers = 0
+        self.unfilled = []
 
     def _fill(self, inputs, top, pre, edges=None):
         self.fills += 1
@@ -299,7 +367,11 @@ class FillCounter(TransferEvaluator):
 
     def transfer(self, inputs, _memo_root=False):
         self.transfers += 1
-        return super().transfer(inputs, _memo_root=_memo_root)
+        fills = self.fills
+        out = super().transfer(inputs, _memo_root=_memo_root)
+        if self.fills == fills:
+            self.unfilled.append((tuple(inputs), _memo_root))
+        return out
 
 
 SCANS = [
@@ -311,6 +383,9 @@ SCANS = [
 
 
 def test_chart_scans_match_recursion():
+    """The tables are the recursion's.  The memo is the recursion's but
+    for the slices under top-arity candidates with no class in their
+    output degree: those candidates, and only those, make no fill."""
     for arity_max, degree_max, make_backend in SCANS:
         backend = make_backend()
         new, old = FillCounter(backend), RecursiveEvaluator(backend)
@@ -321,10 +396,20 @@ def test_chart_scans_match_recursion():
                                            evaluator=old)
         assert len(expected) > 0
         assert table.dumps() == expected.dumps()
-        assert _memo(new) == _memo(old)
-        assert mu_h[0] == _live_cuts(old.memo)
-        # one fill per candidate: the root slice comes from the same fill
-        assert new.fills == new.transfers > 0
+        for inputs, memo_root in new.unfilled:
+            assert not memo_root and len(inputs) == arity_max, inputs
+            assert not _has_output_class(backend, inputs), inputs
+        skipped = {q[i:j] for q, _ in new.unfilled
+                   for i in range(len(q)) for j in range(i + 2, len(q) + 1)}
+        want = _memo(old)
+        got = _memo(new)
+        assert all(want.get(k, _MISS) == v for k, v in got.items())
+        assert set(want) - set(got) <= skipped
+        assert mu_h[0] == _live_cuts(new.memo)
+        # one fill per candidate that fills: the root slice comes from the
+        # same fill
+        assert new.fills == new.transfers - len(new.unfilled) > 0
+        assert new.unfilled, (arity_max, degree_max)
 
 
 # -- the symbolic pair table ---------------------------------------------------

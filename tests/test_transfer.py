@@ -3,15 +3,14 @@ import pytest
 from pia2.linalg import F2, QQ
 from pia2 import symbols as sym
 from pia2.transfer import (SymbolicBackend, MatrixBackend, TransferEvaluator,
-                           transfer_mn_by_trees, evaluate_tree,
                            compute_operation_table)
 from pia2.table import OperationTable
 from pia2.ainf import stasheff_check
 from pia2.functors import pi_category
-from pia2.trees import enumerate_trees
 from pia2.complexes import (pia2_end_category, tabulated_contraction,
                             generic_contraction, a2_end_category,
                             a2_class_names)
+from tree_oracle import enumerate_trees, evaluate_tree, transfer_mn_by_trees
 
 def U(i, n):
     return f"u{i}^{n}"

@@ -1,6 +1,6 @@
 import pytest
 
-from pia2.trees import LEAF, enumerate_trees, leaves, catalan
+from tree_oracle import LEAF, enumerate_trees, leaves, catalan
 
 
 def test_counts_match_catalan():
