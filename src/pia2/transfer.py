@@ -101,13 +101,14 @@ class SymbolicBackend:
         return s
 
     def has_class(self, src, tgt, deg):
-        """Is there an Ext class src -> tgt of degree deg?  Below degree 0
-        the answer is no: hom_names lists nothing there."""
+        """Is there an Ext class src -> tgt of degree deg?  Read off the
+        grammar's hom basis, so no symbol is named or parsed; below degree
+        0 the basis is empty and the answer is no."""
         key = (src, tgt, deg)
         hit = self._has_class.get(key)
         if hit is None:
             hit = self._has_class[key] = any(
-                sym.SYMBOLS[s][3] == deg for s in sym.hom_names(src, tgt, deg))
+                sym.ext_degree(e) == deg for e in sym.hom_basis(src, tgt, deg))
         return hit
 
     # elements ------------------------------------------------------------
