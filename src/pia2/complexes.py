@@ -719,6 +719,15 @@ class GenericContraction:
     d on boundaries and kills the rest, which enforces Hi = 0, pH = 0 and
     H^2 = 0 on the nose.
 
+    Each degree n of a hom pair is split on first use, from two memoized
+    row reductions: rref(d_n) gives the kernel and the complement W_n (unit
+    vectors at its pivot columns), and the pivots of rref(d_{n-1}) give
+    the boundaries B_n = d(W_{n-1}).  H on degree n reads only W_{n-1}, so
+    no other degree of the pair is split.  A refusal (missing classes, or
+    classes that cannot be told from edge artifacts) fires when its degree
+    is first split, and again on every later use of that degree; the
+    pair's other degrees still answer.
+
     Truncating a two-sided-infinite complex on the left creates spurious
     rank-count classes in a few degrees (their true killers live beyond
     the cut).  Extension candidates are taken left-edge first, so those
@@ -735,64 +744,66 @@ class GenericContraction:
         self.deg_lo = deg_lo
         self.deg_hi = deg_hi
         self.class_names = class_names  # optional {(src,tgt,deg): [names]}
-        self._split = {}
+        self._rrefs = {}    # (src, tgt, n) -> rref(d_n)
+        self._degrees = {}  # (src, tgt, n) -> degree n's split
 
-    def _decompose(self, src, tgt):
-        key = (src, tgt)
-        if key in self._split:
-            return self._split[key]
+    def _rref(self, src, tgt, n):
+        key = (src, tgt, n)
+        out = self._rrefs.get(key)
+        if out is None:
+            out = self._rrefs[key] = rref(self.cat.d_matrix(src, tgt, n))
+        return out
+
+    def _degree(self, src, tgt, n):
+        """Degree n's split of Hom(src, tgt): B, R, W, the flat basis,
+        n_true and the [B | R | W] solver, built on first use."""
+        key = (src, tgt, n)
+        data = self._degrees.get(key)
+        if data is not None:
+            return data
         cat, field = self.cat, self.cat.field
-        data = {}
-        w_prev = {}
-        for n in range(self.deg_lo, self.deg_hi + 1):
-            basis = cat.flat_basis(src, tgt, n)
-            dim = len(basis)
-            dmat = cat.d_matrix(src, tgt, n)
-            _rank, pivots, kernel = rref(dmat)
-            # complement of the kernel: unit vectors at pivot columns
-            W = [{j: field.one} for j in pivots]
-            # boundaries: d of the previous complement
-            B = []
-            for w in w_prev.get(n - 1, []):
-                B.append(mat_vec(cat.d_matrix(src, tgt, n - 1), w))
-            # class representatives: extend B to a basis of the kernel,
-            # taking left-localized candidates first
-            span = _Span(dim, field)
-            for b in B:
-                span.add(b)
-            R = []
-            for z in sorted(kernel, key=lambda v: max(basis[j][0] for j in v)):
-                if span.add(dict(z)):
-                    R.append(dict(z))
-            expected = None if self.class_names is None else \
-                self.class_names.get((src, tgt, n))
-            if expected is None:
-                n_true = len(R)
-            else:
-                n_true = len(expected)
-                if n_true > len(R):
-                    raise ValueError(f"missing classes at {(src, tgt, n)}")
-                if 0 < n_true < len(R):
-                    raise ValueError(
-                        f"cannot separate classes from edge artifacts at "
-                        f"{(src, tgt, n)}")
-            data[n] = {"B": B, "R": R, "W": W, "basis": basis,
-                       "n_true": n_true}
-            w_prev[n] = W
-        # per-degree solver for coordinates in [B | R | W]
-        for n, dd in data.items():
-            cols = dd["B"] + dd["R"] + dd["W"]
-            dim = len(dd["basis"])
-            mat = SparseMatrix(dim, len(cols), field,
-                               {(r, j): v for j, col in enumerate(cols)
-                                for r, v in col.items()})
-            dd["solver"] = mat
-        self._split[key] = data
+        basis = cat.flat_basis(src, tgt, n)
+        _rank, pivots, kernel = self._rref(src, tgt, n)
+        # complement of the kernel: unit vectors at pivot columns
+        W = [{j: field.one} for j in pivots]
+        # boundaries: d of the previous complement
+        B = []
+        if n > self.deg_lo:
+            d_prev = cat.d_matrix(src, tgt, n - 1)
+            B = [mat_vec(d_prev, {j: field.one})
+                 for j in self._rref(src, tgt, n - 1)[1]]
+        # class representatives: extend B to a basis of the kernel,
+        # taking left-localized candidates first
+        span = _Span(len(basis), field)
+        for b in B:
+            span.add(b)
+        R = []
+        for z in sorted(kernel, key=lambda v: max(basis[j][0] for j in v)):
+            if span.add(dict(z)):
+                R.append(dict(z))
+        expected = None if self.class_names is None else \
+            self.class_names.get(key)
+        if expected is None:
+            n_true = len(R)
+        else:
+            n_true = len(expected)
+            if n_true > len(R):
+                raise ValueError(f"missing classes at {key}")
+            if 0 < n_true < len(R):
+                raise ValueError(
+                    f"cannot separate classes from edge artifacts at {key}")
+        # solver for coordinates in [B | R | W]
+        cols = B + R + W
+        solver = SparseMatrix(len(basis), len(cols), field,
+                              {(r, j): v for j, col in enumerate(cols)
+                               for r, v in col.items()})
+        data = self._degrees[key] = {"B": B, "R": R, "W": W, "basis": basis,
+                                     "n_true": n_true, "solver": solver}
         return data
 
     def classes(self, src, tgt, deg):
         """The class names of a degree: the expected ones where class_names
-        lists the degree, read without decomposing the hom pair, and
+        lists the degree, read without splitting the degree, and
         otherwise e(src->tgt)^deg_k for each computed class."""
         if not self.deg_lo <= deg <= self.deg_hi:
             return []
@@ -801,17 +812,17 @@ class GenericContraction:
         if names is not None:
             return list(names)
         return [f"e({src}->{tgt})^{deg}_{k}"
-                for k in range(self._decompose(src, tgt)[deg]["n_true"])]
+                for k in range(self._degree(src, tgt, deg)["n_true"])]
 
     def include(self, src, tgt, deg, name):
-        data = self._decompose(src, tgt)[deg]
+        data = self._degree(src, tgt, deg)
         k = self.classes(src, tgt, deg).index(name)
         basis = data["basis"]
         return HomElement(self.cat, src, tgt, deg,
                           {basis[r]: v for r, v in data["R"][k].items()})
 
     def _coords(self, elem):
-        data = self._decompose(elem.src, elem.tgt)[elem.deg]
+        data = self._degree(elem.src, elem.tgt, elem.deg)
         index = self.cat.flat_index(elem.src, elem.tgt, elem.deg)
         target = {index[b]: v for b, v in elem.coeffs.items()}
         factors = data.get("factors")
@@ -837,23 +848,20 @@ class GenericContraction:
         return out
 
     def H(self, elem):
-        """Inverse of d on boundaries, zero on classes and the complement."""
-        if elem.is_zero() or elem.deg - 1 < self.deg_lo or elem.deg > self.deg_hi:
-            return self.cat.zero_elem(elem.src, elem.tgt, elem.deg - 1)
+        """Inverse of d on boundaries, zero on classes and the complement:
+        boundary coordinate k goes to W_{deg-1}'s k-th unit vector."""
+        src, tgt, n = elem.src, elem.tgt, elem.deg
+        if elem.is_zero() or n - 1 < self.deg_lo or n > self.deg_hi:
+            return self.cat.zero_elem(src, tgt, n - 1)
         data, coords = self._coords(elem)
-        nB = len(data["B"])
-        prev = self._decompose(elem.src, elem.tgt)[elem.deg - 1]
-        basis_prev = prev["basis"]
-        field = self.cat.field
+        basis_prev = self.cat.flat_basis(src, tgt, n - 1)
+        pivots_prev = self._rref(src, tgt, n - 1)[1]
         out = {}
-        for k in range(nB):
+        for k in range(len(data["B"])):
             v = coords.get(k)
-            if not v:
-                continue
-            w = prev["W"][k]
-            for r, val in w.items():
-                field.accumulate(out, basis_prev[r], field.mul(v, val))
-        return HomElement(self.cat, elem.src, elem.tgt, elem.deg - 1, out)
+            if v:
+                out[basis_prev[pivots_prev[k]]] = v
+        return HomElement(self.cat, src, tgt, n - 1, out)
 
 
 class _Span:

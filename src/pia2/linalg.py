@@ -240,8 +240,11 @@ def rref(m):
     reduced form's entry at (its row, c).
     """
     f = m.field
-    # dense row-major working copy; instances here are desk-scale
-    work = [[m.get(r, c) for c in range(m.cols)] for r in range(m.rows)]
+    # dense row-major working copy (instances here are desk-scale): zero
+    # rows with the stored entries written in
+    work = [[f.zero] * m.cols for _ in range(m.rows)]
+    for (r, c), v in m.entries.items():
+        work[r][c] = v
     pivot_cols = []
     piv_r = 0
     for c in range(m.cols):

@@ -2,15 +2,17 @@ import random
 
 import pytest
 
-from pia2.linalg import F2, QQ, SparseMatrix, mat_mul, solve
-from pia2.quiver import ModuleMap
+from pia2.linalg import F2, QQ, SparseMatrix, mat_mul, mat_vec, rref, solve
+from pia2.quiver import ModuleMap, pia2_indecomposables
 from pia2 import symbols as sym
 from pia2.complexes import (build_resolution, cone, pia2_end_category,
                             a2_end_category, tabulated_contraction,
                             generic_contraction, a2_class_names,
                             realize_ext_symbol, realize_h_symbol,
                             build_contraction, contraction_audit, HomElement,
-                            EndCategory, TabulatedContraction, _Span)
+                            EndCategory, TabulatedContraction, _Span,
+                            GenericContraction, TruncatedComplex,
+                            pia2_class_names)
 from pia2.transfer import MatrixBackend
 
 
@@ -498,7 +500,8 @@ def test_generic_coords_match_solve(field):
     checked = 0
     for src in sorted(cat.complexes):
         for tgt in sorted(cat.complexes):
-            for n, data in con._decompose(src, tgt).items():
+            for n in range(con.deg_lo, con.deg_hi + 1):
+                data = con._degree(src, tgt, n)
                 index = cat.flat_index(src, tgt, n)
                 for b in cat.flat_basis(src, tgt, n):
                     x = HomElement(cat, src, tgt, n, {b: field.one})
@@ -506,7 +509,131 @@ def test_generic_coords_match_solve(field):
                     assert want is not None
                     assert con._coords(x)[1] == want, (src, tgt, n, b)
                     checked += 1
-    assert checked > 0
+    # every basis vector of every hom pair in degrees -15..15
+    assert checked == 1024
+
+
+def whole_pair_split(con, src, tgt):
+    """Every degree's split of a hom pair at once, {n: {B, R, W, basis,
+    n_true, solver}}, computed degree after degree as the generic
+    contraction did before it split each degree on first use.  Frozen
+    here as the oracle for GenericContraction._degree."""
+    cat, field = con.cat, con.cat.field
+    data = {}
+    w_prev = {}
+    for n in range(con.deg_lo, con.deg_hi + 1):
+        basis = cat.flat_basis(src, tgt, n)
+        dim = len(basis)
+        dmat = cat.d_matrix(src, tgt, n)
+        _rank, pivots, kernel = rref(dmat)
+        W = [{j: field.one} for j in pivots]
+        B = []
+        for w in w_prev.get(n - 1, []):
+            B.append(mat_vec(cat.d_matrix(src, tgt, n - 1), w))
+        span = _Span(dim, field)
+        for b in B:
+            span.add(b)
+        R = []
+        for z in sorted(kernel, key=lambda v: max(basis[j][0] for j in v)):
+            if span.add(dict(z)):
+                R.append(dict(z))
+        expected = None if con.class_names is None else \
+            con.class_names.get((src, tgt, n))
+        if expected is None:
+            n_true = len(R)
+        else:
+            n_true = len(expected)
+            if n_true > len(R):
+                raise ValueError(f"missing classes at {(src, tgt, n)}")
+            if 0 < n_true < len(R):
+                raise ValueError(
+                    f"cannot separate classes from edge artifacts at "
+                    f"{(src, tgt, n)}")
+        data[n] = {"B": B, "R": R, "W": W, "basis": basis,
+                   "n_true": n_true}
+        w_prev[n] = W
+    for n, dd in data.items():
+        cols = dd["B"] + dd["R"] + dd["W"]
+        dd["solver"] = SparseMatrix(
+            len(dd["basis"]), len(cols), field,
+            {(r, j): v for j, col in enumerate(cols) for r, v in col.items()})
+    return data
+
+
+@pytest.mark.parametrize("instance", ["f2", "q", "a2-f2", "a2-q"])
+def test_degree_split_matches_whole_pair_split(instance):
+    """Each degree split on first use equals the whole-pair split's entry
+    for it: the same boundaries, class representatives, complement,
+    flat basis, class count and solver, on every hom pair and degree
+    deg_lo..deg_hi (window 14, and -4..4 on the A2 instance)."""
+    field = QQ if instance.endswith("q") else F2
+    if instance.startswith("a2"):
+        cat = a2_end_category(field)
+        con = generic_contraction(cat, -4, 4, a2_class_names())
+    else:
+        cat = pia2_end_category(14, field)
+        con = generic_contraction(cat)
+    checked = 0
+    for src in sorted(cat.complexes):
+        for tgt in sorted(cat.complexes):
+            want = whole_pair_split(con, src, tgt)
+            assert sorted(want) == list(range(con.deg_lo, con.deg_hi + 1))
+            for n, old in want.items():
+                new = con._degree(src, tgt, n)
+                for key in ("B", "R", "W", "basis", "n_true", "solver"):
+                    assert new[key] == old[key], (src, tgt, n, key)
+                checked += 1
+    assert checked == len(cat.complexes) ** 2 * (con.deg_hi - con.deg_lo + 1)
+
+
+def test_generic_refuses_missing_classes_at_their_degree():
+    """One expected class too many at (S1, S1, 2): include, project and H
+    at that degree refuse, each time they are asked, while the pair's
+    other degrees still answer, H at degree 3 too (it reads only
+    rref(d_2), not degree 2's split)."""
+    cat = pia2_end_category(14, F2)
+    names = pia2_class_names(-15, 10)
+    key = ("S1", "S1", 2)
+    names[key] = names[key] + ["extra"]
+    con = GenericContraction(cat, -15, 15, names)
+    assert con.classes(*key) == names[key]
+    x = HomElement(cat, "S1", "S1", 2, {cat.flat_basis(*key)[0]: F2.one})
+    msg = r"missing classes at \('S1', 'S1', 2\)"
+    for _ in range(2):
+        with pytest.raises(ValueError, match=msg):
+            con.include(*key, "extra")
+        with pytest.raises(ValueError, match=msg):
+            con.project(x)
+        with pytest.raises(ValueError, match=msg):
+            con.H(x)
+    assert key not in con._degrees
+    [u] = con.classes("S1", "S1", 4)
+    assert con.project(con.include("S1", "S1", 4, u)) == {u: F2.one}
+    y = HomElement(cat, "S1", "S1", 3, {cat.flat_basis("S1", "S1", 3)[0]: F2.one})
+    assert not con.H(y).is_zero()
+
+
+def test_generic_refuses_classes_it_cannot_separate_at_their_degree():
+    """X = P1 in positions 0 and 1 with zero differential has two classes
+    in degree 0 and one in degree 1.  Naming one class in degree 0 leaves
+    a surplus the contraction cannot tell from an edge artifact: include,
+    project and H refuse at degree 0 and answer at degree 1."""
+    p1 = pia2_indecomposables(F2)["P1"]
+    cat = EndCategory({"X": TruncatedComplex("X", {0: p1, 1: p1}, {}, F2)}, F2)
+    con = GenericContraction(cat, -1, 1, {("X", "X", 0): ["a"],
+                                          ("X", "X", 1): ["b"]})
+    x = HomElement(cat, "X", "X", 0, {cat.flat_basis("X", "X", 0)[0]: F2.one})
+    msg = r"cannot separate classes from edge artifacts at \('X', 'X', 0\)"
+    for _ in range(2):
+        with pytest.raises(ValueError, match=msg):
+            con.include("X", "X", 0, "a")
+        with pytest.raises(ValueError, match=msg):
+            con.project(x)
+        with pytest.raises(ValueError, match=msg):
+            con.H(x)
+    b = con.include("X", "X", 1, "b")
+    assert con.project(b) == {"b": F2.one}
+    assert con.H(b).is_zero()
 
 
 def test_build_contraction_entry_point():
@@ -697,19 +824,22 @@ def test_for_pia2_reads_classes_without_decomposing():
     """The matrix backend's symbols are its contraction's classes: on the
     preprojective instance both contractions give the symbols table's
     entries.  Where the expected names list a degree, the generic
-    contraction answers without decomposing a hom pair, so building the
-    backend solves nothing; a degree above window - 4 lists no names, is
-    decomposed, and its classes are auto-named."""
+    contraction answers without splitting it, so building the backend
+    solves nothing; a degree above window - 4 lists no names, is split
+    alone (from rref(d_n) and rref(d_{n-1})), and its classes are
+    auto-named."""
     want = {s: sym.SYMBOLS[s][1:] for x in sym.OBJECTS for y in sym.OBJECTS
             for s in sym.hom_names(x, y, 4)}
     cat = pia2_end_category(10, F2)
     assert MatrixBackend.for_pia2(cat, tabulated_contraction(cat), 4).symbols == want
     con = generic_contraction(cat)
     assert MatrixBackend.for_pia2(cat, con, 4).symbols == want
-    assert con._split == {}
+    assert con._degrees == {} and con._rrefs == {}
     assert con.classes("S1", "S1", 8) == ["e(S1->S1)^8_0"]
     assert con.classes("S1", "S2", 7) == ["e(S1->S2)^7_0"]
-    assert set(con._split) == {("S1", "S1"), ("S1", "S2")}
+    assert set(con._degrees) == {("S1", "S1", 8), ("S1", "S2", 7)}
+    assert set(con._rrefs) == {("S1", "S1", 7), ("S1", "S1", 8),
+                               ("S1", "S2", 6), ("S1", "S2", 7)}
 
 
 def test_chain_map_json_export():
