@@ -169,7 +169,7 @@ def cmd_diff(args, parser):
     try:
         a = OperationTable.load(args.file_a)
         b = OperationTable.load(args.file_b)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         parser.error(f"cannot parse table file: {exc}")
     try:
         rep = diff_tables(a, b, support_only=args.support_only)

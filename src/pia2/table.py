@@ -3,10 +3,35 @@
 Keys are tuples of canonical symbol strings (f_d, ..., f_1) in composition
 order (f_1 acts first); values are (coefficient, output symbol string).
 JSON serialization is canonical: entries sorted, keys sorted, so equal
-tables produce byte-identical files.
+tables produce byte-identical files.  `dumps` writes exactly
+`json.dumps(to_json(), indent=2, sort_keys=True) + "\n"`, but from one
+template per entry: the schema is fixed, and `json` runs its pure-Python
+encoder whenever it indents.  Strings are quoted by json's own ASCII
+escaper.  `from_json` reads back only that schema.
 """
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
+
+# one entry of `dumps`, keys in sorted order, at the indentation json gives
+# an element of the top-level "entries" list
+_ENTRY = ('    {\n'
+          '      "arity": %d,\n'
+          '      "degree": %d,\n'
+          '      "inputs": %s,\n'
+          '      "objects": %s,\n'
+          '      "output": {\n'
+          '        "coeff": %s,\n'
+          '        "symbol": %s\n'
+          '      }\n'
+          '    }')
+
+
+def _strings(items):
+    """A list of strings as json indents it inside an entry."""
+    if not items:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(_quote, items)) + "\n      ]"
 
 
 class OperationTable:
@@ -60,7 +85,19 @@ class OperationTable:
                 "entries": entries}
 
     def dumps(self):
-        return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
+        """The canonical file: `to_json()` as json writes it with indent 2
+        and sorted keys, plus a newline."""
+        entries = [
+            _ENTRY % (len(k), v["degree"], _strings(k), _strings(v["objects"]),
+                      _quote(str(v["coeff"])), _quote(v["output"]))
+            for k, v in sorted(self.entries.items(),
+                               key=lambda kv: (len(kv[0]), kv[0]))]
+        meta = json.dumps(self.metadata, indent=2, sort_keys=True)
+        meta = meta.replace("\n", "\n  ")
+        if not entries:
+            return '{\n  "entries": [],\n  "metadata": %s\n}\n' % meta
+        return ('{\n  "entries": [\n%s\n  ],\n  "metadata": %s\n}\n'
+                % (",\n".join(entries), meta))
 
     def dump(self, path):
         with open(path, "w") as fh:
@@ -68,10 +105,33 @@ class OperationTable:
 
     @classmethod
     def from_json(cls, doc):
-        t = cls(doc.get("metadata", {}))
-        for e in doc["entries"]:
-            coeff = e["output"]["coeff"]
-            t.add(e["inputs"], e["objects"], coeff, e["output"]["symbol"], e["degree"])
+        """The table a `dumps` file holds.  ValueError unless doc is an
+        object with a list "entries" (and an object "metadata", if any)
+        whose every entry has lists of strings "inputs" and "objects", one
+        object more than inputs, an integer "degree" and a string output
+        symbol; the "arity" field is not read."""
+        if type(doc) is not dict or type(doc.get("entries")) is not list:
+            raise ValueError('a table is an object with a list "entries"')
+        metadata = doc.get("metadata", {})
+        if type(metadata) is not dict:
+            raise ValueError('a table\'s "metadata" is an object')
+        t = cls(metadata)
+        for i, e in enumerate(doc["entries"]):
+            try:
+                inputs, objects, degree = e["inputs"], e["objects"], e["degree"]
+                coeff, symbol = e["output"]["coeff"], e["output"]["symbol"]
+                "".join(inputs + objects)   # TypeError unless all strings
+                ok = (type(inputs) is list and type(objects) is list
+                      and len(objects) == len(inputs) + 1
+                      and type(degree) is int and type(symbol) is str)
+            except (KeyError, TypeError):
+                ok = False
+            if not ok:
+                raise ValueError(
+                    f"entry {i} is not a table entry: it needs lists of "
+                    "strings inputs and objects, one object more than "
+                    "inputs, an integer degree and an output symbol string")
+            t.add(inputs, objects, coeff, symbol, degree)
         return t
 
     @classmethod

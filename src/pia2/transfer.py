@@ -33,9 +33,10 @@ them in a set-like dict.
 Both backends scan, take as leaves and output Ext basis symbols by their
 canonical strings, so slice keys, table keys and outputs are strings from
 the scan to the JSON.  A scan symbol's source, target and degree come
-from one place: the symbols table (`symbols.SYMBOLS`) for the symbolic
-backend, and for the matrix backend the dict that `for_pia2` reads off
-its contraction's classes.
+from one place, the backend's `symbols` dict (string -> (source, target,
+degree)): for the symbolic backend it copies each record from the
+symbols table (`symbols.SYMBOLS`) on first read, and for the matrix
+backend `for_pia2` reads it off its contraction's classes.
 
 The same split makes table scans output-sensitive: a slice, or an input
 tuple of m_d, is nonzero only if some cut splits it into two parts that
@@ -61,6 +62,15 @@ from .linalg import F2
 _MISS = object()
 
 
+class _SymbolRecords(dict):
+    """canonical string -> (source, target, degree) of the Ext symbol it
+    names, copied from `symbols.SYMBOLS` on the string's first lookup."""
+
+    def __missing__(self, s):
+        rec = self[s] = sym.SYMBOLS[s][1:]
+        return rec
+
+
 class SymbolicBackend:
     """Tree evaluation in the finite symbol grammar (F2 coefficients).
 
@@ -77,6 +87,8 @@ class SymbolicBackend:
     field = F2            # the symbol grammar carries F2 coefficients
 
     def __init__(self):
+        # canonical string -> (source, target, degree)
+        self.symbols = _SymbolRecords()
         # (a, b) -> (H image, class name) of mu(a, b), one mu per pair
         self._pair = {}
         # (src, tgt, deg) -> whether Ext has a class there
@@ -88,13 +100,13 @@ class SymbolicBackend:
                 for s in sym.hom_names(x, y, degree_max) if s != "1_" + x]
 
     def src(self, s):
-        return sym.SYMBOLS[s][1]
+        return self.symbols[s][0]
 
     def tgt(self, s):
-        return sym.SYMBOLS[s][2]
+        return self.symbols[s][1]
 
     def deg(self, s):
-        return sym.SYMBOLS[s][3]
+        return self.symbols[s][2]
 
     def to_str(self, s):
         """The canonical string of a scan symbol: the symbol itself."""
@@ -388,10 +400,13 @@ class TransferEvaluator:
         if n < 2:
             return {}
         backend, field = self.backend, self.backend.field
-        if not _memo_root and not backend.has_class(
-                backend.src(inputs[-1]), backend.tgt(inputs[0]),
-                sum(map(backend.deg, inputs)) + 2 - n):
-            return {}
+        if not _memo_root:
+            recs = backend.symbols
+            deg = 2 - n
+            for s in inputs:
+                deg += recs[s][2]
+            if not backend.has_class(recs[inputs[-1]][0], recs[inputs[0]][1], deg):
+                return {}
         pre = self._prefix_degrees(inputs)
         A, live = self._fill(inputs, n if _memo_root else n - 1, pre)
         row_n = n * (n + 1)

@@ -117,6 +117,32 @@ def test_expected_table_and_diff(tmp_path, capsys):
     assert json.loads(out)["only_in_a"]
 
 
+_ENTRY = {"arity": 2, "degree": 0, "inputs": ["j1", "p2"],
+          "objects": ["P2", "S2", "P1"], "output": {"coeff": "1", "symbol": "(21)"}}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], 'an object with a list "entries"'),
+    ({"entries": [_ENTRY, _ENTRY], "metadata": {}}, "duplicate entry"),
+    ({"entries": [dict(_ENTRY, inputs="ab")], "metadata": {}},
+     "entry 0 is not a table entry"),
+], ids=["top-level-list", "repeated-inputs", "inputs-string"])
+def test_diff_refuses_malformed_table_files(doc, message, tmp_path, capsys):
+    """A file that is not a table is a usage error (exit 2) naming what
+    is wrong, never a traceback and never a silently misread table."""
+    good = tmp_path / "good.json"
+    run(["expected-table", "--arity-max", "3", "--degree-max", "1",
+         "--output", str(good)], capsys)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    for argv in (["diff", str(bad), str(good)], ["diff", str(good), str(bad)]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "cannot parse table file" in err and message in err
+
+
 def test_verify_kappa_and_unital(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, _o, err = run(["verify", "--which", "kappa", "--arity-max", "4",

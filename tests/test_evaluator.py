@@ -147,16 +147,15 @@ def _has_output_class(backend, inputs):
                              sum(map(backend.deg, inputs)) + 2 - len(inputs))
 
 
-def _point_queries(n, arity_lo, arity_hi, degree_max, seed):
-    """Seeded composable tuples: half nonzero operations of the expected
-    table, half random walks."""
+def _draw(backend, hits, n, arity_lo, arity_hi, degree_max, seed):
+    """Seeded composable tuples of the backend's scan symbols of degree <=
+    degree_max: half drawn from hits, half random walks of arity in
+    [arity_lo, arity_hi]."""
     rng = random.Random(seed)
-    syms = sorted(SymbolicBackend().scan_symbols(degree_max))
+    syms = sorted(backend.scan_symbols(degree_max))
     by_source = {}
     for s in syms:
-        by_source.setdefault(sym.SYMBOLS[s][1], []).append(s)
-    hits = sorted(k for k in expected_table(arity_hi, degree_max).entries
-                  if arity_lo <= len(k) <= arity_hi)
+        by_source.setdefault(backend.src(s), []).append(s)
     out = []
     for i in range(n):
         if i % 2 == 0:
@@ -166,9 +165,17 @@ def _point_queries(n, arity_lo, arity_hi, degree_max, seed):
         for _ in range(rng.randint(arity_lo, arity_hi)):
             s = rng.choice(by_source[obj])
             chain.append(s)
-            obj = sym.SYMBOLS[s][2]
+            obj = backend.tgt(s)
         out.append(tuple(reversed(chain)))
     return out
+
+
+def _point_queries(n, arity_lo, arity_hi, degree_max, seed):
+    """Seeded composable tuples: half nonzero operations of the expected
+    table, half random walks."""
+    hits = sorted(k for k in expected_table(arity_hi, degree_max).entries
+                  if arity_lo <= len(k) <= arity_hi)
+    return _draw(SymbolicBackend(), hits, n, arity_lo, arity_hi, degree_max, seed)
 
 
 def test_cold_point_queries_match_recursion():
@@ -564,3 +571,47 @@ def test_property_symbolic_cold_warm_trees(data):
 @given(st.data())
 def test_property_tabulated_f2_cold_warm_trees(data):
     _check_agreement("tabulated-f2", data)
+
+
+# -- property: scans against point queries, windows against windows ----------
+# Seeded draws: a failure is reported as drawn, never re-seeded or narrowed.
+
+_SCANS = {
+    "symbolic": (SymbolicBackend, 7, 4),
+    "tabulated-f2": (lambda: _pia2_matrix(F2, tabulated_contraction), 5, 2),
+    "generic-q": (lambda: _pia2_matrix(QQ, generic_contraction), 4, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCANS))
+def test_property_scan_entries_are_point_queries(name):
+    """Composable tuples within the scan's bounds, half its own entries and
+    half random walks: a point query through a fresh evaluator gives the
+    scan's entry where it has one and zero where it has none."""
+    make, arity_max, degree_max = _SCANS[name]
+    backend = make()
+    scan = compute_operation_table(arity_max, degree_max, backend)
+    nonzero = 0
+    for q in _draw(backend, sorted(scan.entries), 300, 2, arity_max,
+                   degree_max, seed=25):
+        e = scan.get(q)
+        want = {} if e is None else {e["output"]: e["coeff"]}
+        assert TransferEvaluator(backend).transfer(q) == want, q
+        nonzero += bool(want)
+    assert 150 <= nonzero < 300
+
+
+@pytest.mark.parametrize("field", [F2, QQ], ids=["f2", "q"])
+@pytest.mark.parametrize("contraction", [tabulated_contraction, generic_contraction],
+                         ids=["tabulated", "generic"])
+def test_property_transfer_is_window_stable(field, contraction):
+    """The matrix backend at windows 14 and 24 gives the same point-query
+    outputs on composable tuples of arity <= 4 and input degree <= 2."""
+    narrow, wide = (_pia2_matrix(field, contraction, window=w) for w in (14, 24))
+    hits = sorted(compute_operation_table(4, 2, narrow).entries)
+    nonzero = 0
+    for q in _draw(narrow, hits, 300, 2, 4, 2, seed=26):
+        out = TransferEvaluator(narrow).transfer(q)
+        assert TransferEvaluator(wide).transfer(q) == out, q
+        nonzero += bool(out)
+    assert 150 <= nonzero < 300
