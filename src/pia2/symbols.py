@@ -33,7 +33,7 @@ each such string to its grammar tuple, source, target and degree, the one
 place those facts are read; `hom_names` lists hom bases by string, and
 `pair_images` and `product_class` evaluate products of named factors.
 H symbols have no string spelling: they stay grammar tuples, opaque to
-the transfer layer that carries them in formal sums.
+the transfer layer that carries each one as a slice value.
 """
 
 ZERO = None
@@ -238,11 +238,6 @@ def h_degree(h):
             "ps": 2 * n, "pn_s": 2 * n + 1}[kind]
 
 
-def kappa_h(h):
-    _, kind, i, n = h
-    return ("h", kind, other(i), n)
-
-
 def is_h(x):
     return isinstance(x, tuple) and x[0] == "h"
 
@@ -257,10 +252,6 @@ def elem_source(x):
 
 def elem_target(x):
     return h_target(x) if is_h(x) else ext_target(x)
-
-
-def elem_degree(x):
-    return h_degree(x) if is_h(x) else ext_degree(x)
 
 
 # ---------------------------------------------------------------------------
@@ -557,11 +548,3 @@ def all_h_symbols(n_max):
             for n in range(lo, n_max + 1):
                 out.append(h_sym(kind, i, n))
     return out
-
-
-def _composable_pairs(n_max):
-    elems = all_ext_symbols(2 * n_max + 1) + all_h_symbols(n_max)
-    for a in elems:
-        for b in elems:
-            if elem_source(a) == elem_target(b):
-                yield a, b

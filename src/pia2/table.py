@@ -61,15 +61,6 @@ class OperationTable:
             out[len(k)] = out.get(len(k), 0) + 1
         return dict(sorted(out.items()))
 
-    def restrict_objects(self, objects):
-        """Entries whose full object chain lies inside the given set."""
-        objects = set(objects)
-        sub = OperationTable(self.metadata)
-        for k, v in self.entries.items():
-            if set(v["objects"]) <= objects:
-                sub.entries[k] = v
-        return sub
-
     def to_json(self):
         entries = []
         for key in sorted(self.entries, key=lambda k: (len(k), k)):
@@ -109,7 +100,8 @@ class OperationTable:
         object with a list "entries" (and an object "metadata", if any)
         whose every entry has lists of strings "inputs" and "objects", one
         object more than inputs, an integer "degree" and a string output
-        symbol; the "arity" field is not read."""
+        symbol, and an "arity", if it has one, equal to the number of
+        inputs."""
         if type(doc) is not dict or type(doc.get("entries")) is not list:
             raise ValueError('a table is an object with a list "entries"')
         metadata = doc.get("metadata", {})
@@ -121,16 +113,19 @@ class OperationTable:
                 inputs, objects, degree = e["inputs"], e["objects"], e["degree"]
                 coeff, symbol = e["output"]["coeff"], e["output"]["symbol"]
                 "".join(inputs + objects)   # TypeError unless all strings
+                arity = e.get("arity", len(inputs))
                 ok = (type(inputs) is list and type(objects) is list
                       and len(objects) == len(inputs) + 1
-                      and type(degree) is int and type(symbol) is str)
+                      and type(degree) is int and type(symbol) is str
+                      and type(arity) is int and arity == len(inputs))
             except (KeyError, TypeError):
                 ok = False
             if not ok:
                 raise ValueError(
                     f"entry {i} is not a table entry: it needs lists of "
                     "strings inputs and objects, one object more than "
-                    "inputs, an integer degree and an output symbol string")
+                    "inputs, an integer degree, an output symbol string "
+                    "and no arity other than the number of inputs")
             t.add(inputs, objects, coeff, symbol, degree)
         return t
 
@@ -145,6 +140,8 @@ def diff_tables(a, b, support_only=False, check_bounds=True):
 
     Lists entries of a missing from b, entries of b missing from a, and
     coefficient mismatches (skipped when support_only, the Q-mode claim).
+    An entry of both whose output symbol, degree or object chain differs
+    is listed as missing from each.
     """
     report = {"only_in_a": [], "only_in_b": [], "coeff_mismatch": []}
     if check_bounds:
@@ -157,7 +154,8 @@ def diff_tables(a, b, support_only=False, check_bounds=True):
         w = b.entries.get(k)
         if w is None:
             report["only_in_a"].append(list(k))
-        elif w["output"] != v["output"]:
+        elif (w["output"] != v["output"] or w["degree"] != v["degree"]
+              or w["objects"] != v["objects"]):
             report["only_in_a"].append(list(k))
             report["only_in_b"].append(list(k))
         elif not support_only and str(w["coeff"]) != str(v["coeff"]):

@@ -27,8 +27,11 @@ this way: the scan reads their root slice, which only the fill gives.
 
 Both backends' mu_h returns None when the product is zero.  The symbolic
 backend reads the H and p images of a symbol pair from one pair table,
-filled with one mu per distinct pair, and sums terms over F2 by toggling
-them in a set-like dict.
+filled with one mu per distinct pair.  Its element is one operand or None
+(zero), since every slice value it has been measured to give is a single
+term: a product is one pair-table read, and `add` cancels two equal
+operands over F2 and refuses two distinct ones, naming the slice, rather
+than carry or drop a sum.
 
 Both backends scan, take as leaves and output Ext basis symbols by their
 canonical strings, so slice keys, table keys and outputs are strings from
@@ -54,6 +57,7 @@ with the homotopy entering as (-1)^{|x|} H(x).  Over F2 every sign is +1.
 """
 
 import functools
+import sys
 
 from .table import OperationTable
 from . import symbols as sym
@@ -74,11 +78,13 @@ class _SymbolRecords(dict):
 class SymbolicBackend:
     """Tree evaluation in the finite symbol grammar (F2 coefficients).
 
-    Elements are formal sums {operand: coeff} where an operand is an Ext
-    symbol by canonical string (leaves, class reads) or an H symbol
-    (internal edges), a grammar value this module only passes on.  It
-    has no `scale`: over F2 every Koszul sign is +1, so the evaluators,
-    which scale only by a sign other than one, never ask for it.
+    An element is one operand, an Ext symbol by canonical string (leaves,
+    class reads) or an H symbol (internal edges), a grammar value this
+    module only passes on; None is zero.  No slice value measured has two
+    terms, so no element is a sum: `add` refuses two distinct operands
+    instead of dropping one.  It has no `scale`: over F2
+    every Koszul sign is +1, so the evaluators, which scale only by a sign
+    other than one, never ask for it.
     """
 
     name = "symbolic"
@@ -125,55 +131,41 @@ class SymbolicBackend:
 
     # elements ------------------------------------------------------------
     def leaf(self, s):
-        return {s: self.field.one}
+        return s
 
     def is_zero(self, e):
-        return not e
+        return e is None
 
     def add(self, a, b):
-        f = self.field
-        out = dict(a)
-        for k, v in b.items():
-            f.accumulate(out, k, v)
-        return out
+        """a + b over F2: zero (None) is the identity and two equal
+        operands cancel.  Two distinct ones would make a two-term slice,
+        which this element cannot hold: ValueError, naming the operands
+        and the slice being summed (the caller's `key`, as the fill names
+        it; read off its frame on this path only)."""
+        if a is None:
+            return b
+        if b is None:
+            return a
+        if a == b:
+            return None
+        key = sys._getframe(1).f_locals.get("key")
+        raise ValueError(f"slice {key!r} sums two distinct terms {a!r} and "
+                         f"{b!r}; a symbolic element is one operand")
 
-    # products: over F2 every coefficient is one, so a formal sum is the
-    # set of its terms; images are toggled in and a repeated one cancels
     def _images(self, a, b):
         """The pair table's entry for (a, b), made on a miss: one mu
         serves both mu_h and mu_p."""
         r = self._pair[a, b] = sym.pair_images(a, b)
         return r
 
-    def mu_h(self, ea, eb):
-        """H(mu(ea, eb)) for formal sums; None when everything dies."""
-        pair, one = self._pair, self.field.one
-        out = {}
-        for a in ea:
-            for b in eb:
-                h = (pair.get((a, b)) or self._images(a, b))[0]
-                if h is None:
-                    continue
-                if h in out:
-                    del out[h]
-                else:
-                    out[h] = one
-        return out or None
+    def mu_h(self, a, b):
+        """H(mu(a, b)): an H symbol, or None when it is zero."""
+        return (self._pair.get((a, b)) or self._images(a, b))[0]
 
-    def mu_p(self, ea, eb):
-        """p(mu(ea, eb)): {class name: coeff}."""
-        pair, one = self._pair, self.field.one
-        out = {}
-        for a in ea:
-            for b in eb:
-                cls = (pair.get((a, b)) or self._images(a, b))[1]
-                if cls is None:
-                    continue
-                if cls in out:
-                    del out[cls]
-                else:
-                    out[cls] = one
-        return out
+    def mu_p(self, a, b):
+        """p(mu(a, b)): {class name: 1}, or {} when it is zero."""
+        cls = (self._pair.get((a, b)) or self._images(a, b))[1]
+        return {} if cls is None else {cls: 1}
 
 
 class MatrixBackend:

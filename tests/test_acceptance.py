@@ -17,6 +17,7 @@ import pytest
 from pia2.linalg import F2, QQ
 from pia2 import symbols as sym
 from pia2.table import OperationTable, diff_tables
+from helpers import restrict_objects
 from tree_oracle import enumerate_trees, catalan
 from pia2.transfer import (SymbolicBackend, MatrixBackend, TransferEvaluator,
                            compute_operation_table)
@@ -280,6 +281,20 @@ def test_criterion_1_backends_agree_at_9_8_over_f2():
               f"({len(symbolic)} operations)", time.time() - t0)
 
 
+def test_criterion_1_backends_agree_at_13_12_over_f2():
+    """At the frontier (13,12) the tabulated and the generic homotopy on
+    the matrix backend, window 28, give the symbolic F2 table: a check of
+    arities 10-13 that does not rest on the paper's operation list, which
+    `test_criterion_3_frontier_at_13_12` compares against."""
+    t0 = time.time()
+    symbolic = compute_operation_table(13, 12, SymbolicBackend())
+    assert len(symbolic) == 774
+    for homotopy in ("paper", "generic"):
+        _assert_same_entries(_matrix_table(F2, homotopy, 13, 12, 28), symbolic)
+    report(1, f"tabulated F2 = generic F2 = symbolic at arity <= 13, degree <= 12 "
+              f"({len(symbolic)} operations)", time.time() - t0)
+
+
 def test_criterion_1_homotopies_agree_at_9_8_over_q():
     """Over Q the tabulated and the generic homotopy give the same table
     at (9,8), window 29, signs included; the symbolic backend carries F2
@@ -404,7 +419,7 @@ def test_criterion_6_a2_oracle():
 
 
 def test_criterion_7_formality(engine):
-    sub = engine["table9"].restrict_objects({"S1", "S2"})
+    sub = restrict_objects(engine["table9"], {"S1", "S2"})
     arities = sub.arities()
     assert set(arities) <= {2}, arities
     report(7, "restriction to the simple objects carries no operation of "

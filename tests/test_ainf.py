@@ -5,6 +5,7 @@ import pytest
 from pia2.linalg import F2, QQ
 from pia2 import symbols as sym
 from pia2.table import OperationTable, diff_tables
+from helpers import restrict_objects
 from pia2.transfer import (SymbolicBackend, MatrixBackend, TransferEvaluator,
                            compute_operation_table)
 from pia2.complexes import pia2_end_category, tabulated_contraction
@@ -329,7 +330,7 @@ def test_scan_report_that_checked_nothing_fails():
 
 def test_restriction_to_simples_is_formal():
     pi = make_pi(7, 4)
-    sub = pi.table.restrict_objects({"S1", "S2"})
+    sub = restrict_objects(pi.table, {"S1", "S2"})
     assert set(sub.arities()) == {2}
 
 

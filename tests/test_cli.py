@@ -143,6 +143,50 @@ def test_diff_refuses_malformed_table_files(doc, message, tmp_path, capsys):
         assert "cannot parse table file" in err and message in err
 
 
+@pytest.mark.parametrize("field, edit", [
+    ("degree", lambda e: e["degree"] + 1),
+    ("objects", lambda e: e["objects"][:-1] + ["P1" if e["objects"][-1] != "P1" else "P2"]),
+], ids=["degree", "objects"])
+def test_diff_compares_whole_entries(field, edit, tmp_path, capsys):
+    """An entry whose degree or object chain differs, output and coeff
+    alike, is a difference: its inputs are listed as missing from each
+    side, as an output mismatch is."""
+    a = tmp_path / "a.json"
+    run(["expected-table", "--arity-max", "3", "--degree-max", "1",
+         "--output", str(a)], capsys)
+    doc = json.loads(a.read_text())
+    entry = doc["entries"][0]
+    entry[field] = edit(entry)
+    b = tmp_path / "b.json"
+    b.write_text(json.dumps(doc))
+    code, out, _e = run(["diff", str(a), str(b)], capsys)
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["only_in_a"] == rep["only_in_b"] == [entry["inputs"]]
+    assert rep["coeff_mismatch"] == [] and not rep["identical"]
+
+
+def test_diff_refuses_an_arity_off_the_inputs(tmp_path, capsys):
+    """An arity field other than the number of inputs is a usage error
+    (exit 2) naming the entry; an entry without one is read."""
+    a = tmp_path / "a.json"
+    run(["expected-table", "--arity-max", "3", "--degree-max", "1",
+         "--output", str(a)], capsys)
+    doc = json.loads(a.read_text())
+    del doc["entries"][0]["arity"]
+    b = tmp_path / "b.json"
+    b.write_text(json.dumps(doc))
+    code, out, _e = run(["diff", str(a), str(b)], capsys)
+    assert code == 0 and json.loads(out)["identical"]
+    doc["entries"][1]["arity"] += 1
+    b.write_text(json.dumps(doc))
+    with pytest.raises(SystemExit) as exc:
+        main(["diff", str(a), str(b)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "cannot parse table file" in err and "entry 1 is not a table entry" in err
+
+
 def test_verify_kappa_and_unital(tmp_path, capsys):
     out = tmp_path / "report.json"
     code, _o, err = run(["verify", "--which", "kappa", "--arity-max", "4",

@@ -23,6 +23,7 @@ from pia2.complexes import (pia2_end_category, tabulated_contraction,
 from pia2.linalg import F2, QQ
 from pia2.transfer import (SymbolicBackend, MatrixBackend, TransferEvaluator,
                            compute_operation_table)
+from helpers import composable_pairs
 from tree_oracle import transfer_mn_by_trees
 
 _MISS = object()
@@ -94,9 +95,10 @@ class RecursiveEvaluator:
 
 
 def _value(v):
-    """A memo value in comparable form: None, a formal sum, or a
-    HomElement's coordinates."""
-    if v is None or isinstance(v, dict):
+    """A memo value in comparable form: None, a symbolic operand (an Ext
+    symbol's string or an H tuple), a formal sum, or a HomElement's
+    coordinates."""
+    if v is None or isinstance(v, (str, tuple, dict)):
         return v
     return (v.src, v.tgt, v.deg, v.coeffs)
 
@@ -427,48 +429,26 @@ def _named(x):
     return x if sym.is_h(x) else sym.ext_to_str(x)
 
 
-def _direct(ea, eb, apply):
-    """The image of mu on formal sums of grammar factors the long way: mu
-    per term pair, then `apply`, summed with the field's arithmetic and
-    named as the backend names it."""
-    out = {}
-    for a, va in ea.items():
-        for b, vb in eb.items():
-            m = sym.mu(a, b)
-            x = None if m is None else apply(m)
-            if x is None:
-                continue
-            x = _named(x)
-            v = F2.add(out.get(x, F2.zero), F2.mul(va, vb))
-            if v == F2.zero:
-                out.pop(x, None)
-            else:
-                out[x] = v
-    return out
-
-
-def _check_pair_table(backend, ea, eb, h_first):
-    calls = [("mu_h", sym.h_apply), ("mu_p", sym.p_apply)]
-    for name, apply in calls if h_first else calls[::-1]:
-        want = _direct(ea, eb, apply)
-        got = getattr(backend, name)({_named(a): v for a, v in ea.items()},
-                                     {_named(b): v for b, v in eb.items()})
-        assert got == ((want or None) if name == "mu_h" else want), (name, ea, eb)
+def _images(a, b):
+    """The pair table's entry for (a, b) the long way: mu, then h_apply
+    and p_apply, named as the backend names them; (H image or None,
+    {class name: 1} or {})."""
+    m = sym.mu(a, b)
+    h, p = sym.h_apply(m), sym.p_apply(m)
+    return (None if h is None else _named(h)), ({} if p is None else {_named(p): 1})
 
 
 def test_pair_table_matches_mu_then_image(monkeypatch):
-    """On single terms, in either order of the two products; one mu per
-    pair serves both images."""
-    want = {(a, b): (_direct({a: 1}, {b: 1}, sym.h_apply) or None,
-                     _direct({a: 1}, {b: 1}, sym.p_apply))
-            for a, b in sym._composable_pairs(3)}
+    """On single operands, in either order of the two products; one mu
+    per pair serves both images."""
+    want = {(a, b): _images(a, b) for a, b in composable_pairs(3)}
     mu_calls = []
     mu = sym.mu
     monkeypatch.setattr(sym, "mu", lambda a, b: mu_calls.append((a, b)) or mu(a, b))
     for h_first in (True, False):
         backend = SymbolicBackend()
         for (a, b), (h, p) in want.items():
-            ea, eb = {_named(a): 1}, {_named(b): 1}
+            ea, eb = _named(a), _named(b)
             if h_first:
                 got = backend.mu_h(ea, eb), backend.mu_p(ea, eb)
             else:
@@ -479,39 +459,49 @@ def test_pair_table_matches_mu_then_image(monkeypatch):
         mu_calls.clear()
 
 
-def test_pair_table_on_two_term_sums():
-    """Homogeneous two-term sums, among them every pair of products with
-    the same class image, which cancel over F2."""
-    pairs = list(sym._composable_pairs(3))
-    images = {}
-    for a, b in pairs:
-        m = sym.mu(a, b)
-        if m is not None and sym.p_apply(m) is not None:
-            images.setdefault(sym.p_apply(m), []).append((a, b))
-    sums = []
-    for group in images.values():
-        for n, (a1, b1) in enumerate(group):
-            for a2, b2 in group[n + 1:]:
-                if (a1 != a2 and b1 != b2
-                        and sym.elem_source(a1) == sym.elem_source(a2)
-                        and sym.elem_target(b1) == sym.elem_target(b2)):
-                    sums.append(({a1: 1, a2: 1}, {b1: 1, b2: 1}))
-    cancelling = len(sums)
-    assert cancelling > 0
-    rng = random.Random(13)
-    for _ in range(500):
-        (a1, b1), (a2, b2) = rng.sample(pairs, 2)
-        if (sym.elem_source(a1) == sym.elem_source(a2)
-                and sym.elem_target(b1) == sym.elem_target(b2)):
-            sums.append(({a1: 1, a2: 1}, {b1: 1}))
-            sums.append(({a1: 1}, {b1: 1, b2: 1}))
-    assert len(sums) > cancelling
+def test_add_cancels_equal_operands_and_refuses_distinct_ones():
+    """Over F2 an operand plus itself is zero and zero (None) is the
+    identity; two distinct operands would be a two-term sum, which the
+    element cannot hold, so `add` raises rather than drop one."""
     backend = SymbolicBackend()
-    for n, (ea, eb) in enumerate(sums):
-        _check_pair_table(backend, ea, eb, h_first=n % 2 == 0)
-    ea, eb = {"u1^1": 1, "u1^2": 1}, {"u1^1": 1, "u1^2": 1}
-    # u1^1 u1^2 + u1^2 u1^1 = 0: only u1^2 and u1^4 survive
-    assert backend.mu_p(ea, eb) == {"u1^2": 1, "u1^4": 1}
+    h = sym.h_sym("ss", 1, 1)
+    for x in ("u1^1", h):
+        assert backend.add(x, x) is None
+        assert backend.add(x, None) == x == backend.add(None, x)
+    assert backend.add(None, None) is None
+    for a, b in (("u1^1", "u1^2"), ("u1^1", h), (h, sym.h_sym("ss", 1, 2))):
+        with pytest.raises(ValueError, match="two distinct terms"):
+            backend.add(a, b)
+
+
+def _hand_made_backend(h, left_image):
+    """A symbolic backend whose pair table gives the slice (c, b, a) of
+    (d, c, b, a) two live cuts, c o (b a) with H image h[2] and (c b) o a
+    with `left_image`; every other slice of length >= 2 is zero."""
+    backend = SymbolicBackend()
+    backend._pair.update({
+        ("d", "c"): (None, None), ("c", "b"): (h[0], None),
+        ("b", "a"): (h[1], None), ("d", h[0]): (None, None),
+        ("c", h[1]): (h[2], None), (h[0], "a"): (left_image, None)})
+    return backend
+
+
+def test_two_live_cuts_with_distinct_images_refuse_the_slice():
+    """Under a hand-made pair table the slice (c, b, a) has two live cuts.
+    With distinct H images the transfer raises, naming that slice and both
+    images, never keeping one of them; with equal ones they cancel over F2
+    and the slice is zero."""
+    h = [sym.h_sym("ss", 1, n) for n in range(1, 5)]
+    q = ("d", "c", "b", "a")
+    with pytest.raises(ValueError) as exc:
+        TransferEvaluator(_hand_made_backend(h, h[3])).transfer(q, _memo_root=True)
+    message = str(exc.value)
+    assert "('c', 'b', 'a')" in message
+    assert repr(h[2]) in message and repr(h[3]) in message
+    ev = TransferEvaluator(_hand_made_backend(h, h[2]))
+    assert ev.transfer(q, _memo_root=True) == {}
+    assert ev.memo == {q[:2]: None, q[1:3]: h[0], q[2:]: h[1],
+                       q[:3]: None, q[1:]: None, q: None}
 
 
 # -- property: cold, warm and the literal tree sum agree ---------------------
