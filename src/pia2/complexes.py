@@ -55,23 +55,6 @@ class TruncatedComplex:
     def d(self, i):
         return self.diffs.get(i)
 
-    def check_d_squared(self):
-        for i in range(self.lo, self.hi - 1):
-            di, dn = self.diffs.get(i), self.diffs.get(i + 1)
-            if di is not None and dn is not None and not dn.compose(di).is_zero():
-                return False
-        return True
-
-    def homology_dims(self, positions=None):
-        """{pos: dim ker/im} by exact rank computation."""
-        out = {}
-        for i in (positions if positions is not None else self.positions()):
-            dim = sum(self.reps[i].dims.values())
-            rk_out = self.diffs[i].rank() if i in self.diffs else 0
-            rk_in = self.diffs[i - 1].rank() if i - 1 in self.diffs else 0
-            out[i] = dim - rk_out - rk_in
-        return out
-
     def __repr__(self):
         return f"Complex({self.name}, [{self.lo},{self.hi}])"
 
@@ -404,16 +387,6 @@ class EndCategory:
         return HomElement(self, elem.src, elem.tgt, elem.deg + 1,
                           {basis_out[r]: v for r, v in img.items()})
 
-    def hom_homology_dims(self, src, tgt, degrees):
-        """{deg: dim} of the flattened Hom-complex, exact via rref."""
-        out = {}
-        for n in degrees:
-            dim = len(self.flat_basis(src, tgt, n))
-            rk_out = rref(self.d_matrix(src, tgt, n))[0]
-            rk_in = rref(self.d_matrix(src, tgt, n - 1))[0]
-            out[n] = dim - rk_out - rk_in
-        return out
-
 
 class HomElement:
     """An element of Hom^deg(X, Y) as sparse coefficients over the flat basis."""
@@ -597,10 +570,11 @@ class TabulatedContraction:
     coefficient at the top position of a class-carrying degree, and H
     back-substitutes the bidiagonal differential summing from the top.
 
-    Everything p and H need besides their argument depends only on the hom
-    pair and the degree, so it is derived once per (src, tgt, deg): the
-    first class and its top key for p, and for H a plan of back-substitution
-    steps with the pivots already inverted.
+    Everything i, p and H need besides their argument depends only on the
+    class or on the hom pair and the degree, so it is derived once: each
+    class's realized cycle for i, kept by name, and per (src, tgt, deg)
+    the first class and its top key for p, and for H a plan of
+    back-substitution steps with the pivots already inverted.
 
     No degree that carries a class has a plan: d does not vanish on it, so
     H is zero there, and where H back-substitutes, i(p(x)) = 0.  _plan
@@ -611,6 +585,7 @@ class TabulatedContraction:
 
     def __init__(self, cat):
         self.cat = cat
+        self._included = {}  # class name -> its realized cycle
         self._tops = {}     # (src, tgt, deg) -> (first class, (top, 0)) or None
         self._plans = {}    # (src, tgt, deg) -> back-substitution steps or None
 
@@ -618,9 +593,14 @@ class TabulatedContraction:
         return pia2_classes(src, tgt, deg)
 
     def include(self, src, tgt, deg, name):
-        e, x, y, _d = sym.SYMBOLS[name]
-        assert (x, y) == (src, tgt)
-        return realize_ext_symbol(self.cat, e)
+        """The class's canonical cycle, realized on first use and shared
+        from then on (no caller mutates a HomElement's coefficients)."""
+        elem = self._included.get(name)
+        if elem is None:
+            e, _x, _y, _d = sym.SYMBOLS[name]
+            elem = self._included[name] = realize_ext_symbol(self.cat, e)
+        assert (elem.src, elem.tgt) == (src, tgt)
+        return elem
 
     def _top(self, src, tgt, deg):
         """(first class, key of the top position) of a class-carrying
@@ -722,11 +702,15 @@ class GenericContraction:
     Each degree n of a hom pair is split on first use, from two memoized
     row reductions: rref(d_n) gives the kernel and the complement W_n (unit
     vectors at its pivot columns), and the pivots of rref(d_{n-1}) give
-    the boundaries B_n = d(W_{n-1}).  H on degree n reads only W_{n-1}, so
-    no other degree of the pair is split.  A refusal (missing classes, or
-    classes that cannot be told from edge artifacts) fires when its degree
-    is first split, and again on every later use of that degree; the
-    pair's other degrees still answer.
+    the boundaries B_n = d(W_{n-1}).  The split keeps B_n, the class
+    representatives R_n and a free-column solver: W_n is zero on the free
+    columns of rref(d_n), and a kernel vector is fixed by its entries
+    there, so the B and R coordinates of any chain solve a square system
+    on those columns alone, and W_n is never stored.  H on degree n reads
+    only rref(d_{n-1})'s pivots, so no other degree of the pair is split.
+    A refusal (missing classes, or classes that cannot be told from edge
+    artifacts) fires when its degree is first split, and again on every
+    later use of that degree; the pair's other degrees still answer.
 
     Truncating a two-sided-infinite complex on the left creates spurious
     rank-count classes in a few degrees (their true killers live beyond
@@ -755,8 +739,9 @@ class GenericContraction:
         return out
 
     def _degree(self, src, tgt, n):
-        """Degree n's split of Hom(src, tgt): B, R, W, the flat basis,
-        n_true and the [B | R | W] solver, built on first use."""
+        """Degree n's split of Hom(src, tgt): B, R, the flat basis, n_true,
+        the row of each free column of rref(d_n) and the free-column
+        solver, built on first use."""
         key = (src, tgt, n)
         data = self._degrees.get(key)
         if data is not None:
@@ -764,14 +749,14 @@ class GenericContraction:
         cat, field = self.cat, self.cat.field
         basis = cat.flat_basis(src, tgt, n)
         _rank, pivots, kernel = self._rref(src, tgt, n)
-        # complement of the kernel: unit vectors at pivot columns
-        W = [{j: field.one} for j in pivots]
-        # boundaries: d of the previous complement
+        # boundaries: d of the unit vectors at rref(d_{n-1})'s pivot
+        # columns, read off d_{n-1} grouped by column in one pass
         B = []
         if n > self.deg_lo:
-            d_prev = cat.d_matrix(src, tgt, n - 1)
-            B = [mat_vec(d_prev, {j: field.one})
-                 for j in self._rref(src, tgt, n - 1)[1]]
+            by_col = {}
+            for (r, c), v in cat.d_matrix(src, tgt, n - 1).entries.items():
+                by_col.setdefault(c, {})[r] = v
+            B = [by_col[j] for j in self._rref(src, tgt, n - 1)[1]]
         # class representatives: extend B to a basis of the kernel,
         # taking left-localized candidates first
         span = _Span(len(basis), field)
@@ -792,13 +777,19 @@ class GenericContraction:
             if 0 < n_true < len(R):
                 raise ValueError(
                     f"cannot separate classes from edge artifacts at {key}")
-        # solver for coordinates in [B | R | W]
-        cols = B + R + W
-        solver = SparseMatrix(len(basis), len(cols), field,
-                              {(r, j): v for j, col in enumerate(cols)
-                               for r, v in col.items()})
-        data = self._degrees[key] = {"B": B, "R": R, "W": W, "basis": basis,
-                                     "n_true": n_true, "solver": solver}
+        # B + R is a basis of ker d_n, and a kernel vector is fixed by its
+        # entries on the free columns F of rref(d_n): the solver is [B | R]
+        # cut to the rows F, square and invertible
+        pivot_set = set(pivots)
+        free = [j for j in range(len(basis)) if j not in pivot_set]
+        free_row = {j: k for k, j in enumerate(free)}
+        solver = SparseMatrix(len(free_row), len(free_row), field,
+                              {(free_row[r], j): v
+                               for j, col in enumerate(B + R)
+                               for r, v in col.items() if r in free_row})
+        data = self._degrees[key] = {"B": B, "R": R, "basis": basis,
+                                     "n_true": n_true, "free_row": free_row,
+                                     "solver": solver}
         return data
 
     def classes(self, src, tgt, deg):
@@ -822,9 +813,18 @@ class GenericContraction:
                           {basis[r]: v for r, v in data["R"][k].items()})
 
     def _coords(self, elem):
+        """(split data, coordinates of elem over B then R).  The complement
+        W of ker d_n (unit vectors at rref(d_n)'s pivot columns) is zero on
+        the free columns, so elem's entries there are those of its B + R
+        part, whose coordinates the free-column solver gives."""
         data = self._degree(elem.src, elem.tgt, elem.deg)
         index = self.cat.flat_index(elem.src, elem.tgt, elem.deg)
-        target = {index[b]: v for b, v in elem.coeffs.items()}
+        free_row = data["free_row"]
+        target = {}
+        for b, v in elem.coeffs.items():
+            r = free_row.get(index[b])
+            if r is not None:
+                target[r] = v
         factors = data.get("factors")
         if factors is None:
             # factored once, on first use: most degrees are never solved in
@@ -849,7 +849,8 @@ class GenericContraction:
 
     def H(self, elem):
         """Inverse of d on boundaries, zero on classes and the complement:
-        boundary coordinate k goes to W_{deg-1}'s k-th unit vector."""
+        boundary coordinate k goes to the unit vector at the k-th pivot
+        column of rref(d_{deg-1})."""
         src, tgt, n = elem.src, elem.tgt, elem.deg
         if elem.is_zero() or n - 1 < self.deg_lo or n > self.deg_hi:
             return self.cat.zero_elem(src, tgt, n - 1)

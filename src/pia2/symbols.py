@@ -525,26 +525,3 @@ def product_class(a, b):
     """The class name of p(mu(a, b)) for the Ext symbols named a and b;
     None when it is zero."""
     return _class_name(p_apply(mu(SYMBOLS[a][0], SYMBOLS[b][0])))
-
-
-# ---------------------------------------------------------------------------
-# enumerations of the grammar's symbols
-
-def all_ext_symbols(degree_max, include_identities=False):
-    out = []
-    for x in OBJECTS:
-        for y in OBJECTS:
-            for s in hom_basis(x, y, degree_max):
-                if include_identities or not is_identity(s):
-                    out.append(s)
-    return out
-
-
-def all_h_symbols(n_max):
-    out = []
-    for kind in ("ss", "sn", "sp", "pn_t", "ps", "pn_s"):
-        lo = 1 if kind in ("ss", "sp") else 0
-        for i in (1, 2):
-            for n in range(lo, n_max + 1):
-                out.append(h_sym(kind, i, n))
-    return out

@@ -141,9 +141,11 @@ def diff_tables(a, b, support_only=False, check_bounds=True):
     Lists entries of a missing from b, entries of b missing from a, and
     coefficient mismatches (skipped when support_only, the Q-mode claim).
     An entry of both whose output symbol, degree or object chain differs
-    is listed as missing from each.
+    is listed as missing from each, and under "changed" with the names
+    of the fields that differ ("degree", "objects", "output").
     """
-    report = {"only_in_a": [], "only_in_b": [], "coeff_mismatch": []}
+    report = {"only_in_a": [], "only_in_b": [], "coeff_mismatch": [],
+              "changed": []}
     if check_bounds:
         for field in ("arity_max", "degree_max"):
             if (field in a.metadata and field in b.metadata
@@ -158,6 +160,10 @@ def diff_tables(a, b, support_only=False, check_bounds=True):
               or w["objects"] != v["objects"]):
             report["only_in_a"].append(list(k))
             report["only_in_b"].append(list(k))
+            report["changed"].append({
+                "inputs": list(k),
+                "fields": [f for f in ("degree", "objects", "output")
+                           if w[f] != v[f]]})
         elif not support_only and str(w["coeff"]) != str(v["coeff"]):
             report["coeff_mismatch"].append(list(k))
     for k in b.entries:
@@ -166,6 +172,7 @@ def diff_tables(a, b, support_only=False, check_bounds=True):
     report["only_in_a"].sort()
     report["only_in_b"].sort()
     report["coeff_mismatch"].sort()
+    report["changed"].sort(key=lambda c: c["inputs"])
     report["identical"] = not (report["only_in_a"] or report["only_in_b"]
                                or report["coeff_mismatch"])
     return report

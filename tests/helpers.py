@@ -1,11 +1,14 @@
-"""Grammar and table functions that only the tests call.
+"""Grammar, complex and table functions that only the tests call.
 
-`kappa_h`, `elem_degree` and `composable_pairs` read the symbol grammar
-of `pia2.symbols`; `restrict_objects` cuts an operation table down to a
-set of objects.
+`kappa_h`, `elem_degree`, `all_ext_symbols`, `all_h_symbols` and
+`composable_pairs` read the symbol grammar of `pia2.symbols`;
+`check_d_squared`, `homology_dims` and `hom_homology_dims` read a
+`pia2.complexes` complex or category; `restrict_objects` cuts an
+operation table down to a set of objects.
 """
 
 from pia2 import symbols as sym
+from pia2.linalg import rref
 from pia2.table import OperationTable
 
 
@@ -19,10 +22,30 @@ def elem_degree(x):
     return sym.h_degree(x) if sym.is_h(x) else sym.ext_degree(x)
 
 
+def all_ext_symbols(degree_max, include_identities=False):
+    out = []
+    for x in sym.OBJECTS:
+        for y in sym.OBJECTS:
+            for s in sym.hom_basis(x, y, degree_max):
+                if include_identities or not sym.is_identity(s):
+                    out.append(s)
+    return out
+
+
+def all_h_symbols(n_max):
+    out = []
+    for kind in ("ss", "sn", "sp", "pn_t", "ps", "pn_s"):
+        lo = 1 if kind in ("ss", "sp") else 0
+        for i in (1, 2):
+            for n in range(lo, n_max + 1):
+                out.append(sym.h_sym(kind, i, n))
+    return out
+
+
 def composable_pairs(n_max):
     """Every composable pair (a, b), a after b, of the Ext symbols of
     degree <= 2 n_max + 1 and the H symbols of index <= n_max."""
-    elems = sym.all_ext_symbols(2 * n_max + 1) + sym.all_h_symbols(n_max)
+    elems = all_ext_symbols(2 * n_max + 1) + all_h_symbols(n_max)
     for a in elems:
         for b in elems:
             if sym.elem_source(a) == sym.elem_target(b):
@@ -38,3 +61,36 @@ def restrict_objects(table, objects):
         if set(v["objects"]) <= objects:
             sub.entries[k] = v
     return sub
+
+
+def check_d_squared(cx):
+    """Does each pair of consecutive differentials of the complex cx
+    compose to zero?"""
+    for i in range(cx.lo, cx.hi - 1):
+        di, dn = cx.diffs.get(i), cx.diffs.get(i + 1)
+        if di is not None and dn is not None and not dn.compose(di).is_zero():
+            return False
+    return True
+
+
+def homology_dims(cx, positions=None):
+    """{pos: dim ker/im} of the complex cx by exact rank computation."""
+    out = {}
+    for i in (positions if positions is not None else cx.positions()):
+        dim = sum(cx.reps[i].dims.values())
+        rk_out = cx.diffs[i].rank() if i in cx.diffs else 0
+        rk_in = cx.diffs[i - 1].rank() if i - 1 in cx.diffs else 0
+        out[i] = dim - rk_out - rk_in
+    return out
+
+
+def hom_homology_dims(cat, src, tgt, degrees):
+    """{deg: dim} of the category's flattened Hom-complex, exact via
+    rref."""
+    out = {}
+    for n in degrees:
+        dim = len(cat.flat_basis(src, tgt, n))
+        rk_out = rref(cat.d_matrix(src, tgt, n))[0]
+        rk_in = rref(cat.d_matrix(src, tgt, n - 1))[0]
+        out[n] = dim - rk_out - rk_in
+    return out

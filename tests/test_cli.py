@@ -143,14 +143,23 @@ def test_diff_refuses_malformed_table_files(doc, message, tmp_path, capsys):
         assert "cannot parse table file" in err and message in err
 
 
+def _other_symbol(e):
+    return {**e["output"], "symbol": "p1" if e["output"]["symbol"] != "p1" else "p2"}
+
+
+def _other_objects(e):
+    return e["objects"][:-1] + ["P1" if e["objects"][-1] != "P1" else "P2"]
+
+
 @pytest.mark.parametrize("field, edit", [
     ("degree", lambda e: e["degree"] + 1),
-    ("objects", lambda e: e["objects"][:-1] + ["P1" if e["objects"][-1] != "P1" else "P2"]),
-], ids=["degree", "objects"])
+    ("objects", _other_objects),
+    ("output", _other_symbol),
+], ids=["degree", "objects", "output"])
 def test_diff_compares_whole_entries(field, edit, tmp_path, capsys):
-    """An entry whose degree or object chain differs, output and coeff
-    alike, is a difference: its inputs are listed as missing from each
-    side, as an output mismatch is."""
+    """An entry whose degree, object chain or output symbol differs, the
+    coeff alike, is a difference: its inputs are listed as missing from
+    each side, and under "changed" with the one field that differs."""
     a = tmp_path / "a.json"
     run(["expected-table", "--arity-max", "3", "--degree-max", "1",
          "--output", str(a)], capsys)
@@ -163,7 +172,40 @@ def test_diff_compares_whole_entries(field, edit, tmp_path, capsys):
     assert code == 1
     rep = json.loads(out)
     assert rep["only_in_a"] == rep["only_in_b"] == [entry["inputs"]]
+    assert rep["changed"] == [{"inputs": entry["inputs"], "fields": [field]}]
     assert rep["coeff_mismatch"] == [] and not rep["identical"]
+
+
+def test_diff_names_every_changed_field_in_input_order(tmp_path, capsys):
+    """"changed" is sorted by inputs and names each differing field of an
+    entry, in the order degree, objects, output; an entry only one side
+    has and a coefficient mismatch are not in it, and identical files
+    report it empty."""
+    a = tmp_path / "a.json"
+    run(["expected-table", "--arity-max", "3", "--degree-max", "1",
+         "--output", str(a)], capsys)
+    code, out, _e = run(["diff", str(a), str(a)], capsys)
+    assert code == 0 and json.loads(out)["changed"] == []
+    doc = json.loads(a.read_text())
+    first, second, third, fourth = doc["entries"][:4]
+    second["output"] = _other_symbol(second)
+    second["objects"] = _other_objects(second)
+    second["degree"] += 1
+    first["degree"] += 1
+    third["output"]["coeff"] = "0"
+    doc["entries"].remove(fourth)
+    b = tmp_path / "b.json"
+    b.write_text(json.dumps({"entries": doc["entries"][::-1],
+                             "metadata": doc["metadata"]}))
+    code, out, _e = run(["diff", str(a), str(b)], capsys)
+    assert code == 1
+    rep = json.loads(out)
+    assert rep["changed"] == sorted(
+        [{"inputs": first["inputs"], "fields": ["degree"]},
+         {"inputs": second["inputs"], "fields": ["degree", "objects", "output"]}],
+        key=lambda c: c["inputs"])
+    assert rep["coeff_mismatch"] == [third["inputs"]]
+    assert fourth["inputs"] in rep["only_in_a"]
 
 
 def test_diff_refuses_an_arity_off_the_inputs(tmp_path, capsys):

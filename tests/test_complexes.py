@@ -13,7 +13,11 @@ from pia2.complexes import (build_resolution, cone, pia2_end_category,
                             EndCategory, TabulatedContraction, _Span,
                             GenericContraction, TruncatedComplex,
                             pia2_class_names)
-from pia2.transfer import MatrixBackend
+from pia2 import complexes
+from pia2.transfer import MatrixBackend, compute_operation_table
+
+from helpers import (all_ext_symbols, all_h_symbols, check_d_squared,
+                     hom_homology_dims, homology_dims)
 
 
 def test_build_resolution_pattern():
@@ -21,7 +25,7 @@ def test_build_resolution_pattern():
     assert [q1.reps[i].name for i in range(-3, 1)] == ["P2", "P1", "P2", "P1"]
     q2 = build_resolution("S2", 3, F2)
     assert [q2.reps[i].name for i in range(-3, 1)] == ["P1", "P2", "P1", "P2"]
-    assert q1.check_d_squared() and q2.check_d_squared()
+    assert check_d_squared(q1) and check_d_squared(q2)
     # consecutive differentials compose to zero through (12)(21) = 0
     assert q1.d(-1).compose(q1.d(-2)).is_zero()
     with pytest.raises(ValueError):
@@ -30,7 +34,7 @@ def test_build_resolution_pattern():
 
 def test_resolution_homology_is_the_simple_module():
     q1 = build_resolution("S1", 8, F2)
-    dims = q1.homology_dims()
+    dims = homology_dims(q1)
     assert dims[0] == 1  # the augmentation S1 survives at position 0
     assert all(dims[i] == 0 for i in range(-7, 0))
 
@@ -242,6 +246,43 @@ def test_realize_u_is_shift_and_multiplicative():
     assert con.project(cat.compose(al, be)) == {"u1^1": F2.one}
     with pytest.raises(ValueError):
         realize_ext_symbol(cat, sym.ext_u(1, 5))  # window too small
+
+
+@pytest.mark.parametrize("field", [F2, QQ], ids=["f2", "q"])
+def test_tabulated_include_realizes_each_class_once(field, monkeypatch):
+    """TabulatedContraction.include gives realize_ext_symbol's cycle for
+    every class of degree <= window - 4, realizes each class once however
+    often it is asked, and a table build leaves the kept cycles as they
+    were."""
+    cat = pia2_end_category(14, field)
+    con = TabulatedContraction(cat)
+    realize = complexes.realize_ext_symbol
+    calls = []
+
+    def counted(c, s):
+        calls.append(s)
+        return realize(c, s)
+
+    monkeypatch.setattr(complexes, "realize_ext_symbol", counted)
+    classes = [(src, tgt, n, name) for src in sym.OBJECTS
+               for tgt in sym.OBJECTS for n in range(cat.window - 3)
+               for name in con.classes(src, tgt, n)]
+    assert len(classes) == 30    # degrees 0..10, identities included
+    kept = {}
+    for _ in range(2):
+        for src, tgt, n, name in classes:
+            got = con.include(src, tgt, n, name)
+            want = realize(cat, sym.SYMBOLS[name][0])
+            assert (got.src, got.tgt, got.deg) == (want.src, want.tgt, want.deg)
+            assert got.coeffs == want.coeffs, (field, name)
+            kept[name] = dict(got.coeffs)
+    assert sorted(calls) == sorted(sym.SYMBOLS[c[3]][0] for c in classes)
+    table = compute_operation_table(
+        4, 2, MatrixBackend.for_pia2(cat, con, 2))
+    assert len(table) > 0
+    assert len(calls) == len(classes)
+    for src, tgt, n, name in classes:
+        assert con.include(src, tgt, n, name).coeffs == kept[name], name
 
 
 def test_realize_h_shapes_over_f2():
@@ -493,20 +534,30 @@ def test_generic_contraction_axioms_and_side_conditions():
 
 @pytest.mark.parametrize("field", [F2, QQ], ids=["f2", "q"])
 def test_generic_coords_match_solve(field):
-    """The generic contraction factors each [B | R | W] solver once; its
-    coordinates equal a fresh linalg.solve on every basis vector."""
+    """The generic contraction solves for B and R coordinates on d_n's
+    free columns only; they equal the B and R coordinates of a fresh
+    linalg.solve against the whole [B | R | W] basis of the whole-pair
+    split, on every basis vector."""
     cat = pia2_end_category(14, field)
     con = generic_contraction(cat)
     checked = 0
     for src in sorted(cat.complexes):
         for tgt in sorted(cat.complexes):
+            split = whole_pair_split(con, src, tgt)
             for n in range(con.deg_lo, con.deg_hi + 1):
-                data = con._degree(src, tgt, n)
+                old = split[n]
+                cols = old["B"] + old["R"] + old["W"]
+                solver = SparseMatrix(
+                    len(old["basis"]), len(cols), field,
+                    {(r, j): v for j, col in enumerate(cols)
+                     for r, v in col.items()})
+                n_kernel = len(old["B"]) + len(old["R"])
                 index = cat.flat_index(src, tgt, n)
                 for b in cat.flat_basis(src, tgt, n):
                     x = HomElement(cat, src, tgt, n, {b: field.one})
-                    want = solve(data["solver"], {index[b]: field.one})
+                    want = solve(solver, {index[b]: field.one})
                     assert want is not None
+                    want = {k: v for k, v in want.items() if k < n_kernel}
                     assert con._coords(x)[1] == want, (src, tgt, n, b)
                     checked += 1
     # every basis vector of every hom pair in degrees -15..15
@@ -515,9 +566,10 @@ def test_generic_coords_match_solve(field):
 
 def whole_pair_split(con, src, tgt):
     """Every degree's split of a hom pair at once, {n: {B, R, W, basis,
-    n_true, solver}}, computed degree after degree as the generic
-    contraction did before it split each degree on first use.  Frozen
-    here as the oracle for GenericContraction._degree."""
+    n_true}}, computed degree after degree as the generic contraction did
+    before it split each degree on first use, W being the unit vectors at
+    rref(d_n)'s pivot columns.  Frozen here as the oracle for
+    GenericContraction._degree."""
     cat, field = con.cat, con.cat.field
     data = {}
     w_prev = {}
@@ -552,20 +604,16 @@ def whole_pair_split(con, src, tgt):
         data[n] = {"B": B, "R": R, "W": W, "basis": basis,
                    "n_true": n_true}
         w_prev[n] = W
-    for n, dd in data.items():
-        cols = dd["B"] + dd["R"] + dd["W"]
-        dd["solver"] = SparseMatrix(
-            len(dd["basis"]), len(cols), field,
-            {(r, j): v for j, col in enumerate(cols) for r, v in col.items()})
     return data
 
 
 @pytest.mark.parametrize("instance", ["f2", "q", "a2-f2", "a2-q"])
 def test_degree_split_matches_whole_pair_split(instance):
     """Each degree split on first use equals the whole-pair split's entry
-    for it: the same boundaries, class representatives, complement,
-    flat basis, class count and solver, on every hom pair and degree
-    deg_lo..deg_hi (window 14, and -4..4 on the A2 instance)."""
+    for it: the same boundaries, class representatives, flat basis and
+    class count, and its free-column solver is square on exactly the
+    columns where no complement vector W is one, on every hom pair and
+    degree deg_lo..deg_hi (window 14, and -4..4 on the A2 instance)."""
     field = QQ if instance.endswith("q") else F2
     if instance.startswith("a2"):
         cat = a2_end_category(field)
@@ -580,8 +628,12 @@ def test_degree_split_matches_whole_pair_split(instance):
             assert sorted(want) == list(range(con.deg_lo, con.deg_hi + 1))
             for n, old in want.items():
                 new = con._degree(src, tgt, n)
-                for key in ("B", "R", "W", "basis", "n_true", "solver"):
+                for key in ("B", "R", "basis", "n_true"):
                     assert new[key] == old[key], (src, tgt, n, key)
+                w_cols = {j for w in old["W"] for j in w}
+                free = [j for j in range(len(old["basis"])) if j not in w_cols]
+                assert list(new["free_row"]) == free, (src, tgt, n)
+                assert new["solver"].rows == new["solver"].cols == len(free)
                 checked += 1
     assert checked == len(cat.complexes) ** 2 * (con.deg_hi - con.deg_lo + 1)
 
@@ -650,13 +702,13 @@ def test_build_contraction_entry_point():
 def test_hom_homology_dims_and_window_stability():
     for L in (10, 12):
         cat = pia2_end_category(L, F2)
-        assert cat.hom_homology_dims("S1", "S1", range(0, 5)) == \
+        assert hom_homology_dims(cat, "S1", "S1", range(0, 5)) == \
             {0: 1, 1: 0, 2: 1, 3: 0, 4: 1}
-        assert cat.hom_homology_dims("S1", "S2", range(1, 5)) == \
+        assert hom_homology_dims(cat, "S1", "S2", range(1, 5)) == \
             {1: 1, 2: 0, 3: 1, 4: 0}
-        assert cat.hom_homology_dims("S1", "P1", range(0, 5)) == \
+        assert hom_homology_dims(cat, "S1", "P1", range(0, 5)) == \
             {n: 0 for n in range(0, 5)}
-        assert cat.hom_homology_dims("S2", "P1", range(0, 4)) == \
+        assert hom_homology_dims(cat, "S2", "P1", range(0, 4)) == \
             {0: 1, 1: 0, 2: 0, 3: 0}
 
 
@@ -668,12 +720,12 @@ def test_cone_of_zero_identity_and_random_cycles(field):
     # cone of the zero map: block diagonal differential, d^2 = 0
     zero = cat.zero_elem("S1", "S2", 0)
     c0 = cone(zero)
-    assert c0.check_d_squared()
+    assert check_d_squared(c0)
     # cone of the identity is acyclic everywhere, on every object
     for obj in sym.OBJECTS:
         cid = cone(realize_ext_symbol(cat, ("1", obj)))
-        assert cid.check_d_squared()
-        assert all(v == 0 for v in cid.homology_dims().values()), obj
+        assert check_d_squared(cid)
+        assert all(v == 0 for v in homology_dims(cid).values()), obj
     # d^2 = 0 for cones on randomized cycles
     rng = random.Random(17)
     count = 0
@@ -685,7 +737,7 @@ def test_cone_of_zero_identity_and_random_cycles(field):
             pairs.append(pairs.pop(0))
             continue
         c = cone(f)
-        assert c.check_d_squared()
+        assert check_d_squared(c)
         count += 1
     # a non-cycle is rejected
     bad = HomElement(cat, "S1", "S1", 0, {(-3, 0): field.one})
@@ -768,7 +820,7 @@ def test_mu_matrix_coherence_audit():
     cat = pia2_end_category(24, F2)
     con = tabulated_contraction(cat)
     trusted = set(cat.trusted)
-    elems = sym.all_ext_symbols(7) + sym.all_h_symbols(3)
+    elems = all_ext_symbols(7) + all_h_symbols(3)
     reali = {}
 
     def R(s):
@@ -810,10 +862,10 @@ def test_mu_matrix_coherence_audit():
 def test_a2_category_and_classes():
     cat = a2_end_category(F2)
     q = cat.complexes["S1"]
-    assert q.check_d_squared()
-    assert cat.hom_homology_dims("S1", "S1", range(0, 2)) == {0: 1, 1: 0}
-    assert cat.hom_homology_dims("S1", "S2", range(0, 3)) == {0: 0, 1: 1, 2: 0}
-    assert cat.hom_homology_dims("S2", "S1", range(0, 2)) == {0: 0, 1: 0}
+    assert check_d_squared(q)
+    assert hom_homology_dims(cat, "S1", "S1", range(0, 2)) == {0: 1, 1: 0}
+    assert hom_homology_dims(cat, "S1", "S2", range(0, 3)) == {0: 0, 1: 1, 2: 0}
+    assert hom_homology_dims(cat, "S2", "S1", range(0, 2)) == {0: 0, 1: 0}
     con = generic_contraction(cat, -4, 4, a2_class_names())
     assert con.classes("P", "S1", 0) == ["g"]
     assert con.classes("S1", "S2", 1) == ["h"]

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from pia2 import symbols as sym
-from helpers import elem_degree, kappa_h
+from helpers import all_ext_symbols, all_h_symbols, elem_degree, kappa_h
 
 
 def test_degrees_and_endpoints():
@@ -67,7 +67,7 @@ def test_importing_the_package_fills_no_table():
 
 
 def test_string_roundtrip():
-    for s in sym.all_ext_symbols(7, include_identities=True):
+    for s in all_ext_symbols(7, include_identities=True):
         assert sym.ext_from_str(sym.ext_to_str(s)) == s
 
 
@@ -128,7 +128,7 @@ def test_class_reads():
 
 
 def test_kappa_equivariance_and_degree_additivity():
-    elems = sym.all_ext_symbols(5) + sym.all_h_symbols(2)
+    elems = all_ext_symbols(5) + all_h_symbols(2)
     for a in elems:
         for b in elems:
             if sym.elem_source(a) != sym.elem_target(b):
