@@ -189,7 +189,7 @@ def _build_category(name, args, built):
             built["pi"] = _pi_category(args)
         return built["pi"]
     if name == "pi-simple":
-        return build_pi_simple(field)
+        return build_pi_simple(field, args.degree_max)
     if name == "pi-prime":
         return build_pi_prime(_build_category("pi", args, built))
     if name == "delta":

@@ -6,7 +6,7 @@ flattens each graded Hom-space Hom^n(X, Y) = prod_i Hom(X_i, Y_{i+n}) to
 coefficient vectors over per-position bases of module homomorphisms, which
 is where the contraction data (i, p, H) and the transfer trees do their
 matrix work.  Chain maps are EndCategory elements (HomElement): the cone
-and the JSON export read each position's module map off those bases.
+reads each position's module map off those bases.
 Each basis map comes from a kernel vector of the naturality equations,
 so it is one at its own free slot and zero at every other basis map's:
 coordinate k of a module map is its entry at basis map k's free slot,
@@ -101,22 +101,6 @@ def _module_maps(elem):
         add = cat.mod_hom_basis(X.reps[i], Y.reps[i + elem.deg])[k].scale(v)
         comps[i] = comps[i].add(add) if i in comps else add
     return X, Y, {i: m for i, m in comps.items() if not m.is_zero()}
-
-
-def chain_map_to_json(elem, window=None):
-    """Triplet-list export of an EndCategory element, tagged with window,
-    degree and the resolution names; one block of (row, col, value)
-    triplets per position and vertex."""
-    X, Y, maps = _module_maps(elem)
-    comps = {}
-    for i, m in sorted(maps.items()):
-        comps[str(i)] = {
-            str(v): [[r, c, str(val)] for (r, c), val in sorted(b.entries.items())]
-            for v, b in m.blocks.items() if not b.is_zero()}
-    return {"source": X.name, "target": Y.name,
-            "degree": elem.deg, "window": [X.lo, X.hi]
-            if window is None else window,
-            "field": X.field.name, "components": comps}
 
 
 # ---------------------------------------------------------------------------

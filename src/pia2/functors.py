@@ -91,36 +91,8 @@ def pi_category(table, evaluator):
                                        evaluator.backend, evaluator=evaluator)
 
     return AInfCategory("Pi", list(sym.OBJECTS), sym.hom_names, table,
-                        evaluator.backend.field, symbols=_PiSymbols(),
+                        evaluator.backend.field, symbols=sym.SymbolRecords(),
                         closure=closure)
-
-
-class _PiSymbols(dict):
-    """symbol -> (source, target, degree) for a category on Pi's symbols.
-
-    Entries are read off the symbols table on first use, so a symbol of
-    any degree is there; a string that names no symbol, or a symbol
-    between objects the category leaves out, is not a key.  rename maps
-    Pi's objects to the category's (Pi' joins P1 and P2 into P).
-    """
-
-    def __init__(self, rename=None):
-        super().__init__()
-        self.rename = rename or {o: o for o in sym.OBJECTS}
-
-    def __missing__(self, s):
-        _e, x, y, deg = sym.SYMBOLS[s]
-        if x not in self.rename or y not in self.rename:
-            raise KeyError(s)
-        out = self[s] = (self.rename[x], self.rename[y], deg)
-        return out
-
-    def __contains__(self, s):
-        try:
-            self[s]
-        except KeyError:
-            return False
-        return True
 
 
 def build_pi_simple(field=F2, degree_max=12):
@@ -149,7 +121,8 @@ def build_pi_simple(field=F2, degree_max=12):
         return closed
 
     return AInfCategory("pi", objs, sym.hom_names, table, field,
-                        symbols=_PiSymbols({o: o for o in objs}), closure=closure)
+                        symbols=sym.SymbolRecords({o: o for o in objs}),
+                        closure=closure)
 
 
 class MatCategory(AInfCategory):
@@ -205,7 +178,7 @@ def build_pi_prime(pi_cat):
         return [s for xi in expand[x] for yi in expand[y]
                 for s in sym.hom_names(xi, yi, dmax)]
 
-    symbols = _PiSymbols({"S1": "S1", "S2": "S2", "P1": "P", "P2": "P"})
+    symbols = sym.SymbolRecords({"S1": "S1", "S2": "S2", "P1": "P", "P2": "P"})
     return MatCategory("PiPrime", objs, hom_basis, pi_cat, symbols)
 
 

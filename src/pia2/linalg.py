@@ -9,11 +9,11 @@ hash equal, and print the same through ``str``.  A scalar is zero
 exactly when it is falsy, and the package tests it that way.
 
 Every sparse sum in the package ({key: scalar} with no explicit zeros:
-matrix entries, flat Hom coordinates, formal sums of symbols, path
-algebra terms) adds a term through `Field.accumulate`, the one place
-that rule lives: the key is dropped when its sum is zero.  Every sign
-(-1)^e (Koszul signs of the transfer, the unit law, the differential of
-Hom complexes, shift maps) is `Field.sign(e)`, which is one over F2.
+matrix entries, flat Hom coordinates, formal sums of symbols) adds a
+term through `Field.accumulate`, the one place that rule lives: the key
+is dropped when its sum is zero.  Every sign (-1)^e (Koszul signs of
+the transfer, the unit law, the differential of Hom complexes, shift
+maps) is `Field.sign(e)`, which is one over F2.
 """
 
 from fractions import Fraction
@@ -121,13 +121,11 @@ class SparseMatrix:
         self.field = field
         self.entries = {}
         if entries:
-            for (r, c), v in (entries.items() if isinstance(entries, dict) else entries):
+            for (r, c), v in entries.items():
                 if not (0 <= r < rows and 0 <= c < cols):
                     raise IndexError(f"entry ({r},{c}) outside {rows}x{cols}")
                 v = field.of(v) if isinstance(v, int) else v
                 if v:
-                    if (r, c) in self.entries:
-                        raise ValueError(f"duplicate entry at ({r},{c})")
                     self.entries[(r, c)] = v
 
     @classmethod
@@ -137,19 +135,6 @@ class SparseMatrix:
     @classmethod
     def identity(cls, n, field):
         return cls(n, n, field, {(i, i): field.one for i in range(n)})
-
-    @classmethod
-    def from_rows(cls, data, field):
-        """Build from a list of row lists of scalars."""
-        rows = len(data)
-        cols = len(data[0]) if rows else 0
-        ent = {}
-        for r, row in enumerate(data):
-            for c, v in enumerate(row):
-                v = field.of(v) if isinstance(v, int) else v
-                if v:
-                    ent[(r, c)] = v
-        return cls(rows, cols, field, ent)
 
     def get(self, r, c):
         return self.entries.get((r, c), self.field.zero)
@@ -165,9 +150,6 @@ class SparseMatrix:
             and self.field == other.field
             and self.entries == other.entries
         )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self.entries.items())))
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols} over {self.field}, {len(self.entries)} entries)"
@@ -190,9 +172,6 @@ class SparseMatrix:
 
     def neg(self):
         return self.scale(self.field.sign(1))
-
-    def sub(self, other):
-        return self.add(other.neg())
 
     def _check_shape(self, other, same=False):
         if self.field != other.field:

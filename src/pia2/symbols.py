@@ -232,12 +232,6 @@ def h_target(h):
     raise ValueError(h)
 
 
-def h_degree(h):
-    _, kind, _i, n = h
-    return {"ss": -2 * n, "sn": -2 * n - 1, "sp": -2 * n, "pn_t": -2 * n - 1,
-            "ps": 2 * n, "pn_s": 2 * n + 1}[kind]
-
-
 def is_h(x):
     return isinstance(x, tuple) and x[0] == "h"
 
@@ -494,6 +488,36 @@ class _SymbolTable(dict):
 
 
 SYMBOLS = _SymbolTable()
+
+
+class SymbolRecords(dict):
+    """symbol -> (source, target, degree) for a symbol-reading user of
+    the grammar: the symbolic backend, or a category on Pi's symbols.
+
+    Entries are read off SYMBOLS on first use, so a symbol of any degree
+    is there and a hit is a plain dict read; a string that names no
+    symbol, or a symbol between objects rename leaves out, is not a key.
+    rename maps Pi's objects to the user's (Pi' joins P1 and P2 into P);
+    by default it keeps all four.
+    """
+
+    def __init__(self, rename=None):
+        super().__init__()
+        self.rename = rename or {o: o for o in OBJECTS}
+
+    def __missing__(self, s):
+        _e, x, y, deg = SYMBOLS[s]
+        if x not in self.rename or y not in self.rename:
+            raise KeyError(s)
+        out = self[s] = (self.rename[x], self.rename[y], deg)
+        return out
+
+    def __contains__(self, s):
+        try:
+            self[s]
+        except KeyError:
+            return False
+        return True
 
 
 def hom_names(x, y, degree_max):

@@ -90,10 +90,6 @@ class OperationTable:
         return ('{\n  "entries": [\n%s\n  ],\n  "metadata": %s\n}\n'
                 % (",\n".join(entries), meta))
 
-    def dump(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.dumps())
-
     @classmethod
     def from_json(cls, doc):
         """The table a `dumps` file holds.  ValueError unless doc is an

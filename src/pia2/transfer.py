@@ -37,7 +37,8 @@ Both backends scan, take as leaves and output Ext basis symbols by their
 canonical strings, so slice keys, table keys and outputs are strings from
 the scan to the JSON.  A scan symbol's source, target and degree come
 from one place, the backend's `symbols` dict (string -> (source, target,
-degree)): for the symbolic backend it copies each record from the
+degree)): for the symbolic backend it is a `symbols.SymbolRecords`,
+the cache Pi's categories also use, which copies each record from the
 symbols table (`symbols.SYMBOLS`) on first read, and for the matrix
 backend `for_pia2` reads it off its contraction's classes.
 
@@ -66,15 +67,6 @@ from .linalg import F2
 _MISS = object()
 
 
-class _SymbolRecords(dict):
-    """canonical string -> (source, target, degree) of the Ext symbol it
-    names, copied from `symbols.SYMBOLS` on the string's first lookup."""
-
-    def __missing__(self, s):
-        rec = self[s] = sym.SYMBOLS[s][1:]
-        return rec
-
-
 class SymbolicBackend:
     """Tree evaluation in the finite symbol grammar (F2 coefficients).
 
@@ -94,7 +86,7 @@ class SymbolicBackend:
 
     def __init__(self):
         # canonical string -> (source, target, degree)
-        self.symbols = _SymbolRecords()
+        self.symbols = sym.SymbolRecords()
         # (a, b) -> (H image, class name) of mu(a, b), one mu per pair
         self._pair = {}
         # (src, tgt, deg) -> whether Ext has a class there
@@ -189,13 +181,10 @@ class MatrixBackend:
         self.homotopy = contraction.mode
 
     @classmethod
-    def for_pia2(cls, cat, contraction, degree_max=None):
+    def for_pia2(cls, cat, contraction, degree_max):
         """The backend whose symbols are the contraction's classes of
-        degree 0..degree_max (default window - 4) between the category's
-        objects; it serves the A2 instance as well as the preprojective
-        one."""
-        if degree_max is None:
-            degree_max = cat.window - 4
+        degree 0..degree_max between the category's objects; it serves
+        the A2 instance as well as the preprojective one."""
         objs = sorted(cat.complexes)
         return cls(cat, contraction, {
             name: (src, tgt, deg) for src in objs for tgt in objs

@@ -1,14 +1,15 @@
-"""Grammar, complex and table functions that only the tests call.
+"""Grammar, matrix, complex and table functions that only the tests call.
 
-`kappa_h`, `elem_degree`, `all_ext_symbols`, `all_h_symbols` and
-`composable_pairs` read the symbol grammar of `pia2.symbols`;
-`check_d_squared`, `homology_dims` and `hom_homology_dims` read a
-`pia2.complexes` complex or category; `restrict_objects` cuts an
-operation table down to a set of objects.
+`kappa_h`, `h_degree`, `elem_degree`, `all_ext_symbols`, `all_h_symbols`
+and `composable_pairs` read the symbol grammar of `pia2.symbols`;
+`from_rows` builds a `pia2.linalg` matrix, and `rank` and `check_exact`
+read `pia2.quiver` module maps; `check_d_squared`, `homology_dims` and
+`hom_homology_dims` read a `pia2.complexes` complex or category;
+`restrict_objects` cuts an operation table down to a set of objects.
 """
 
 from pia2 import symbols as sym
-from pia2.linalg import rref
+from pia2.linalg import SparseMatrix, rref
 from pia2.table import OperationTable
 
 
@@ -18,8 +19,14 @@ def kappa_h(h):
     return ("h", kind, sym.other(i), n)
 
 
+def h_degree(h):
+    _, kind, _i, n = h
+    return {"ss": -2 * n, "sn": -2 * n - 1, "sp": -2 * n, "pn_t": -2 * n - 1,
+            "ps": 2 * n, "pn_s": 2 * n + 1}[kind]
+
+
 def elem_degree(x):
-    return sym.h_degree(x) if sym.is_h(x) else sym.ext_degree(x)
+    return h_degree(x) if sym.is_h(x) else sym.ext_degree(x)
 
 
 def all_ext_symbols(degree_max, include_identities=False):
@@ -52,6 +59,43 @@ def composable_pairs(n_max):
                 yield a, b
 
 
+def from_rows(data, field):
+    """The matrix with the given list of row lists of scalars."""
+    return SparseMatrix(len(data), len(data[0]) if data else 0, field,
+                        {(r, c): v for r, row in enumerate(data)
+                         for c, v in enumerate(row)})
+
+
+def rank(f):
+    """The rank of the module map f: the sum of its blocks' ranks."""
+    return sum(rref(b)[0] for b in f.blocks.values())
+
+
+def check_exact(maps):
+    """Exactness of 0 -> A -> ... -> Z -> 0 given the inner maps.
+
+    True iff the first map is injective, the last surjective, consecutive
+    composites vanish, and rank f_i + rank f_{i+1} = dim(middle) at every
+    internal spot (all computed by exact row reduction).
+    """
+    if not maps:
+        raise ValueError("need at least one map")
+    for f, g in zip(maps, maps[1:]):
+        if g.source is not f.target:
+            raise ValueError("maps not composable")
+    first, last = maps[0], maps[-1]
+    if rank(first) != sum(first.source.dims.values()):
+        return False
+    if rank(last) != sum(last.target.dims.values()):
+        return False
+    for f, g in zip(maps, maps[1:]):
+        if not g.compose(f).is_zero():
+            return False
+        if rank(f) + rank(g) != sum(f.target.dims.values()):
+            return False
+    return True
+
+
 def restrict_objects(table, objects):
     """The entries of table whose full object chain lies inside the given
     set."""
@@ -78,8 +122,8 @@ def homology_dims(cx, positions=None):
     out = {}
     for i in (positions if positions is not None else cx.positions()):
         dim = sum(cx.reps[i].dims.values())
-        rk_out = cx.diffs[i].rank() if i in cx.diffs else 0
-        rk_in = cx.diffs[i - 1].rank() if i - 1 in cx.diffs else 0
+        rk_out = rank(cx.diffs[i]) if i in cx.diffs else 0
+        rk_in = rank(cx.diffs[i - 1]) if i - 1 in cx.diffs else 0
         out[i] = dim - rk_out - rk_in
     return out
 

@@ -17,7 +17,7 @@ import pytest
 from pia2.linalg import F2, QQ
 from pia2 import symbols as sym
 from pia2.table import OperationTable, diff_tables
-from helpers import check_d_squared, restrict_objects
+from helpers import check_d_squared, check_exact, restrict_objects
 from tree_oracle import enumerate_trees, catalan
 from pia2.transfer import (SymbolicBackend, MatrixBackend, TransferEvaluator,
                            compute_operation_table)
@@ -29,7 +29,7 @@ from pia2.complexes import (pia2_end_category, a2_end_category,
 from pia2.ainf import (stasheff_check, kappa_symmetry_check,
                        expected_table, insertion_tuples)
 from pia2.functors import pi_category, builtin_functors, verify_functor
-from pia2.quiver import pia2_named_maps, a2_representations, check_exact, ModuleMap
+from pia2.quiver import pia2_named_maps, a2_representations, ModuleMap
 from pia2.linalg import SparseMatrix
 
 

@@ -379,6 +379,27 @@ def test_export_pi_prime_is_refused_by_name(monkeypatch, capsys):
     assert "exported via its inner table" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("degree_max", [2, 4])
+def test_export_pi_simple_reads_degree_max(degree_max, tmp_path, capsys):
+    """export-category pi-simple writes the table at --degree-max: its
+    metadata states the bound, every input lies within it, and the
+    entries are those of the degree-12 table whose inputs do."""
+    from pia2 import symbols as sym
+    from pia2.functors import build_pi_simple
+    out = tmp_path / "pi-simple.json"
+    code, _o, _e = run(["export-category", "pi-simple", "--degree-max",
+                        str(degree_max), "--output", str(out)], capsys)
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["metadata"]["degree_max"] == degree_max
+    keys = {tuple(e["inputs"]) for e in doc["entries"]}
+    assert keys and all(sym.SYMBOLS[s][3] <= degree_max for k in keys for s in k)
+    full = build_pi_simple().table
+    assert full.metadata["degree_max"] == 12
+    assert keys == {k for k in full.entries
+                    if all(sym.SYMBOLS[s][3] <= degree_max for s in k)}
+
+
 def test_export_category_and_verify_functor(tmp_path, capsys):
     out = tmp_path / "delta.json"
     code, _o, _e = run(["export-category", "delta", "--output", str(out)], capsys)

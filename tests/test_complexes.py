@@ -892,22 +892,3 @@ def test_for_pia2_reads_classes_without_decomposing():
     assert set(con._degrees) == {("S1", "S1", 8), ("S1", "S2", 7)}
     assert set(con._rrefs) == {("S1", "S1", 7), ("S1", "S1", 8),
                                ("S1", "S2", 6), ("S1", "S2", 7)}
-
-
-def test_chain_map_json_export():
-    from pia2.complexes import chain_map_to_json, realize_ext_symbol
-    import json
-    cat = pia2_end_category(8, F2)
-    e = realize_ext_symbol(cat, ("j", 1))
-    doc = chain_map_to_json(e)
-    assert doc["source"] == "Q2" and doc["target"] == "P1"
-    assert doc["degree"] == 0 and doc["window"] == [-8, 0]
-    assert doc["components"]["0"]["2"] == [[0, 0, "1"]]
-    json.dumps(doc)  # serializable
-    # over Q the shift signs alternate: a -1 entry is exported as "-1"
-    cat = pia2_end_category(8, QQ)
-    doc = chain_map_to_json(realize_ext_symbol(cat, sym.SYMBOLS["b.u1^0"][0]))
-    assert doc["field"] == "q" and doc["degree"] == 1
-    values = {val for blocks in doc["components"].values()
-              for triplets in blocks.values() for _r, _c, val in triplets}
-    assert values == {"1", "-1"}

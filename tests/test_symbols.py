@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from pia2 import symbols as sym
-from helpers import all_ext_symbols, all_h_symbols, elem_degree, kappa_h
+from helpers import (all_ext_symbols, all_h_symbols, elem_degree, h_degree,
+                     kappa_h)
 
 
 def test_degrees_and_endpoints():
@@ -22,12 +23,12 @@ def test_degrees_and_endpoints():
 def test_h_degrees_match_contraction_bookkeeping():
     # H lowers degree by one: each table entry drops the degree of its
     # defining product by exactly one
-    assert sym.h_degree(sym.h_sym("sn", 1, 0)) == -1          # H(p1 j1)
-    assert sym.h_degree(sym.h_sym("ps", 1, 2)) == 4           # H(j1 b.u1^2)
-    assert sym.h_degree(sym.h_sym("pn_s", 1, 1)) == 3         # H(j2 u1^2)
-    assert sym.h_degree(sym.h_sym("ss", 1, 2)) == -4
-    assert sym.h_degree(sym.h_sym("sp", 2, 1)) == -2
-    assert sym.h_degree(sym.h_sym("pn_t", 2, 0)) == -1
+    assert h_degree(sym.h_sym("sn", 1, 0)) == -1          # H(p1 j1)
+    assert h_degree(sym.h_sym("ps", 1, 2)) == 4           # H(j1 b.u1^2)
+    assert h_degree(sym.h_sym("pn_s", 1, 1)) == 3         # H(j2 u1^2)
+    assert h_degree(sym.h_sym("ss", 1, 2)) == -4
+    assert h_degree(sym.h_sym("sp", 2, 1)) == -2
+    assert h_degree(sym.h_sym("pn_t", 2, 0)) == -1
     with pytest.raises(ValueError):
         sym.h_sym("ss", 1, 0)
 
@@ -150,6 +151,6 @@ def test_kappa_equivariance_and_degree_additivity():
             if r is not sym.ZERO and r[0] == "E" and not sym.is_identity(r[1]):
                 assert sym.ext_degree(r[1]) == elem_degree(a) + elem_degree(b)
             if r is not sym.ZERO and r[0] == "B":
-                assert sym.h_degree(r[1]) == \
+                assert h_degree(r[1]) == \
                     elem_degree(a) + elem_degree(b) - 1
 

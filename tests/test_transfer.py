@@ -214,7 +214,7 @@ def test_matrix_backend_agreement():
     arity <= 5 and total degree <= 6."""
     sb = SymbolicBackend()
     cat = pia2_end_category(24, F2)
-    mb = MatrixBackend.for_pia2(cat, tabulated_contraction(cat))
+    mb = MatrixBackend.for_pia2(cat, tabulated_contraction(cat), degree_max=6)
     sev, mev = TransferEvaluator(sb), TransferEvaluator(mb)
     by_source = {}
     for s in sb.scan_symbols(6):
