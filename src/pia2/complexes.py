@@ -26,7 +26,7 @@ like the module-hom bases, are keyed by representation names, which must
 therefore be unique within a category.
 """
 
-from .linalg import SparseMatrix, factorize, mat_vec, rref, solve_factored
+from .linalg import SparseMatrix, mat_vec, rref
 from .quiver import (ModuleMap, Representation, pia2_indecomposables,
                      pia2_named_maps, a2_representations)
 from . import symbols as sym
@@ -501,50 +501,6 @@ def _full_shift(cat, src, tgt, deg):
     return HomElement(cat, src, tgt, deg, coeffs)
 
 
-_H_DEFINITION = None
-
-
-def _h_defining_product(h):
-    """The null-homotopic product whose H-image is h, per the homotopy
-    tables (initial homotopies and their inductive extensions)."""
-    _, kind, i, n = h
-    o = sym.other(i)
-    if kind == "sn":
-        if n == 0:
-            return (("p", i), ("j", i))
-        return (sym.h_sym("sp", i, n), ("j", i))
-    if kind == "ps":
-        return (("j", i), sym.ext_g(o, n))
-    if kind == "pn_t":
-        if n == 0:
-            return (("p", i), ("E", i))
-        return (sym.h_sym("sp", i, n), ("E", i))
-    if kind == "pn_s":
-        return (("j", o), sym.ext_u(i, n + 1))
-    if kind == "ss":
-        return (sym.h_sym("pn_t", i, n - 1), ("j", o))
-    if kind == "sp":
-        return (sym.h_sym("pn_t", i, n - 1), ("E", o))
-    raise ValueError(h)
-
-
-def realize_h_symbol(cat, h, contraction=None):
-    """Matrix realization of a homotopy symbol.
-
-    Defined as H applied to its defining null-homotopic product, which
-    reproduces the partial-identity diagrams exactly (all components +1
-    over F2; over Q the back-substitution fixes the signs).
-    """
-    n = h[3]
-    if cat.window < 2 * n + 6:
-        raise ValueError("window too small for this homotopy symbol")
-    c = contraction or tabulated_contraction(cat)
-    a, b = _h_defining_product(h)
-    ea = realize_h_symbol(cat, a, c) if sym.is_h(a) else realize_ext_symbol(cat, a)
-    eb = realize_h_symbol(cat, b, c) if sym.is_h(b) else realize_ext_symbol(cat, b)
-    return c.H(cat.compose(ea, eb))
-
-
 # ---------------------------------------------------------------------------
 # contraction data: both kinds offer classes, include (i), project (p), H
 
@@ -687,11 +643,13 @@ class GenericContraction:
     row reductions: rref(d_n) gives the kernel and the complement W_n (unit
     vectors at its pivot columns), and the pivots of rref(d_{n-1}) give
     the boundaries B_n = d(W_{n-1}).  The split keeps B_n, the class
-    representatives R_n and a free-column solver: W_n is zero on the free
-    columns of rref(d_n), and a kernel vector is fixed by its entries
-    there, so the B and R coordinates of any chain solve a square system
-    on those columns alone, and W_n is never stored.  H on degree n reads
-    only rref(d_{n-1})'s pivots, so no other degree of the pair is split.
+    representatives R_n and the inverse of a free-column solver: W_n is
+    zero on the free columns of rref(d_n), and a kernel vector is fixed by
+    its entries there, so the B and R coordinates of any chain solve a
+    square system on those columns alone, and W_n is never stored.  One
+    more row reduction picks R_n and inverts that system.  H on degree n
+    reads only rref(d_{n-1})'s pivots, so no other degree of the pair is
+    split.
     A refusal (missing classes, or classes that cannot be told from edge
     artifacts) fires when its degree is first split, and again on every
     later use of that degree; the pair's other degrees still answer.
@@ -724,8 +682,8 @@ class GenericContraction:
 
     def _degree(self, src, tgt, n):
         """Degree n's split of Hom(src, tgt): B, R, the flat basis, n_true,
-        the row of each free column of rref(d_n) and the free-column
-        solver, built on first use."""
+        the row of each free column of rref(d_n) and the inverse of the
+        free-column solver, built on first use."""
         key = (src, tgt, n)
         data = self._degrees.get(key)
         if data is not None:
@@ -741,15 +699,27 @@ class GenericContraction:
             for (r, c), v in cat.d_matrix(src, tgt, n - 1).entries.items():
                 by_col.setdefault(c, {})[r] = v
             B = [by_col[j] for j in self._rref(src, tgt, n - 1)[1]]
-        # class representatives: extend B to a basis of the kernel,
-        # taking left-localized candidates first
-        span = _Span(len(basis), field)
-        for b in B:
-            span.add(b)
-        R = []
-        for z in sorted(kernel, key=lambda v: max(basis[j][0] for j in v)):
-            if span.add(dict(z)):
-                R.append(dict(z))
+        # a kernel vector is fixed by its entries on the free columns F of
+        # rref(d_n), where kernel vector t is the unit vector at the t-th
+        # one; so one reduction of [B | K | I] cut to the rows F, K the
+        # kernel vectors left-localized first, does the rest.  Its pivots
+        # in the K block extend B greedily to a basis of ker d_n: they are
+        # the class representatives R.  The solver [B | R] cut to F is then
+        # its pivot block, and the kernel vector of the I block's column k
+        # is minus the solver's inverse's column k at the pivot columns.
+        pivot_set = set(pivots)
+        free = [j for j in range(len(basis)) if j not in pivot_set]
+        free_row = {j: k for k, j in enumerate(free)}
+        nB, nF = len(B), len(free)
+        order = sorted(range(nF),
+                       key=lambda t: max(basis[j][0] for j in kernel[t]))
+        aug = {(free_row[r], j): v for j, col in enumerate(B)
+               for r, v in col.items() if r in free_row}
+        aug.update(((t, nB + s), field.one) for s, t in enumerate(order))
+        aug.update(((k, nB + nF + k), field.one) for k in range(nF))
+        _rank, aug_pivots, aug_kernel = rref(
+            SparseMatrix(nF, nB + 2 * nF, field, aug))
+        R = [dict(kernel[order[c - nB]]) for c in aug_pivots[nB:]]
         expected = None if self.class_names is None else \
             self.class_names.get(key)
         if expected is None:
@@ -761,19 +731,14 @@ class GenericContraction:
             if 0 < n_true < len(R):
                 raise ValueError(
                     f"cannot separate classes from edge artifacts at {key}")
-        # B + R is a basis of ker d_n, and a kernel vector is fixed by its
-        # entries on the free columns F of rref(d_n): the solver is [B | R]
-        # cut to the rows F, square and invertible
-        pivot_set = set(pivots)
-        free = [j for j in range(len(basis)) if j not in pivot_set]
-        free_row = {j: k for k, j in enumerate(free)}
-        solver = SparseMatrix(len(free_row), len(free_row), field,
-                              {(free_row[r], j): v
-                               for j, col in enumerate(B + R)
-                               for r, v in col.items() if r in free_row})
+        row_of = {c: i for i, c in enumerate(aug_pivots)}
+        inverse = SparseMatrix(nF, nF, field, {
+            (row_of[c], k): field.neg(v)
+            for k, vec in enumerate(aug_kernel[len(aug_kernel) - nF:])
+            for c, v in vec.items() if c in row_of})
         data = self._degrees[key] = {"B": B, "R": R, "basis": basis,
                                      "n_true": n_true, "free_row": free_row,
-                                     "solver": solver}
+                                     "inverse": inverse}
         return data
 
     def classes(self, src, tgt, deg):
@@ -800,7 +765,7 @@ class GenericContraction:
         """(split data, coordinates of elem over B then R).  The complement
         W of ker d_n (unit vectors at rref(d_n)'s pivot columns) is zero on
         the free columns, so elem's entries there are those of its B + R
-        part, whose coordinates the free-column solver gives."""
+        part, whose coordinates the free-column solver's inverse gives."""
         data = self._degree(elem.src, elem.tgt, elem.deg)
         index = self.cat.flat_index(elem.src, elem.tgt, elem.deg)
         free_row = data["free_row"]
@@ -809,14 +774,7 @@ class GenericContraction:
             r = free_row.get(index[b])
             if r is not None:
                 target[r] = v
-        factors = data.get("factors")
-        if factors is None:
-            # factored once, on first use: most degrees are never solved in
-            factors = data["factors"] = factorize(data["solver"])
-        out = solve_factored(factors, target)
-        if out is None:
-            raise ValueError("decomposition failed")
-        return data, out
+        return data, mat_vec(data["inverse"], target)
 
     def project(self, elem):
         if elem.deg not in range(self.deg_lo, self.deg_hi + 1):
@@ -847,32 +805,6 @@ class GenericContraction:
             if v:
                 out[basis_prev[pivots_prev[k]]] = v
         return HomElement(self.cat, src, tgt, n - 1, out)
-
-
-class _Span:
-    """Incremental span with exact elimination; add returns True if new.
-    A vector's zero coordinates are dropped as it comes in, so no pivot is
-    ever a stored zero."""
-
-    def __init__(self, dim, field):
-        self.dim = dim
-        self.field = field
-        self.rows = {}  # pivot index -> dict-vector with 1 at pivot
-
-    def add(self, vec):
-        f = self.field
-        v = {j: c for j, c in vec.items() if c}
-        while v:
-            piv = min(v)
-            if piv in self.rows:
-                factor = f.neg(v[piv])
-                for j, w in self.rows[piv].items():
-                    f.accumulate(v, j, f.mul(factor, w))
-            else:
-                inv = f.div(f.one, v[piv])
-                self.rows[piv] = {j: f.mul(inv, w) for j, w in v.items()}
-                return True
-        return False
 
 
 def contraction_audit(cat, con):

@@ -422,13 +422,6 @@ class AInfFunctorData:
         """Whether F1 has a value (possibly zero) on the basis symbol s."""
         return self.source.is_unit(s) or s in self.f1
 
-    def to_json(self):
-        return {"name": self.name,
-                "source": self.source.name, "target": self.target.name,
-                "object_map": dict(sorted(self.object_map.items())),
-                "F1": [{"from": k, "to": v if v is not None else "0"}
-                       for k, v in sorted(self.f1.items())]}
-
 
 def verify_functor(functor, arity_max, degree_max, exhaustive=False):
     """Check the strict functor equation on every composable identity-free

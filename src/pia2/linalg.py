@@ -265,56 +265,17 @@ def rref(m):
     return len(pivot_cols), pivot_cols, kernel_basis
 
 
-def factorize(m):
-    """What solving against m needs, computed once: (rank, pivot columns,
-    transform, transform * m), the transform invertible and transform * m
-    in reduced row echelon form.
-
-    Both are read off rref([m | I]) = [transform * m | transform].  Every
-    row of [m | I] is a pivot row, the first rank of them with pivots in
-    m; a pivot column of the reduced form is the unit vector at its row,
-    and a free column is given by its kernel vector (see `rref`)."""
+def solve(m, target):
+    """One solution x (dict-vector) of m*x = target, or None if
+    inconsistent: one rref of [m | target].  The system is inconsistent
+    exactly when the last column is a pivot; otherwise that column's
+    kernel vector is one there and minus a solution at m's pivot columns
+    (see `rref`)."""
     f = m.field
     n = m.cols
     aug = dict(m.entries)
-    aug.update(((i, n + i), f.one) for i in range(m.rows))
-    _rows, pivots, kernel = rref(SparseMatrix(m.rows, n + m.rows, f, aug))
-    reduced = {(i, pc): f.one for i, pc in enumerate(pivots)}
-    row_of = {pc: i for i, pc in enumerate(pivots)}
-    free = (c for c in range(n + m.rows) if c not in row_of)
-    for c, vec in zip(free, kernel):
-        for pc, v in vec.items():
-            if pc != c:
-                reduced[(row_of[pc], c)] = f.neg(v)
-    red = {(r, c): v for (r, c), v in reduced.items() if c < n}
-    transform = {(r, c - n): v for (r, c), v in reduced.items() if c >= n}
-    rk = sum(1 for pc in pivots if pc < n)
-    return (rk, pivots[:rk], SparseMatrix(m.rows, m.rows, f, transform),
-            SparseMatrix(m.rows, n, f, red))
-
-
-def solve(m, target):
-    """One solution x (dict-vector) of m*x = target, or None if inconsistent."""
-    return solve_factored(factorize(m), target)
-
-
-def solve_factored(factors, target):
-    """solve against a matrix given by factorize(m)."""
-    rk, pivot_cols, transform, red = factors
-    f = red.field
-    t = mat_vec(transform, target)
-    sol = {}
-    for i, pc in enumerate(pivot_cols):
-        v = t.get(i, f.zero)
-        if v:
-            sol[pc] = v
-    # consistency: rows beyond the rank must have zero target
-    for r, v in t.items():
-        if r >= rk and v:
-            return None
-    # verify (cheap at our sizes; guards against bad pivots)
-    chk = mat_vec(red, sol)
-    want = {r: v for r, v in t.items() if r < rk}
-    if chk != want:
+    aug.update(((r, n), v) for r, v in target.items())
+    _rank, pivots, kernel = rref(SparseMatrix(m.rows, n + 1, f, aug))
+    if pivots and pivots[-1] == n:
         return None
-    return sol
+    return {c: f.neg(v) for c, v in kernel[-1].items() if c != n}

@@ -20,15 +20,8 @@ class Quiver:
         for name, s, t in self.edges:
             if s not in vs or t not in vs:
                 raise ValueError(f"edge {name} has endpoint outside vertex set")
-        self._by_name = {name: (s, t) for name, s, t in self.edges}
-        if len(self._by_name) != len(self.edges):
+        if len({name for name, _s, _t in self.edges}) != len(self.edges):
             raise ValueError("duplicate edge ids")
-
-    def start(self, edge):
-        return self._by_name[edge][0]
-
-    def tail(self, edge):
-        return self._by_name[edge][1]
 
     def __repr__(self):
         return f"Quiver({self.vertices}, {self.edges})"

@@ -27,11 +27,12 @@ mu returns one of
   ZERO (None)
 
 Outside it, and outside the matrix realization of the grammar
-(`complexes.realize_ext_symbol`, `realize_h_symbol`), an Ext basis symbol
-is its canonical string: "u1^2", "(12)", "1_P1", "b.u1^0".  SYMBOLS maps
-each such string to its grammar tuple, source, target and degree, the one
-place those facts are read; `hom_names` lists hom bases by string, and
-`pair_images` and `product_class` evaluate products of named factors.
+(`complexes.realize_ext_symbol`, and the tests' `realize_h_symbol`), an
+Ext basis symbol is its canonical string: "u1^2", "(12)", "1_P1",
+"b.u1^0".  SYMBOLS maps each such string to its grammar tuple, source,
+target and degree, the one place those facts are read; `hom_names` lists
+hom bases by string, and `pair_images` and `product_class` evaluate
+products of named factors.
 H symbols have no string spelling: they stay grammar tuples, opaque to
 the transfer layer that carries each one as a slice value.
 """

@@ -3,11 +3,12 @@
 Keys are tuples of canonical symbol strings (f_d, ..., f_1) in composition
 order (f_1 acts first); values are (coefficient, output symbol string).
 JSON serialization is canonical: entries sorted, keys sorted, so equal
-tables produce byte-identical files.  `dumps` writes exactly
-`json.dumps(to_json(), indent=2, sort_keys=True) + "\n"`, but from one
-template per entry: the schema is fixed, and `json` runs its pure-Python
-encoder whenever it indents.  Strings are quoted by json's own ASCII
-escaper.  `from_json` reads back only that schema.
+tables produce byte-identical files.  `dumps` writes exactly what
+`json.dumps(doc, indent=2, sort_keys=True) + "\n"` writes for the table's
+document (`metadata`, and `entries` sorted by arity, then inputs), but
+from one template per entry: the schema is fixed, and `json` runs its
+pure-Python encoder whenever it indents.  Strings are quoted by json's
+own ASCII escaper.  `from_json` reads back only that schema.
 """
 
 import json
@@ -61,23 +62,9 @@ class OperationTable:
             out[len(k)] = out.get(len(k), 0) + 1
         return dict(sorted(out.items()))
 
-    def to_json(self):
-        entries = []
-        for key in sorted(self.entries, key=lambda k: (len(k), k)):
-            v = self.entries[key]
-            entries.append({
-                "arity": len(key),
-                "objects": list(v["objects"]),
-                "inputs": list(key),
-                "output": {"symbol": v["output"], "coeff": str(v["coeff"])},
-                "degree": v["degree"],
-            })
-        return {"metadata": {k: self.metadata[k] for k in sorted(self.metadata)},
-                "entries": entries}
-
     def dumps(self):
-        """The canonical file: `to_json()` as json writes it with indent 2
-        and sorted keys, plus a newline."""
+        """The canonical file: the table's document as json writes it
+        with indent 2 and sorted keys, plus a newline."""
         entries = [
             _ENTRY % (len(k), v["degree"], _strings(k), _strings(v["objects"]),
                       _quote(str(v["coeff"])), _quote(v["output"]))

@@ -58,7 +58,6 @@ with the homotopy entering as (-1)^{|x|} H(x).  Over F2 every sign is +1.
 """
 
 import functools
-import sys
 
 from .table import OperationTable
 from . import symbols as sym
@@ -132,17 +131,15 @@ class SymbolicBackend:
         """a + b over F2: zero (None) is the identity and two equal
         operands cancel.  Two distinct ones would make a two-term slice,
         which this element cannot hold: ValueError, naming the operands
-        and the slice being summed (the caller's `key`, as the fill names
-        it; read off its frame on this path only)."""
+        (the fill adds the slice)."""
         if a is None:
             return b
         if b is None:
             return a
         if a == b:
             return None
-        key = sys._getframe(1).f_locals.get("key")
-        raise ValueError(f"slice {key!r} sums two distinct terms {a!r} and "
-                         f"{b!r}; a symbolic element is one operand")
+        raise ValueError(f"two distinct terms {a!r} and {b!r}; a symbolic "
+                         f"element is one operand")
 
     def _images(self, a, b):
         """The pair table's entry for (a, b), made on a miss: one mu
@@ -348,7 +345,10 @@ class TransferEvaluator:
                         sign = field.sign(pre[c] - pre[i] - (c - i - 1))
                         if sign != field.one:
                             out = backend.scale(out, sign)
-                    acc = out if acc is None else add(acc, out)
+                    try:
+                        acc = out if acc is None else add(acc, out)
+                    except ValueError as e:
+                        raise ValueError(f"slice {key!r} sums {e}") from None
                 if acc is not None and backend.is_zero(acc):
                     acc = None
                 memo[key] = acc

@@ -4,11 +4,15 @@
 and `composable_pairs` read the symbol grammar of `pia2.symbols`;
 `from_rows` builds a `pia2.linalg` matrix, and `rank` and `check_exact`
 read `pia2.quiver` module maps; `check_d_squared`, `homology_dims` and
-`hom_homology_dims` read a `pia2.complexes` complex or category;
-`restrict_objects` cuts an operation table down to a set of objects.
+`hom_homology_dims` read a `pia2.complexes` complex or category, and
+`realize_h_symbol` realizes a homotopy symbol in one; `restrict_objects`
+cuts an operation table down to a set of objects, and `table_to_json`
+and `functor_to_json` give a table and a functor description as JSON
+documents.
 """
 
 from pia2 import symbols as sym
+from pia2.complexes import realize_ext_symbol, tabulated_contraction
 from pia2.linalg import SparseMatrix, rref
 from pia2.table import OperationTable
 
@@ -107,6 +111,33 @@ def restrict_objects(table, objects):
     return sub
 
 
+def table_to_json(table):
+    """The table as a JSON document; `OperationTable.dumps` writes exactly
+    what json writes for it, indented by 2 with sorted keys."""
+    entries = []
+    for key in sorted(table.entries, key=lambda k: (len(k), k)):
+        v = table.entries[key]
+        entries.append({
+            "arity": len(key),
+            "objects": list(v["objects"]),
+            "inputs": list(key),
+            "output": {"symbol": v["output"], "coeff": str(v["coeff"])},
+            "degree": v["degree"],
+        })
+    return {"metadata": {k: table.metadata[k] for k in sorted(table.metadata)},
+            "entries": entries}
+
+
+def functor_to_json(f):
+    """The functor description of f (`functors.AInfFunctorData`), in the
+    form `functors.functor_from_json` reads."""
+    return {"name": f.name,
+            "source": f.source.name, "target": f.target.name,
+            "object_map": dict(sorted(f.object_map.items())),
+            "F1": [{"from": k, "to": v if v is not None else "0"}
+                   for k, v in sorted(f.f1.items())]}
+
+
 def check_d_squared(cx):
     """Does each pair of consecutive differentials of the complex cx
     compose to zero?"""
@@ -138,3 +169,44 @@ def hom_homology_dims(cat, src, tgt, degrees):
         rk_in = rref(cat.d_matrix(src, tgt, n - 1))[0]
         out[n] = dim - rk_out - rk_in
     return out
+
+
+def _h_defining_product(h):
+    """The null-homotopic product whose H-image is h, per the homotopy
+    tables (initial homotopies and their inductive extensions)."""
+    _, kind, i, n = h
+    o = sym.other(i)
+    if kind == "sn":
+        if n == 0:
+            return (("p", i), ("j", i))
+        return (sym.h_sym("sp", i, n), ("j", i))
+    if kind == "ps":
+        return (("j", i), sym.ext_g(o, n))
+    if kind == "pn_t":
+        if n == 0:
+            return (("p", i), ("E", i))
+        return (sym.h_sym("sp", i, n), ("E", i))
+    if kind == "pn_s":
+        return (("j", o), sym.ext_u(i, n + 1))
+    if kind == "ss":
+        return (sym.h_sym("pn_t", i, n - 1), ("j", o))
+    if kind == "sp":
+        return (sym.h_sym("pn_t", i, n - 1), ("E", o))
+    raise ValueError(h)
+
+
+def realize_h_symbol(cat, h, contraction=None):
+    """Matrix realization of a homotopy symbol.
+
+    Defined as H applied to its defining null-homotopic product, which
+    reproduces the partial-identity diagrams exactly (all components +1
+    over F2; over Q the back-substitution fixes the signs).
+    """
+    n = h[3]
+    if cat.window < 2 * n + 6:
+        raise ValueError("window too small for this homotopy symbol")
+    c = contraction or tabulated_contraction(cat)
+    a, b = _h_defining_product(h)
+    ea = realize_h_symbol(cat, a, c) if sym.is_h(a) else realize_ext_symbol(cat, a)
+    eb = realize_h_symbol(cat, b, c) if sym.is_h(b) else realize_ext_symbol(cat, b)
+    return c.H(cat.compose(ea, eb))

@@ -17,15 +17,16 @@ import pytest
 from pia2.linalg import F2, QQ
 from pia2 import symbols as sym
 from pia2.table import OperationTable, diff_tables
-from helpers import check_d_squared, check_exact, restrict_objects
+from helpers import (check_d_squared, check_exact, realize_h_symbol,
+                     restrict_objects, table_to_json)
 from tree_oracle import enumerate_trees, catalan
 from pia2.transfer import (SymbolicBackend, MatrixBackend, TransferEvaluator,
                            compute_operation_table)
 from pia2.complexes import (pia2_end_category, a2_end_category,
                             tabulated_contraction, generic_contraction,
                             a2_class_names, realize_ext_symbol,
-                            realize_h_symbol, contraction_audit, HomElement,
-                            cone, build_contraction)
+                            contraction_audit, HomElement, cone,
+                            build_contraction)
 from pia2.ainf import (stasheff_check, kappa_symmetry_check,
                        expected_table, insertion_tuples)
 from pia2.functors import pi_category, builtin_functors, verify_functor
@@ -51,7 +52,7 @@ def engine():
 
 
 def _strip_provenance(table):
-    doc = table.to_json()
+    doc = table_to_json(table)
     doc["metadata"] = {k: v for k, v in doc["metadata"].items()
                        if k in ("arity_max", "degree_max", "field")}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"

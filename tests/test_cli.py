@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from helpers import functor_to_json
 from pia2.cli import main
 from pia2.complexes import (GenericContraction, TabulatedContraction,
                             contraction_audit)
@@ -602,7 +603,7 @@ def test_verify_functor_builds_pi_once(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(cli, "compute_operation_table", counted)
     fd = tmp_path / "functor.json"
-    fd.write_text(json.dumps(dict(g.to_json(), source="pants", target="pi-prime")))
+    fd.write_text(json.dumps(dict(functor_to_json(g), source="pants", target="pi-prime")))
     code, out_text, _e = run(["verify-functor", "--file", str(fd),
                               "--arity-max", "3", "--degree-max", "2"], capsys)
     assert builds == [(6, 2)]

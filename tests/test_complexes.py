@@ -8,16 +8,15 @@ from pia2 import symbols as sym
 from pia2.complexes import (build_resolution, cone, pia2_end_category,
                             a2_end_category, tabulated_contraction,
                             generic_contraction, a2_class_names,
-                            realize_ext_symbol, realize_h_symbol,
-                            build_contraction, contraction_audit, HomElement,
-                            EndCategory, TabulatedContraction, _Span,
-                            GenericContraction, TruncatedComplex,
-                            pia2_class_names)
+                            realize_ext_symbol, build_contraction,
+                            contraction_audit, HomElement, EndCategory,
+                            TabulatedContraction, GenericContraction,
+                            TruncatedComplex, pia2_class_names)
 from pia2 import complexes
 from pia2.transfer import MatrixBackend, compute_operation_table
 
 from helpers import (all_ext_symbols, all_h_symbols, check_d_squared,
-                     hom_homology_dims, homology_dims)
+                     hom_homology_dims, homology_dims, realize_h_symbol)
 
 
 def test_build_resolution_pattern():
@@ -495,18 +494,6 @@ def test_contraction_audit_counts_cases():
     assert empty["checked"] == 0 and empty["status"] == "fail"
 
 
-@pytest.mark.parametrize("field", [F2, QQ], ids=["f2", "q"])
-def test_span_add_ignores_zero_coordinates(field):
-    """A zero coordinate in an incoming vector is no pivot: add returns
-    whether the vector is new to the span, and a zero vector is not."""
-    span = _Span(2, field)
-    assert span.add({0: field.zero, 1: field.one}) is True
-    assert span.add({0: field.zero}) is False
-    assert span.add({1: field.of(3), 0: field.zero}) is False
-    assert span.add({0: field.one, 1: field.zero}) is True
-    assert span.rows == {1: {1: field.one}, 0: {0: field.one}}
-
-
 def test_generic_contraction_axioms_and_side_conditions():
     for field in (F2, QQ):
         cat = pia2_end_category(10, field)
@@ -564,6 +551,13 @@ def test_generic_coords_match_solve(field):
     assert checked == 1024
 
 
+def _column_rank(cols, dim, field):
+    """The rank of the dim-row matrix with the given dict-vector columns."""
+    return rref(SparseMatrix(dim, len(cols), field,
+                             {(r, j): v for j, col in enumerate(cols)
+                              for r, v in col.items()}))[0]
+
+
 def whole_pair_split(con, src, tgt):
     """Every degree's split of a hom pair at once, {n: {B, R, W, basis,
     n_true}}, computed degree after degree as the generic contraction did
@@ -582,13 +576,15 @@ def whole_pair_split(con, src, tgt):
         B = []
         for w in w_prev.get(n - 1, []):
             B.append(mat_vec(cat.d_matrix(src, tgt, n - 1), w))
-        span = _Span(dim, field)
-        for b in B:
-            span.add(b)
+        # class representatives: each left-localized kernel vector that
+        # raises the rank of B and the representatives taken so far
         R = []
+        rank = _column_rank(B, dim, field)
         for z in sorted(kernel, key=lambda v: max(basis[j][0] for j in v)):
-            if span.add(dict(z)):
+            grown = _column_rank(B + R + [z], dim, field)
+            if grown > rank:
                 R.append(dict(z))
+                rank = grown
         expected = None if con.class_names is None else \
             con.class_names.get((src, tgt, n))
         if expected is None:
@@ -611,9 +607,10 @@ def whole_pair_split(con, src, tgt):
 def test_degree_split_matches_whole_pair_split(instance):
     """Each degree split on first use equals the whole-pair split's entry
     for it: the same boundaries, class representatives, flat basis and
-    class count, and its free-column solver is square on exactly the
-    columns where no complement vector W is one, on every hom pair and
-    degree deg_lo..deg_hi (window 14, and -4..4 on the A2 instance)."""
+    class count, and the inverse of its free-column solver is square on
+    exactly the columns where no complement vector W is one and inverts
+    [B | R] cut to them, on every hom pair and degree deg_lo..deg_hi
+    (window 14, and -4..4 on the A2 instance)."""
     field = QQ if instance.endswith("q") else F2
     if instance.startswith("a2"):
         cat = a2_end_category(field)
@@ -633,7 +630,16 @@ def test_degree_split_matches_whole_pair_split(instance):
                 w_cols = {j for w in old["W"] for j in w}
                 free = [j for j in range(len(old["basis"])) if j not in w_cols]
                 assert list(new["free_row"]) == free, (src, tgt, n)
-                assert new["solver"].rows == new["solver"].cols == len(free)
+                # the stored inverse is |F| x |F| and inverts [B | R] cut
+                # to the free columns
+                inverse = new["inverse"]
+                assert inverse.rows == inverse.cols == len(free)
+                rows = new["free_row"]
+                solver = SparseMatrix(len(free), len(free), field, {
+                    (rows[r], j): v for j, col in enumerate(old["B"] + old["R"])
+                    for r, v in col.items() if r in rows})
+                assert mat_mul(solver, inverse) == \
+                    SparseMatrix.identity(len(free), field), (src, tgt, n)
                 checked += 1
     assert checked == len(cat.complexes) ** 2 * (con.deg_hi - con.deg_lo + 1)
 

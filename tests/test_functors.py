@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from helpers import functor_to_json
 from pia2.linalg import F2
 from pia2 import symbols as sym
 from pia2.transfer import SymbolicBackend, TransferEvaluator, compute_operation_table
@@ -254,7 +255,7 @@ def test_functor_json_roundtrip():
     delta = build_delta()
     f = AInfFunctorData("iota1", delta, pi, {"A": "S2", "B": "P1", "C": "S1"},
                         {"alpha": "j1", "beta": "p1", "gamma": "b.u1^0"})
-    doc = f.to_json()
+    doc = functor_to_json(f)
     back = functor_from_json(json.loads(json.dumps(doc)),
                              {"delta": delta, "Pi": pi})
     assert verify_functor(back, 5, 3)["status"] == "pass"

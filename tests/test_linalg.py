@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import from_rows
-from pia2.linalg import (F2, QQ, SparseMatrix, factorize, mat_mul, mat_vec, rref,
-                         solve)
+from pia2.linalg import F2, QQ, SparseMatrix, mat_mul, mat_vec, rref, solve
 
 
 def test_field_arithmetic_exact():
@@ -97,11 +96,6 @@ def test_rref_rank_one_symmetric():
     v = ker[0]
     # kernel spanned by (1, -1)
     assert v[0] == -v[1]
-    # transform * m is in rref
-    _rk, _piv, t, red = factorize(m)
-    assert red == mat_mul(t, m)
-    assert red.get(0, 0) == 1 and red.get(0, 1) == 1
-    assert red.get(1, 0) == 0 and red.get(1, 1) == 0
 
 
 def _random_matrix(rng, rows, cols, field):
@@ -146,6 +140,19 @@ def test_solve_consistency(rows):
     # any image vector is solvable and the solution reproduces it
     x = {c: QQ.of(c + 1) for c in range(3)}
     target = mat_vec(m, x)
+    sol = solve(m, target)
+    assert sol is not None
+    assert mat_vec(m, sol) == target
+
+
+@pytest.mark.parametrize("field", [F2, QQ], ids=["f2", "q"])
+def test_solve_returns_none_when_inconsistent_and_a_solution_otherwise(field):
+    """The third row is the sum of the first two over either field, so
+    m*x = t is consistent exactly when t_2 = t_0 + t_1: (1, 0, 0) has no
+    solution, and the solution for (1, 3, 4) gives that target back."""
+    m = from_rows([[1, 1, 0], [0, 1, 1], [1, 2, 1]], field)
+    assert solve(m, {0: field.one}) is None
+    target = {r: field.of(v) for r, v in ((0, 1), (1, 3), (2, 4)) if field.of(v)}
     sol = solve(m, target)
     assert sol is not None
     assert mat_vec(m, sol) == target
