@@ -21,9 +21,16 @@ The Hom differential is composition with each complex's own differential,
 d(f) = d_Y o f - (-1)^n f o d_X, read off the same composition constants
 as `compose` (the coordinates of each product of two module-hom basis
 maps): each complex's differential is put in module-hom coordinates once,
-so a column of `d_matrix` is a sum of stored constants.  The constants,
-like the module-hom bases, are keyed by representation names, which must
+so a column of d is a sum of stored constants.  The constants, like the
+module-hom bases, are keyed by representation names, which must
 therefore be unique within a category.
+
+Each Hom differential is stored once, by column (`d_columns`): applying
+d sums the columns at its input's support, so a call costs the size of
+the input and its image, not of the window.  `d_matrix` builds the
+matrix from the columns for a row reduction.  The tabulated H likewise
+walks only the back-substitution steps from its input's top position
+down to where nothing is left to carry below the lowest one.
 """
 
 from .linalg import SparseMatrix, mat_vec, rref
@@ -164,9 +171,9 @@ class EndCategory:
     """End*(M~) for a named family of truncated complexes.
 
     Flattens Hom^n(X, Y) to coefficient vectors over per-position bases of
-    module homomorphisms and provides the differential and composition in
-    those coordinates.  `window` is the truncation length L of the
-    resolutions ([-L, 0]); 0 when no window was set.
+    module homomorphisms and provides the differential (stored by column)
+    and composition in those coordinates.  `window` is the truncation
+    length L of the resolutions ([-L, 0]); 0 when no window was set.
     """
 
     window = 0
@@ -178,7 +185,7 @@ class EndCategory:
         self._free_slots = {}     # (repA name, repB name) -> [(v, r, c)]
         self._flat = {}           # (src, tgt, deg) -> list[(pos, k)]
         self._flat_index = {}
-        self._dmat = {}           # (src, tgt, deg) -> SparseMatrix
+        self._dcols = {}          # (src, tgt, deg) -> d_columns
         self._comp_consts = {}    # structure constants for composition
         self._dcoords = {}        # complex name -> {pos: coordinates of d}
 
@@ -283,8 +290,11 @@ class EndCategory:
                 for i, d in X.diffs.items()}
         return self._dcoords[cx]
 
-    def d_matrix(self, src, tgt, deg):
-        """Matrix of d: Hom^deg -> Hom^{deg+1} in the flat bases.
+    def d_columns(self, src, tgt, deg):
+        """The one stored form of d: Hom^deg -> Hom^{deg+1}, by column:
+        {flat key of Hom^deg: (row key, v, row key, v, ...)} over the
+        nonzero columns, the row keys being flat_basis(deg + 1)'s own key
+        objects.  Computed on first use.
 
         d(f) = d_Y o f - (-1)^deg f o d_X, read off the composition
         constants: column (i, k) sums c_l consts(X_i, Y_{i+deg}, Y_{i+deg+1},
@@ -292,16 +302,18 @@ class EndCategory:
         -(-1)^deg c'_l consts(X_{i-1}, X_i, Y_{i+deg}, k, l) over those of
         d_X at i - 1."""
         key = (src, tgt, deg)
-        if key in self._dmat:
-            return self._dmat[key]
+        cols = self._dcols.get(key)
+        if cols is not None:
+            return cols
         field = self.field
         X, Y = self.complexes[src], self.complexes[tgt]
         dX, dY = self._d_coords(src), self._d_coords(tgt)
-        dom = self.flat_basis(src, tgt, deg)
+        cod = self.flat_basis(src, tgt, deg + 1)
         cod_index = self.flat_index(src, tgt, deg + 1)
         minus_sign = field.neg(field.sign(deg))
-        ent = {}
-        for col, (i, k) in enumerate(dom):
+        cols = {}
+        for b in self.flat_basis(src, tgt, deg):
+            i, k = b
             j = i + deg
             out = {}
             # d_Y o f has its component at position i
@@ -312,12 +324,26 @@ class EndCategory:
             for l, c in dX.get(i - 1, ()):
                 self._add_product(out, i - 1, X.reps[i - 1], X.reps[i],
                                   Y.reps[j], k, l, field.mul(minus_sign, c))
-            for b, v in out.items():
-                ent[(cod_index[b], col)] = v
-        rows = len(self.flat_basis(src, tgt, deg + 1))
-        mat = SparseMatrix(rows, len(dom), field, ent)
-        self._dmat[key] = mat
-        return mat
+            if out:
+                col = []
+                for r, v in out.items():
+                    col += cod[cod_index[r]], v
+                cols[b] = tuple(col)
+        self._dcols[key] = cols
+        return cols
+
+    def d_matrix(self, src, tgt, deg):
+        """d: Hom^deg -> Hom^{deg+1} as a matrix in the flat bases, built
+        from d_columns on each call (for a row reduction)."""
+        rows = self.flat_index(src, tgt, deg + 1)
+        cols = self.flat_index(src, tgt, deg)
+        ent = {}
+        for b, col in self.d_columns(src, tgt, deg).items():
+            c = cols[b]
+            it = iter(col)
+            for r, v in zip(it, it):
+                ent[(rows[r], c)] = v
+        return SparseMatrix(len(rows), len(cols), self.field, ent)
 
     # -- elements ----------------------------------------------------------
 
@@ -363,13 +389,17 @@ class EndCategory:
         return self._comp_consts[key]
 
     def differential(self, elem):
-        mat = self.d_matrix(elem.src, elem.tgt, elem.deg)
-        index = self.flat_index(elem.src, elem.tgt, elem.deg)
-        basis_out = self.flat_basis(elem.src, elem.tgt, elem.deg + 1)
-        vec = {index[b]: v for b, v in elem.coeffs.items()}
-        img = mat_vec(mat, vec)
-        return HomElement(self, elem.src, elem.tgt, elem.deg + 1,
-                          {basis_out[r]: v for r, v in img.items()})
+        """d(elem): the sum of the columns of d at elem's support."""
+        field = self.field
+        cols = self.d_columns(elem.src, elem.tgt, elem.deg)
+        out = {}
+        for b, x in elem.coeffs.items():
+            col = cols.get(b)
+            if col is not None:
+                it = iter(col)
+                for r, v in zip(it, it):
+                    field.accumulate(out, r, field.mul(v, x))
+        return HomElement(self, elem.src, elem.tgt, elem.deg + 1, out)
 
 
 class HomElement:
@@ -563,32 +593,33 @@ class TabulatedContraction:
         return {top[0]: v}
 
     def _plan(self, src, tgt, n):
-        """The steps that solve d(c) = t on Hom^{n-1} downward from the top
-        position, or None where H is zero on Hom^n (d does not vanish there,
-        or nothing in degree n-1 has a boundary).
+        """(steps, first) solving d(c) = t on Hom^{n-1} downward from the
+        top position, or None where H is zero on Hom^n (d does not vanish
+        there, or nothing in degree n-1 has a boundary).
 
         Row i of d couples columns i and i+1 (each hom component is
         one-dimensional on this instance).  A step (j, key, inv, b) sets
         c[j] = (t[key] - b c[j+1]) inv; b is zero where no column j+1 term
         enters, and key is (j-1, 0) where column j is seen only by the row
-        below.  Columns that no step covers stay zero."""
+        below.  Columns that no step covers stay zero.  first[p] is the
+        index of the first step that can see position p of Hom^n: the
+        steps above it read t only above p."""
         key = (src, tgt, n)
         if key in self._plans:
             return self._plans[key]
         cat, field = self.cat, self.cat.field
         zero = field.zero
-        steps = None
-        dmat = cat.d_matrix(src, tgt, n - 1) \
-            if cat.d_matrix(src, tgt, n).is_zero() else None
-        if dmat is not None and not dmat.is_zero():
+        plan = None
+        dcols = cat.d_columns(src, tgt, n - 1) \
+            if not cat.d_columns(src, tgt, n) else None
+        if dcols:
             if self._top(src, tgt, n) is not None:
                 raise ValueError(f"class in a degree where d vanishes: {key}")
-            row_index = cat.flat_index(src, tgt, n)
-            col_index = cat.flat_index(src, tgt, n - 1)
+            cols = {b: dict(zip(col[::2], col[1::2]))
+                    for b, col in dcols.items()}
 
             def entry(rp, cp):
-                r, c = row_index.get((rp, 0)), col_index.get((cp, 0))
-                return zero if r is None or c is None else dmat.get(r, c)
+                return cols.get((cp, 0), {}).get((rp, 0), zero)
 
             col_pos = {i for i, _k in cat.flat_basis(src, tgt, n - 1)}
             steps = []
@@ -602,30 +633,46 @@ class TabulatedContraction:
                 a2 = entry(j - 1, j)
                 if a2 and (j - 1) not in col_pos:
                     steps.append((j, (j - 1, 0), field.div(field.one, a2), zero))
-            steps = tuple(steps)
-        self._plans[key] = steps
-        return steps
+            first, s = {}, 0
+            for p in sorted({i for i, _k in cat.flat_basis(src, tgt, n)},
+                            reverse=True):
+                while s < len(steps) and steps[s][0] > p + 1:
+                    s += 1
+                first[p] = s
+            plan = (tuple(steps), first)
+        self._plans[key] = plan
+        return plan
 
     def H(self, elem):
         """Zero unless d vanishes on the degree; otherwise solve
         d(c) = elem - i(p(elem)) downward from the top position (p is zero
-        on every degree with a plan)."""
+        on every degree with a plan).  The solve starts at the first step
+        that sees elem's top position and stops below its lowest one once
+        the step above left nothing to carry, so a call costs elem's span
+        of positions, not the window's."""
         cat = self.cat
+        src, tgt, n = elem.src, elem.tgt, elem.deg
+        plan = self._plan(src, tgt, n)
+        t = elem.coeffs
+        if plan is None or not t:
+            return cat.zero_elem(src, tgt, n - 1)
+        steps, first = plan
         field = cat.field
         zero = field.zero
-        src, tgt, n = elem.src, elem.tgt, elem.deg
-        steps = self._plan(src, tgt, n)
-        if steps is None:
-            return cat.zero_elem(src, tgt, n - 1)
-        t = elem.coeffs
+        lo = min(i for i, _k in t)
         c = {}
-        for j, k, inv, b in steps:
-            acc = t.get(k, zero)
-            if b:
-                prev = c.get(j + 1)
-                if prev is not None:
+        for s in range(first[max(i for i, _k in t)], len(steps)):
+            j, k, inv, b = steps[s]
+            prev = c.get(j + 1)
+            if prev is None:
+                if k[0] < lo:
+                    break
+                val = field.mul(t.get(k, zero), inv)
+            else:
+                acc = t.get(k, zero)
+                if b:
                     acc = field.sub(acc, field.mul(b, prev))
-            val = field.mul(acc, inv)
+                val = field.mul(acc, inv)
             if val:
                 c[j] = val
         return HomElement(cat, src, tgt, n - 1, {(i, 0): v for i, v in c.items()})
@@ -657,7 +704,12 @@ class GenericContraction:
     Truncating a two-sided-infinite complex on the left creates spurious
     rank-count classes in a few degrees (their true killers live beyond
     the cut).  Extension candidates are taken left-edge first, so those
-    spurious representatives localize at untrusted positions; when the
+    spurious representatives localize at untrusted positions.  The kernel
+    vectors of rref(d_n) already come in that order, so they are taken as
+    they come: flat_basis lists keys by ascending position, and the kernel
+    vector of free column c is supported on columns <= c (a row of the
+    rref is zero left of its pivot), so the rightmost position a kernel
+    vector reaches never falls from one vector to the next.  When the
     expected class list for a degree is shorter than the computed one the
     surplus is treated as part of the complement by the projection, which
     keeps the contraction identities exact on the trusted sub-window.
@@ -692,17 +744,19 @@ class GenericContraction:
         basis = cat.flat_basis(src, tgt, n)
         _rank, pivots, kernel = self._rref(src, tgt, n)
         # boundaries: d of the unit vectors at rref(d_{n-1})'s pivot
-        # columns, read off d_{n-1} grouped by column in one pass
+        # columns, read off d_{n-1}'s stored columns
         B = []
         if n > self.deg_lo:
-            by_col = {}
-            for (r, c), v in cat.d_matrix(src, tgt, n - 1).entries.items():
-                by_col.setdefault(c, {})[r] = v
-            B = [by_col[j] for j in self._rref(src, tgt, n - 1)[1]]
+            cols = cat.d_columns(src, tgt, n - 1)
+            basis_prev = cat.flat_basis(src, tgt, n - 1)
+            index = cat.flat_index(src, tgt, n)
+            for j in self._rref(src, tgt, n - 1)[1]:
+                it = iter(cols[basis_prev[j]])
+                B.append({index[r]: v for r, v in zip(it, it)})
         # a kernel vector is fixed by its entries on the free columns F of
         # rref(d_n), where kernel vector t is the unit vector at the t-th
         # one; so one reduction of [B | K | I] cut to the rows F, K the
-        # kernel vectors left-localized first, does the rest.  Its pivots
+        # kernel vectors (left-localized first), does the rest.  Its pivots
         # in the K block extend B greedily to a basis of ker d_n: they are
         # the class representatives R.  The solver [B | R] cut to F is then
         # its pivot block, and the kernel vector of the I block's column k
@@ -711,15 +765,13 @@ class GenericContraction:
         free = [j for j in range(len(basis)) if j not in pivot_set]
         free_row = {j: k for k, j in enumerate(free)}
         nB, nF = len(B), len(free)
-        order = sorted(range(nF),
-                       key=lambda t: max(basis[j][0] for j in kernel[t]))
         aug = {(free_row[r], j): v for j, col in enumerate(B)
                for r, v in col.items() if r in free_row}
-        aug.update(((t, nB + s), field.one) for s, t in enumerate(order))
+        aug.update(((t, nB + t), field.one) for t in range(nF))
         aug.update(((k, nB + nF + k), field.one) for k in range(nF))
         _rank, aug_pivots, aug_kernel = rref(
             SparseMatrix(nF, nB + 2 * nF, field, aug))
-        R = [dict(kernel[order[c - nB]]) for c in aug_pivots[nB:]]
+        R = [dict(kernel[c - nB]) for c in aug_pivots[nB:]]
         expected = None if self.class_names is None else \
             self.class_names.get(key)
         if expected is None:

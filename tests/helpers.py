@@ -4,15 +4,18 @@
 and `composable_pairs` read the symbol grammar of `pia2.symbols`;
 `from_rows` builds a `pia2.linalg` matrix, and `rank` and `check_exact`
 read `pia2.quiver` module maps; `check_d_squared`, `homology_dims` and
-`hom_homology_dims` read a `pia2.complexes` complex or category, and
-`realize_h_symbol` realizes a homotopy symbol in one; `restrict_objects`
+`hom_homology_dims` read a `pia2.complexes` complex or category,
+`realize_h_symbol` realizes a homotopy symbol in one, and
+`full_back_substitution` applies a tabulated contraction's H over every
+step of its plan; `restrict_objects`
 cuts an operation table down to a set of objects, and `table_to_json`
 and `functor_to_json` give a table and a functor description as JSON
 documents.
 """
 
 from pia2 import symbols as sym
-from pia2.complexes import realize_ext_symbol, tabulated_contraction
+from pia2.complexes import (HomElement, realize_ext_symbol,
+                            tabulated_contraction)
 from pia2.linalg import SparseMatrix, rref
 from pia2.table import OperationTable
 
@@ -210,3 +213,28 @@ def realize_h_symbol(cat, h, contraction=None):
     ea = realize_h_symbol(cat, a, c) if sym.is_h(a) else realize_ext_symbol(cat, a)
     eb = realize_h_symbol(cat, b, c) if sym.is_h(b) else realize_ext_symbol(cat, b)
     return c.H(cat.compose(ea, eb))
+
+
+def full_back_substitution(con, elem):
+    """The tabulated H of `con` on elem by every step of its plan, from the
+    top of the window down, whatever elem's support: the oracle for
+    TabulatedContraction.H, which starts at elem's top position and stops
+    below its lowest one."""
+    cat = con.cat
+    field = cat.field
+    src, tgt, n = elem.src, elem.tgt, elem.deg
+    plan = con._plan(src, tgt, n)
+    if plan is None:
+        return cat.zero_elem(src, tgt, n - 1)
+    t = elem.coeffs
+    c = {}
+    for j, k, inv, b in plan[0]:
+        acc = t.get(k, field.zero)
+        if b:
+            prev = c.get(j + 1)
+            if prev is not None:
+                acc = field.sub(acc, field.mul(b, prev))
+        val = field.mul(acc, inv)
+        if val:
+            c[j] = val
+    return HomElement(cat, src, tgt, n - 1, {(i, 0): v for i, v in c.items()})

@@ -16,7 +16,8 @@ from pia2 import complexes
 from pia2.transfer import MatrixBackend, compute_operation_table
 
 from helpers import (all_ext_symbols, all_h_symbols, check_d_squared,
-                     hom_homology_dims, homology_dims, realize_h_symbol)
+                     full_back_substitution, hom_homology_dims, homology_dims,
+                     realize_h_symbol)
 
 
 def test_build_resolution_pattern():
@@ -156,6 +157,42 @@ def test_d_matrix_matches_module_map_reference(field):
                     nonzero += not want.is_zero()
     assert checked == 16 * 21 + 16 * 33 + 9 * 7
     assert nonzero == 179
+
+
+@pytest.mark.parametrize("field", [F2, QQ], ids=["f2", "q"])
+def test_differential_matches_d_matrix(field):
+    """differential, which sums the stored columns of d at its input's
+    support, equals mat_vec of d_matrix, which walks every entry, with the
+    same scalar types: on every flat basis element and on five seeded
+    elements of two to five terms per hom pair and degree |n| <= 8 at
+    window 24."""
+    cat = pia2_end_category(24, field)
+    rng = random.Random(3)
+    scalars = [field.of(k) for k in (1, -1, 2, -3)] if field is QQ else [F2.one]
+    checked = nonzero = 0
+    for src in sorted(cat.complexes):
+        for tgt in sorted(cat.complexes):
+            for n in range(-8, 9):
+                basis = cat.flat_basis(src, tgt, n)
+                if not basis:
+                    continue
+                mat = cat.d_matrix(src, tgt, n)
+                index = cat.flat_index(src, tgt, n)
+                cod = cat.flat_basis(src, tgt, n + 1)
+                inputs = [{b: field.one} for b in basis]
+                for _ in range(5):
+                    picks = rng.sample(basis, min(len(basis), rng.randint(2, 5)))
+                    inputs.append({b: rng.choice(scalars) for b in picks})
+                for coeffs in inputs:
+                    x = HomElement(cat, src, tgt, n, coeffs)
+                    img = mat_vec(mat, {index[b]: v for b, v in x.coeffs.items()})
+                    got = cat.differential(x)
+                    assert got.deg == n + 1
+                    assert _typed(got.coeffs) == \
+                        _typed({cod[r]: v for r, v in img.items()}), (src, tgt, n, coeffs)
+                    checked += 1
+                    nonzero += not got.is_zero()
+    assert checked == 2208 and nonzero > 1000
 
 
 @pytest.mark.parametrize("field", [F2, QQ], ids=["f2", "q"])
@@ -458,6 +495,65 @@ def test_compiled_H_matches_reference(field):
     assert checked == 808 and nonzero > 300
 
 
+def _gapped_category(field):
+    """S1's resolution at window 10 without its differential at -5, and
+    S2's.  The columns of Hom(S1, S1) and Hom(S2, S1) that only the
+    missing differential would see get no step, so those plans' step
+    lists have gaps.  No class is named, so every degree where d vanishes
+    and d of the degree below does not has a plan."""
+    q1 = build_resolution("S1", 10, field)
+    gapped = TruncatedComplex("Q1", q1.reps, {i: d for i, d in q1.diffs.items()
+                                              if i != -5}, field)
+    cat = EndCategory({"S1": gapped, "S2": build_resolution("S2", 10, field)},
+                      field)
+    con = TabulatedContraction(cat)
+    con.classes = lambda src, tgt, deg: []
+    return cat, con
+
+
+@pytest.mark.parametrize("field", [F2, QQ], ids=["f2", "q"])
+def test_tabulated_H_matches_full_back_substitution(field):
+    """H starts at the first step that sees its input's top position and
+    stops below the lowest one; it equals the back-substitution over every
+    step of the plan (helpers.full_back_substitution) on seeded inputs of
+    several terms, on every plan of degrees |n| <= 8 of the window-24
+    category and of a category whose step lists have gaps.  Each plan's
+    inputs include entries at the top and the bottom position of its
+    degree, and each gap's inputs entries at the positions the steps on
+    both of its sides read."""
+    rng = random.Random(7)
+    scalars = [field.of(k) for k in (1, -1, 2, -3)] if field is QQ else [F2.one]
+    pia2 = pia2_end_category(24, field)
+    checked = nonzero = gaps = 0
+    for cat, con in ((pia2, tabulated_contraction(pia2)), _gapped_category(field)):
+        for src in sorted(cat.complexes):
+            for tgt in sorted(cat.complexes):
+                for n in range(-8, 9):
+                    plan = con._plan(src, tgt, n)
+                    if plan is None:
+                        continue
+                    steps = plan[0]
+                    basis = cat.flat_basis(src, tgt, n)
+                    sides = [(a[1], b[1]) for a, b in zip(steps, steps[1:])
+                             if a[0] - b[0] > 1]
+                    gaps += len(sides)
+                    musts = [(basis[-1], basis[0]), (basis[-1],), (basis[0],)]
+                    inputs = []
+                    for keys in musts + sides + [()] * 4:
+                        extra = rng.sample(basis, min(len(basis), rng.randint(1, 3)))
+                        inputs.append({b: rng.choice(scalars) for b in (*keys, *extra)})
+                    for coeffs in inputs:
+                        x = HomElement(cat, src, tgt, n, coeffs)
+                        got = con.H(x)
+                        assert got.deg == n - 1
+                        assert _typed(got.coeffs) == \
+                            _typed(full_back_substitution(con, x).coeffs), \
+                            (src, tgt, n, coeffs)
+                        checked += 1
+                        nonzero += not got.is_zero()
+    assert gaps == 9 and checked == 723 and nonzero > 700
+
+
 def test_compiled_H_refuses_a_class_where_d_vanishes():
     """H back-substitutes without subtracting i(p(x)) because no degree with
     a plan carries a class; a class there is refused, not ignored."""
@@ -642,6 +738,41 @@ def test_degree_split_matches_whole_pair_split(instance):
                     SparseMatrix.identity(len(free), field), (src, tgt, n)
                 checked += 1
     assert checked == len(cat.complexes) ** 2 * (con.deg_hi - con.deg_lo + 1)
+
+
+@pytest.mark.parametrize("instance", ["f2", "q", "a2-f2", "a2-q"])
+def test_kernel_vectors_come_left_localized(instance):
+    """The split takes rref(d_n)'s kernel vectors, left-localized first, in
+    their own order, on two premises checked here on every split (window
+    24, and the A2 instance): flat_basis lists keys by ascending position,
+    and the kernel vector of free column c is supported on columns <= c.
+    So the rightmost position each kernel vector reaches never falls
+    along the list."""
+    field = QQ if instance.endswith("q") else F2
+    if instance.startswith("a2"):
+        cat = a2_end_category(field)
+        con = generic_contraction(cat, -4, 4, a2_class_names())
+    else:
+        cat = pia2_end_category(24, field)
+        con = generic_contraction(cat)
+    splits = rising = 0
+    for src in sorted(cat.complexes):
+        for tgt in sorted(cat.complexes):
+            for n in range(con.deg_lo, con.deg_hi + 1):
+                basis = cat.flat_basis(src, tgt, n)
+                positions = [i for i, _k in basis]
+                assert positions == sorted(positions), (src, tgt, n)
+                _rank, pivots, kernel = con._rref(src, tgt, n)
+                pivot_set = set(pivots)
+                free = [j for j in range(len(basis)) if j not in pivot_set]
+                assert [max(vec) for vec in kernel] == free, (src, tgt, n)
+                reach = [max(basis[j][0] for j in vec) for vec in kernel]
+                assert reach == sorted(reach), (src, tgt, n)
+                splits += 1
+                rising += len(set(reach)) > 1
+    assert splits == len(cat.complexes) ** 2 * (con.deg_hi - con.deg_lo + 1)
+    # no A2 kernel holds two vectors that reach different positions
+    assert rising == (0 if instance.startswith("a2") else 94)
 
 
 def test_generic_refuses_missing_classes_at_their_degree():
