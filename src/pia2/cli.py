@@ -70,8 +70,8 @@ def _check_window(args, parser):
 
 
 def _contraction(args, parser):
-    """The (instance, contraction) pair that --algebra, --homotopy,
-    --window and --field name, a builder's refusal being a usage error."""
+    """The contraction (on its `cat`) that --algebra, --homotopy, --window
+    and --field name, a builder's refusal being a usage error."""
     try:
         return build_contraction(args.window, args.homotopy,
                                  field_by_name(args.field), args.algebra)
@@ -82,8 +82,8 @@ def _contraction(args, parser):
 def _make_backend(args, parser):
     if args.backend == "symbolic":
         return SymbolicBackend()
-    cat, con = _contraction(args, parser)
-    return MatrixBackend.for_pia2(cat, con, args.degree_max)
+    con = _contraction(args, parser)
+    return MatrixBackend.for_pia2(con.cat, con, args.degree_max)
 
 
 def _pi_category(args):
@@ -132,7 +132,7 @@ def cmd_expected_table(args, parser):
 
 def cmd_verify(args, parser):
     """The table checks read Pi's symbolic table; the contraction audit
-    reads the pair `_contraction` builds and no table."""
+    reads the contraction `_contraction` builds and no table."""
     _check_window(args, parser)
     which = args.which
     reports = []
@@ -151,7 +151,7 @@ def cmd_verify(args, parser):
     if which in ("classification", "all"):
         reports.append(classification_check(pi.table))
     if which in ("contraction", "all"):
-        reports.append(contraction_audit(*_contraction(args, parser)))
+        reports.append(contraction_audit(_contraction(args, parser)))
     if which in ("functors", "all"):
         for f in builtin_functors(pi, degree_max=args.degree_max):
             reports.append(verify_functor(f, max(args.arity_max, 6),

@@ -31,6 +31,10 @@ the input and its image, not of the window.  `d_matrix` builds the
 matrix from the columns for a row reduction.  The tabulated H likewise
 walks only the back-substitution steps from its input's top position
 down to where nothing is left to carry below the lowest one.
+
+A category is built with its instance facts (window, trusted sub-window,
+algebra), and a contraction from its category alone, which it carries as
+`con.cat` for the audit and the matrix backend.
 """
 
 from .linalg import SparseMatrix, mat_vec, rref
@@ -173,14 +177,17 @@ class EndCategory:
     Flattens Hom^n(X, Y) to coefficient vectors over per-position bases of
     module homomorphisms and provides the differential (stored by column)
     and composition in those coordinates.  `window` is the truncation
-    length L of the resolutions ([-L, 0]); 0 when no window was set.
+    length L of the resolutions ([-L, 0]), `trusted` the positions the
+    contraction audit reads and `algebra` the built-in instance ("pia2",
+    "a2", or None), which decides the contractions it has.
     """
 
-    window = 0
-
-    def __init__(self, complexes, field):
+    def __init__(self, complexes, field, window=0, trusted=(), algebra=None):
         self.complexes = dict(complexes)
         self.field = field
+        self.window = window
+        self.trusted = trusted
+        self.algebra = algebra
         self._mod_basis = {}      # (repA name, repB name) -> [ModuleMap]
         self._free_slots = {}     # (repA name, repB name) -> [(v, r, c)]
         self._flat = {}           # (src, tgt, deg) -> list[(pos, k)]
@@ -403,7 +410,9 @@ class EndCategory:
 
 
 class HomElement:
-    """An element of Hom^deg(X, Y) as sparse coefficients over the flat basis."""
+    """An element of Hom^deg(X, Y) as sparse coefficients over the flat
+    basis: `coeffs` is the dict its producer built, which holds no zero
+    value, stored as given (no caller mutates it afterwards)."""
 
     __slots__ = ("cat", "src", "tgt", "deg", "coeffs")
 
@@ -412,7 +421,7 @@ class HomElement:
         self.src = src
         self.tgt = tgt
         self.deg = deg
-        self.coeffs = {k: v for k, v in coeffs.items() if v}
+        self.coeffs = coeffs
 
     def is_zero(self):
         return not self.coeffs
@@ -464,11 +473,9 @@ def pia2_end_category(window, field):
         "P1": one_position_complex(reps["P1"], "P1"),
         "P2": one_position_complex(reps["P2"], "P2"),
     }
-    cat = EndCategory(cxs, field)
-    cat.window = window
-    cat.trusted = range(-window + 2, -1)  # [-L+2, -2]
-    cat.algebra = "pia2"
-    return cat
+    return EndCategory(cxs, field, window=window,
+                       trusted=range(-window + 2, -1),  # [-L+2, -2]
+                       algebra="pia2")
 
 
 def a2_end_category(field):
@@ -483,11 +490,7 @@ def a2_end_category(field):
         "P": one_position_complex(reps["P"], "P"),
         "S2": one_position_complex(reps["S2"], "S2"),
     }
-    cat = EndCategory(cxs, field)
-    cat.window = 1
-    cat.trusted = range(-1, 1)
-    cat.algebra = "a2"
-    return cat
+    return EndCategory(cxs, field, window=1, trusted=range(-1, 1), algebra="a2")
 
 
 # ---------------------------------------------------------------------------
@@ -713,15 +716,17 @@ class GenericContraction:
     expected class list for a degree is shorter than the computed one the
     surplus is treated as part of the complement by the projection, which
     keeps the contraction identities exact on the trusted sub-window.
+
+    `class_names` ({(src, tgt, deg): [names]}) names the classes of the
+    degrees it lists; the others are auto-named.  Past the window a Hom
+    space is empty: it has no class, and p and H are zero there.
     """
 
     mode = "generic"
 
-    def __init__(self, cat, deg_lo, deg_hi, class_names=None):
+    def __init__(self, cat, class_names):
         self.cat = cat
-        self.deg_lo = deg_lo
-        self.deg_hi = deg_hi
-        self.class_names = class_names  # optional {(src,tgt,deg): [names]}
+        self.class_names = class_names
         self._rrefs = {}    # (src, tgt, n) -> rref(d_n)
         self._degrees = {}  # (src, tgt, n) -> degree n's split
 
@@ -745,14 +750,13 @@ class GenericContraction:
         _rank, pivots, kernel = self._rref(src, tgt, n)
         # boundaries: d of the unit vectors at rref(d_{n-1})'s pivot
         # columns, read off d_{n-1}'s stored columns
+        cols = cat.d_columns(src, tgt, n - 1)
+        basis_prev = cat.flat_basis(src, tgt, n - 1)
+        index = cat.flat_index(src, tgt, n)
         B = []
-        if n > self.deg_lo:
-            cols = cat.d_columns(src, tgt, n - 1)
-            basis_prev = cat.flat_basis(src, tgt, n - 1)
-            index = cat.flat_index(src, tgt, n)
-            for j in self._rref(src, tgt, n - 1)[1]:
-                it = iter(cols[basis_prev[j]])
-                B.append({index[r]: v for r, v in zip(it, it)})
+        for j in self._rref(src, tgt, n - 1)[1]:
+            it = iter(cols[basis_prev[j]])
+            B.append({index[r]: v for r, v in zip(it, it)})
         # a kernel vector is fixed by its entries on the free columns F of
         # rref(d_n), where kernel vector t is the unit vector at the t-th
         # one; so one reduction of [B | K | I] cut to the rows F, K the
@@ -772,8 +776,7 @@ class GenericContraction:
         _rank, aug_pivots, aug_kernel = rref(
             SparseMatrix(nF, nB + 2 * nF, field, aug))
         R = [dict(kernel[c - nB]) for c in aug_pivots[nB:]]
-        expected = None if self.class_names is None else \
-            self.class_names.get(key)
+        expected = self.class_names.get(key)
         if expected is None:
             n_true = len(R)
         else:
@@ -797,10 +800,7 @@ class GenericContraction:
         """The class names of a degree: the expected ones where class_names
         lists the degree, read without splitting the degree, and
         otherwise e(src->tgt)^deg_k for each computed class."""
-        if not self.deg_lo <= deg <= self.deg_hi:
-            return []
-        names = None if self.class_names is None else \
-            self.class_names.get((src, tgt, deg))
+        names = self.class_names.get((src, tgt, deg))
         if names is not None:
             return list(names)
         return [f"e({src}->{tgt})^{deg}_{k}"
@@ -829,8 +829,6 @@ class GenericContraction:
         return data, mat_vec(data["inverse"], target)
 
     def project(self, elem):
-        if elem.deg not in range(self.deg_lo, self.deg_hi + 1):
-            return {}
         data, coords = self._coords(elem)
         nB = len(data["B"])
         names = self.classes(elem.src, elem.tgt, elem.deg)
@@ -846,7 +844,7 @@ class GenericContraction:
         boundary coordinate k goes to the unit vector at the k-th pivot
         column of rref(d_{deg-1})."""
         src, tgt, n = elem.src, elem.tgt, elem.deg
-        if elem.is_zero() or n - 1 < self.deg_lo or n > self.deg_hi:
+        if elem.is_zero():
             return self.cat.zero_elem(src, tgt, n - 1)
         data, coords = self._coords(elem)
         basis_prev = self.cat.flat_basis(src, tgt, n - 1)
@@ -859,13 +857,15 @@ class GenericContraction:
         return HomElement(self.cat, src, tgt, n - 1, out)
 
 
-def contraction_audit(cat, con):
+def contraction_audit(con):
     """Matrix audit of pi = 1, dH + Hd = 1 - ip and H^2 = 0 on the trusted
-    sub-window, on every hom pair and degree |n| <= 8.
+    sub-window of the contraction's category, on every hom pair and degree
+    |n| <= 8.
 
     "checked" counts the cases examined: each class (pi = 1) and each flat
     basis element inside the trusted sub-window (the other two identities).
     An audit that examined nothing reports "fail"."""
+    cat = con.cat
     field = cat.field
     trusted = set(cat.trusted)
     violations = []
@@ -901,23 +901,24 @@ def contraction_audit(cat, con):
 
 
 def tabulated_contraction(cat):
-    if getattr(cat, "algebra", None) != "pia2":
+    if cat.algebra != "pia2":
         raise ValueError("the tabulated homotopies exist for the preprojective instance only")
-    if getattr(cat, "_tabulated_contraction", None) is None:
-        cat._tabulated_contraction = TabulatedContraction(cat)
-    return cat._tabulated_contraction
+    return TabulatedContraction(cat)
 
 
-def generic_contraction(cat, deg_lo=None, deg_hi=None, class_names=None):
-    if deg_lo is None:
-        deg_lo = -cat.window - 1
-    if deg_hi is None:
-        deg_hi = cat.window + 1
-    if class_names is None and getattr(cat, "algebra", None) == "pia2":
-        # degrees near the top of the window cannot carry faithful class
-        # representatives; leave them auto-named
-        class_names = pia2_class_names(deg_lo, min(deg_hi, cat.window - 4))
-    return GenericContraction(cat, deg_lo, deg_hi, class_names)
+def generic_contraction(cat):
+    """The generic contraction naming pia2's classes of degrees
+    -(L+1)..L-4 (higher ones have no faithful representatives and are
+    auto-named), the A2 triangle, or nothing on any other category."""
+    if cat.algebra == "pia2":
+        names = {(src, tgt, n): pia2_classes(src, tgt, n)
+                 for src in sym.OBJECTS for tgt in sym.OBJECTS
+                 for n in range(-cat.window - 1, cat.window - 3)}
+    elif cat.algebra == "a2":
+        names = A2_CLASS_NAMES
+    else:
+        names = {}
+    return GenericContraction(cat, names)
 
 
 def pia2_classes(src, tgt, deg):
@@ -926,36 +927,26 @@ def pia2_classes(src, tgt, deg):
             if sym.SYMBOLS[s][3] == deg]
 
 
-def pia2_class_names(deg_lo, deg_hi):
-    """Expected Ext classes per hom pair and degree, named by symbol."""
-    return {(src, tgt, n): pia2_classes(src, tgt, n)
-            for src in sym.OBJECTS for tgt in sym.OBJECTS
-            for n in range(deg_lo, deg_hi + 1)}
+# Ext classes of S1 + P + S2 over A2, named by the triangle they form
+A2_CLASS_NAMES = {
+    ("S1", "S1", 0): ["1_S1"], ("P", "P", 0): ["1_P"], ("S2", "S2", 0): ["1_S2"],
+    ("S2", "P", 0): ["f"],     # the inclusion S2 -> P
+    ("P", "S1", 0): ["g"],     # the projection P -> S1
+    ("S1", "S2", 1): ["h"],    # the connecting class, degree 1
+}
 
 
 def build_contraction(window, mode, field, algebra="pia2"):
-    """ContractionData for the preprojective (or A2) dg category."""
+    """The contraction (on its `cat`) of the preprojective or A2 category."""
     if algebra == "pia2":
         if window < 8:
             raise ValueError("window too small")
         cat = pia2_end_category(window, field)
         if mode == "paper":
-            return cat, tabulated_contraction(cat)
+            return tabulated_contraction(cat)
         if mode == "generic":
-            return cat, generic_contraction(cat)
+            return generic_contraction(cat)
         raise ValueError(f"unknown contraction mode {mode!r}")
     if algebra == "a2":
-        cat = a2_end_category(field)
-        names = a2_class_names()
-        return cat, generic_contraction(cat, -4, 4, names)
+        return generic_contraction(a2_end_category(field))
     raise ValueError(f"unknown algebra {algebra!r}")
-
-
-def a2_class_names():
-    """Ext classes of S1 + P + S2 over A2, named by the triangle they form."""
-    return {
-        ("S1", "S1", 0): ["1_S1"], ("P", "P", 0): ["1_P"], ("S2", "S2", 0): ["1_S2"],
-        ("S2", "P", 0): ["f"],     # the inclusion S2 -> P
-        ("P", "S1", 0): ["g"],     # the projection P -> S1
-        ("S1", "S2", 1): ["h"],    # the connecting class, degree 1
-    }

@@ -309,11 +309,12 @@ def g_dictionary():
     return image
 
 
-def g_inverse_dictionary():
-    """Preprojective basis string -> its unique faithful pants preimage."""
+def g_inverse_dictionary(exp_max):
+    """Preprojective basis string -> its unique faithful pants preimage,
+    over the pants basis of exponent at most exp_max."""
     inv = {}
     img = g_dictionary()
-    for (x, y), syms in _pants_hom_data(24).items():
+    for (x, y), syms in _pants_hom_data(exp_max).items():
         for s in syms:
             t = img(s)
             if t is not None and not t.startswith("1_"):
@@ -363,7 +364,7 @@ def build_pants(degree_max, pi_table):
 
     # higher operations: pull the preprojective table back along the
     # dictionary
-    inv = g_inverse_dictionary()
+    inv = g_inverse_dictionary(exp_max)
     skipped_blocks = []
     for key, v in pi_table.entries.items():
         if len(key) < 3:

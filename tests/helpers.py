@@ -5,7 +5,7 @@ and `composable_pairs` read the symbol grammar of `pia2.symbols`;
 `from_rows` builds a `pia2.linalg` matrix, and `rank` and `check_exact`
 read `pia2.quiver` module maps; `check_d_squared`, `homology_dims` and
 `hom_homology_dims` read a `pia2.complexes` complex or category,
-`realize_h_symbol` realizes a homotopy symbol in one, and
+`realize_h_symbol` realizes a homotopy symbol through a contraction, and
 `full_back_substitution` applies a tabulated contraction's H over every
 step of its plan; `restrict_objects`
 cuts an operation table down to a set of objects, and `table_to_json`
@@ -14,8 +14,7 @@ documents.
 """
 
 from pia2 import symbols as sym
-from pia2.complexes import (HomElement, realize_ext_symbol,
-                            tabulated_contraction)
+from pia2.complexes import HomElement, realize_ext_symbol
 from pia2.linalg import SparseMatrix, rref
 from pia2.table import OperationTable
 
@@ -198,21 +197,23 @@ def _h_defining_product(h):
     raise ValueError(h)
 
 
-def realize_h_symbol(cat, h, contraction=None):
-    """Matrix realization of a homotopy symbol.
+def realize_h_symbol(con, h):
+    """Matrix realization of a homotopy symbol in the category of the
+    contraction con.
 
-    Defined as H applied to its defining null-homotopic product, which
-    reproduces the partial-identity diagrams exactly (all components +1
-    over F2; over Q the back-substitution fixes the signs).
+    Defined as con's H applied to its defining null-homotopic product,
+    which with the tabulated contraction reproduces the partial-identity
+    diagrams exactly (all components +1 over F2; over Q the
+    back-substitution fixes the signs).
     """
+    cat = con.cat
     n = h[3]
     if cat.window < 2 * n + 6:
         raise ValueError("window too small for this homotopy symbol")
-    c = contraction or tabulated_contraction(cat)
     a, b = _h_defining_product(h)
-    ea = realize_h_symbol(cat, a, c) if sym.is_h(a) else realize_ext_symbol(cat, a)
-    eb = realize_h_symbol(cat, b, c) if sym.is_h(b) else realize_ext_symbol(cat, b)
-    return c.H(cat.compose(ea, eb))
+    ea = realize_h_symbol(con, a) if sym.is_h(a) else realize_ext_symbol(cat, a)
+    eb = realize_h_symbol(con, b) if sym.is_h(b) else realize_ext_symbol(cat, b)
+    return con.H(cat.compose(ea, eb))
 
 
 def full_back_substitution(con, elem):

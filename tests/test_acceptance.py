@@ -24,7 +24,7 @@ from pia2.transfer import (SymbolicBackend, MatrixBackend, TransferEvaluator,
                            compute_operation_table)
 from pia2.complexes import (pia2_end_category, a2_end_category,
                             tabulated_contraction, generic_contraction,
-                            a2_class_names, realize_ext_symbol,
+                            realize_ext_symbol,
                             contraction_audit, HomElement, cone,
                             build_contraction)
 from pia2.ainf import (stasheff_check, kappa_symmetry_check,
@@ -259,9 +259,9 @@ def test_criterion_4_stasheff_at_11_10():
 
 
 def _matrix_table(field, homotopy, arity_max, degree_max, window):
-    cat, con = build_contraction(window, homotopy, field)
+    con = build_contraction(window, homotopy, field)
     return compute_operation_table(arity_max, degree_max,
-                                   MatrixBackend.for_pia2(cat, con, degree_max))
+                                   MatrixBackend.for_pia2(con.cat, con, degree_max))
 
 
 def _assert_same_entries(a, b):
@@ -316,8 +316,8 @@ def test_criterion_4_stasheff_over_q(homotopy):
     convention the check uses: Pi on the (9,10) table at window 37, its
     closure reading classes to degree 10, checked at (7,3)."""
     t0 = time.time()
-    cat, con = build_contraction(37, homotopy, QQ)
-    backend = MatrixBackend.for_pia2(cat, con, 10)
+    con = build_contraction(37, homotopy, QQ)
+    backend = MatrixBackend.for_pia2(con.cat, con, 10)
     ev = TransferEvaluator(backend)
     pi = pi_category(compute_operation_table(9, 10, backend, evaluator=ev), ev)
     rep = stasheff_check(pi, 7, 3)
@@ -334,7 +334,7 @@ def test_criterion_5_contraction_audit():
     for L in (24, 26):
         cat = pia2_end_category(L, F2)
         con = tabulated_contraction(cat)
-        audit = contraction_audit(cat, con)
+        audit = contraction_audit(con)
         assert audit["status"] == "pass", (L, audit["violations"][:5])
         assert audit["checked"] > 0
         # homotopy-composition identities with parameters <= 3
@@ -356,7 +356,7 @@ def _homotopy_composition_audit(cat, con):
     out = {}
 
     def R(s):
-        return realize_h_symbol(cat, s, con) if sym.is_h(s) \
+        return realize_h_symbol(con, s) if sym.is_h(s) \
             else realize_ext_symbol(cat, s)
 
     for i in (1, 2):
@@ -404,7 +404,7 @@ def _homotopy_composition_audit(cat, con):
 def test_criterion_6_a2_oracle():
     t0 = time.time()
     cat = a2_end_category(F2)
-    con = generic_contraction(cat, -4, 4, a2_class_names())
+    con = generic_contraction(cat)
     mb = MatrixBackend.for_pia2(cat, con, 2)
     table = compute_operation_table(6, 2, mb)
     entries = {k: (v["coeff"], v["output"]) for k, v in table.entries.items()}
@@ -497,7 +497,7 @@ def test_criterion_10_combinatorics():
         for vec in kernel:
             if rng.random() < 0.5:
                 for j, v in vec.items():
-                    coeffs[basis[j]] = F2.add(coeffs.get(basis[j], 0), v)
+                    F2.accumulate(coeffs, basis[j], v)
         elem = HomElement(cat, src, tgt, 0, coeffs)
         if elem.is_zero():
             continue

@@ -282,9 +282,9 @@ def test_verify_contraction_audits_the_flags_pair(flags, algebra, kind, checked,
     from pia2 import cli
     seen = []
 
-    def audit(cat, con):
-        seen.append((cat.algebra, type(con)))
-        return contraction_audit(cat, con)
+    def audit(con):
+        seen.append((con.cat.algebra, type(con)))
+        return contraction_audit(con)
 
     monkeypatch.setattr(cli, "contraction_audit", audit)
     out = tmp_path / "contraction.json"

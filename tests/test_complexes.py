@@ -7,11 +7,10 @@ from pia2.quiver import ModuleMap, pia2_indecomposables
 from pia2 import symbols as sym
 from pia2.complexes import (build_resolution, cone, pia2_end_category,
                             a2_end_category, tabulated_contraction,
-                            generic_contraction, a2_class_names,
-                            realize_ext_symbol, build_contraction,
-                            contraction_audit, HomElement, EndCategory,
-                            TabulatedContraction, GenericContraction,
-                            TruncatedComplex, pia2_class_names)
+                            generic_contraction, realize_ext_symbol,
+                            build_contraction, contraction_audit, HomElement,
+                            EndCategory, TabulatedContraction,
+                            GenericContraction, TruncatedComplex)
 from pia2 import complexes
 from pia2.transfer import MatrixBackend, compute_operation_table
 
@@ -322,19 +321,19 @@ def test_tabulated_include_realizes_each_class_once(field, monkeypatch):
 
 
 def test_realize_h_shapes_over_f2():
-    cat = pia2_end_category(12, F2)
+    con = tabulated_contraction(pia2_end_category(12, F2))
     # h(S1,S2)^n: the full shift with unit components
-    h = realize_h_symbol(cat, sym.h_sym("sn", 1, 1))
+    h = realize_h_symbol(con, sym.h_sym("sn", 1, 1))
     assert all(v == F2.one for v in h.coeffs.values())
     assert set(h.coeffs) == {(i, 0) for i in range(-9, 1)}
     # h(P1,S1)^n: a single unit component at position -2n
-    h2 = realize_h_symbol(cat, sym.h_sym("ps", 1, 2))
+    h2 = realize_h_symbol(con, sym.h_sym("ps", 1, 2))
     assert h2.coeffs == {(-4, 0): F2.one}
     # h(S1,P2)^0: a single unit component mapping onto position -1
-    h3 = realize_h_symbol(cat, sym.h_sym("pn_t", 1, 0))
+    h3 = realize_h_symbol(con, sym.h_sym("pn_t", 1, 0))
     assert h3.coeffs == {(0, 0): F2.one} and h3.deg == -1
     with pytest.raises(ValueError):
-        realize_h_symbol(cat, sym.h_sym("ps", 1, 4))
+        realize_h_symbol(con, sym.h_sym("ps", 1, 4))
 
 
 def test_initial_homotopies_as_matrix_identities():
@@ -360,7 +359,7 @@ def test_initial_homotopies_as_matrix_identities():
         ]
         for (a, b), h in checks:
             got = H_of(a, b)
-            want = realize_h_symbol(cat, h, con)
+            want = realize_h_symbol(con, h)
             assert got.coeffs == want.coeffs, (field, a, b, h)
 
 
@@ -573,7 +572,7 @@ def test_contraction_audit_counts_cases():
     is impossible: an audit of a category with no objects fails."""
     cat = pia2_end_category(14, F2)
     con = tabulated_contraction(cat)
-    rep = contraction_audit(cat, con)
+    rep = contraction_audit(con)
     trusted = set(cat.trusted)
     want = 0
     for src in cat.complexes:
@@ -584,10 +583,63 @@ def test_contraction_audit_counts_cases():
                             if i in trusted and i + n in trusted)
     assert rep["status"] == "pass" and rep["violations"] == []
     assert rep["checked"] == want > 0
-    nothing = EndCategory({}, F2)
-    nothing.trusted = cat.trusted
-    empty = contraction_audit(nothing, con)
+    nothing = EndCategory({}, F2, trusted=cat.trusted)
+    empty = contraction_audit(generic_contraction(nothing))
     assert empty["checked"] == 0 and empty["status"] == "fail"
+
+
+def test_no_producer_hands_a_zero_coefficient(monkeypatch):
+    """HomElement stores the dict its producer built, so no producer may
+    put a zero in it: checked on every element the window-24 contraction
+    audits (paper and generic, F2 and Q) and the Q (5,4) tables of both
+    homotopies build."""
+    init = HomElement.__init__
+    built = []
+
+    def checked(self, cat, src, tgt, deg, coeffs):
+        assert all(coeffs.values()), (src, tgt, deg, coeffs)
+        built.append(len(coeffs))
+        init(self, cat, src, tgt, deg, coeffs)
+
+    monkeypatch.setattr(HomElement, "__init__", checked)
+    for field in (F2, QQ):
+        for mode in ("paper", "generic"):
+            rep = contraction_audit(build_contraction(24, mode, field))
+            assert rep["status"] == "pass" and rep["checked"] == 1166
+    tables = []
+    for mode in ("paper", "generic"):
+        con = build_contraction(24, mode, QQ)
+        tables.append(compute_operation_table(
+            5, 4, MatrixBackend.for_pia2(con.cat, con, 4)))
+    assert len(tables[0]) == len(tables[1]) > 0
+    assert len(built) > 40_000 and max(built) > 1
+
+
+@pytest.mark.parametrize("instance", ["f2", "q", "a2"])
+def test_generic_contraction_is_zero_past_the_window(instance):
+    """Past degree +-(window + 1) a Hom space is empty, so the generic
+    contraction, which takes no degree range, has no class there, p = {}
+    and H = 0, and the matrix backend sees no class: degrees
+    +-(window + 2)..+-(window + 7) at window 14 over F2 and Q, and on the
+    A2 instance (window 1)."""
+    cat = a2_end_category(F2) if instance == "a2" \
+        else pia2_end_category(14, QQ if instance == "q" else F2)
+    con = generic_contraction(cat)
+    backend = MatrixBackend.for_pia2(cat, con, 2)
+    w = cat.window
+    degrees = [n for k in range(w + 2, w + 8) for n in (k, -k)]
+    checked = 0
+    for src in sorted(cat.complexes):
+        for tgt in sorted(cat.complexes):
+            for n in degrees:
+                assert cat.flat_basis(src, tgt, n) == []
+                assert con.classes(src, tgt, n) == []
+                assert not backend.has_class(src, tgt, n)
+                x = cat.zero_elem(src, tgt, n)
+                assert con.project(x) == {}
+                assert con.H(x).is_zero() and con.H(x).deg == n - 1
+                checked += 1
+    assert checked == len(cat.complexes) ** 2 * 12
 
 
 def test_generic_contraction_axioms_and_side_conditions():
@@ -627,7 +679,7 @@ def test_generic_coords_match_solve(field):
     for src in sorted(cat.complexes):
         for tgt in sorted(cat.complexes):
             split = whole_pair_split(con, src, tgt)
-            for n in range(con.deg_lo, con.deg_hi + 1):
+            for n in _degrees(cat):
                 old = split[n]
                 cols = old["B"] + old["R"] + old["W"]
                 solver = SparseMatrix(
@@ -647,6 +699,14 @@ def test_generic_coords_match_solve(field):
     assert checked == 1024
 
 
+def _degrees(cat):
+    """The degrees the generic contraction tests walk: -(L+1)..L+1 at
+    window L, and -4..4 on the A2 instance."""
+    if cat.algebra == "a2":
+        return range(-4, 5)
+    return range(-cat.window - 1, cat.window + 2)
+
+
 def _column_rank(cols, dim, field):
     """The rank of the dim-row matrix with the given dict-vector columns."""
     return rref(SparseMatrix(dim, len(cols), field,
@@ -663,7 +723,7 @@ def whole_pair_split(con, src, tgt):
     cat, field = con.cat, con.cat.field
     data = {}
     w_prev = {}
-    for n in range(con.deg_lo, con.deg_hi + 1):
+    for n in _degrees(cat):
         basis = cat.flat_basis(src, tgt, n)
         dim = len(basis)
         dmat = cat.d_matrix(src, tgt, n)
@@ -681,8 +741,7 @@ def whole_pair_split(con, src, tgt):
             if grown > rank:
                 R.append(dict(z))
                 rank = grown
-        expected = None if con.class_names is None else \
-            con.class_names.get((src, tgt, n))
+        expected = con.class_names.get((src, tgt, n))
         if expected is None:
             n_true = len(R)
         else:
@@ -705,20 +764,17 @@ def test_degree_split_matches_whole_pair_split(instance):
     for it: the same boundaries, class representatives, flat basis and
     class count, and the inverse of its free-column solver is square on
     exactly the columns where no complement vector W is one and inverts
-    [B | R] cut to them, on every hom pair and degree deg_lo..deg_hi
+    [B | R] cut to them, on every hom pair and degree of _degrees
     (window 14, and -4..4 on the A2 instance)."""
     field = QQ if instance.endswith("q") else F2
-    if instance.startswith("a2"):
-        cat = a2_end_category(field)
-        con = generic_contraction(cat, -4, 4, a2_class_names())
-    else:
-        cat = pia2_end_category(14, field)
-        con = generic_contraction(cat)
+    cat = a2_end_category(field) if instance.startswith("a2") \
+        else pia2_end_category(14, field)
+    con = generic_contraction(cat)
     checked = 0
     for src in sorted(cat.complexes):
         for tgt in sorted(cat.complexes):
             want = whole_pair_split(con, src, tgt)
-            assert sorted(want) == list(range(con.deg_lo, con.deg_hi + 1))
+            assert sorted(want) == list(_degrees(cat))
             for n, old in want.items():
                 new = con._degree(src, tgt, n)
                 for key in ("B", "R", "basis", "n_true"):
@@ -737,7 +793,7 @@ def test_degree_split_matches_whole_pair_split(instance):
                 assert mat_mul(solver, inverse) == \
                     SparseMatrix.identity(len(free), field), (src, tgt, n)
                 checked += 1
-    assert checked == len(cat.complexes) ** 2 * (con.deg_hi - con.deg_lo + 1)
+    assert checked == len(cat.complexes) ** 2 * len(_degrees(cat))
 
 
 @pytest.mark.parametrize("instance", ["f2", "q", "a2-f2", "a2-q"])
@@ -749,16 +805,13 @@ def test_kernel_vectors_come_left_localized(instance):
     So the rightmost position each kernel vector reaches never falls
     along the list."""
     field = QQ if instance.endswith("q") else F2
-    if instance.startswith("a2"):
-        cat = a2_end_category(field)
-        con = generic_contraction(cat, -4, 4, a2_class_names())
-    else:
-        cat = pia2_end_category(24, field)
-        con = generic_contraction(cat)
+    cat = a2_end_category(field) if instance.startswith("a2") \
+        else pia2_end_category(24, field)
+    con = generic_contraction(cat)
     splits = rising = 0
     for src in sorted(cat.complexes):
         for tgt in sorted(cat.complexes):
-            for n in range(con.deg_lo, con.deg_hi + 1):
+            for n in _degrees(cat):
                 basis = cat.flat_basis(src, tgt, n)
                 positions = [i for i, _k in basis]
                 assert positions == sorted(positions), (src, tgt, n)
@@ -770,7 +823,7 @@ def test_kernel_vectors_come_left_localized(instance):
                 assert reach == sorted(reach), (src, tgt, n)
                 splits += 1
                 rising += len(set(reach)) > 1
-    assert splits == len(cat.complexes) ** 2 * (con.deg_hi - con.deg_lo + 1)
+    assert splits == len(cat.complexes) ** 2 * len(_degrees(cat))
     # no A2 kernel holds two vectors that reach different positions
     assert rising == (0 if instance.startswith("a2") else 94)
 
@@ -781,10 +834,10 @@ def test_generic_refuses_missing_classes_at_their_degree():
     other degrees still answer, H at degree 3 too (it reads only
     rref(d_2), not degree 2's split)."""
     cat = pia2_end_category(14, F2)
-    names = pia2_class_names(-15, 10)
+    names = dict(generic_contraction(cat).class_names)
     key = ("S1", "S1", 2)
     names[key] = names[key] + ["extra"]
-    con = GenericContraction(cat, -15, 15, names)
+    con = GenericContraction(cat, names)
     assert con.classes(*key) == names[key]
     x = HomElement(cat, "S1", "S1", 2, {cat.flat_basis(*key)[0]: F2.one})
     msg = r"missing classes at \('S1', 'S1', 2\)"
@@ -809,8 +862,7 @@ def test_generic_refuses_classes_it_cannot_separate_at_their_degree():
     project and H refuse at degree 0 and answer at degree 1."""
     p1 = pia2_indecomposables(F2)["P1"]
     cat = EndCategory({"X": TruncatedComplex("X", {0: p1, 1: p1}, {}, F2)}, F2)
-    con = GenericContraction(cat, -1, 1, {("X", "X", 0): ["a"],
-                                          ("X", "X", 1): ["b"]})
+    con = GenericContraction(cat, {("X", "X", 0): ["a"], ("X", "X", 1): ["b"]})
     x = HomElement(cat, "X", "X", 0, {cat.flat_basis("X", "X", 0)[0]: F2.one})
     msg = r"cannot separate classes from edge artifacts at \('X', 'X', 0\)"
     for _ in range(2):
@@ -826,13 +878,14 @@ def test_generic_refuses_classes_it_cannot_separate_at_their_degree():
 
 
 def test_build_contraction_entry_point():
-    cat, con = build_contraction(8, "paper", F2)
-    assert con.mode == "paper"
-    cat, con = build_contraction(8, "generic", F2)
-    assert con.mode == "generic"
+    con = build_contraction(8, "paper", F2)
+    assert con.mode == "paper" and con.cat.algebra == "pia2"
+    con = build_contraction(8, "generic", F2)
+    assert con.mode == "generic" and con.cat.window == 8
     with pytest.raises(ValueError):
         build_contraction(4, "paper", F2)
-    cat, con = build_contraction(8, "generic", F2, algebra="a2")
+    con = build_contraction(8, "generic", F2, algebra="a2")
+    assert con.cat.algebra == "a2"
     assert con.classes("S2", "P", 0) == ["f"]
 
 
@@ -911,7 +964,7 @@ def test_homotopy_composition_identities_as_matrices():
 
     def R(s):
         return realize_ext_symbol(cat, s) if not sym.is_h(s) \
-            else realize_h_symbol(cat, s, con)
+            else realize_h_symbol(con, s)
 
     for i in (1, 2):
         o = 3 - i
@@ -963,7 +1016,7 @@ def test_mu_matrix_coherence_audit():
     def R(s):
         if s not in reali:
             reali[s] = realize_ext_symbol(cat, s) if not sym.is_h(s) \
-                else realize_h_symbol(cat, s, con)
+                else realize_h_symbol(con, s)
         return reali[s]
 
     checked = 0
@@ -1003,7 +1056,7 @@ def test_a2_category_and_classes():
     assert hom_homology_dims(cat, "S1", "S1", range(0, 2)) == {0: 1, 1: 0}
     assert hom_homology_dims(cat, "S1", "S2", range(0, 3)) == {0: 0, 1: 1, 2: 0}
     assert hom_homology_dims(cat, "S2", "S1", range(0, 2)) == {0: 0, 1: 0}
-    con = generic_contraction(cat, -4, 4, a2_class_names())
+    con = generic_contraction(cat)
     assert con.classes("P", "S1", 0) == ["g"]
     assert con.classes("S1", "S2", 1) == ["h"]
     assert con.classes("S2", "S2", 0) == ["1_S2"]

@@ -112,6 +112,23 @@ def test_pants_composition_rules():
             assert v["degree"] == sum(pants_degree(s) for s in key)
 
 
+def test_pants_pulls_back_past_exponent_24():
+    """The pullback's dictionary reaches build_pants's own exponent bound:
+    at degree 50 the arity-3 preprojective operations on u1^25 and u2^25
+    have their pants entries on y0^25 and x1^25, and every pants entry
+    keeps the degree law."""
+    a = build_pants(50, pi_table=compute_operation_table(3, 50, SymbolicBackend()))
+    past = sorted(k for k in a.table.entries
+                  if len(k) > 2 and any(s.endswith("^25") for s in k))
+    assert past == [("u20", "u12", "x1^25"), ("v21", "v02", "y0^25"),
+                    ("x1^25", "v21", "v02"), ("y0^25", "u20", "u12")]
+    assert len(a.table.entries) == 30_506
+    for key in past:
+        v = a.table.entries[key]
+        assert v["degree"] == sum(pants_degree(s) for s in key) - 1
+        assert pants_degree(v["output"]) == v["degree"]
+
+
 def test_pants_triangles():
     pi = make_pi()
     a = build_pants(4, pi_table=pi.table)

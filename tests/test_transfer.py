@@ -8,8 +8,7 @@ from pia2.table import OperationTable
 from pia2.ainf import stasheff_check
 from pia2.functors import pi_category
 from pia2.complexes import (pia2_end_category, tabulated_contraction,
-                            generic_contraction, a2_end_category,
-                            a2_class_names)
+                            generic_contraction, a2_end_category)
 from tree_oracle import enumerate_trees, evaluate_tree, transfer_mn_by_trees
 
 def U(i, n):
@@ -180,8 +179,7 @@ def _pia2_matrix(field, contraction):
 
 def _a2_matrix():
     cat = a2_end_category(F2)
-    return MatrixBackend.for_pia2(
-        cat, generic_contraction(cat, -4, 4, a2_class_names()), 2)
+    return MatrixBackend.for_pia2(cat, generic_contraction(cat), 2)
 
 
 @pytest.mark.parametrize("arity_max, degree_max, make_backend", [
@@ -266,7 +264,7 @@ def test_generic_homotopy_reproduces_compositions():
 
 def test_a2_minimal_model_is_the_triangle_category():
     cat = a2_end_category(F2)
-    con = generic_contraction(cat, -4, 4, a2_class_names())
+    con = generic_contraction(cat)
     mb = MatrixBackend.for_pia2(cat, con, 2)
     table = compute_operation_table(5, 2, mb)
     entries = {k: (str(v["coeff"]), v["output"]) for k, v in table.entries.items()}
