@@ -3,14 +3,17 @@
 A TruncatedComplex lives in cohomological positions lo..hi (resolutions
 use [-L, 0]) with differential d_i: position i -> i+1.  EndCategory
 flattens each graded Hom-space Hom^n(X, Y) = prod_i Hom(X_i, Y_{i+n}) to
-coefficient vectors over per-position bases of module homomorphisms, which
-is where the contraction data (i, p, H) and the transfer trees do their
-matrix work.  Chain maps are EndCategory elements (HomElement): the cone
-reads each position's module map off those bases.
-Each basis map comes from a kernel vector of the naturality equations,
-so it is one at its own free slot and zero at every other basis map's:
-coordinate k of a module map is its entry at basis map k's free slot,
-and a map those entries do not give back is outside the span (ValueError).
+scalars over positions, which is where the contraction data (i, p, H)
+and the transfer trees do their matrix work.  Each Hom(X_i, Y_{i+n}) is
+zero or spanned by one module map, so a flat coordinate is a position
+and an element is {position: scalar}; `mod_hom_basis` is the one place
+that decides this, and it refuses a space of dimension 2 or more.
+Chain maps are EndCategory elements (HomElement): the cone reads each
+position's module map off its scalar.
+The basis map comes from the kernel vector of the naturality equations,
+so it is one at its free slot: the coordinate of a module map is its
+entry there, and a map that entry does not give back is outside the
+span (ValueError).
 
 The degree convention matches the dg endomorphism algebra of a resolution:
 (df)_i = d_{i+n} f_i - (-1)^n f_{i+1} d_i, and for a window [-L, 0] the
@@ -19,7 +22,7 @@ on a trusted sub-window only.
 
 The Hom differential is composition with each complex's own differential,
 d(f) = d_Y o f - (-1)^n f o d_X, read off the same composition constants
-as `compose` (the coordinates of each product of two module-hom basis
+as `compose` (the coordinate of each product of two module-hom basis
 maps): each complex's differential is put in module-hom coordinates once,
 so a column of d is a sum of stored constants.  The constants, like the
 module-hom bases, are keyed by representation names, which must
@@ -104,14 +107,11 @@ def build_resolution(simple, window, field, reps=None, maps=None):
 
 def _module_maps(elem):
     """(X, Y, {position: module map}) of a HomElement: each coefficient
-    scales its mod_hom_basis map, and zero sums are dropped."""
+    scales its position's mod_hom_basis map."""
     cat = elem.cat
     X, Y = cat.complexes[elem.src], cat.complexes[elem.tgt]
-    comps = {}
-    for (i, k), v in elem.coeffs.items():
-        add = cat.mod_hom_basis(X.reps[i], Y.reps[i + elem.deg])[k].scale(v)
-        comps[i] = comps[i].add(add) if i in comps else add
-    return X, Y, {i: m for i, m in comps.items() if not m.is_zero()}
+    return X, Y, {i: cat.mod_hom_basis(X.reps[i], Y.reps[i + elem.deg]).scale(v)
+                  for i, v in elem.coeffs.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -174,9 +174,11 @@ def cone(f):
 class EndCategory:
     """End*(M~) for a named family of truncated complexes.
 
-    Flattens Hom^n(X, Y) to coefficient vectors over per-position bases of
-    module homomorphisms and provides the differential (stored by column)
-    and composition in those coordinates.  `window` is the truncation
+    Flattens Hom^n(X, Y) to scalars over the positions i where
+    Hom(X_i, Y_{i+n}) is nonzero, each scaling that space's one module map
+    (`mod_hom_basis`, where one map per position is decided), and provides
+    the differential (stored by column) and composition in those
+    coordinates.  `window` is the truncation
     length L of the resolutions ([-L, 0]), `trusted` the positions the
     contraction audit reads and `algebra` the built-in instance ("pia2",
     "a2", or None), which decides the contractions it has.
@@ -188,9 +190,8 @@ class EndCategory:
         self.window = window
         self.trusted = trusted
         self.algebra = algebra
-        self._mod_basis = {}      # (repA name, repB name) -> [ModuleMap]
-        self._free_slots = {}     # (repA name, repB name) -> [(v, r, c)]
-        self._flat = {}           # (src, tgt, deg) -> list[(pos, k)]
+        self._mod_basis = {}      # (repA name, repB name) -> (map, free slot)
+        self._flat = {}           # (src, tgt, deg) -> [pos]
         self._flat_index = {}
         self._dcols = {}          # (src, tgt, deg) -> d_columns
         self._comp_consts = {}    # structure constants for composition
@@ -199,9 +200,12 @@ class EndCategory:
     # -- module-level Hom spaces ------------------------------------------
 
     def mod_hom_basis(self, ra, rb):
+        """The module map spanning Hom(ra, rb), or None where that space is
+        zero.  This is where a flat coordinate is decided to carry one map
+        per position: a space of dimension 2 or more raises ValueError."""
         key = (ra.name, rb.name)
         if key in self._mod_basis:
-            return self._mod_basis[key]
+            return self._mod_basis[key][0]
         q = ra.quiver
         field = self.field
         # unknowns: block entries phi_v, constraints: phi_t M(e) = N(e) phi_s
@@ -232,38 +236,38 @@ class EndCategory:
         mat = SparseMatrix(len(rows), len(slots), field,
                            {(i, j): v for i, row in enumerate(rows) for j, v in row.items()})
         _rk, piv, kernel = rref(mat)
-        pivots = set(piv)
-        # kernel vector k is one at the k-th free column, zero at the others
-        self._free_slots[key] = [slot for j, slot in enumerate(slots)
-                                 if j not in pivots]
-        basis = []
-        for vec in kernel:
+        if len(kernel) > 1:
+            raise ValueError(f"Hom({ra.name}, {rb.name}) has dimension "
+                             f"{len(kernel)}: a flat coordinate holds one "
+                             f"module map per position")
+        basis = free = None
+        if kernel:
+            # the kernel vector is one at the free column, its free slot
+            free = slots[next(j for j in range(len(slots)) if j not in piv)]
             blocks = {v: {} for v in q.vertices}
-            for j, val in vec.items():
+            for j, val in kernel[0].items():
                 v, r, c = slots[j]
                 blocks[v][(r, c)] = val
-            basis.append(ModuleMap(ra, rb, {
+            basis = ModuleMap(ra, rb, {
                 v: SparseMatrix(rb.dims[v], ra.dims[v], field, blocks[v])
-                for v in q.vertices}))
-        self._mod_basis[key] = basis
+                for v in q.vertices})
+        self._mod_basis[key] = (basis, free)
         return basis
 
     def _coordinatize(self, ra, rb, mmap):
-        """Coefficients of a module map in mod_hom_basis(ra, rb): coefficient
-        k is the map's entry at basis map k's free slot, where every other
-        basis map is zero.  A map outside the span raises ValueError."""
+        """The coordinate of a module map over mod_hom_basis(ra, rb): its
+        entry at the basis map's free slot, where that map is one (zero
+        where Hom(ra, rb) is).  A map outside the span raises ValueError."""
         basis = self.mod_hom_basis(ra, rb)
-        coords = []
-        for k, (v, r, c) in enumerate(self._free_slots[(ra.name, rb.name)]):
-            val = mmap.blocks[v].get(r, c)
-            if val:
-                coords.append((k, val))
-        span = ModuleMap(ra, rb, {})
-        for k, val in coords:
-            span = span.add(basis[k].scale(val))
+        if basis is None:
+            coord, span = self.field.zero, ModuleMap(ra, rb, {})
+        else:
+            v, r, c = self._mod_basis[(ra.name, rb.name)][1]
+            coord = mmap.blocks[v].get(r, c)
+            span = basis.scale(coord)
         if span.blocks != mmap.blocks:
             raise ValueError("map is not in the hom-space span")
-        return coords
+        return coord
 
     # -- flattened Hom complexes ------------------------------------------
 
@@ -272,13 +276,8 @@ class EndCategory:
         if key in self._flat:
             return self._flat[key]
         X, Y = self.complexes[src], self.complexes[tgt]
-        basis = []
-        for i in X.positions():
-            j = i + deg
-            if j < Y.lo or j > Y.hi:
-                continue
-            mb = self.mod_hom_basis(X.reps[i], Y.reps[j])
-            basis += [(i, k) for k in range(len(mb))]
+        basis = [i for i in X.positions() if Y.lo <= i + deg <= Y.hi
+                 and self.mod_hom_basis(X.reps[i], Y.reps[i + deg]) is not None]
         self._flat[key] = basis
         self._flat_index[key] = {b: n for n, b in enumerate(basis)}
         return basis
@@ -288,26 +287,25 @@ class EndCategory:
         return self._flat_index[(src, tgt, deg)]
 
     def _d_coords(self, cx):
-        """{pos: ((l, c), ...)}: the complex's differential at each position
-        in the coordinates of mod_hom_basis(X_pos, X_pos+1), computed once."""
+        """{pos: c}: the complex's differential at each position is c times
+        mod_hom_basis(X_pos, X_pos+1), computed once."""
         if cx not in self._dcoords:
             X = self.complexes[cx]
             self._dcoords[cx] = {
-                i: tuple(self._coordinatize(X.reps[i], X.reps[i + 1], d))
+                i: self._coordinatize(X.reps[i], X.reps[i + 1], d)
                 for i, d in X.diffs.items()}
         return self._dcoords[cx]
 
     def d_columns(self, src, tgt, deg):
         """The one stored form of d: Hom^deg -> Hom^{deg+1}, by column:
-        {flat key of Hom^deg: (row key, v, row key, v, ...)} over the
-        nonzero columns, the row keys being flat_basis(deg + 1)'s own key
-        objects.  Computed on first use.
+        {position of Hom^deg: (row position, v, row position, v, ...)} over
+        the nonzero columns.  Computed on first use.
 
         d(f) = d_Y o f - (-1)^deg f o d_X, read off the composition
-        constants: column (i, k) sums c_l consts(X_i, Y_{i+deg}, Y_{i+deg+1},
-        l, k) over the coordinates c_l of d_Y at i + deg, and
-        -(-1)^deg c'_l consts(X_{i-1}, X_i, Y_{i+deg}, k, l) over those of
-        d_X at i - 1."""
+        constants: column i is c consts(X_i, Y_{i+deg}, Y_{i+deg+1}) at
+        row i, c the coordinate of d_Y at i + deg, plus
+        -(-1)^deg c' consts(X_{i-1}, X_i, Y_{i+deg}) at row i - 1, c' that
+        of d_X at i - 1."""
         key = (src, tgt, deg)
         cols = self._dcols.get(key)
         if cols is not None:
@@ -315,27 +313,25 @@ class EndCategory:
         field = self.field
         X, Y = self.complexes[src], self.complexes[tgt]
         dX, dY = self._d_coords(src), self._d_coords(tgt)
-        cod = self.flat_basis(src, tgt, deg + 1)
-        cod_index = self.flat_index(src, tgt, deg + 1)
         minus_sign = field.neg(field.sign(deg))
         cols = {}
-        for b in self.flat_basis(src, tgt, deg):
-            i, k = b
+        for i in self.flat_basis(src, tgt, deg):
             j = i + deg
             out = {}
             # d_Y o f has its component at position i
-            for l, c in dY.get(j, ()):
-                self._add_product(out, i, X.reps[i], Y.reps[j], Y.reps[j + 1],
-                                  l, k, c)
+            c = dY.get(j)
+            if c:
+                self._add_product(out, i, X.reps[i], Y.reps[j], Y.reps[j + 1], c)
             # -(-1)^deg f o d_X has its component at position i - 1
-            for l, c in dX.get(i - 1, ()):
+            c = dX.get(i - 1)
+            if c:
                 self._add_product(out, i - 1, X.reps[i - 1], X.reps[i],
-                                  Y.reps[j], k, l, field.mul(minus_sign, c))
+                                  Y.reps[j], field.mul(minus_sign, c))
             if out:
                 col = []
                 for r, v in out.items():
-                    col += cod[cod_index[r]], v
-                cols[b] = tuple(col)
+                    col += r, v
+                cols[i] = tuple(col)
         self._dcols[key] = cols
         return cols
 
@@ -365,34 +361,31 @@ class EndCategory:
         X = self.complexes[f.src]
         Ymid = self.complexes[f.tgt]
         Z = self.complexes[g.tgt]
-        deg = f.deg + g.deg
-        g_at = {}
-        for (i2, l), vg in g.coeffs.items():
-            g_at.setdefault(i2, []).append((l, vg))
+        gc = g.coeffs
         out = {}
-        for (i, k), vf in f.coeffs.items():
+        for i, vf in f.coeffs.items():
             i2 = i + f.deg
-            for l, vg in g_at.get(i2, ()):
+            vg = gc.get(i2)
+            if vg is not None:
                 self._add_product(out, i, X.reps[i], Ymid.reps[i2],
-                                  Z.reps[i2 + g.deg], l, k, field.mul(vg, vf))
-        return HomElement(self, f.src, g.tgt, deg, out)
+                                  Z.reps[i2 + g.deg], field.mul(vg, vf))
+        return HomElement(self, f.src, g.tgt, f.deg + g.deg, out)
 
-    def _add_product(self, out, pos, ra, rb, rc, l, k, coeff):
-        """out[(pos, m)] += coeff * c over the coordinates (m, c) of
-        basis_l(rb, rc) o basis_k(ra, rb): the one place where a product
-        of two module-hom basis maps enters flat coordinates."""
-        field = self.field
-        for m, c in self._compose_consts(ra, rb, rc, l, k):
-            field.accumulate(out, (pos, m), field.mul(c, coeff))
+    def _add_product(self, out, pos, ra, rb, rc, coeff):
+        """out[pos] += coeff * c, c the coordinate of basis(rb, rc) o
+        basis(ra, rb): the one place where a product of two module-hom
+        basis maps enters flat coordinates."""
+        c = self._compose_consts(ra, rb, rc)
+        if c:
+            field = self.field
+            field.accumulate(out, pos, field.mul(c, coeff))
 
-    def _compose_consts(self, ra, rb, rc, l, k):
-        key = (ra.name, rb.name, rc.name, l, k)
+    def _compose_consts(self, ra, rb, rc):
+        key = (ra.name, rb.name, rc.name)
         if key not in self._comp_consts:
-            fk = self.mod_hom_basis(ra, rb)[k]
-            gl = self.mod_hom_basis(rb, rc)[l]
-            m = gl.compose(fk)
-            self._comp_consts[key] = (tuple(self._coordinatize(ra, rc, m))
-                                      if not m.is_zero() else ())
+            m = self.mod_hom_basis(rb, rc).compose(self.mod_hom_basis(ra, rb))
+            self._comp_consts[key] = (self._coordinatize(ra, rc, m)
+                                      if not m.is_zero() else self.field.zero)
         return self._comp_consts[key]
 
     def differential(self, elem):
@@ -410,7 +403,7 @@ class EndCategory:
 
 
 class HomElement:
-    """An element of Hom^deg(X, Y) as sparse coefficients over the flat
+    """An element of Hom^deg(X, Y) as {position: scalar} over the flat
     basis: `coeffs` is the dict its producer built, which holds no zero
     value, stored as given (no caller mutates it afterwards)."""
 
@@ -442,16 +435,13 @@ class HomElement:
         return HomElement(self.cat, self.src, self.tgt, self.deg,
                           {k: field.mul(c, v) for k, v in self.coeffs.items()})
 
-    def restrict(self, positions):
-        """Zero out components whose source or target position is outside."""
-        keep = {}
-        for (i, k), v in self.coeffs.items():
-            if i in positions and (i + self.deg) in positions:
-                keep[(i, k)] = v
-        return HomElement(self.cat, self.src, self.tgt, self.deg, keep)
-
     def eq_on(self, other, positions):
-        return self.restrict(positions).coeffs == other.restrict(positions).coeffs
+        """Do the two agree at every position whose source and target both
+        lie in `positions`?  Compared in place."""
+        a, b, deg = self.coeffs, other.coeffs, self.deg
+        return all(b.get(i) == v for i, v in a.items()
+                   if i in positions and i + deg in positions) and \
+            all(i in a for i in b if i in positions and i + deg in positions)
 
     def __repr__(self):
         return (f"HomElement({self.src}->{self.tgt}, deg {self.deg}, "
@@ -513,10 +503,10 @@ def realize_ext_symbol(cat, s):
     if k == "u" or k == "g":
         return _full_shift(cat, src, tgt, deg)
     # j, p and the arrows have a single component at position 0
-    basis = cat.mod_hom_basis(cat.complexes[src].reps[0], cat.complexes[tgt].reps[deg])
-    if len(basis) != 1:
-        raise ValueError(f"expected one-dimensional hom space for {s}")
-    return HomElement(cat, src, tgt, 0, {(0, 0): field.one})
+    if cat.mod_hom_basis(cat.complexes[src].reps[0],
+                         cat.complexes[tgt].reps[deg]) is None:
+        raise ValueError(f"zero hom space for {s}")
+    return HomElement(cat, src, tgt, 0, {0: field.one})
 
 
 def _full_shift(cat, src, tgt, deg):
@@ -527,10 +517,9 @@ def _full_shift(cat, src, tgt, deg):
     for i in X.positions():
         if not (Y.lo <= i + deg <= Y.hi):
             continue
-        mb = cat.mod_hom_basis(X.reps[i], Y.reps[i + deg])
-        if len(mb) != 1:
-            raise ValueError("shift map needs one-dimensional components")
-        coeffs[(i, 0)] = field.sign(deg * (top - i))
+        if cat.mod_hom_basis(X.reps[i], Y.reps[i + deg]) is None:
+            raise ValueError("shift map needs nonzero components")
+        coeffs[i] = field.sign(deg * (top - i))
     return HomElement(cat, src, tgt, deg, coeffs)
 
 
@@ -546,8 +535,10 @@ class TabulatedContraction:
     Everything i, p and H need besides their argument depends only on the
     class or on the hom pair and the degree, so it is derived once: each
     class's realized cycle for i, kept by name, and per (src, tgt, deg)
-    the first class and its top key for p, and for H a plan of
-    back-substitution steps with the pivots already inverted.
+    the first class and its top position for p, and for H a plan of
+    back-substitution steps with the pivots already inverted.  Every key
+    is a position: each hom component is zero or one-dimensional, as
+    `EndCategory.mod_hom_basis` guarantees.
 
     No degree that carries a class has a plan: d does not vanish on it, so
     H is zero there, and where H back-substitutes, i(p(x)) = 0.  _plan
@@ -559,7 +550,7 @@ class TabulatedContraction:
     def __init__(self, cat):
         self.cat = cat
         self._included = {}  # class name -> its realized cycle
-        self._tops = {}     # (src, tgt, deg) -> (first class, (top, 0)) or None
+        self._tops = {}     # (src, tgt, deg) -> (first class, top position) or None
         self._plans = {}    # (src, tgt, deg) -> back-substitution steps or None
 
     def classes(self, src, tgt, deg):
@@ -576,14 +567,13 @@ class TabulatedContraction:
         return elem
 
     def _top(self, src, tgt, deg):
-        """(first class, key of the top position) of a class-carrying
-        degree, None where p is zero."""
+        """(first class, top position) of a class-carrying degree, None
+        where p is zero."""
         key = (src, tgt, deg)
         if key not in self._tops:
             cls = self.classes(src, tgt, deg)
             basis = self.cat.flat_basis(src, tgt, deg)
-            self._tops[key] = (cls[0], (max(i for i, _k in basis), 0)) \
-                if cls and basis else None
+            self._tops[key] = (cls[0], max(basis)) if cls and basis else None
         return self._tops[key]
 
     def project(self, elem):
@@ -600,10 +590,9 @@ class TabulatedContraction:
         top position, or None where H is zero on Hom^n (d does not vanish
         there, or nothing in degree n-1 has a boundary).
 
-        Row i of d couples columns i and i+1 (each hom component is
-        one-dimensional on this instance).  A step (j, key, inv, b) sets
-        c[j] = (t[key] - b c[j+1]) inv; b is zero where no column j+1 term
-        enters, and key is (j-1, 0) where column j is seen only by the row
+        Row i of d couples columns i and i+1.  A step (j, row, inv, b) sets
+        c[j] = (t[row] - b c[j+1]) inv; b is zero where no column j+1 term
+        enters, and row is j-1 where column j is seen only by the row
         below.  Columns that no step covers stay zero.  first[p] is the
         index of the first step that can see position p of Hom^n: the
         steps above it read t only above p."""
@@ -622,23 +611,22 @@ class TabulatedContraction:
                     for b, col in dcols.items()}
 
             def entry(rp, cp):
-                return cols.get((cp, 0), {}).get((rp, 0), zero)
+                return cols.get(cp, {}).get(rp, zero)
 
-            col_pos = {i for i, _k in cat.flat_basis(src, tgt, n - 1)}
+            col_pos = set(cat.flat_basis(src, tgt, n - 1))
             steps = []
             for j in sorted(col_pos, reverse=True):
                 a = entry(j, j)
                 if a:
                     b = entry(j, j + 1)
-                    steps.append((j, (j, 0), field.div(field.one, a), b))
+                    steps.append((j, j, field.div(field.one, a), b))
                     continue
                 # the row below is the only one seeing this column
                 a2 = entry(j - 1, j)
                 if a2 and (j - 1) not in col_pos:
-                    steps.append((j, (j - 1, 0), field.div(field.one, a2), zero))
+                    steps.append((j, j - 1, field.div(field.one, a2), zero))
             first, s = {}, 0
-            for p in sorted({i for i, _k in cat.flat_basis(src, tgt, n)},
-                            reverse=True):
+            for p in sorted(cat.flat_basis(src, tgt, n), reverse=True):
                 while s < len(steps) and steps[s][0] > p + 1:
                     s += 1
                 first[p] = s
@@ -662,23 +650,23 @@ class TabulatedContraction:
         steps, first = plan
         field = cat.field
         zero = field.zero
-        lo = min(i for i, _k in t)
+        lo = min(t)
         c = {}
-        for s in range(first[max(i for i, _k in t)], len(steps)):
-            j, k, inv, b = steps[s]
+        for s in range(first[max(t)], len(steps)):
+            j, row, inv, b = steps[s]
             prev = c.get(j + 1)
             if prev is None:
-                if k[0] < lo:
+                if row < lo:
                     break
-                val = field.mul(t.get(k, zero), inv)
+                val = field.mul(t.get(row, zero), inv)
             else:
-                acc = t.get(k, zero)
+                acc = t.get(row, zero)
                 if b:
                     acc = field.sub(acc, field.mul(b, prev))
                 val = field.mul(acc, inv)
             if val:
                 c[j] = val
-        return HomElement(cat, src, tgt, n - 1, {(i, 0): v for i, v in c.items()})
+        return HomElement(cat, src, tgt, n - 1, c)
 
 
 class GenericContraction:
@@ -709,7 +697,7 @@ class GenericContraction:
     the cut).  Extension candidates are taken left-edge first, so those
     spurious representatives localize at untrusted positions.  The kernel
     vectors of rref(d_n) already come in that order, so they are taken as
-    they come: flat_basis lists keys by ascending position, and the kernel
+    they come: flat_basis lists positions in ascending order, and the kernel
     vector of free column c is supported on columns <= c (a row of the
     rref is zero left of its pivot), so the rightmost position a kernel
     vector reaches never falls from one vector to the next.  When the
@@ -747,35 +735,42 @@ class GenericContraction:
             return data
         cat, field = self.cat, self.cat.field
         basis = cat.flat_basis(src, tgt, n)
-        _rank, pivots, kernel = self._rref(src, tgt, n)
-        # boundaries: d of the unit vectors at rref(d_{n-1})'s pivot
-        # columns, read off d_{n-1}'s stored columns
-        cols = cat.d_columns(src, tgt, n - 1)
-        basis_prev = cat.flat_basis(src, tgt, n - 1)
-        index = cat.flat_index(src, tgt, n)
-        B = []
-        for j in self._rref(src, tgt, n - 1)[1]:
-            it = iter(cols[basis_prev[j]])
-            B.append({index[r]: v for r, v in zip(it, it)})
-        # a kernel vector is fixed by its entries on the free columns F of
-        # rref(d_n), where kernel vector t is the unit vector at the t-th
-        # one; so one reduction of [B | K | I] cut to the rows F, K the
-        # kernel vectors (left-localized first), does the rest.  Its pivots
-        # in the K block extend B greedily to a basis of ker d_n: they are
-        # the class representatives R.  The solver [B | R] cut to F is then
-        # its pivot block, and the kernel vector of the I block's column k
-        # is minus the solver's inverse's column k at the pivot columns.
-        pivot_set = set(pivots)
-        free = [j for j in range(len(basis)) if j not in pivot_set]
-        free_row = {j: k for k, j in enumerate(free)}
-        nB, nF = len(B), len(free)
-        aug = {(free_row[r], j): v for j, col in enumerate(B)
-               for r, v in col.items() if r in free_row}
-        aug.update(((t, nB + t), field.one) for t in range(nF))
-        aug.update(((k, nB + nF + k), field.one) for k in range(nF))
-        _rank, aug_pivots, aug_kernel = rref(
-            SparseMatrix(nF, nB + 2 * nF, field, aug))
-        R = [dict(kernel[c - nB]) for c in aug_pivots[nB:]]
+        # an empty degree has no class and nothing to reduce
+        B, R, free_row, inverse = [], [], {}, SparseMatrix(0, 0, field)
+        if basis:
+            _rank, pivots, kernel = self._rref(src, tgt, n)
+            # boundaries: d of the unit vectors at rref(d_{n-1})'s pivot
+            # columns, read off d_{n-1}'s stored columns
+            cols = cat.d_columns(src, tgt, n - 1)
+            basis_prev = cat.flat_basis(src, tgt, n - 1)
+            index = cat.flat_index(src, tgt, n)
+            for j in self._rref(src, tgt, n - 1)[1]:
+                it = iter(cols[basis_prev[j]])
+                B.append({index[r]: v for r, v in zip(it, it)})
+            # a kernel vector is fixed by its entries on the free columns F of
+            # rref(d_n), where kernel vector t is the unit vector at the t-th
+            # one; so one reduction of [B | K | I] cut to the rows F, K the
+            # kernel vectors (left-localized first), does the rest.  Its pivots
+            # in the K block extend B greedily to a basis of ker d_n: they are
+            # the class representatives R.  The solver [B | R] cut to F is then
+            # its pivot block, and the kernel vector of the I block's column k
+            # is minus the solver's inverse's column k at the pivot columns.
+            pivot_set = set(pivots)
+            free = [j for j in range(len(basis)) if j not in pivot_set]
+            free_row = {j: k for k, j in enumerate(free)}
+            nB, nF = len(B), len(free)
+            aug = {(free_row[r], j): v for j, col in enumerate(B)
+                   for r, v in col.items() if r in free_row}
+            aug.update(((t, nB + t), field.one) for t in range(nF))
+            aug.update(((k, nB + nF + k), field.one) for k in range(nF))
+            _rank, aug_pivots, aug_kernel = rref(
+                SparseMatrix(nF, nB + 2 * nF, field, aug))
+            R = [dict(kernel[c - nB]) for c in aug_pivots[nB:]]
+            row_of = {c: i for i, c in enumerate(aug_pivots)}
+            inverse = SparseMatrix(nF, nF, field, {
+                (row_of[c], k): field.neg(v)
+                for k, vec in enumerate(aug_kernel[len(aug_kernel) - nF:])
+                for c, v in vec.items() if c in row_of})
         expected = self.class_names.get(key)
         if expected is None:
             n_true = len(R)
@@ -786,11 +781,6 @@ class GenericContraction:
             if 0 < n_true < len(R):
                 raise ValueError(
                     f"cannot separate classes from edge artifacts at {key}")
-        row_of = {c: i for i, c in enumerate(aug_pivots)}
-        inverse = SparseMatrix(nF, nF, field, {
-            (row_of[c], k): field.neg(v)
-            for k, vec in enumerate(aug_kernel[len(aug_kernel) - nF:])
-            for c, v in vec.items() if c in row_of})
         data = self._degrees[key] = {"B": B, "R": R, "basis": basis,
                                      "n_true": n_true, "free_row": free_row,
                                      "inverse": inverse}
@@ -882,7 +872,7 @@ def contraction_audit(con):
                         violations.append({"tuple": [src, tgt, n, "pi=1"],
                                            "expected": "1", "got": str(pr)})
                 for b in cat.flat_basis(src, tgt, n):
-                    if b[0] not in trusted or b[0] + n not in trusted:
+                    if b not in trusted or b + n not in trusted:
                         continue
                     checked += 1
                     x = HomElement(cat, src, tgt, n, {b: field.one})
@@ -892,10 +882,11 @@ def contraction_audit(con):
                     for name, c in con.project(x).items():
                         rhs = rhs.add(con.include(src, tgt, n, name).scale(field.neg(c)))
                     if not lhs.eq_on(rhs, trusted):
-                        violations.append({"tuple": [src, tgt, n, list(b)],
+                        violations.append({"tuple": [src, tgt, n, b],
                                            "expected": "dH+Hd = 1-ip", "got": "mismatch"})
-                    if not con.H(hx).restrict(trusted).is_zero():
-                        violations.append({"tuple": [src, tgt, n, list(b)],
+                    if any(i in trusted and i + n - 2 in trusted
+                           for i in con.H(hx).coeffs):
+                        violations.append({"tuple": [src, tgt, n, b],
                                            "expected": "H^2 = 0", "got": "nonzero"})
     return _report("contraction", violations, checked)
 

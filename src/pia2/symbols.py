@@ -259,16 +259,16 @@ def _noncycle(name, *params):
 def mu(a, b):
     """Chain-level product a o b (b first).  Total with default ZERO.
 
-    Inputs are Ext symbols or H symbols; the result is an ("E", sym),
-    ("B", hsym), ("N", ...) tag or ZERO as described in the module
-    docstring.  Raises on a non-composable pair.
+    Inputs are Ext symbols or H symbols other than identities (the unit
+    laws are applied before any product is looked up); the result is an
+    ("E", sym), ("B", hsym), ("N", ...) tag or ZERO as described in the
+    module docstring.  Raises on a non-composable pair and on an identity
+    factor.
     """
     if elem_source(a) != elem_target(b):
         raise ValueError(f"non-composable pair {a} after {b}")
-    if is_ext(a) and is_identity(a):
-        return _wrap_unit(b)
-    if is_ext(b) and is_identity(b):
-        return _wrap_unit(a)
+    if (is_ext(a) and is_identity(a)) or (is_ext(b) and is_identity(b)):
+        raise ValueError(f"identity factor in {a} after {b}")
     ah, bh = is_h(a), is_h(b)
     if not ah and not bh:
         return _mu_ext_ext(a, b)
@@ -277,11 +277,6 @@ def mu(a, b):
     if not ah and bh:
         return _mu_ext_h(a, b)
     return _mu_h_h(a, b)
-
-
-def _wrap_unit(x):
-    # identity factor absorbed; re-tag the surviving factor
-    return ("E", x) if is_ext(x) else ("Hpass", x)
 
 
 def _mu_ext_ext(a, b):
@@ -444,7 +439,7 @@ def h_apply(x):
     tag = x[0]
     if tag == "B":
         return x[1]
-    if tag in ("E", "N", "Hpass"):
+    if tag in ("E", "N"):
         return ZERO
     raise ValueError(f"h_apply expects a mu result, got {x!r}")
 
@@ -457,9 +452,6 @@ def p_apply(x):
     if tag == "E":
         return x[1]
     if tag in ("B", "N"):
-        return ZERO
-    if tag == "Hpass":
-        # an H symbol passed through a unit; its class is zero
         return ZERO
     raise ValueError(f"p_apply expects a mu result, got {x!r}")
 

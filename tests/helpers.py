@@ -5,9 +5,10 @@ and `composable_pairs` read the symbol grammar of `pia2.symbols`;
 `from_rows` builds a `pia2.linalg` matrix, and `rank` and `check_exact`
 read `pia2.quiver` module maps; `check_d_squared`, `homology_dims` and
 `hom_homology_dims` read a `pia2.complexes` complex or category,
-`realize_h_symbol` realizes a homotopy symbol through a contraction, and
+`realize_h_symbol` realizes a homotopy symbol through a contraction,
 `full_back_substitution` applies a tabulated contraction's H over every
-step of its plan; `restrict_objects`
+step of its plan, and `restrict` cuts a Hom element down to a set of
+positions; `restrict_objects`
 cuts an operation table down to a set of objects, and `table_to_json`
 and `functor_to_json` give a table and a functor description as JSON
 documents.
@@ -238,4 +239,12 @@ def full_back_substitution(con, elem):
         val = field.mul(acc, inv)
         if val:
             c[j] = val
-    return HomElement(cat, src, tgt, n - 1, {(i, 0): v for i, v in c.items()})
+    return HomElement(cat, src, tgt, n - 1, c)
+
+
+def restrict(elem, positions):
+    """The Hom element elem with its components whose source or target
+    position lies outside `positions` zeroed out."""
+    keep = {i: v for i, v in elem.coeffs.items()
+            if i in positions and i + elem.deg in positions}
+    return HomElement(elem.cat, elem.src, elem.tgt, elem.deg, keep)

@@ -342,8 +342,8 @@ def test_criterion_5_contraction_audit():
     # identical results at both windows, restricted to the smaller trusted
     trusted24 = set(range(-22, -1))
     for key in results[24]:
-        a = {k: v for k, v in results[24][key].items() if k[0] in trusted24}
-        b = {k: v for k, v in results[26][key].items() if k[0] in trusted24}
+        a = {k: v for k, v in results[24][key].items() if k in trusted24}
+        b = {k: v for k, v in results[26][key].items() if k in trusted24}
         assert a == b, key
     report(5, "contraction identities hold on the trusted sub-window at "
               "window 24 and agree with window 26", time.time() - t0)

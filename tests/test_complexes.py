@@ -3,20 +3,21 @@ import random
 import pytest
 
 from pia2.linalg import F2, QQ, SparseMatrix, mat_mul, mat_vec, rref, solve
-from pia2.quiver import ModuleMap, pia2_indecomposables
+from pia2.quiver import ModuleMap, Representation, pia2_indecomposables
 from pia2 import symbols as sym
 from pia2.complexes import (build_resolution, cone, pia2_end_category,
                             a2_end_category, tabulated_contraction,
                             generic_contraction, realize_ext_symbol,
                             build_contraction, contraction_audit, HomElement,
                             EndCategory, TabulatedContraction,
-                            GenericContraction, TruncatedComplex)
+                            GenericContraction, TruncatedComplex,
+                            one_position_complex)
 from pia2 import complexes
 from pia2.transfer import MatrixBackend, compute_operation_table
 
 from helpers import (all_ext_symbols, all_h_symbols, check_d_squared,
                      full_back_substitution, hom_homology_dims, homology_dims,
-                     realize_h_symbol)
+                     realize_h_symbol, restrict)
 
 
 def test_build_resolution_pattern():
@@ -83,20 +84,20 @@ def d_matrix_reference(cat, src, tgt, deg):
     cod_index = cat.flat_index(src, tgt, deg + 1)
     sign = field.sign(deg)
     ent = {}
-    for col, (i, k) in enumerate(dom):
-        fm = cat.mod_hom_basis(X.reps[i], Y.reps[i + deg])[k]
+    for col, i in enumerate(dom):
+        fm = cat.mod_hom_basis(X.reps[i], Y.reps[i + deg])
         dt = Y.d(i + deg)
         if dt is not None:
             m = dt.compose(fm)
             if not m.is_zero():
-                for j, v in cat._coordinatize(X.reps[i], Y.reps[i + deg + 1], m):
-                    field.accumulate(ent, (cod_index[(i, j)], col), v)
+                v = cat._coordinatize(X.reps[i], Y.reps[i + deg + 1], m)
+                field.accumulate(ent, (cod_index[i], col), v)
         ds = X.d(i - 1)
         if ds is not None:
             m = fm.compose(ds).scale(field.neg(sign))
             if not m.is_zero():
-                for j, v in cat._coordinatize(X.reps[i - 1], Y.reps[i + deg], m):
-                    field.accumulate(ent, (cod_index[(i - 1, j)], col), v)
+                v = cat._coordinatize(X.reps[i - 1], Y.reps[i + deg], m)
+                field.accumulate(ent, (cod_index[i - 1], col), v)
     rows = len(cat.flat_basis(src, tgt, deg + 1))
     return SparseMatrix(rows, len(dom), field, ent)
 
@@ -107,13 +108,13 @@ def compose_reference(cat, g, f):
     field = cat.field
     X, Y, Z = (cat.complexes[c] for c in (f.src, f.tgt, g.tgt))
     out = {}
-    for (i, k), vf in f.coeffs.items():
-        for (i2, l), vg in g.coeffs.items():
+    for i, vf in f.coeffs.items():
+        for i2, vg in g.coeffs.items():
             if i2 != i + f.deg:
                 continue
-            for m, c in cat._compose_consts(X.reps[i], Y.reps[i2],
-                                            Z.reps[i2 + g.deg], l, k):
-                field.accumulate(out, (i, m), field.mul(c, field.mul(vg, vf)))
+            c = cat._compose_consts(X.reps[i], Y.reps[i2], Z.reps[i2 + g.deg])
+            if c:
+                field.accumulate(out, i, field.mul(c, field.mul(vg, vf)))
     return HomElement(cat, f.src, g.tgt, f.deg + g.deg, out)
 
 
@@ -123,16 +124,46 @@ def _typed(coeffs):
 
 @pytest.mark.parametrize("field", [F2, QQ], ids=["f2", "q"])
 def test_coordinatize_refuses_a_map_outside_the_span(field):
-    """A module map's coordinates are its entries at the basis maps' free
-    slots.  The non-natural map P1 -> P1 that is one at vertex 1 and zero
-    at vertex 2 is zero at the free slot of End(P1)'s one basis map, so
-    only the give-back check can refuse it."""
+    """A module map's coordinate is its entry at the basis map's free
+    slot.  The non-natural map P1 -> P1 that is one at vertex 1 and zero
+    at vertex 2 is zero at the free slot of End(P1)'s basis map, so only
+    the give-back check can refuse it."""
     cat = pia2_end_category(8, field)
     p1 = cat.complexes["P1"].reps[0]
     one, zero = SparseMatrix.identity(1, field), SparseMatrix.zero(1, 1, field)
-    assert cat._coordinatize(p1, p1, ModuleMap(p1, p1, {1: one, 2: one})) == [(0, 1)]
+    assert cat._coordinatize(p1, p1, ModuleMap(p1, p1, {1: one, 2: one})) == 1
     with pytest.raises(ValueError, match="not in the hom-space span"):
         cat._coordinatize(p1, p1, ModuleMap(p1, p1, {1: one, 2: zero}))
+
+
+def test_flat_basis_refuses_a_two_dimensional_hom_space():
+    """A flat coordinate holds one module map per position: Hom(S1 + S1,
+    S1) has dimension 2, so mod_hom_basis, and flat_basis through it,
+    refuse the pair instead of indexing two maps."""
+    s1 = pia2_indecomposables(F2)["S1"]
+    s1s1 = Representation(s1.quiver, F2, {1: 2, 2: 0}, name="S1+S1")
+    cat = EndCategory({"X": one_position_complex(s1s1, "X"),
+                       "S1": one_position_complex(s1, "S1")}, F2)
+    assert cat.flat_basis("S1", "S1", 0) == [0]
+    with pytest.raises(ValueError, match="dimension 2"):
+        cat.flat_basis("X", "S1", 0)
+
+
+def test_generic_audit_reduces_no_empty_degree(monkeypatch):
+    """The generic contraction splits an empty degree without a row
+    reduction: the A2 contraction audit, which asks every degree |n| <= 8
+    of each hom pair for its classes, makes at most 34 rref calls (319
+    when each empty degree was reduced) and still passes with 18 cases."""
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return rref(m)
+
+    monkeypatch.setattr(complexes, "rref", counted)
+    rep = contraction_audit(build_contraction(14, "generic", F2, algebra="a2"))
+    assert rep["status"] == "pass" and rep["checked"] == 18
+    assert 0 < len(calls) <= 34
 
 
 @pytest.mark.parametrize("field", [F2, QQ], ids=["f2", "q"])
@@ -272,7 +303,7 @@ def test_realize_u_is_shift_and_multiplicative():
     con = tabulated_contraction(cat)
     u1 = realize_ext_symbol(cat, sym.ext_u(1, 1))
     assert cat.differential(u1).is_zero()
-    assert set(u1.coeffs) == {(i, 0) for i in range(-12, -1)}
+    assert set(u1.coeffs) == set(range(-12, -1))
     sq = cat.compose(u1, u1)
     assert con.project(sq) == {"u1^2": F2.one}
     # alpha o beta represents u1
@@ -325,13 +356,13 @@ def test_realize_h_shapes_over_f2():
     # h(S1,S2)^n: the full shift with unit components
     h = realize_h_symbol(con, sym.h_sym("sn", 1, 1))
     assert all(v == F2.one for v in h.coeffs.values())
-    assert set(h.coeffs) == {(i, 0) for i in range(-9, 1)}
+    assert set(h.coeffs) == set(range(-9, 1))
     # h(P1,S1)^n: a single unit component at position -2n
     h2 = realize_h_symbol(con, sym.h_sym("ps", 1, 2))
-    assert h2.coeffs == {(-4, 0): F2.one}
+    assert h2.coeffs == {-4: F2.one}
     # h(S1,P2)^0: a single unit component mapping onto position -1
     h3 = realize_h_symbol(con, sym.h_sym("pn_t", 1, 0))
-    assert h3.coeffs == {(0, 0): F2.one} and h3.deg == -1
+    assert h3.coeffs == {0: F2.one} and h3.deg == -1
     with pytest.raises(ValueError):
         realize_h_symbol(con, sym.h_sym("ps", 1, 4))
 
@@ -387,7 +418,7 @@ def test_contraction_axioms_trusted_and_window_stable():
             for tgt in ("S1", "S2", "P1", "P2"):
                 for n in range(-5, 6):
                     for b in cats[10].flat_basis(src, tgt, n):
-                        if b[0] not in trusted_small or b[0] + n not in trusted_small:
+                        if b not in trusted_small or b + n not in trusted_small:
                             continue
                         results = {}
                         for L, cat in cats.items():
@@ -400,8 +431,8 @@ def test_contraction_axioms_trusted_and_window_stable():
                                 rhs = rhs.add(con.include(src, tgt, n, name)
                                               .scale(field.neg(c)))
                             assert lhs.eq_on(rhs, set(cat.trusted)), (field, src, tgt, n, b)
-                            assert con.H(con.H(x)).restrict(set(cat.trusted)).is_zero()
-                            results[L] = con.H(x).restrict(trusted_small).coeffs
+                            assert restrict(con.H(con.H(x)), set(cat.trusted)).is_zero()
+                            results[L] = restrict(con.H(x), trusted_small).coeffs
                         # window stability of the homotopy itself
                         assert results[10] == results[12], (field, src, tgt, n, b)
 
@@ -421,7 +452,7 @@ def _reference_H(con, elem):
     cls = [s for s in sym.hom_basis(src, tgt, max(n, 0)) if sym.ext_degree(s) == n]
     basis = cat.flat_basis(src, tgt, n)
     if cls and basis:
-        coeff = elem.coeffs.get((max(i for i, _k in basis), 0))
+        coeff = elem.coeffs.get(max(basis))
         if coeff is not None:
             for k, v in realize_ext_symbol(cat, cls[0]).coeffs.items():
                 s = field.sub(t.get(k, field.zero), field.mul(coeff, v))
@@ -430,20 +461,20 @@ def _reference_H(con, elem):
                 else:
                     t[k] = s
     row_index = cat.flat_index(src, tgt, n)
-    row_pos = {i for i, _k in cat.flat_basis(src, tgt, n)}
+    row_pos = set(cat.flat_basis(src, tgt, n))
     col_index = cat.flat_index(src, tgt, n - 1)
-    col_pos = {i for i, _k in cat.flat_basis(src, tgt, n - 1)}
+    col_pos = set(cat.flat_basis(src, tgt, n - 1))
 
     def entry(rp, cp):
         if rp not in row_pos or cp not in col_pos:
             return field.zero
-        return dmat.get(row_index[(rp, 0)], col_index[(cp, 0)])
+        return dmat.get(row_index[rp], col_index[cp])
 
     c = {}
     for j in sorted(col_pos, reverse=True):
         a = entry(j, j)
         if a != field.zero:
-            acc = t.get((j, 0), field.zero)
+            acc = t.get(j, field.zero)
             b = entry(j, j + 1)
             if b != field.zero and (j + 1) in c:
                 acc = field.sub(acc, field.mul(b, c[j + 1]))
@@ -452,10 +483,10 @@ def _reference_H(con, elem):
             a2 = entry(j - 1, j)
             if a2 == field.zero or (j - 1) in col_pos:
                 continue
-            val = field.div(t.get((j - 1, 0), field.zero), a2)
+            val = field.div(t.get(j - 1, field.zero), a2)
         if val != field.zero:
             c[j] = val
-    return HomElement(cat, src, tgt, n - 1, {(i, 0): v for i, v in c.items()})
+    return HomElement(cat, src, tgt, n - 1, c)
 
 
 @pytest.mark.parametrize("field", [F2, QQ], ids=["f2", "q"])
@@ -579,7 +610,7 @@ def test_contraction_audit_counts_cases():
         for tgt in cat.complexes:
             for n in range(-8, 9):
                 want += len(con.classes(src, tgt, n))
-                want += sum(1 for i, _k in cat.flat_basis(src, tgt, n)
+                want += sum(1 for i in cat.flat_basis(src, tgt, n)
                             if i in trusted and i + n in trusted)
     assert rep["status"] == "pass" and rep["violations"] == []
     assert rep["checked"] == want > 0
@@ -612,7 +643,8 @@ def test_no_producer_hands_a_zero_coefficient(monkeypatch):
         tables.append(compute_operation_table(
             5, 4, MatrixBackend.for_pia2(con.cat, con, 4)))
     assert len(tables[0]) == len(tables[1]) > 0
-    assert len(built) > 40_000 and max(built) > 1
+    # the audits compare in place, so they build no restricted copies
+    assert len(built) > 30_000 and max(built) > 1
 
 
 @pytest.mark.parametrize("instance", ["f2", "q", "a2"])
@@ -650,7 +682,7 @@ def test_generic_contraction_axioms_and_side_conditions():
         for src, tgt in (("S1", "S1"), ("S1", "S2"), ("P1", "S1"), ("S2", "P1")):
             for n in range(-3, 5):
                 for b in cat.flat_basis(src, tgt, n):
-                    if b[0] not in trusted or b[0] + n not in trusted:
+                    if b not in trusted or b + n not in trusted:
                         continue
                     x = HomElement(cat, src, tgt, n, {b: field.one})
                     lhs = cat.differential(con.H(x)).add(con.H(cat.differential(x)))
@@ -736,7 +768,7 @@ def whole_pair_split(con, src, tgt):
         # raises the rank of B and the representatives taken so far
         R = []
         rank = _column_rank(B, dim, field)
-        for z in sorted(kernel, key=lambda v: max(basis[j][0] for j in v)):
+        for z in sorted(kernel, key=lambda v: max(basis[j] for j in v)):
             grown = _column_rank(B + R + [z], dim, field)
             if grown > rank:
                 R.append(dict(z))
@@ -813,13 +845,13 @@ def test_kernel_vectors_come_left_localized(instance):
         for tgt in sorted(cat.complexes):
             for n in _degrees(cat):
                 basis = cat.flat_basis(src, tgt, n)
-                positions = [i for i, _k in basis]
+                positions = [i for i in basis]
                 assert positions == sorted(positions), (src, tgt, n)
                 _rank, pivots, kernel = con._rref(src, tgt, n)
                 pivot_set = set(pivots)
                 free = [j for j in range(len(basis)) if j not in pivot_set]
                 assert [max(vec) for vec in kernel] == free, (src, tgt, n)
-                reach = [max(basis[j][0] for j in vec) for vec in kernel]
+                reach = [max(basis[j] for j in vec) for vec in kernel]
                 assert reach == sorted(reach), (src, tgt, n)
                 splits += 1
                 rising += len(set(reach)) > 1
@@ -930,7 +962,7 @@ def test_cone_of_zero_identity_and_random_cycles(field):
         assert check_d_squared(c)
         count += 1
     # a non-cycle is rejected
-    bad = HomElement(cat, "S1", "S1", 0, {(-3, 0): field.one})
+    bad = HomElement(cat, "S1", "S1", 0, {-3: field.one})
     with pytest.raises(ValueError):
         cone(bad)
 
@@ -1030,20 +1062,20 @@ def test_mu_matrix_coherence_audit():
             pm = con.project(m)
             if r is sym.ZERO:
                 assert pm == {}, (a, b)
-                assert hm.restrict(trusted).is_zero(), (a, b)
+                assert restrict(hm, trusted).is_zero(), (a, b)
             elif r[0] == "E":
                 assert pm == {sym.ext_to_str(r[1]): F2.one}, (a, b, r, pm)
-                assert hm.restrict(trusted).is_zero(), (a, b)
+                assert restrict(hm, trusted).is_zero(), (a, b)
             elif r[0] == "B":
                 assert pm == {}, (a, b)
                 assert hm.eq_on(R(r[1]), trusted), (a, b, r)
             elif r[0] == "N":
                 assert pm == {}, (a, b)
-                assert hm.restrict(trusted).is_zero(), (a, b)
+                assert restrict(hm, trusted).is_zero(), (a, b)
                 # the failure of closedness may sit at the right window
                 # edge, which is real (only the left edge is truncated)
                 interior = set(range(-cat.window + 2, 1))
-                assert not cat.differential(m).restrict(interior).is_zero(), \
+                assert not restrict(cat.differential(m), interior).is_zero(), \
                     ("terminating composite should not be closed", a, b)
             checked += 1
     assert checked > 800

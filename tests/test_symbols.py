@@ -95,6 +95,18 @@ def test_mu_requires_composability():
         sym.mu(("j", 1), ("p", 1))
 
 
+def test_mu_refuses_identity_factors():
+    """The unit laws are applied before any product is looked up, so an
+    identity factor on either side is refused, not read as a zero product
+    (1 o u1^1 would otherwise fall through to ZERO)."""
+    for a, b in ((("1", "S1"), sym.ext_u(1, 1)),
+                 (sym.ext_u(1, 1), ("1", "S1")),
+                 (("1", "P1"), ("j", 1)),
+                 (sym.h_sym("pn_s", 1, 0), ("1", "S1"))):
+        with pytest.raises(ValueError, match="identity factor"):
+            sym.mu(a, b)
+
+
 def test_h_apply_tables():
     # initial homotopies
     assert sym.h_apply(sym.mu(("p", 1), ("j", 1))) == sym.h_sym("sn", 1, 0)
