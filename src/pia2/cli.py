@@ -35,11 +35,13 @@ def _add_instance(p):
     it: perfbench's contraction audits pass it."""
     p.add_argument("--algebra", choices=("pia2", "a2"), default="pia2")
     p.add_argument("--backend", choices=("symbolic", "matrix"), default="symbolic")
-    p.add_argument("--homotopy", choices=("paper", "generic"), default="paper")
+    p.add_argument("--homotopy", choices=("paper", "generic"), default=None,
+                   help="homotopy of the contraction (default: the "
+                        "instance's own, paper on pia2 and generic on a2)")
     p.add_argument("--window", type=int, default=None,
-                   help="resolution window of the matrix backend and the "
-                        "contraction audit (default: max(24, 2*degree_max "
-                        "+ arity_max + 4))")
+                   help="resolution window of the pia2 contraction, read "
+                        "by the matrix backend and the contraction audit "
+                        "(default: max(24, 2*degree_max + arity_max + 4))")
 
 
 def _add_common(p):
@@ -71,19 +73,16 @@ def _check_window(args, parser):
 
 def _contraction(args, parser):
     """The contraction (on its `cat`) that --algebra, --homotopy, --window
-    and --field name, a builder's refusal being a usage error."""
+    and --field name, a builder's refusal being a usage error.  Only a
+    pia2 resolution reads the window, so only there is it checked."""
+    if args.algebra == "pia2":
+        _check_window(args, parser)
+    homotopy = args.homotopy or ("paper" if args.algebra == "pia2" else "generic")
     try:
-        return build_contraction(args.window, args.homotopy,
+        return build_contraction(args.window, homotopy,
                                  field_by_name(args.field), args.algebra)
     except ValueError as exc:
         parser.error(f"cannot build the contraction: {exc}")
-
-
-def _make_backend(args, parser):
-    if args.backend == "symbolic":
-        return SymbolicBackend()
-    con = _contraction(args, parser)
-    return MatrixBackend.for_pia2(con.cat, con, args.degree_max)
 
 
 def _pi_category(args):
@@ -109,12 +108,16 @@ def _write(doc, path):
 
 
 def cmd_minimal_model(args, parser):
-    if args.backend == "symbolic" and args.algebra != "pia2":
-        parser.error("the symbolic backend exists for the preprojective algebra only")
-    if args.backend == "symbolic" and args.field != "f2":
-        parser.error("the symbolic tables carry F2 coefficients")
-    _check_window(args, parser)
-    backend = _make_backend(args, parser)
+    if args.backend == "symbolic":
+        if args.algebra != "pia2":
+            parser.error("the symbolic backend exists for the preprojective algebra only")
+        if args.field != "f2":
+            parser.error("the symbolic tables carry F2 coefficients")
+        if args.homotopy == "generic":
+            parser.error("the symbolic backend runs the paper's homotopy only")
+        backend = SymbolicBackend()
+    else:
+        backend = MatrixBackend(_contraction(args, parser), args.degree_max)
     table = compute_operation_table(args.arity_max, args.degree_max, backend)
     _write(table.dumps(), args.output)
     counts = table.arities()
@@ -132,9 +135,12 @@ def cmd_expected_table(args, parser):
 
 def cmd_verify(args, parser):
     """The table checks read Pi's symbolic table; the contraction audit
-    reads the contraction `_contraction` builds and no table."""
-    _check_window(args, parser)
+    reads the contraction `_contraction` builds and no table.  The
+    contraction is built first, so that a flag it refuses is refused
+    before any table is computed."""
     which = args.which
+    if which in ("contraction", "all"):
+        con = _contraction(args, parser)
     reports = []
     if which != "contraction":
         if args.algebra != "pia2":
@@ -151,7 +157,7 @@ def cmd_verify(args, parser):
     if which in ("classification", "all"):
         reports.append(classification_check(pi.table))
     if which in ("contraction", "all"):
-        reports.append(contraction_audit(_contraction(args, parser)))
+        reports.append(contraction_audit(con))
     if which in ("functors", "all"):
         for f in builtin_functors(pi, degree_max=args.degree_max):
             reports.append(verify_functor(f, max(args.arity_max, 6),

@@ -554,7 +554,7 @@ class TabulatedContraction:
         self._plans = {}    # (src, tgt, deg) -> back-substitution steps or None
 
     def classes(self, src, tgt, deg):
-        return pia2_classes(src, tgt, deg)
+        return sym.classes(src, tgt, deg)
 
     def include(self, src, tgt, deg, name):
         """The class's canonical cycle, realized on first use and shared
@@ -854,7 +854,12 @@ def contraction_audit(con):
 
     "checked" counts the cases examined: each class (pi = 1) and each flat
     basis element inside the trusted sub-window (the other two identities).
-    An audit that examined nothing reports "fail"."""
+    An audit that examined nothing reports "fail".
+
+    On the preprojective instance p is zero on every audited basis element
+    (p reads the top of the window, which lies outside the trusted
+    sub-window), so there the 1 - ip term is checked only through pi = 1;
+    only the A2 audit has basis elements with p(x) != 0."""
     cat = con.cat
     field = cat.field
     trusted = set(cat.trusted)
@@ -902,7 +907,7 @@ def generic_contraction(cat):
     -(L+1)..L-4 (higher ones have no faithful representatives and are
     auto-named), the A2 triangle, or nothing on any other category."""
     if cat.algebra == "pia2":
-        names = {(src, tgt, n): pia2_classes(src, tgt, n)
+        names = {(src, tgt, n): sym.classes(src, tgt, n)
                  for src in sym.OBJECTS for tgt in sym.OBJECTS
                  for n in range(-cat.window - 1, cat.window - 3)}
     elif cat.algebra == "a2":
@@ -910,12 +915,6 @@ def generic_contraction(cat):
     else:
         names = {}
     return GenericContraction(cat, names)
-
-
-def pia2_classes(src, tgt, deg):
-    """The Ext classes src -> tgt of degree deg, named by symbol."""
-    return [s for s in sym.hom_names(src, tgt, max(deg, 0))
-            if sym.SYMBOLS[s][3] == deg]
 
 
 # Ext classes of S1 + P + S2 over A2, named by the triangle they form
@@ -928,16 +927,20 @@ A2_CLASS_NAMES = {
 
 
 def build_contraction(window, mode, field, algebra="pia2"):
-    """The contraction (on its `cat`) of the preprojective or A2 category."""
+    """The contraction (on its `cat`) of the preprojective or A2 category:
+    mode "paper" is the tabulated one, "generic" the rref one.  A2's
+    window is fixed, so `window` is read on the preprojective instance
+    only."""
     if algebra == "pia2":
         if window < 8:
             raise ValueError("window too small")
         cat = pia2_end_category(window, field)
-        if mode == "paper":
-            return tabulated_contraction(cat)
-        if mode == "generic":
-            return generic_contraction(cat)
-        raise ValueError(f"unknown contraction mode {mode!r}")
-    if algebra == "a2":
-        return generic_contraction(a2_end_category(field))
-    raise ValueError(f"unknown algebra {algebra!r}")
+    elif algebra == "a2":
+        cat = a2_end_category(field)
+    else:
+        raise ValueError(f"unknown algebra {algebra!r}")
+    if mode == "paper":
+        return tabulated_contraction(cat)
+    if mode == "generic":
+        return generic_contraction(cat)
+    raise ValueError(f"unknown contraction mode {mode!r}")

@@ -109,7 +109,7 @@ def build_pi_simple(field=F2, degree_max=12):
                     for a in sym.hom_names(mid, y, degree_max):
                         if a == "1_" + mid or b == "1_" + x:
                             continue
-                        out = sym.product_class(a, b)
+                        out = sym.pair_images(a, b)[1]
                         if out is None or (a, b) in table:
                             continue
                         table.add((a, b), [x, mid, y], field.one, out,

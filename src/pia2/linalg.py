@@ -154,14 +154,6 @@ class SparseMatrix:
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols} over {self.field}, {len(self.entries)} entries)"
 
-    def add(self, other):
-        self._check_shape(other, same=True)
-        f = self.field
-        ent = dict(self.entries)
-        for pos, v in other.entries.items():
-            f.accumulate(ent, pos, v)
-        return SparseMatrix(self.rows, self.cols, f, ent)
-
     def scale(self, a):
         f = self.field
         a = f.of(a) if isinstance(a, int) else a
@@ -172,12 +164,6 @@ class SparseMatrix:
 
     def neg(self):
         return self.scale(self.field.sign(1))
-
-    def _check_shape(self, other, same=False):
-        if self.field != other.field:
-            raise ValueError(f"field mismatch: {self.field} vs {other.field}")
-        if same and (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
 
 
 def mat_mul(a, b):

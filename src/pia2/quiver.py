@@ -28,29 +28,20 @@ class Quiver:
 
 
 def a_n_quiver(n):
-    """The A_n quiver: vertices 1..n, one edge (i,i+1): i -> i+1."""
+    """The A_n quiver, n <= 9: vertices 1..n, one edge (i i+1): i -> i+1,
+    named by its two digits, "(12)"."""
+    if n > 9:
+        raise ValueError("edge names spell each vertex with one digit: n <= 9")
     verts = list(range(1, n + 1))
-    edges = [(f"({i}{i+1})" if n < 10 else f"({i},{i+1})", i, i + 1) for i in range(1, n)]
+    edges = [(f"({i}{i+1})", i, i + 1) for i in range(1, n)]
     return Quiver(verts, edges)
 
 
-def _star_name(name):
-    # for edges named "(ij)" the formal inverse is "(ji)"; otherwise append *
-    if name.startswith("(") and name.endswith(")"):
-        inner = name[1:-1]
-        if "," in inner:
-            a, b = inner.split(",")
-            return f"({b},{a})"
-        if len(inner) == 2:
-            return f"({inner[1]}{inner[0]})"
-    return name + "*"
-
-
 def double_quiver(q):
-    """Add a formal inverse f*: t(f) -> s(f) for each edge f."""
+    """Add a formal inverse "(ji)": j -> i for each edge "(ij)": i -> j."""
     edges = list(q.edges)
     for name, s, t in q.edges:
-        edges.append((_star_name(name), t, s))
+        edges.append((f"({name[2]}{name[1]})", t, s))
     return Quiver(q.vertices, edges)
 
 
@@ -115,10 +106,6 @@ class ModuleMap:
         return ModuleMap(other.source, self.target,
                          {v: mat_mul(self.blocks[v], other.blocks[v])
                           for v in self.blocks})
-
-    def add(self, other):
-        return ModuleMap(self.source, self.target,
-                         {v: self.blocks[v].add(other.blocks[v]) for v in self.blocks})
 
     def scale(self, c):
         return ModuleMap(self.source, self.target,

@@ -31,8 +31,8 @@ Outside it, and outside the matrix realization of the grammar
 Ext basis symbol is its canonical string: "u1^2", "(12)", "1_P1",
 "b.u1^0".  SYMBOLS maps each such string to its grammar tuple, source,
 target and degree, the one place those facts are read; `hom_names` lists
-hom bases by string, and `pair_images` and `product_class` evaluate
-products of named factors.
+hom bases and `classes` the Ext classes of one degree by string, and
+`pair_images` evaluates products of named factors.
 H symbols have no string spelling: they stay grammar tuples, opaque to
 the transfer layer that carries each one as a slice value.
 """
@@ -518,13 +518,15 @@ def hom_names(x, y, degree_max):
     return [ext_to_str(s) for s in hom_basis(x, y, degree_max)]
 
 
+def classes(x, y, deg):
+    """The Ext classes x -> y of degree deg, by canonical string; none
+    below degree 0."""
+    return [ext_to_str(e) for e in hom_basis(x, y, deg) if ext_degree(e) == deg]
+
+
 def kappa_str(s):
     """The 1 <-> 2 relabeling of the symbol named s."""
     return ext_to_str(kappa_ext(SYMBOLS[s][0]))
-
-
-def _class_name(e):
-    return None if e is ZERO else ext_to_str(e)
 
 
 def pair_images(a, b):
@@ -535,10 +537,5 @@ def pair_images(a, b):
     m = mu(a if is_h(a) else SYMBOLS[a][0], b if is_h(b) else SYMBOLS[b][0])
     if m is ZERO:
         return None, None
-    return h_apply(m), _class_name(p_apply(m))
-
-
-def product_class(a, b):
-    """The class name of p(mu(a, b)) for the Ext symbols named a and b;
-    None when it is zero."""
-    return _class_name(p_apply(mu(SYMBOLS[a][0], SYMBOLS[b][0])))
+    cls = p_apply(m)
+    return h_apply(m), None if cls is ZERO else ext_to_str(cls)

@@ -25,22 +25,36 @@ sum |f_k| + 2 - n, so where Ext has none it is zero.  Each backend answers
 memoizes nothing.  A scan's queries below its top arity are not decided
 this way: the scan reads their root slice, which only the fill gives.
 
-Both backends' mu_h returns None when the product is zero.  The symbolic
-backend reads the H and p images of a symbol pair from one pair table,
-filled with one mu per distinct pair.  Its element is one operand or None
-(zero), since every slice value it has been measured to give is a single
-term: a product is one pair-table read, and `add` cancels two equal
-operands over F2 and refuses two distinct ones, naming the slice, rather
-than carry or drop a sum.
+A backend answers the engine through one protocol, one spelling per fact:
+  field                   the scalars (`linalg.F2` or `linalg.QQ`);
+  symbols                 scan symbol -> (source, target, degree), the one
+                          place the engine reads those facts;
+  scan_symbols(degree_max)  the identity-free symbols a scan takes;
+  has_class(src, tgt, deg)  whether Ext has a class there;
+  leaf(s)                 the element of a scan symbol;
+  add(a, b)               the sum of two nonzero elements, None if it is 0;
+  scale(e, c)             e times a sign c other than one (over Q only);
+  mu_h(a, b), mu_p(a, b)  H(mu(a, b)), None when zero, and p(mu(a, b)) as
+                          {class: coeff}, {} when zero.
+None is zero: a slice value is None or nonzero, and no backend has an
+`is_zero`.  A table also writes the backend's `name`, `window` and
+`homotopy` into its metadata.
+
+The symbolic backend reads the H and p images of a symbol pair from one
+pair table, filled with one mu per distinct pair.  Its element is one
+operand or None, since every slice value it has been measured to give is
+a single term: a product is one pair-table read, and `add` cancels two
+equal operands over F2 and refuses two distinct ones, naming the slice,
+rather than carry or drop a sum.  The matrix backend is built from its
+contraction alone: the category, field, window and homotopy are the
+contraction's.
 
 Both backends scan, take as leaves and output Ext basis symbols by their
 canonical strings, so slice keys, table keys and outputs are strings from
-the scan to the JSON.  A scan symbol's source, target and degree come
-from one place, the backend's `symbols` dict (string -> (source, target,
-degree)): for the symbolic backend it is a `symbols.SymbolRecords`,
-the cache Pi's categories also use, which copies each record from the
-symbols table (`symbols.SYMBOLS`) on first read, and for the matrix
-backend `for_pia2` reads it off its contraction's classes.
+the scan to the JSON.  For the symbolic backend `symbols` is a
+`symbols.SymbolRecords`, the cache Pi's categories also use, which copies
+each record from the symbols table (`symbols.SYMBOLS`) on first read; the
+matrix backend builds its dict from its contraction's classes.
 
 The same split makes table scans output-sensitive: a slice, or an input
 tuple of m_d, is nonzero only if some cut splits it into two parts that
@@ -96,36 +110,29 @@ class SymbolicBackend:
         return [s for x in sym.OBJECTS for y in sym.OBJECTS
                 for s in sym.hom_names(x, y, degree_max) if s != "1_" + x]
 
+    # src, tgt and to_str are outside the engine's protocol: they serve
+    # callers that draw query tuples
     def src(self, s):
         return self.symbols[s][0]
 
     def tgt(self, s):
         return self.symbols[s][1]
 
-    def deg(self, s):
-        return self.symbols[s][2]
-
     def to_str(self, s):
         """The canonical string of a scan symbol: the symbol itself."""
         return s
 
     def has_class(self, src, tgt, deg):
-        """Is there an Ext class src -> tgt of degree deg?  Read off the
-        grammar's hom basis, so no symbol is named or parsed; below degree
-        0 the basis is empty and the answer is no."""
+        """Is there an Ext class src -> tgt of degree deg (`symbols.classes`)?"""
         key = (src, tgt, deg)
         hit = self._has_class.get(key)
         if hit is None:
-            hit = self._has_class[key] = any(
-                sym.ext_degree(e) == deg for e in sym.hom_basis(src, tgt, deg))
+            hit = self._has_class[key] = bool(sym.classes(src, tgt, deg))
         return hit
 
     # elements ------------------------------------------------------------
     def leaf(self, s):
         return s
-
-    def is_zero(self, e):
-        return e is None
 
     def add(self, a, b):
         """a + b over F2: zero (None) is the identity and two equal
@@ -158,35 +165,37 @@ class SymbolicBackend:
 
 
 class MatrixBackend:
-    """Tree evaluation through an EndCategory and contraction data.
+    """Tree evaluation through an EndCategory and contraction data, both
+    read off the contraction (`contraction.cat`).
 
     Scan symbols are the contraction's class names, canonical strings of
     Ext symbols on the preprojective instance; `symbols` maps each to its
-    (source, target, degree), and holds every class of degree at most
-    `degree_max`, the bound a scan may ask for.
+    (source, target, degree), and holds every class of degree 0..degree_max
+    between the category's objects, the bound a scan may ask for.
     """
 
     name = "matrix"
 
-    def __init__(self, cat, contraction, symbols, degree_max):
-        self.cat = cat
+    def __init__(self, contraction, degree_max):
+        cat = self.cat = contraction.cat
         self.contraction = contraction
         self.field = cat.field
-        self.symbols = dict(symbols)
-        self.degree_max = degree_max
         self.window = cat.window
         self.homotopy = contraction.mode
+        self.degree_max = degree_max
+        objs = sorted(cat.complexes)
+        self.symbols = {name: (src, tgt, deg) for src in objs for tgt in objs
+                        for deg in range(degree_max + 1)
+                        for name in contraction.classes(src, tgt, deg)}
 
     @classmethod
     def for_pia2(cls, cat, contraction, degree_max):
-        """The backend whose symbols are the contraction's classes of
-        degree 0..degree_max between the category's objects; it serves
-        the A2 instance as well as the preprojective one."""
-        objs = sorted(cat.complexes)
-        return cls(cat, contraction, {
-            name: (src, tgt, deg) for src in objs for tgt in objs
-            for deg in range(degree_max + 1)
-            for name in contraction.classes(src, tgt, deg)}, degree_max)
+        """The backend of a contraction on `cat`; it serves the A2 instance
+        as well as the preprojective one.  ValueError when cat is not the
+        contraction's own category."""
+        if cat is not contraction.cat:
+            raise ValueError("the contraction is built on another category")
+        return cls(contraction, degree_max)
 
     # symbols -------------------------------------------------------------
     def scan_symbols(self, degree_max):
@@ -195,15 +204,6 @@ class MatrixBackend:
                              f"past the degree {self.degree_max} this backend read")
         return [s for s, (x, _y, d) in self.symbols.items()
                 if d <= degree_max and s != "1_" + x]
-
-    def src(self, s):
-        return self.symbols[s][0]
-
-    def tgt(self, s):
-        return self.symbols[s][1]
-
-    def deg(self, s):
-        return self.symbols[s][2]
 
     def has_class(self, src, tgt, deg):
         """Is there an Ext class src -> tgt of degree deg?  Exactly where
@@ -214,14 +214,13 @@ class MatrixBackend:
     def leaf(self, s):
         return self.contraction.include(*self.symbols[s], s)
 
-    def is_zero(self, e):
-        return e is None or e.is_zero()
-
     def scale(self, e, c):
         return e.scale(c)
 
     def add(self, a, b):
-        return a.add(b)
+        """a + b, None when the two cancel."""
+        total = a.add(b)
+        return None if total.is_zero() else total
 
     def mu_h(self, ea, eb):
         prod = self.cat.compose(ea, eb)
@@ -283,9 +282,10 @@ class TransferEvaluator:
         None over F2, where every sign is +1."""
         if self.backend.field.name == "f2":
             return None
+        recs = self.backend.symbols
         pre = [0]
         for s in inputs:
-            pre.append(pre[-1] + self.backend.deg(s))
+            pre.append(pre[-1] + recs[s][2])
         return pre
 
     def _fill(self, inputs, top, pre, edges=None):
@@ -349,8 +349,6 @@ class TransferEvaluator:
                         acc = out if acc is None else add(acc, out)
                     except ValueError as e:
                         raise ValueError(f"slice {key!r} sums {e}") from None
-                if acc is not None and backend.is_zero(acc):
-                    acc = None
                 memo[key] = acc
             if acc is not None:
                 A[i * w + j] = A[j * w + i] = acc
@@ -420,7 +418,7 @@ def compute_operation_table(arity_max, degree_max, backend, evaluator=None):
     """
     if arity_max < 1:
         raise ValueError("arity bound must be at least 1")
-    field = backend.field
+    field, recs = backend.field, backend.symbols
     ev = evaluator or TransferEvaluator(backend)
     leaves = backend.scan_symbols(degree_max)
 
@@ -434,24 +432,24 @@ def compute_operation_table(arity_max, degree_max, backend, evaluator=None):
         if len(out) != 1:
             raise AssertionError(f"non-monomial transfer output at {inputs}: {out}")
         (osym, coeff), = out.items()
-        objects = [backend.src(inputs[-1])]
+        objects = [recs[inputs[-1]][0]]
         for s in reversed(inputs):
-            objects.append(backend.tgt(s))
-        degree = sum(backend.deg(s) for s in inputs) + 2 - len(inputs)
+            objects.append(recs[s][1])
+        degree = sum(recs[s][2] for s in inputs) + 2 - len(inputs)
         table.add(inputs, objects, coeff, osym, degree)
 
     # nonzero[n]: the leaves (n = 1) or nonzero slices of length n, keyed
     # by the target of their first map, the object a prefix must start at
     nonzero = {1: {}}
     for s in leaves:
-        nonzero[1].setdefault(backend.tgt(s), []).append((s,))
+        nonzero[1].setdefault(recs[s][1], []).append((s,))
     for k in range(2, arity_max + 1):
         candidates = set()
         for i in range(1, k):
             suffixes = nonzero[k - i]
             for group in nonzero[i].values():
                 for p in group:
-                    for q in suffixes.get(backend.src(p[-1]), ()):
+                    for q in suffixes.get(recs[p[-1]][0], ()):
                         candidates.add(p + q)
         grown = {}
         for inputs in sorted(candidates):
@@ -461,6 +459,6 @@ def compute_operation_table(arity_max, degree_max, backend, evaluator=None):
             if out:
                 emit(inputs, out)
             if k < arity_max and ev._A(inputs) is not None:
-                grown.setdefault(backend.tgt(inputs[0]), []).append(inputs)
+                grown.setdefault(recs[inputs[0]][1], []).append(inputs)
         nonzero[k] = grown
     return table

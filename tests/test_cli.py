@@ -55,14 +55,63 @@ def test_usage_errors(capsys):
         main(["minimal-model", "--backend", "symbolic", "--field", "q"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
-        main(["minimal-model", "--window", "6"])
+        main(["minimal-model", "--backend", "matrix", "--window", "6"])
     assert exc.value.code == 2
     capsys.readouterr()
+    # the symbolic backend runs the paper's homotopy tables only
+    with pytest.raises(SystemExit) as exc:
+        main(["minimal-model", "--homotopy", "generic", "--arity-max", "3",
+              "--degree-max", "2"])
+    assert exc.value.code == 2
+    assert "the symbolic backend runs the paper's homotopy only" in capsys.readouterr().err
+    # A2 has no tabulated homotopy: an explicit --homotopy paper is refused
+    # by the builder, not turned into generic
+    for argv in (["minimal-model", "--algebra", "a2", "--backend", "matrix",
+                  "--homotopy", "paper"],
+                 ["verify", "--which", "contraction", "--algebra", "a2",
+                  "--homotopy", "paper"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "cannot build the contraction: the tabulated homotopies exist " \
+            "for the preprojective instance only" in capsys.readouterr().err
     # a malformed fukaya name is an unknown category, not a builder error
     with pytest.raises(SystemExit) as exc:
         main(["export-category", "fukaya3"])
     assert exc.value.code == 2
     assert "unknown category 'fukaya3'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["minimal-model", "--arity-max", "3", "--degree-max", "2"],
+    ["verify", "--which", "kappa", "--arity-max", "3", "--degree-max", "2"],
+    ["verify", "--which", "contraction", "--algebra", "a2"],
+    ["minimal-model", "--algebra", "a2", "--backend", "matrix", "--arity-max", "3",
+     "--degree-max", "1"],
+], ids=["symbolic", "kappa", "a2-audit", "a2-matrix"])
+def test_window_is_checked_only_where_a_pia2_resolution_reads_it(argv, capsys):
+    """The symbolic tables and the A2 category read no window, so a window
+    below 2*degree_max + arity_max + 4 is no usage error there, and the
+    output is the one without --window."""
+    want = run(argv, capsys)
+    assert want[0] == 0
+    assert run(argv + ["--window", "5"], capsys) == want
+
+
+@pytest.mark.parametrize("argv, homotopy", [
+    (["minimal-model", "--arity-max", "3", "--degree-max", "2"], "paper"),
+    (["minimal-model", "--backend", "matrix", "--window", "14", "--arity-max", "3",
+      "--degree-max", "2"], "paper"),
+    (["minimal-model", "--algebra", "a2", "--backend", "matrix", "--arity-max", "3",
+      "--degree-max", "1"], "generic"),
+], ids=["symbolic", "pia2-matrix", "a2-matrix"])
+def test_homotopy_defaults_to_the_instance_own(argv, homotopy, capsys):
+    """Without --homotopy a table runs the instance's own homotopy and
+    says so; naming it gives the same bytes."""
+    code, out, err = run(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["metadata"]["homotopy"] == homotopy
+    assert run(argv + ["--homotopy", homotopy], capsys) == (code, out, err)
 
 
 @pytest.mark.parametrize("argv", [

@@ -700,6 +700,27 @@ def test_generic_contraction_axioms_and_side_conditions():
 
 
 @pytest.mark.parametrize("field", [F2, QQ], ids=["f2", "q"])
+def test_tabulated_contraction_side_conditions(field):
+    """The tabulated contraction's side conditions hold exactly at window
+    24, on every hom pair and degree |n| <= 8: H(i(c)) = 0 for each class
+    c and p(H(x)) = 0 for each flat basis element x."""
+    cat = pia2_end_category(24, field)
+    con = tabulated_contraction(cat)
+    classes = basis = 0
+    for src in sorted(cat.complexes):
+        for tgt in sorted(cat.complexes):
+            for n in range(-8, 9):
+                for name in con.classes(src, tgt, n):
+                    assert con.H(con.include(src, tgt, n, name)).is_zero(), name
+                    classes += 1
+                for b in cat.flat_basis(src, tgt, n):
+                    x = HomElement(cat, src, tgt, n, {b: field.one})
+                    assert con.project(con.H(x)) == {}, (src, tgt, n, b)
+                    basis += 1
+    assert (classes, basis) == (26, 1488)
+
+
+@pytest.mark.parametrize("field", [F2, QQ], ids=["f2", "q"])
 def test_generic_coords_match_solve(field):
     """The generic contraction solves for B and R coordinates on d_n's
     free columns only; they equal the B and R coordinates of a fresh

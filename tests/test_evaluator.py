@@ -35,7 +35,7 @@ def _koszul_sign(field, backend, part):
     root."""
     if field.name == "f2":
         return field.one
-    e = sum(backend.deg(s) for s in part) - (len(part) - 1)
+    e = sum(backend.symbols[s][2] for s in part) - (len(part) - 1)
     return field.one if e % 2 == 0 else field.of(-1)
 
 
@@ -60,14 +60,12 @@ class RecursiveEvaluator:
             if el is None or er is None:
                 continue
             out = backend.mu_h(el, er)
-            if out is None or backend.is_zero(out):
+            if out is None:
                 continue
             sign = _koszul_sign(field, backend, slice_key[:cut])
             if sign != field.one:
                 out = backend.scale(out, sign)
             acc = out if acc is None else backend.add(acc, out)
-        if acc is not None and backend.is_zero(acc):
-            acc = None
         self.memo[slice_key] = acc
         return acc
 
@@ -145,8 +143,9 @@ def _pia2_matrix(field, contraction, window=14, degree_max=2):
 def _has_output_class(backend, inputs):
     """Whether Ext has a class of m_d(inputs)'s source, target and
     degree: the test `TransferEvaluator.transfer` makes before a fill."""
-    return backend.has_class(backend.src(inputs[-1]), backend.tgt(inputs[0]),
-                             sum(map(backend.deg, inputs)) + 2 - len(inputs))
+    recs = backend.symbols
+    return backend.has_class(recs[inputs[-1]][0], recs[inputs[0]][1],
+                             sum(recs[s][2] for s in inputs) + 2 - len(inputs))
 
 
 def _draw(backend, hits, n, arity_lo, arity_hi, degree_max, seed):
@@ -154,10 +153,11 @@ def _draw(backend, hits, n, arity_lo, arity_hi, degree_max, seed):
     degree_max: half drawn from hits, half random walks of arity in
     [arity_lo, arity_hi]."""
     rng = random.Random(seed)
+    recs = backend.symbols
     syms = sorted(backend.scan_symbols(degree_max))
     by_source = {}
     for s in syms:
-        by_source.setdefault(backend.src(s), []).append(s)
+        by_source.setdefault(recs[s][0], []).append(s)
     out = []
     for i in range(n):
         if i % 2 == 0:
@@ -167,7 +167,7 @@ def _draw(backend, hits, n, arity_lo, arity_hi, degree_max, seed):
         for _ in range(rng.randint(arity_lo, arity_hi)):
             s = rng.choice(by_source[obj])
             chain.append(s)
-            obj = backend.tgt(s)
+            obj = recs[s][1]
         out.append(tuple(reversed(chain)))
     return out
 
@@ -309,25 +309,28 @@ class FreeMagmaBackend:
     name = "free-magma"
     field = QQ
 
-    def deg(self, s):
-        return s[1]
+    class _Letters(dict):
+        # a letter (name, degree) -> (source, target, degree); the magma
+        # has no objects
+        def __missing__(self, s):
+            return (None, None, s[1])
+
+    symbols = _Letters()
 
     def leaf(self, s):
         return {s: QQ.one}
-
-    def is_zero(self, e):
-        return not e
 
     def scale(self, e, c):
         return {k: QQ.mul(c, v) for k, v in e.items()}
 
     def add(self, a, b):
+        """a + b, None for an empty sum."""
         out = dict(a)
         for k, v in b.items():
             out[k] = QQ.add(out.get(k, QQ.zero), v)
             if out[k] == QQ.zero:
                 del out[k]
-        return out
+        return out or None
 
     def _pair(self, tag, ea, eb):
         return {(tag, a, b): QQ.mul(va, vb) for a, va in ea.items()
@@ -521,7 +524,7 @@ def _shared(name):
         backend = _BACKENDS[name]()
         by_source = {}
         for s in backend.scan_symbols(4):
-            by_source.setdefault(backend.src(s), []).append(s)
+            by_source.setdefault(backend.symbols[s][0], []).append(s)
         hits = sorted(expected_table(6, 4).entries)
         _SHARED[name] = (backend, TransferEvaluator(backend), by_source, hits)
     return _SHARED[name]
@@ -540,7 +543,7 @@ def _check_agreement(name, data):
         for _ in range(data.draw(st.integers(2, 6))):
             s = data.draw(st.sampled_from(by_source[obj]))
             chain.append(s)
-            obj = backend.tgt(s)
+            obj = backend.symbols[s][1]
         inputs = tuple(reversed(chain))
     want = transfer_mn_by_trees(inputs, backend)
     assert TransferEvaluator(backend).transfer(inputs) == want

@@ -22,6 +22,10 @@ def test_double_quiver_edgeless_and_a3():
     assert dq.edges == [] and dq.vertices == [1, 2, 3]
     dq3 = double_quiver(a_n_quiver(3))
     assert len(dq3.vertices) == 3 and len(dq3.edges) == 4
+    assert [e for e, _s, _t in dq3.edges] == ["(12)", "(23)", "(21)", "(32)"]
+    # a two-digit vertex would make an edge name ambiguous
+    with pytest.raises(ValueError):
+        a_n_quiver(10)
 
 
 def test_pia2_indecomposables():

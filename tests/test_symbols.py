@@ -41,6 +41,20 @@ def test_hom_basis_examples():
     assert sym.hom_names("P2", "P2", 0) == ["1_P2"]
 
 
+def test_classes_are_the_hom_basis_of_one_degree():
+    """classes(x, y, d) is the hom basis up to max(d, 0) by string, cut to
+    the symbols of degree d (none below 0), on every object pair."""
+    found = 0
+    for x in sym.OBJECTS:
+        for y in sym.OBJECTS:
+            for d in range(-2, 15):
+                want = [s for s in sym.hom_names(x, y, max(d, 0))
+                        if sym.SYMBOLS[s][3] == d]
+                assert sym.classes(x, y, d) == want, (x, y, d)
+                found += len(want)
+    assert found == 38
+
+
 def test_symbols_table():
     """Each canonical string gives its grammar tuple, source, target and
     degree, at any degree; anything else is no key and is not stored."""

@@ -149,9 +149,10 @@ def exhaustive_table(arity_max, degree_max, backend):
         "field": backend.field.name, "backend": backend.name,
         "window": backend.window, "homotopy": backend.homotopy,
     })
+    recs = backend.symbols
     by_source = {}
     for s in backend.scan_symbols(degree_max):
-        by_source.setdefault(backend.src(s), []).append(s)
+        by_source.setdefault(recs[s][0], []).append(s)
 
     def walk(chain):
         if len(chain) >= 2:
@@ -159,11 +160,11 @@ def exhaustive_table(arity_max, degree_max, backend):
             out = ev.transfer(inputs)
             if out:
                 (osym, coeff), = out.items()
-                objects = [backend.src(chain[0])] + [backend.tgt(s) for s in chain]
+                objects = [recs[chain[0]][0]] + [recs[s][1] for s in chain]
                 table.add(inputs, objects, coeff, osym,
-                          sum(backend.deg(s) for s in inputs) + 2 - len(inputs))
+                          sum(recs[s][2] for s in inputs) + 2 - len(inputs))
         if len(chain) < arity_max:
-            for s in by_source.get(backend.tgt(chain[-1]), ()):
+            for s in by_source.get(recs[chain[-1]][1], ()):
                 walk(chain + [s])
 
     for group in by_source.values():
@@ -201,6 +202,26 @@ def test_chart_scan_matches_exhaustive_walk(arity_max, degree_max, make_backend)
     assert table.dumps() == expected.dumps()
 
 
+def test_for_pia2_refuses_another_category():
+    """A matrix backend reads its category off its contraction; for_pia2,
+    which also names one, refuses a category that is not that one."""
+    cat = pia2_end_category(14, F2)
+    con = tabulated_contraction(cat)
+    assert MatrixBackend.for_pia2(cat, con, 2).cat is cat
+    with pytest.raises(ValueError, match="another category"):
+        MatrixBackend.for_pia2(pia2_end_category(14, F2), con, 2)
+
+
+def test_matrix_sum_that_cancels_is_none():
+    """Zero is None in every backend: a matrix sum that cancels, x + (-x)
+    over Q, is None, not a zero element."""
+    cat = pia2_end_category(14, QQ)
+    mb = MatrixBackend.for_pia2(cat, tabulated_contraction(cat), 2)
+    x = mb.leaf("u1^1")
+    assert mb.add(x, mb.scale(x, QQ.of(-1))) is None
+    assert mb.add(x, x).coeffs == mb.scale(x, QQ.of(2)).coeffs
+
+
 def test_scan_inserts_entries_in_arity_key_order():
     t = compute_operation_table(6, 6, SymbolicBackend())
     assert len(t.arities()) == 5
@@ -214,9 +235,10 @@ def test_matrix_backend_agreement():
     cat = pia2_end_category(24, F2)
     mb = MatrixBackend.for_pia2(cat, tabulated_contraction(cat), degree_max=6)
     sev, mev = TransferEvaluator(sb), TransferEvaluator(mb)
+    recs = sb.symbols
     by_source = {}
     for s in sb.scan_symbols(6):
-        by_source.setdefault(sb.src(s), []).append(s)
+        by_source.setdefault(recs[s][0], []).append(s)
     count = 0
 
     def scan(chain, tgt, totdeg):
@@ -228,16 +250,16 @@ def test_matrix_backend_agreement():
         if len(chain) == 5:
             return
         for s in by_source.get(tgt, ()):
-            d = sb.deg(s)
+            d = recs[s][2]
             if totdeg + d > 6:
                 continue
             chain.append(s)
-            scan(chain, sb.tgt(s), totdeg + d)
+            scan(chain, recs[s][1], totdeg + d)
             chain.pop()
 
     for start in sorted(by_source):
         for s in by_source[start]:
-            scan([s], sb.tgt(s), sb.deg(s))
+            scan([s], recs[s][1], recs[s][2])
     assert count > 1500
 
 

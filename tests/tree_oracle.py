@@ -60,7 +60,7 @@ def evaluate_tree(shape, inputs, backend):
         raise ValueError("need at least two inputs")
     field = backend.field
     elems = [backend.leaf(s) for s in inputs]
-    degs = [backend.deg(s) for s in inputs]
+    degs = [backend.symbols[s][2] for s in inputs]
 
     def eval_sub(node, off):
         if node == LEAF:
@@ -69,10 +69,10 @@ def evaluate_tree(shape, inputs, backend):
         nl = leaves(left)
         el = eval_sub(left, off)
         er = eval_sub(right, off + nl)
-        if el is None or er is None or backend.is_zero(el) or backend.is_zero(er):
+        if el is None or er is None:
             return None
         out = backend.mu_h(el, er)
-        if out is None or backend.is_zero(out):
+        if out is None:
             return None
         sign = field.sign(sum(degs[off:off + nl]) - (nl - 1))
         return out if sign == field.one else backend.scale(out, sign)
