@@ -100,10 +100,8 @@ class AInfCategory:
         return [] if t is None else [t]
 
     def stored_term(self, e):
-        """The (coeff, symbol) term of a table entry; coefficients read
-        from JSON are strings."""
-        c = e["coeff"]
-        return (self.field.parse(c) if isinstance(c, str) else c), e["output"]
+        """The (coeff, symbol) term of a table entry."""
+        return e["coeff"], e["output"]
 
     def closed_operations(self, arity_max, degree_max):
         """m as {key: (coeff, output)} on every identity-free tuple of
@@ -169,12 +167,12 @@ def stasheff_check(cat, d_max, degree_max, tuple_source=None):
     (insertion_tuples), in composable_tuples order, and every term is a
     lookup in the category's closed operations; the other tuples are zero.
 
-    tuple_source, when given, replaces the walk: all of it is read, every
-    tuple of length >= 2 counts as checked, and the relation is evaluated
-    on those that are insertion tuples.  The report's "checked" counts the
-    composable tuples covered (a walk count, not an enumeration, when no
-    source is given) and "evaluated" those whose relation was evaluated.
-    A report that checked nothing over a non-empty table fails."""
+    tuple_source, when given, is read whole and counted in place of the
+    walk: every tuple of length >= 2 in it counts as checked.  The
+    report's "checked" counts the composable tuples covered (a walk count,
+    not an enumeration, when no source is given) and "evaluated" the
+    insertion tuples.  A report that checked nothing over a non-empty
+    table fails."""
     ops, insertions = insertion_tuples(cat, d_max, degree_max)
     units = cat._unit_set
 
@@ -184,26 +182,17 @@ def stasheff_check(cat, d_max, degree_max, tuple_source=None):
             return (t,)
         return () if units.isdisjoint(key) else cat.m(key)   # unit laws
     if tuple_source is None:
-        tuples = sorted(insertions, key=_walk_order(_by_source(cat, degree_max)))
         checked = count_composable_tuples(cat, d_max, degree_max)
     else:
-        tuples, checked = tuple_source, None   # None: count the tuples read
+        checked = sum(len(t) >= 2 for t in tuple_source)
     violations = []
-    seen = evaluated = 0
-    for inputs in tuples:
-        if len(inputs) < 2:
-            continue
-        seen += 1
-        if inputs not in insertions:
-            continue
-        evaluated += 1
+    for inputs in sorted(insertions, key=_walk_order(_by_source(cat, degree_max))):
         acc = _relation(cat, m, inputs)
         if acc:
             violations.append({"tuple": list(inputs), "expected": "0",
                                "got": {k: str(v) for k, v in acc.items()}})
-    rep = _report("stasheff", violations, seen if checked is None else checked,
-                  bool(cat.table.entries))
-    rep["evaluated"] = evaluated
+    rep = _report("stasheff", violations, checked, bool(cat.table.entries))
+    rep["evaluated"] = len(insertions)
     return rep
 
 

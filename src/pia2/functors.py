@@ -83,8 +83,9 @@ def build_fukaya(n, grading, field=F2, name=None, object_names=None,
 def pi_category(table, evaluator):
     """Wrap a computed preprojective table with the evaluator that built
     it, over its backend's field.  Operations past the table's bounds come
-    from its closure, a chart scan at the wider bounds that reuses the
-    evaluator's slice memo, so that point queries and relation checks see
+    from its closure, a chart scan at the wider bounds on the same
+    evaluator, which reads the slice values its earlier scans memoized
+    for their candidates, so that point queries and relation checks see
     the genuine structure."""
     def closure(arity_max, degree_max):
         return compute_operation_table(arity_max, degree_max,

@@ -3,10 +3,10 @@
 Matrices are stored as dicts {(row, col): scalar} with no explicit zeros.
 Everything is exact: F2 entries are ints mod 2.  QQ entries are Python
 ints while they are integral, and a ``fractions.Fraction`` comes only
-from `Field.div` or `Field.parse`, reduced back to an int when its
-denominator is one; an int and a Fraction of equal value compare and
-hash equal, and print the same through ``str``.  A scalar is zero
-exactly when it is falsy, and the package tests it that way.
+from `Field.div`, reduced back to an int when its denominator is one;
+an int and a Fraction of equal value compare and hash equal, and print
+the same through ``str``.  A scalar is zero exactly when it is falsy,
+and the package tests it that way.
 
 Every sparse sum in the package ({key: scalar} with no explicit zeros:
 matrix entries, flat Hom coordinates, formal sums of symbols) adds a
@@ -79,22 +79,6 @@ class Field:
         if b == -1:
             return -a
         q = Fraction(a) / b
-        return q.numerator if q.denominator == 1 else q
-
-    def parse(self, text):
-        """The scalar a string such as "-1" or "1/3" spells (JSON stores
-        scalars as strings).  Over F2 a fraction is its residue, which
-        needs an odd denominator; an even one raises ValueError."""
-        if "/" not in text:
-            return self.of(int(text))
-        try:
-            q = Fraction(text)
-        except ZeroDivisionError:
-            raise ValueError(f"scalar {text!r} divides by zero") from None
-        if self.name == "f2":
-            if q.denominator % 2 == 0:
-                raise ValueError(f"scalar {text!r} has no value in F2")
-            return q.numerator % 2
         return q.numerator if q.denominator == 1 else q
 
 

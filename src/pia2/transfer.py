@@ -8,22 +8,19 @@ matrix contraction data (`MatrixBackend`).
 
 Summing over shapes distributes over the root split, so the evaluator
 uses the slice values A(s) = sum over splits of sign * H(mu(A(s1),
-A(s2))) with a shared memo; evaluating every shape separately gives the
-same answer (tested) but is exponentially slower at high arity.  A query
-fills these values into an interval table, bottom-up by slice length and
-by index (A[i][j] is the value of inputs[i:j]), so a slice is looked up
-in the memo once and its cuts are list reads; m_n takes its root cuts from
-the table's first row and last column.  Bitmasks of the nonzero slices
-starting and ending at each position give every slice its live cuts, the
-cuts whose two factors are both nonzero, and only those are visited: the
-fill's work follows the nonzero products, not the number of cuts.
+A(s2))); evaluating every shape separately gives the same answer (tested)
+but is exponentially slower at high arity.  Only the live cuts count, the
+cuts whose two factors are both nonzero, and each caller has one path to
+them (`TransferEvaluator`): a point query fills an interval table of its
+proper slices bottom-up by length, visiting only the live cuts that two
+bitmasks per position give, and keeps nothing; a chart scan finds each
+candidate's live cuts as it builds it, and memoizes the candidates' slice
+values for later scans on the same evaluator.
 
-Before any fill the grading may already decide a query: m_n(f_n, ..., f_1)
-is a combination of Ext classes src(f_1) -> tgt(f_n) of degree
+Before it sums, the grading may already decide a query: m_n(f_n, ...,
+f_1) is a combination of Ext classes src(f_1) -> tgt(f_n) of degree
 sum |f_k| + 2 - n, so where Ext has none it is zero.  Each backend answers
-`has_class(src, tgt, deg)`, and a query it decides fills nothing and
-memoizes nothing.  A scan's queries below its top arity are not decided
-this way: the scan reads their root slice, which only the fill gives.
+`has_class(src, tgt, deg)`, and a query it decides fills nothing.
 
 A backend answers the engine through one protocol, one spelling per fact:
   field                   the scalars (`linalg.F2` or `linalg.QQ`);
@@ -60,8 +57,9 @@ The same split makes table scans output-sensitive: a slice, or an input
 tuple of m_d, is nonzero only if some cut splits it into two parts that
 are each a single input (a leaf) or a nonzero slice, since a cut with a
 zero part contributes nothing.  `compute_operation_table` therefore grows
-its candidate tuples bottom-up by length from the nonzero slices alone
-and never visits a tuple that this rule shows to be zero.
+its candidate tuples bottom-up by length from the nonzero slices alone,
+never visits a tuple that this rule shows to be zero, and finds every
+live cut of a candidate as it builds it.
 
 Sign convention over Q, Seidel's (2008, section 1), which
 `ainf.stasheff_check` checks: a slice X of l inputs has degree |X| = (sum
@@ -138,7 +136,7 @@ class SymbolicBackend:
         """a + b over F2: zero (None) is the identity and two equal
         operands cancel.  Two distinct ones would make a two-term slice,
         which this element cannot hold: ValueError, naming the operands
-        (the fill adds the slice)."""
+        (the evaluator adds the slice)."""
         if a is None:
             return b
         if b is None:
@@ -237,40 +235,30 @@ class MatrixBackend:
 
 
 @functools.lru_cache(maxsize=None)
-def _spans(n, top, edges):
-    """The slices (i, j) = inputs[i:j] of length 2..top that a fill of n
-    inputs visits, shortest first: all of them, or with `edges` only the
-    prefixes (i = 0) and suffixes (j = n)."""
-    return tuple((i, i + length) for length in range(2, top + 1)
-                 for i in range(n - length + 1)
-                 if not edges or i == 0 or i + length == n)
+def _spans(n):
+    """The proper slices (i, j) = inputs[i:j] of n inputs, of length
+    2..n - 1, shortest first: the slices a point query fills."""
+    return tuple((i, i + length) for length in range(2, n)
+                 for i in range(n - length + 1))
 
 
 class TransferEvaluator:
-    """Slice-memoized evaluation of m_n over all planar shapes at once.
+    """m_n over all planar shapes at once, from slice values.
 
-    A query on inputs (f_n, ..., f_1) fills an interval table A bottom-up
-    by slice length: A[i][j] is the value of the slice inputs[i:j] (the
-    leaf itself when j = i + 1, None when the slice is zero), computed from
-    its live cuts c, those with A[i][c] and A[c][j] both nonzero, as the
-    signed sum of H(mu(A[i][c], A[c][j])).  The table is
-    mirrored, A[j][i] = A[i][j], so the right factors of the slices ending
-    at j are read along row j, and stored as one flat list, A[i][j] at
-    index i * (n + 1) + j: one allocation per query instead of n + 1 rows,
-    which short warm queries (the chart scans) feel.  Each slice of length
-    >= 2 that the fill visits is looked up in `memo` once, by its tuple
-    key; a miss is computed and stored there, so the memo is shared across
-    queries and holds every slice of every query that fills (the root
-    slice only through `_A` or `_memo_root`).  A `transfer` without
-    `_memo_root` whose output degree carries no class (see `transfer`)
-    fills nothing, so its slices stay out of the memo.  A query whose
-    longest prefix and suffix are memoized visits only its prefixes and
-    suffixes (see `_fill`).
+    A point query, `transfer(inputs)`, fills an interval table of its
+    proper slices (`_fill`) and sums p(mu) over the root's live cuts read
+    from it; it reads and writes no memo.  A chart scan hands each
+    candidate its live cuts instead, as (c, left, right) in ascending c:
+    the cut and the nonzero values of inputs[:c] and inputs[c:], the
+    order a fill visits them in.  `transfer(inputs, cuts)` sums p(mu) over
+    them to m_n, and `slice_value(inputs, cuts)` sums H(mu) to the
+    candidate's own slice value.
 
-    `memo` maps a slice to its value (None when zero); an entry written
-    from outside must hold the true value.  Fills keep the memo closed
-    under sub-slices; where an outside write breaks that, the
-    prefix-and-suffix shortcut falls back to a full fill.
+    `memo` maps each candidate `slice_value` was asked for to its value
+    (None when zero): the scans' shared cache, which a later scan on the
+    same evaluator (`functors.pi_category`'s closure) reads instead of
+    summing again.  An entry written from outside must hold the true
+    value.
     """
 
     def __init__(self, backend):
@@ -288,118 +276,116 @@ class TransferEvaluator:
             pre.append(pre[-1] + recs[s][2])
         return pre
 
-    def _fill(self, inputs, top, pre, edges=None):
-        """The mirrored interval table of `inputs` (flat, rows of n + 1)
-        for slice lengths up to `top`, and the root's live cuts; each
-        slice the fill visits is read from or written to the memo.  pre
-        is `_prefix_degrees(inputs)`.
+    def _fill(self, inputs, pre):
+        """The root's live cuts (c, left, right) of `inputs`, in ascending
+        c, read from the interval table of its proper slices; pre is
+        `_prefix_degrees(inputs)`.
+
+        The table A holds the value of inputs[i:j] at A[i][j] (the leaf
+        itself when j = i + 1, None when the slice is zero), each computed
+        from its live cuts c, those with A[i][c] and A[c][j] both nonzero,
+        as the signed sum of H(mu(A[i][c], A[c][j])).  It is mirrored,
+        A[j][i] = A[i][j], so the right factors of the slices ending at j
+        are read along row j, and stored as one flat list, A[i][j] at index
+        i * (n + 1) + j: one allocation per query instead of n + 1 rows.
 
         Next to the table the fill keeps two bitmasks per position: bit c
         of nz_l[i] is set when inputs[i:c] is nonzero (a leaf or a nonzero
         slice), bit c of nz_r[j] when inputs[c:j] is.  The live cuts of a
-        slice i:j are the set bits of nz_l[i] & nz_r[j], the cuts whose
-        two factors are both nonzero; only those are visited, and a slice
-        with none is stored as None without a loop.  The root's live cuts
-        are returned as nz_l[0] & nz_r[n].
-
-        A fill stores a slice only after all of its sub-slices, so the
-        memo holds every sub-slice of a slice it holds.  When it holds the
-        two longest proper slices, every prefix and suffix is there: only
-        those and the root (if top reaches it) are visited, and only the
-        two end leaves are built; the memo hits set the prefix and suffix
-        bits the root's cuts read.  Should a prefix or suffix be missing
-        after all, that shortcut gives way to a full fill."""
+        slice i:j are the set bits of nz_l[i] & nz_r[j]; only those are
+        visited, and a slice with none stays None without a loop."""
         n = len(inputs)
-        backend, field, memo = self.backend, self.backend.field, self.memo
+        backend, field = self.backend, self.backend.field
         mu_h, add = backend.mu_h, backend.add
         w = n + 1
         A = [None] * (w * w)
         nz_l, nz_r = [0] * w, [0] * w
-        if edges is None:
-            edges = (n > 2 and bool(memo)
-                     and inputs[:-1] in memo and inputs[1:] in memo)
-        for i in (0, n - 1) if edges else range(n):
+        for i in range(n):
             A[i * w + i + 1] = A[(i + 1) * w + i] = backend.leaf(inputs[i])
             nz_l[i] |= 1 << (i + 1)
             nz_r[i + 1] |= 1 << i
-        for i, j in _spans(n, top, edges):
-            key = inputs[i:j]
-            acc = memo.get(key, _MISS)
-            if acc is _MISS:
-                if edges and j - i < n:
-                    # its interior slices were not built: fill them all
-                    return self._fill(inputs, top, pre, edges=False)
-                acc = None
-                live = nz_l[i] & nz_r[j]
-                row_i, row_j = i * w, j * w
-                while live:
-                    # slice order is (f_d, ..., f_1): the left factor is
-                    # the prefix
-                    low = live & -live
-                    live ^= low
-                    c = low.bit_length() - 1
-                    out = mu_h(A[row_i + c], A[row_j + c])
-                    if out is None:
-                        continue
-                    if pre is not None:
-                        sign = field.sign(pre[c] - pre[i] - (c - i - 1))
-                        if sign != field.one:
-                            out = backend.scale(out, sign)
-                    try:
-                        acc = out if acc is None else add(acc, out)
-                    except ValueError as e:
-                        raise ValueError(f"slice {key!r} sums {e}") from None
-                memo[key] = acc
+        for i, j in _spans(n):
+            acc = None
+            live = nz_l[i] & nz_r[j]
+            row_i, row_j = i * w, j * w
+            while live:
+                # slice order is (f_d, ..., f_1): the left factor is the
+                # prefix
+                low = live & -live
+                live ^= low
+                c = low.bit_length() - 1
+                out = mu_h(A[row_i + c], A[row_j + c])
+                if out is None:
+                    continue
+                if pre is not None:
+                    sign = field.sign(pre[c] - pre[i] - (c - i - 1))
+                    if sign != field.one:
+                        out = backend.scale(out, sign)
+                try:
+                    acc = out if acc is None else add(acc, out)
+                except ValueError as e:
+                    raise ValueError(f"slice {inputs[i:j]!r} sums {e}") from None
             if acc is not None:
-                A[i * w + j] = A[j * w + i] = acc
+                A[row_i + j] = A[row_j + i] = acc
                 nz_l[i] |= 1 << j
                 nz_r[j] |= 1 << i
-        return A, nz_l[0] & nz_r[n]
+        live = nz_l[0] & nz_r[n]
+        return [(c, A[c], A[n * w + c]) for c in range(1, n) if live >> c & 1]
 
-    def _A(self, slice_key):
-        if len(slice_key) == 1:
-            return self.backend.leaf(slice_key[0])
-        hit = self.memo.get(slice_key, _MISS)
-        if hit is not _MISS:
-            return hit
-        n = len(slice_key)
-        return self._fill(slice_key, n, self._prefix_degrees(slice_key))[0][n]
+    def transfer(self, inputs, cuts=None):
+        """m_d(f_d, ..., f_1) as {output symbol: coeff}, the signed sum of
+        p(mu(left, right)) over the root's live cuts: the scan's `cuts`
+        when given (see the class), else those a fill reads.
 
-    def transfer(self, inputs, _memo_root=False):
-        """m_d(f_d, ..., f_1) as {output symbol: coeff}, summed over the
-        root's live cuts.  The root slice (all of inputs) is memoized too
-        when _memo_root is set, so a later `_A(inputs)` is a lookup.
-
-        Without _memo_root the grading answers first: m_d is a class
-        src(f_1) -> tgt(f_d) of degree sum |f_k| + 2 - d, so where Ext has
-        no such class it is zero, and the query returns {} without a fill
-        and memoizes nothing."""
+        The grading answers first: m_d is a class src(f_1) -> tgt(f_d) of
+        degree sum |f_k| + 2 - d, so where Ext has no such class it is
+        zero, and the query returns {} without a sum or a fill."""
         inputs = tuple(inputs)
         n = len(inputs)
         if n < 2:
             return {}
         backend, field = self.backend, self.backend.field
-        if not _memo_root:
-            recs = backend.symbols
-            deg = 2 - n
-            for s in inputs:
-                deg += recs[s][2]
-            if not backend.has_class(recs[inputs[-1]][0], recs[inputs[0]][1], deg):
-                return {}
+        recs = backend.symbols
+        deg = 2 - n
+        for s in inputs:
+            deg += recs[s][2]
+        if not backend.has_class(recs[inputs[-1]][0], recs[inputs[0]][1], deg):
+            return {}
         pre = self._prefix_degrees(inputs)
-        A, live = self._fill(inputs, n if _memo_root else n - 1, pre)
-        row_n = n * (n + 1)
+        if cuts is None:
+            cuts = self._fill(inputs, pre)
         total = {}
-        while live:
-            low = live & -live
-            live ^= low
-            cut = low.bit_length() - 1
-            out = backend.mu_p(A[cut], A[row_n + cut])
+        for c, left, right in cuts:
             sign = field.one if pre is None else \
-                field.sign(pre[n] - pre[cut] - (n - cut - 1))
-            for k, v in out.items():
+                field.sign(pre[n] - pre[c] - (n - c - 1))
+            for k, v in backend.mu_p(left, right).items():
                 field.accumulate(total, k, field.mul(sign, v))
         return total
+
+    def slice_value(self, inputs, cuts):
+        """The value of the slice `inputs` (None when zero), the signed sum
+        of H(mu(left, right)) over its live cuts (see the class); memoized,
+        so a second call is a memo read."""
+        hit = self.memo.get(inputs, _MISS)
+        if hit is not _MISS:
+            return hit
+        backend, field = self.backend, self.backend.field
+        pre = self._prefix_degrees(inputs)
+        acc = None
+        for c, left, right in cuts:
+            out = backend.mu_h(left, right)
+            if out is None:
+                continue
+            if pre is not None:
+                sign = field.sign(pre[c] - (c - 1))
+                if sign != field.one:
+                    out = backend.scale(out, sign)
+            try:
+                acc = out if acc is None else backend.add(acc, out)
+            except ValueError as e:
+                raise ValueError(f"slice {inputs!r} sums {e}") from None
+        self.memo[inputs] = acc
+        return acc
 
 
 def compute_operation_table(arity_max, degree_max, backend, evaluator=None):
@@ -413,8 +399,10 @@ def compute_operation_table(arity_max, degree_max, backend, evaluator=None):
     zero: m_d and the slice value A both sum over root cuts, and each term
     has a zero factor.  Candidates are built by length, from the nonzero
     slices of the shorter lengths, so the cost follows the support rather
-    than the number of composable tuples.  Deterministic: entries are
-    inserted in (arity, key) order.
+    than the number of composable tuples; each (P, Q) that builds a
+    candidate is one of its live cuts, and the candidate's cuts are handed
+    to `transfer` and, below arity_max, to `slice_value`.  Deterministic:
+    entries are inserted in (arity, key) order.
     """
     if arity_max < 1:
         raise ValueError("arity bound must be at least 1")
@@ -438,27 +426,28 @@ def compute_operation_table(arity_max, degree_max, backend, evaluator=None):
         degree = sum(recs[s][2] for s in inputs) + 2 - len(inputs)
         table.add(inputs, objects, coeff, osym, degree)
 
-    # nonzero[n]: the leaves (n = 1) or nonzero slices of length n, keyed
-    # by the target of their first map, the object a prefix must start at
+    # nonzero[n]: the leaves (n = 1) or nonzero slices of length n with
+    # their values, keyed by the target of their first map, the object a
+    # prefix must start at
     nonzero = {1: {}}
     for s in leaves:
-        nonzero[1].setdefault(recs[s][1], []).append((s,))
+        nonzero[1].setdefault(recs[s][1], []).append(((s,), backend.leaf(s)))
     for k in range(2, arity_max + 1):
-        candidates = set()
-        for i in range(1, k):
-            suffixes = nonzero[k - i]
-            for group in nonzero[i].values():
-                for p in group:
-                    for q in suffixes.get(recs[p[-1]][0], ()):
-                        candidates.add(p + q)
+        # candidate -> its live cuts (c, prefix value, suffix value), by c
+        candidates = {}
+        for c in range(1, k):
+            suffixes = nonzero[k - c]
+            for group in nonzero[c].values():
+                for p, left in group:
+                    for q, right in suffixes.get(recs[p[-1]][0], ()):
+                        candidates.setdefault(p + q, []).append((c, left, right))
         grown = {}
-        for inputs in sorted(candidates):
-            # one fill per candidate; below arity_max it memoizes the
-            # whole slice, so _A(inputs) is a lookup
-            out = ev.transfer(inputs, _memo_root=k < arity_max)
+        for inputs, cuts in sorted(candidates.items()):
+            out = ev.transfer(inputs, cuts)
+            value = ev.slice_value(inputs, cuts) if k < arity_max else None
             if out:
                 emit(inputs, out)
-            if k < arity_max and ev._A(inputs) is not None:
-                grown.setdefault(recs[inputs[0]][1], []).append(inputs)
+            if value is not None:
+                grown.setdefault(recs[inputs[0]][1], []).append((inputs, value))
         nonzero[k] = grown
     return table

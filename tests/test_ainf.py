@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from pia2.linalg import F2, QQ
@@ -450,15 +448,3 @@ def test_expected_equals_computed_on_a_grid(arity_max):
         computed = compute_operation_table(arity_max, degree_max, SymbolicBackend())
         rep = diff_tables(computed, expected_table(arity_max, degree_max))
         assert rep["identical"], (arity_max, degree_max, rep)
-
-
-@pytest.mark.parametrize("field, text, value", [
-    (QQ, "1/2", Fraction(1, 2)), (F2, "1/3", 1)], ids=["q-half", "f2-third"])
-def test_stored_term_reads_json_scalars_in_the_field(field, text, value):
-    """A coefficient read from JSON is a string, parsed in the category's
-    field: a fraction over Q, its residue over F2."""
-    cat = AInfCategory("toy", ["X"], lambda x, y, d: ["1_X"], OperationTable({}),
-                       field, symbols={})
-    coeff, out = cat.stored_term({"coeff": text, "output": "1_X"})
-    assert (coeff, out) == (value, "1_X")
-    assert type(coeff) is type(value)

@@ -3,12 +3,12 @@ replaced, and against the literal tree sum.
 
 `RecursiveEvaluator` is a frozen copy of the recursive evaluator: it
 computes every slice as the signed sum over its cuts of H(mu(A(prefix),
-A(suffix))), recursing into both parts.  The interval table must give the
-same outputs, cold and warm, in point queries and in chart scans.  A
+A(suffix))), recursing into both parts.  Both paths of the evaluator must
+give its outputs: the point query's fill and the chart scan's cuts.  A
 query the grading decides (no class in its output's degree, see
-`_has_output_class`) fills nothing: the recursion must give {} there too,
-and the memo must gain nothing.  Every other query must leave the same
-memo (keys and values) as the recursion.
+`_has_output_class`) fills nothing, and the recursion gives {} there too.
+A point query memoizes nothing; a scan memoizes its candidates' slice
+values, each the recursion's.
 """
 
 import random
@@ -69,8 +69,10 @@ class RecursiveEvaluator:
         self.memo[slice_key] = acc
         return acc
 
-    def transfer(self, inputs, _memo_root=False):
-        # the root slice is memoized by the scan's own _A call
+    def slice_value(self, inputs, cuts):
+        return self._A(inputs)
+
+    def transfer(self, inputs, cuts=None):
         inputs = tuple(inputs)
         if len(inputs) < 2:
             return {}
@@ -118,7 +120,7 @@ def _count_calls(backend, name):
 
 
 def _nonzero(memo, part):
-    return len(part) == 1 or memo[part] is not None
+    return len(part) == 1 or memo.get(part) is not None
 
 
 def _live_cuts(memo):
@@ -133,6 +135,21 @@ def _root_live_cuts(memo, inputs):
     """The root cuts of inputs with two nonzero factors: its mu_p calls."""
     return sum(_nonzero(memo, inputs[:c]) and _nonzero(memo, inputs[c:])
                for c in range(1, len(inputs)))
+
+
+def _proper_slices(inputs):
+    """The proper slices of inputs of length >= 2, one per position: the
+    slices a point query fills, a repeated sub-tuple once per place."""
+    n = len(inputs)
+    return [inputs[i:j] for i in range(n) for j in range(i + 2, n + 1)
+            if j - i < n]
+
+
+def _fill_live_cuts(memo, inputs):
+    """The live cuts of inputs' proper slices, counted by position: the
+    mu_h calls of its fill, with every sub-slice's value read off memo."""
+    return sum(_nonzero(memo, s[:c]) and _nonzero(memo, s[c:])
+               for s in _proper_slices(inputs) for c in range(1, len(s)))
 
 
 def _pia2_matrix(field, contraction, window=14, degree_max=2):
@@ -181,10 +198,11 @@ def _point_queries(n, arity_lo, arity_hi, degree_max, seed):
 
 
 def test_cold_point_queries_match_recursion():
-    """Outputs equal the recursion's.  A query with a class in its output
-    degree leaves the recursion's memo, and mu_h and mu_p run on the live
-    cuts alone: the cuts whose two factors are nonzero.  A query without
-    one is zero in the recursion too and memoizes nothing."""
+    """Outputs equal the recursion's, and no query memoizes anything.  A
+    query with a class in its output degree runs mu_h and mu_p on the live
+    cuts of its fill alone: the cuts whose two factors are nonzero, a
+    sub-tuple that repeats counted at each place.  A query without one is
+    zero in the recursion too and makes no product."""
     backend = SymbolicBackend()
     mu_h, mu_p = _count_calls(backend, "mu_h"), _count_calls(backend, "mu_p")
     nonzero = dead = decided = 0
@@ -193,15 +211,15 @@ def test_cold_point_queries_match_recursion():
         mu_h[0] = mu_p[0] = 0
         out = new.transfer(q)
         assert out == old.transfer(q), q
+        assert new.memo == {}, q
         if not _has_output_class(backend, q):
-            assert out == {} and new.memo == {}, q
+            assert out == {}, q
             assert mu_h[0] == mu_p[0] == 0, q
             decided += 1
             continue
-        assert _memo(new) == _memo(old), q
-        assert mu_h[0] == _live_cuts(old.memo), q
+        assert mu_h[0] == _fill_live_cuts(old.memo, q), q
         assert mu_p[0] == _root_live_cuts(old.memo, q), q
-        dead += sum(len(k) - 1 for k in old.memo) - mu_h[0]
+        dead += sum(len(s) - 1 for s in _proper_slices(q)) - mu_h[0]
         nonzero += bool(out)
     assert nonzero >= 150
     assert dead > 0
@@ -209,31 +227,23 @@ def test_cold_point_queries_match_recursion():
 
 
 def test_warm_point_queries_match_recursion():
-    """One evaluator for all queries, with each query's longest prefix
-    memoized first, so fills start from partly warm memos; the memo hits
-    of the prefix-and-suffix shortcut set the bits the root cuts read."""
+    """Point queries on an evaluator whose memo a scan filled read none
+    of it and write none: with every memo entry overwritten by a wrong
+    value, they give the recursion's outputs and leave the memo as it
+    was."""
     backend = SymbolicBackend()
-    mu_h, mu_p = _count_calls(backend, "mu_h"), _count_calls(backend, "mu_p")
-    new, old = TransferEvaluator(backend), RecursiveEvaluator(SymbolicBackend())
-    root_cuts = decided = 0
+    ev = TransferEvaluator(backend)
+    compute_operation_table(6, 4, backend, evaluator=ev)
+    assert len(ev.memo) > 100
+    wrong = {k: None if v is not None else "u1^1" for k, v in ev.memo.items()}
+    ev.memo = dict(wrong)
+    nonzero = 0
     for q in _point_queries(300, 4, 6, 4, seed=8):
-        assert new._A(q[:-1]) == old._A(q[:-1])
-        if _has_output_class(backend, q):
-            assert new.transfer(q) == old.transfer(q), q
-            root_cuts += _root_live_cuts(old.memo, q)
-            continue
-        # the recursion runs on a copy of its memo, which keeps the slices
-        # it would add out of the comparison below
-        probe = RecursiveEvaluator(old.backend)
-        probe.memo = dict(old.memo)
-        before = dict(new.memo), mu_h[0], mu_p[0]
-        assert new.transfer(q) == probe.transfer(q) == {}, q
-        assert (new.memo, mu_h[0], mu_p[0]) == before, q
-        decided += 1
-    assert _memo(new) == _memo(old)
-    assert mu_h[0] == _live_cuts(old.memo)
-    assert mu_p[0] == root_cuts > 0
-    assert decided > 0
+        out = ev.transfer(q)
+        assert out == RecursiveEvaluator(backend).transfer(q), q
+        nonzero += bool(out)
+    assert ev.memo == wrong
+    assert nonzero >= 150
 
 
 @pytest.mark.parametrize("field", [F2, QQ], ids=["f2", "q"])
@@ -272,33 +282,23 @@ def test_tuples_without_an_output_class_are_zero():
 
 
 def test_root_slice_is_memoized_on_request():
-    backend = SymbolicBackend()
-    q = ("(12)", "j1", "b.u1^1", "p1", "(21)")
-    ev = TransferEvaluator(backend)
-    ev.transfer(q)
-    assert q not in ev.memo and q[1:] in ev.memo and q[:-1] in ev.memo
-    ev.transfer(q, _memo_root=True)
-    old = RecursiveEvaluator(backend)
-    old.transfer(q)
-    assert ev.memo[q] == old._A(q)
-    assert TransferEvaluator(backend)._A(q) == old._A(q)
-
-
-def test_memo_without_sub_slices_gets_a_full_fill():
-    """A memo holding a query's longest prefix and suffix but not their
-    sub-slices (an outside write) must not pass the missing slices off as
-    zero: the fill falls back to visiting every slice."""
-    backend = SymbolicBackend()
-    queries = [q for q in _point_queries(100, 5, 6, 4, seed=9)
-               if RecursiveEvaluator(backend).transfer(q)]
-    assert len(queries) >= 20
-    for q in queries:
+    """slice_value gives the recursion's value from the live cuts, zero
+    or not, and a second call reads the memo without a product."""
+    for q in (("(12)", "j1", "b.u1^1", "p1", "(21)"),
+              ("p1", "(21)", "(12)", "(21)", "j2")):
+        backend = SymbolicBackend()
         old = RecursiveEvaluator(backend)
-        want = old.transfer(q)
+        want = old._A(q)
+        cuts = [(c, old._A(q[:c]), old._A(q[c:])) for c in range(1, len(q))
+                if _nonzero(old.memo, q[:c]) and _nonzero(old.memo, q[c:])]
+        assert cuts
         ev = TransferEvaluator(backend)
-        ev.memo = {q[:-1]: old.memo[q[:-1]], q[1:]: old.memo[q[1:]]}
-        assert ev.transfer(q) == want, q
-        assert _memo(ev) == _memo(old), q
+        mu_h = _count_calls(backend, "mu_h")
+        assert ev.slice_value(q, cuts) == want
+        assert mu_h[0] == len(cuts)
+        assert ev.slice_value(q, cuts) == want
+        assert mu_h[0] == len(cuts) and ev.memo == {q: want}
+    assert want is not None
 
 
 class FreeMagmaBackend:
@@ -316,6 +316,9 @@ class FreeMagmaBackend:
             return (None, None, s[1])
 
     symbols = _Letters()
+
+    def has_class(self, src, tgt, deg):
+        return True
 
     def leaf(self, s):
         return {s: QQ.one}
@@ -352,38 +355,36 @@ def test_koszul_signs_match_recursion_and_trees():
         inputs = tuple(letters[:n])
         new, old = TransferEvaluator(backend), RecursiveEvaluator(backend)
         mu_h = _count_calls(backend, "mu_h")
-        out = new.transfer(inputs, _memo_root=True)
+        out = new.transfer(inputs)
         del backend.mu_h
         assert out == old.transfer(inputs) == transfer_mn_by_trees(inputs, backend)
-        old._A(inputs)
-        assert new.memo == old.memo
+        assert new.memo == {}
         # no product vanishes in the free magma: every cut is live
-        assert mu_h[0] == _live_cuts(old.memo) == sum(
-            len(k) - 1 for k in old.memo)
-        negative += sum(v == -1 for val in new.memo.values() for v in val.values())
+        assert mu_h[0] == _fill_live_cuts(old.memo, inputs) == sum(
+            len(s) - 1 for s in _proper_slices(inputs))
+        cuts = [(c, old._A(inputs[:c]), old._A(inputs[c:])) for c in range(1, n)]
+        assert new.slice_value(inputs, cuts) == old._A(inputs)
+        negative += sum(v == -1 for v in out.values())
+        negative += sum(v == -1 for v in new.memo[inputs].values())
     assert negative > 0
 
 
 class FillCounter(TransferEvaluator):
-    """Counts the interval-table fills next to the transfer calls, and
-    keeps the inputs of the transfers that made no fill."""
+    """Counts the interval-table fills, and keeps the inputs and cuts of
+    each transfer call."""
 
     def __init__(self, backend):
         super().__init__(backend)
-        self.fills = self.transfers = 0
-        self.unfilled = []
+        self.fills = 0
+        self.transfers = []
 
-    def _fill(self, inputs, top, pre, edges=None):
+    def _fill(self, inputs, pre):
         self.fills += 1
-        return super()._fill(inputs, top, pre, edges)
+        return super()._fill(inputs, pre)
 
-    def transfer(self, inputs, _memo_root=False):
-        self.transfers += 1
-        fills = self.fills
-        out = super().transfer(inputs, _memo_root=_memo_root)
-        if self.fills == fills:
-            self.unfilled.append((tuple(inputs), _memo_root))
-        return out
+    def transfer(self, inputs, cuts=None):
+        self.transfers.append((tuple(inputs), cuts))
+        return super().transfer(inputs, cuts)
 
 
 SCANS = [
@@ -395,9 +396,11 @@ SCANS = [
 
 
 def test_chart_scans_match_recursion():
-    """The tables are the recursion's.  The memo is the recursion's but
-    for the slices under top-arity candidates with no class in their
-    output degree: those candidates, and only those, make no fill."""
+    """The tables are the recursion's.  The scan makes no fill: it calls
+    transfer once per candidate, with the candidate's live cuts and their
+    factors' values, the recursion's.  Its memo holds the recursion's
+    values, of every nonzero slice below the top arity, and mu_h runs on
+    the memoized slices' live cuts alone."""
     for arity_max, degree_max, make_backend in SCANS:
         backend = make_backend()
         new, old = FillCounter(backend), RecursiveEvaluator(backend)
@@ -408,20 +411,48 @@ def test_chart_scans_match_recursion():
                                            evaluator=old)
         assert len(expected) > 0
         assert table.dumps() == expected.dumps()
-        for inputs, memo_root in new.unfilled:
-            assert not memo_root and len(inputs) == arity_max, inputs
-            assert not _has_output_class(backend, inputs), inputs
-        skipped = {q[i:j] for q, _ in new.unfilled
-                   for i in range(len(q)) for j in range(i + 2, len(q) + 1)}
+        assert new.fills == 0
+        candidates = {inputs for inputs, _ in new.transfers}
+        assert len(candidates) == len(new.transfers) > 0
+        for inputs, cuts in new.transfers:
+            live = [c for c in range(1, len(inputs))
+                    if _nonzero(old.memo, inputs[:c])
+                    and _nonzero(old.memo, inputs[c:])]
+            assert [c for c, _, _ in cuts] == live, inputs
+            for c, left, right in cuts:
+                assert _value(left) == _value(old._A(inputs[:c])), inputs
+                assert _value(right) == _value(old._A(inputs[c:])), inputs
+        assert set(table.entries) <= candidates
         want = _memo(old)
         got = _memo(new)
-        assert all(want.get(k, _MISS) == v for k, v in got.items())
-        assert set(want) - set(got) <= skipped
+        assert all(want[k] == v for k, v in got.items())
+        assert {k for k, v in want.items()
+                if v is not None and len(k) < arity_max} <= set(got)
+        assert {k for k in got if len(k) >= arity_max} == set()
         assert mu_h[0] == _live_cuts(new.memo)
-        # one fill per candidate that fills: the root slice comes from the
-        # same fill
-        assert new.fills == new.transfers - len(new.unfilled) > 0
-        assert new.unfilled, (arity_max, degree_max)
+
+
+@pytest.mark.parametrize("make, narrow, wide, calls", [
+    (SymbolicBackend, (4, 2), (6, 4), (296, 364)),
+    (lambda: _pia2_matrix(QQ, tabulated_contraction, window=16, degree_max=4),
+     (3, 2), (4, 4), (122, 148)),
+], ids=["symbolic", "tabulated-q"])
+def test_wider_scan_reuses_the_narrower_scans_memo(make, narrow, wide, calls):
+    """A wider scan on the evaluator of a narrower one, as the closure of
+    `functors.pi_category` runs, gives a fresh evaluator's table and memo
+    with fewer mu_h calls: it reads the narrower scan's candidates."""
+    tables, memos, mu_h = [], [], []
+    for bounds in ((narrow, wide), (wide,)):
+        backend = make()
+        ev = TransferEvaluator(backend)
+        for arity_max, degree_max in bounds[:-1]:
+            compute_operation_table(arity_max, degree_max, backend, evaluator=ev)
+        mu_h.append(_count_calls(backend, "mu_h"))
+        tables.append(compute_operation_table(*bounds[-1], backend, evaluator=ev))
+        memos.append(_memo(ev))
+    assert tables[0].dumps() == tables[1].dumps() and len(tables[0]) > 0
+    assert memos[0] == memos[1]
+    assert (mu_h[0][0], mu_h[1][0]) == calls
 
 
 # -- the symbolic pair table ---------------------------------------------------
@@ -497,14 +528,14 @@ def test_two_live_cuts_with_distinct_images_refuse_the_slice():
     h = [sym.h_sym("ss", 1, n) for n in range(1, 5)]
     q = ("d", "c", "b", "a")
     with pytest.raises(ValueError) as exc:
-        TransferEvaluator(_hand_made_backend(h, h[3])).transfer(q, _memo_root=True)
+        TransferEvaluator(_hand_made_backend(h, h[3]))._fill(q, None)
     message = str(exc.value)
     assert "('c', 'b', 'a')" in message
     assert repr(h[2]) in message and repr(h[3]) in message
     ev = TransferEvaluator(_hand_made_backend(h, h[2]))
-    assert ev.transfer(q, _memo_root=True) == {}
-    assert ev.memo == {q[:2]: None, q[1:3]: h[0], q[2:]: h[1],
-                       q[:3]: None, q[1:]: None, q: None}
+    # (c, b, a) is zero, and so are (d, c) and (d, c, b): every root cut
+    # has a zero factor
+    assert ev._fill(q, None) == [] and ev.memo == {}
 
 
 # -- property: cold, warm and the literal tree sum agree ---------------------

@@ -169,20 +169,3 @@ def test_qq_scalars_are_ints_until_a_division_needs_a_fraction():
     assert QQ.div(1, 3) == Fraction(1, 3) and type(QQ.div(1, 3)) is Fraction
     with pytest.raises(ZeroDivisionError):
         QQ.div(1, 0)
-
-
-@pytest.mark.parametrize("field, text, value", [
-    (QQ, "-1", -1), (QQ, "4/2", 2), (QQ, "1/2", Fraction(1, 2)),
-    (F2, "3", 1), (F2, "1/3", 1), (F2, "-2/3", 0)],
-    ids=["q-int", "q-integral-fraction", "q-half", "f2-int", "f2-third",
-         "f2-even-numerator"])
-def test_parse_gives_the_fields_own_scalar(field, text, value):
-    got = field.parse(text)
-    assert got == value and type(got) is type(value)
-
-
-@pytest.mark.parametrize("field, text", [(F2, "1/2"), (QQ, "1/0"), (QQ, "x")],
-                         ids=["f2-even-denominator", "q-zero-denominator", "q-junk"])
-def test_parse_refuses_what_names_no_scalar(field, text):
-    with pytest.raises(ValueError):
-        field.parse(text)
