@@ -246,6 +246,25 @@ def test_warm_point_queries_match_recursion():
     assert nonzero >= 150
 
 
+def test_memo_without_sub_slices_gets_a_full_fill():
+    """A memo holding a query's longest prefix and suffix but not their
+    sub-slices (an outside write) must not pass the missing slices off as
+    zero: the point query fills every proper slice itself and leaves the
+    memo as it was."""
+    backend = SymbolicBackend()
+    queries = [q for q in _point_queries(100, 5, 6, 4, seed=9)
+               if RecursiveEvaluator(backend).transfer(q)]
+    assert len(queries) >= 20
+    for q in queries:
+        old = RecursiveEvaluator(backend)
+        want = old.transfer(q)
+        ev = TransferEvaluator(backend)
+        partial = {q[:-1]: old.memo[q[:-1]], q[1:]: old.memo[q[1:]]}
+        ev.memo = dict(partial)
+        assert ev.transfer(q) == want, q
+        assert ev.memo == partial, q
+
+
 @pytest.mark.parametrize("field", [F2, QQ], ids=["f2", "q"])
 @pytest.mark.parametrize("contraction", [tabulated_contraction, generic_contraction],
                          ids=["tabulated", "generic"])
