@@ -71,7 +71,7 @@ class AInfCategory:
         inputs = tuple(inputs)
         e = self.table.entries.get(inputs)
         if e is not None:                 # stored keys never hold units
-            return [self.stored_term(e)]
+            return [(e["coeff"], e["output"])]
         d = len(inputs)
         if d < 2:
             return []  # m_1 = 0 on every built-in instance
@@ -88,20 +88,14 @@ class AInfCategory:
         return self._m_fallback(inputs)
 
     def _m_fallback(self, inputs):
-        """m on an identity-free tuple that is no stored key: zero within
-        the table's bounds, and past them read from the closure at (the
-        arity, the larger of the top input degree and the table's degree
-        bound), so that point queries within one such bound share it."""
+        """m on an identity-free tuple that is no stored key: read from
+        the closure at (the arity, the larger of the top input degree and
+        the table's degree bound), so that point queries within one such
+        bound share it; zero within the table's bounds."""
         top = max(map(self.degree, inputs))
-        if self._in_table_bounds(len(inputs), top):
-            return []
         dmax = self.table.metadata.get("degree_max")
         t = self._past_bounds(len(inputs), max(top, dmax or 0)).get(inputs)
         return [] if t is None else [t]
-
-    def stored_term(self, e):
-        """The (coeff, symbol) term of a table entry."""
-        return e["coeff"], e["output"]
 
     def closed_operations(self, arity_max, degree_max):
         """m as {key: (coeff, output)} on every identity-free tuple of
@@ -109,20 +103,19 @@ class AInfCategory:
         gives a nonzero value: the stored entries (kept whatever their
         input degrees), and past the table's bounds the closure's keys
         within the requested bounds."""
-        ops = {k: self.stored_term(e) for k, e in self.table.entries.items()
-               if 2 <= len(k) <= arity_max}
-        if not self._in_table_bounds(arity_max, degree_max):
-            for k, t in self._past_bounds(arity_max, degree_max).items():
-                if len(k) <= arity_max and max(map(self.degree, k)) <= degree_max:
-                    ops[k] = t
+        ops = {k: (e["coeff"], e["output"])
+               for k, e in self.table.entries.items() if 2 <= len(k) <= arity_max}
+        for k, t in self._past_bounds(arity_max, degree_max).items():
+            if len(k) <= arity_max and max(map(self.degree, k)) <= degree_max:
+                ops[k] = t
         return ops
 
     def _past_bounds(self, arity_max, degree_max):
         """The closure's operations on keys past the table's bounds, from
         the kept closure whose bounds cover (arity_max, degree_max); when
         none does, one is built there and kept under the bounds its table
-        states.  {} without a closure."""
-        if self._closure is None:
+        states.  {} within the table's bounds and without a closure."""
+        if self._closure is None or self._in_table_bounds(arity_max, degree_max):
             return {}
         for (a, d), ops in self._closed.items():
             if (a is None or arity_max <= a) and (d is None or degree_max <= d):
@@ -131,7 +124,7 @@ class AInfCategory:
         bounds = (closed.metadata.get("arity_max", arity_max),
                   closed.metadata.get("degree_max", degree_max))
         ops = self._closed[bounds] = {
-            k: self.stored_term(e) for k, e in closed.entries.items()
+            k: (e["coeff"], e["output"]) for k, e in closed.entries.items()
             if not self._in_table_bounds(len(k), max(map(self.degree, k)))}
         return ops
 
@@ -164,8 +157,9 @@ def stasheff_check(cat, d_max, degree_max, tuple_source=None):
     tuples of length d <= d_max within the per-input degree bound.
 
     The relation is evaluated on the insertion tuples only
-    (insertion_tuples), in composable_tuples order, and every term is a
-    lookup in the category's closed operations; the other tuples are zero.
+    (insertion_tuples), and every term is a lookup in the category's
+    closed operations; the other tuples are zero.  Violations are listed
+    by arity, then inputs (_report_order), as in the functor check.
 
     tuple_source, when given, is read whole and counted in place of the
     walk: every tuple of length >= 2 in it counts as checked.  The
@@ -186,7 +180,7 @@ def stasheff_check(cat, d_max, degree_max, tuple_source=None):
     else:
         checked = sum(len(t) >= 2 for t in tuple_source)
     violations = []
-    for inputs in sorted(insertions, key=_walk_order(_by_source(cat, degree_max))):
+    for inputs in sorted(insertions, key=_report_order):
         acc = _relation(cat, m, inputs)
         if acc:
             violations.append({"tuple": list(inputs), "expected": "0",
@@ -232,11 +226,11 @@ def insertion_tuples(cat, d_max, degree_max):
     laws m_2(a, 1) and m_2(1, b) for inner outputs that are units.  tuples
     holds the composable T = O[:j] + K + O[j+1:] with O[j] the output of
     K, |T| <= d_max and every input a non-unit basis element of degree <=
-    degree_max; a relation term at any other tuple has a zero factor.
-    ops holds m on the inner and outer keys except the unit laws."""
+    degree_max (_in_bounds); a relation term at any other tuple has a
+    zero factor.  ops holds m on the inner and outer keys except the unit
+    laws."""
     inner = cat.closed_operations(d_max - 1, degree_max)
-    by_source = _by_source(cat, degree_max)
-    hom = {s: (x, y) for x, maps in by_source.items() for s, y in maps}
+    hom = _maps(cat, degree_max)
     by_output = {}
     for k, (_c, out) in inner.items():
         if all(s in hom for s in k):
@@ -248,15 +242,15 @@ def insertion_tuples(cat, d_max, degree_max):
     outers = list(ops)
     for x, u in cat.units.items():
         if u in by_output:
-            outers += [(a, u) for a, _y in by_source.get(x, ())]
+            outers += [(a, u) for a, (w, _y) in hom.items() if w == x]
             outers += [(u, b) for b, (_w, y) in hom.items() if y == x]
+    keep = _in_bounds(hom, d_max)
     tuples = set()
     for o in outers:
         for j, s in enumerate(o):
             for k in by_output.get(s, ()):
                 t = o[:j] + k + o[j + 1:]
-                if (len(t) <= d_max and all(x in hom for x in t)
-                        and all(hom[a][0] == hom[b][1] for a, b in zip(t, t[1:]))):
+                if keep(t):
                     tuples.add(t)
     return ops, tuples
 
@@ -273,14 +267,24 @@ def _by_source(cat, degree_max):
     return by_source
 
 
-def _walk_order(by_source):
-    """Sort key that puts tuples in composable_tuples order: the start
-    object's rank, then each map's position among the maps out of its
-    source, from f_1 on (a walk comes before its extensions)."""
-    rank = {x: i for i, x in enumerate(sorted(by_source))}
-    src = {s: x for x, maps in by_source.items() for s, _y in maps}
-    pos = {s: i for maps in by_source.values() for i, (s, _y) in enumerate(maps)}
-    return lambda t: (rank[src[t[-1]]],) + tuple(pos[s] for s in reversed(t))
+def _maps(cat, degree_max):
+    """{s: (x, y)}: the non-unit basis maps s: x -> y of degree <=
+    degree_max, in hom_basis order."""
+    return {s: (x, y) for x, maps in _by_source(cat, degree_max).items()
+            for s, y in maps}
+
+
+def _in_bounds(hom, arity_max):
+    """The tuple test every check shares: whether a tuple (f_d, ..., f_1)
+    has arity 2..arity_max and inputs that are all maps of hom ({s: (x,
+    y)}, as _maps gives it) and compose."""
+    return lambda t: (2 <= len(t) <= arity_max and all(s in hom for s in t)
+                      and all(hom[a][0] == hom[b][1] for a, b in zip(t, t[1:])))
+
+
+def _report_order(t):
+    """The sort key of a check's report: a tuple's arity, then its inputs."""
+    return len(t), t
 
 
 def composable_tuples(cat, d_max, degree_max):
@@ -288,10 +292,10 @@ def composable_tuples(cat, d_max, degree_max):
 
     The order is a depth-first walk: by the start object's rank (objects
     sorted), then by each map's position among the maps out of its
-    source, from f_1 on, and a walk comes before its extensions.
-    _walk_order is the sort key of this order.  One stack of (tuple,
-    target) pairs holds the walk; children are pushed in reverse so that
-    they pop in hom_basis order, and a tuple grows at the front."""
+    source, from f_1 on, and a walk comes before its extensions.  One
+    stack of (tuple, target) pairs holds the walk; children are pushed in
+    reverse so that they pop in hom_basis order, and a tuple grows at the
+    front."""
     by_source = _by_source(cat, degree_max)
     reverse = {x: maps[::-1] for x, maps in by_source.items()}
     for x in sorted(by_source):

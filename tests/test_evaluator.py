@@ -557,7 +557,7 @@ def test_two_live_cuts_with_distinct_images_refuse_the_slice():
     assert ev._fill(q, None) == [] and ev.memo == {}
 
 
-# -- property: cold, warm and the literal tree sum agree ---------------------
+# -- property: a point query and the literal tree sum agree -----------------
 
 _BACKENDS = {
     "symbolic": SymbolicBackend,
@@ -567,24 +567,24 @@ _SHARED = {}
 
 
 def _shared(name):
-    """Per backend name: the backend, one warm evaluator shared across
-    draws, the scan symbols of degree <= 4 by source, and the nonzero
-    operations of the expected table (6,4) in the backend's symbols."""
+    """Per backend name: the backend, the scan symbols of degree <= 4 by
+    source, and the nonzero operations of the expected table (6,4) in the
+    backend's symbols."""
     if name not in _SHARED:
         backend = _BACKENDS[name]()
         by_source = {}
         for s in backend.scan_symbols(4):
             by_source.setdefault(backend.symbols[s][0], []).append(s)
         hits = sorted(expected_table(6, 4).entries)
-        _SHARED[name] = (backend, TransferEvaluator(backend), by_source, hits)
+        _SHARED[name] = (backend, by_source, hits)
     return _SHARED[name]
 
 
 def _check_agreement(name, data):
     """A composable tuple of arity 2..6 and input degrees <= 4, either a
-    random walk or a nonzero operation: the cold and the warm evaluator
-    agree with the tree sum."""
-    backend, warm, by_source, hits = _shared(name)
+    random walk or a nonzero operation: a point query agrees with the
+    tree sum."""
+    backend, by_source, hits = _shared(name)
     if data.draw(st.booleans(), label="nonzero operation"):
         inputs = data.draw(st.sampled_from(hits))
     else:
@@ -597,7 +597,6 @@ def _check_agreement(name, data):
         inputs = tuple(reversed(chain))
     want = transfer_mn_by_trees(inputs, backend)
     assert TransferEvaluator(backend).transfer(inputs) == want
-    assert warm.transfer(inputs) == want
 
 
 _SETTINGS = settings(deadline=None,
@@ -606,13 +605,13 @@ _SETTINGS = settings(deadline=None,
 
 @_SETTINGS
 @given(st.data())
-def test_property_symbolic_cold_warm_trees(data):
+def test_property_symbolic_point_query_is_tree_sum(data):
     _check_agreement("symbolic", data)
 
 
 @_SETTINGS
 @given(st.data())
-def test_property_tabulated_f2_cold_warm_trees(data):
+def test_property_tabulated_f2_point_query_is_tree_sum(data):
     _check_agreement("tabulated-f2", data)
 
 

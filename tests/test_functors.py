@@ -7,7 +7,9 @@ from helpers import functor_to_json
 from pia2.linalg import F2
 from pia2 import symbols as sym
 from pia2.transfer import SymbolicBackend, TransferEvaluator, compute_operation_table
-from pia2.ainf import stasheff_check, unitality_check, count_composable_tuples
+from pia2.ainf import (stasheff_check, unitality_check, composable_tuples,
+                       count_composable_tuples)
+from pia2 import functors
 from pia2.functors import (build_delta, build_fukaya, build_pants,
                            build_pi_prime, build_pi_simple, pi_category,
                            builtin_functors, verify_functor, AInfFunctorData,
@@ -152,7 +154,8 @@ def test_builtin_categories_own_relations():
     delta, F4, pi-simple, pi-prime and Pi pass at (6,4).  The pants
     category, whose higher operations are Pi's table pulled back along G's
     dictionary, fails from arity 4 on: its failing set at (5,4) is pinned
-    by its counts and a digest of the sorted violation tuples."""
+    by its counts and a digest of the sorted violation tuples, and the
+    report lists it by arity, then inputs."""
     pi = make_pi(6, 4)
     for cat in (build_delta(), build_fukaya(4, (2, 0, 0, 0)), build_pi_simple(),
                 build_pi_prime(pi), pi):
@@ -161,6 +164,8 @@ def test_builtin_categories_own_relations():
         assert rep["evaluated"] > 0, cat.name
     rep = stasheff_check(build_pants(4, pi_table=pi.table), 5, 4)
     tuples = sorted(tuple(v["tuple"]) for v in rep["violations"])
+    assert [tuple(v["tuple"]) for v in rep["violations"]] == \
+        sorted(tuples, key=lambda t: (len(t), t))
     assert (rep["checked"], rep["evaluated"]) == (2_426_890, 1_010)
     assert len(tuples) == 412
     assert [len(t) for t in tuples].count(4) == 228
@@ -194,39 +199,49 @@ def test_builtin_functors_verify():
     assert sum(checked.values()) == 298
 
 
-def test_functor_report_that_checked_nothing_fails():
+def _check_whole_walk(monkeypatch):
+    """Make verify_functor evaluate every composable tuple within the
+    bounds instead of the support tuples: the oracle of the support scan."""
+    monkeypatch.setattr(functors, "_support_tuples",
+                        lambda f, a, d: set(composable_tuples(f.source, a, d)))
+
+
+def test_functor_report_that_checked_nothing_fails(monkeypatch):
     pi = make_pi()
     iota1 = {f.name: f for f in builtin_functors(pi, degree_max=4)}["iota1"]
     rep = verify_functor(iota1, 1, 4)
     assert rep["checked"] == 0 and not rep["violations"]
     assert rep["status"] == "fail"
-    # the exhaustive walk below arity 2 is empty too: the same report
+    # the whole walk below arity 2 is empty too: the same report
+    _check_whole_walk(monkeypatch)
     for arity_max in (0, 1):
-        assert verify_functor(iota1, arity_max, 4, exhaustive=True) == rep
+        assert verify_functor(iota1, arity_max, 4) == rep
 
 
-def test_support_scan_matches_exhaustive():
+def test_support_scan_matches_exhaustive(monkeypatch):
     pi = make_pi()
     fs = builtin_functors(pi, degree_max=2)
+    support = {f.name: verify_functor(f, 4, 2) for f in fs}
+    _check_whole_walk(monkeypatch)
     for f in fs:
-        fast = verify_functor(f, 4, 2)
-        slow = verify_functor(f, 4, 2, exhaustive=True)
+        fast, slow = support[f.name], verify_functor(f, 4, 2)
         assert slow["checked"] == count_composable_tuples(f.source, 4, 2)
         assert 0 < fast["checked"] <= slow["checked"]
         assert sorted(map(str, (v["tuple"] for v in fast["violations"]))) == \
             sorted(map(str, (v["tuple"] for v in slow["violations"]))), f.name
 
 
-def test_formal_closure_is_built_once_for_all_arities():
+def test_formal_closure_is_built_once_for_all_arities(monkeypatch):
     """pi-simple is formal: its closure's table states no arity bound, so
-    the exhaustive iota check past arity 2 builds it once, not once per
-    arity."""
+    the iota check over the whole walk past arity 2 builds it once, not
+    once per arity."""
     pi = make_pi()
     iota = {f.name: f for f in builtin_functors(pi, degree_max=4)}["iota"]
     builds = []
     closure = iota.source._closure
     iota.source._closure = lambda a, d: builds.append((a, d)) or closure(a, d)
-    rep = verify_functor(iota, 4, 4, exhaustive=True)
+    _check_whole_walk(monkeypatch)
+    rep = verify_functor(iota, 4, 4)
     assert rep["status"] == "pass" and rep["checked"] == 672
     assert builds == [(3, 12)]
 
