@@ -508,13 +508,18 @@ def _support_tuples(functor, arity_max, degree_max):
 def builtin_functors(pi_cat, degree_max=4):
     """The six functors: the simple-objects inclusion, the two triangle
     inclusions, the two quadrilateral functors, and the pants functor,
-    with their sources over Pi's field."""
+    with their sources over Pi's field.
+
+    A check at degree_max reads a functor on the products of its inputs,
+    of degree up to 2 * degree_max, so pi-simple and iota's F1 are built
+    that far, and never below their default degree 12."""
     field = pi_cat.field
     out = []
 
-    pi_s = build_pi_simple(field)
+    reach = max(12, 2 * degree_max)
+    pi_s = build_pi_simple(field, reach)
     out.append(AInfFunctorData("iota", pi_s, pi_cat, {"S1": "S1", "S2": "S2"},
-                               {s: s for s in _maps(pi_s, 12)}))
+                               {s: s for s in _maps(pi_s, reach)}))
 
     delta = build_delta(field)
     out.append(AInfFunctorData("iota1", delta, pi_cat,

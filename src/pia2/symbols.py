@@ -408,6 +408,10 @@ def _mu_ext_h(a, h):
 
 
 def _mu_h_h(a, b):
+    """A product of two H symbols: an `E` tag (an identity), an `N` tag
+    (a terminating non-cycle) or ZERO, never a `B` tag.  So `h_apply`
+    of it is zero, H(mu(H x, H y)) = 0, the side condition under which a
+    point query sums only the end cuts of a slice (`transfer`)."""
     _, ka, ia, na = a
     _, kb, ib, nb = b
     # Kronecker-delta identity pairs

@@ -11,11 +11,11 @@ uses the slice values A(s) = sum over splits of sign * H(mu(A(s1),
 A(s2))); evaluating every shape separately gives the same answer (tested)
 but is exponentially slower at high arity.  Only the live cuts count, the
 cuts whose two factors are both nonzero, and each caller has one path to
-them (`TransferEvaluator`): a point query fills an interval table of its
-proper slices bottom-up by length, visiting only the live cuts that two
-bitmasks per position give, and keeps nothing; a chart scan finds each
-candidate's live cuts as it builds it, and memoizes the candidates' slice
-values for later scans on the same evaluator.
+them (`TransferEvaluator`): a point query grows the nonzero slices of its
+inputs by length, each from its two end cuts (the side condition below),
+sums p(mu) over the root's live cuts and keeps nothing; a chart scan finds
+each candidate's live cuts as it builds it, and memoizes the candidates'
+slice values for later scans on the same evaluator.
 
 Before it sums, the grading may already decide a query: m_n(f_n, ...,
 f_1) is a combination of Ext classes src(f_1) -> tgt(f_n) of degree
@@ -36,6 +36,15 @@ A backend answers the engine through one protocol, one spelling per fact:
 None is zero: a slice value is None or nonzero, and no backend has an
 `is_zero`.  A table also writes the backend's `name`, `window` and
 `homotopy` into its metadata.
+
+A backend also meets one side condition of its contraction, H(mu(H x,
+H y)) = 0: mu_h of two slice values (two H images, neither a leaf) is
+None.  The grammar gives it (`symbols._mu_h_h` never gives a `B` tag), and
+the tests check it on every composable pair of H symbols within bounds
+and on every such product the matrix scans form.  Under it a slice of
+length >= 3 takes its value from at most two cuts, the one that splits
+off its first input and the one that splits off its last, so a point
+query sums only those; the root applies p, not H, and sums every live cut.
 
 The symbolic backend reads the H and p images of a symbol pair from one
 pair table, filled with one mu per distinct pair.  Its element is one
@@ -68,8 +77,6 @@ and a right slice R carries (-1)^{|L|} at an internal vertex and
 (-1)^{|R|} at the root.  This is mu^2(a_2, a_1) = (-1)^{|a_1|} a_2 a_1
 with the homotopy entering as (-1)^{|x|} H(x).  Over F2 every sign is +1.
 """
-
-import functools
 
 from .table import OperationTable
 from . import symbols as sym
@@ -234,25 +241,17 @@ class MatrixBackend:
         return self.contraction.project(prod)
 
 
-@functools.lru_cache(maxsize=None)
-def _spans(n):
-    """The proper slices (i, j) = inputs[i:j] of n inputs, of length
-    2..n - 1, shortest first: the slices a point query fills."""
-    return tuple((i, i + length) for length in range(2, n)
-                 for i in range(n - length + 1))
-
-
 class TransferEvaluator:
     """m_n over all planar shapes at once, from slice values.
 
-    A point query, `transfer(inputs)`, fills an interval table of its
-    proper slices (`_fill`) and sums p(mu) over the root's live cuts read
-    from it; it reads and writes no memo.  A chart scan hands each
+    A point query, `transfer(inputs)`, grows its nonzero proper slices
+    from their end cuts (`_fill`) and sums p(mu) over the root's live cuts
+    read from them; it reads and writes no memo.  A chart scan hands each
     candidate its live cuts instead, as (c, left, right) in ascending c:
-    the cut and the nonzero values of inputs[:c] and inputs[c:], the
-    order a fill visits them in.  `transfer(inputs, cuts)` sums p(mu) over
-    them to m_n, and `slice_value(inputs, cuts)` sums H(mu) to the
-    candidate's own slice value.
+    the cut and the nonzero values of inputs[:c] and inputs[c:].
+    `transfer(inputs, cuts)` sums p(mu) over them to m_n, and
+    `slice_value(inputs, cuts)` sums H(mu) to the candidate's own slice
+    value.
 
     `memo` maps each candidate `slice_value` was asked for to its value
     (None when zero): the scans' shared cache, which a later scan on the
@@ -276,61 +275,74 @@ class TransferEvaluator:
             pre.append(pre[-1] + recs[s][2])
         return pre
 
+    def _signed(self, out, pre, i, c):
+        """out, the H(mu) at cut c of a slice that starts at input i,
+        times its internal vertex's sign (-1)^|inputs[i:c]|; pre is
+        `_prefix_degrees(inputs)`, not None."""
+        field = self.backend.field
+        sign = field.sign(pre[c] - pre[i] - (c - i - 1))
+        return out if sign == field.one else self.backend.scale(out, sign)
+
     def _fill(self, inputs, pre):
         """The root's live cuts (c, left, right) of `inputs`, in ascending
-        c, read from the interval table of its proper slices; pre is
-        `_prefix_degrees(inputs)`.
+        c, read from the interval table of its nonzero proper slices; pre
+        is `_prefix_degrees(inputs)`.
 
-        The table A holds the value of inputs[i:j] at A[i][j] (the leaf
-        itself when j = i + 1, None when the slice is zero), each computed
-        from its live cuts c, those with A[i][c] and A[c][j] both nonzero,
-        as the signed sum of H(mu(A[i][c], A[c][j])).  It is mirrored,
-        A[j][i] = A[i][j], so the right factors of the slices ending at j
-        are read along row j, and stored as one flat list, A[i][j] at index
-        i * (n + 1) + j: one allocation per query instead of n + 1 rows.
-
-        Next to the table the fill keeps two bitmasks per position: bit c
-        of nz_l[i] is set when inputs[i:c] is nonzero (a leaf or a nonzero
-        slice), bit c of nz_r[j] when inputs[c:j] is.  The live cuts of a
-        slice i:j are the set bits of nz_l[i] & nz_r[j]; only those are
-        visited, and a slice with none stays None without a loop."""
+        The table A holds the value of inputs[i:j] at A[i * (n + 1) + j]
+        (the leaf itself when j = i + 1, None when the slice is zero), one
+        flat list per query.  It grows by length.  A slice of length >= 3
+        takes its value from its two end cuts alone, c = i + 1 and c =
+        j - 1: any other cut multiplies two slice values, and mu_h of two
+        slice values is None (the side condition of the module docstring).
+        So inputs[i:j] can be nonzero only when inputs[i + 1:j] or
+        inputs[i:j - 1] is, and with nz the bitmask of the nonzero slices
+        one input shorter (bit i for inputs[i:j - 1]) its start i is a set
+        bit of nz | nz >> 1; an end cut counts only when its slice's bit is
+        set.  Length 2 is the pair products of adjacent leaves, and the
+        growth stops at the first length without a nonzero slice."""
         n = len(inputs)
-        backend, field = self.backend, self.backend.field
+        backend = self.backend
         mu_h, add = backend.mu_h, backend.add
         w = n + 1
-        A = [None] * (w * w)
-        nz_l, nz_r = [0] * w, [0] * w
+        A = [None] * (w * n)
         for i in range(n):
-            A[i * w + i + 1] = A[(i + 1) * w + i] = backend.leaf(inputs[i])
-            nz_l[i] |= 1 << (i + 1)
-            nz_r[i + 1] |= 1 << i
-        for i, j in _spans(n):
-            acc = None
-            live = nz_l[i] & nz_r[j]
-            row_i, row_j = i * w, j * w
-            while live:
+            A[i * w + i + 1] = backend.leaf(inputs[i])
+        nz = (1 << n) - 1       # every leaf is nonzero
+        for length in range(2, n):
+            starts = (nz | nz >> 1) & ((1 << (n - length + 1)) - 1)
+            grown = 0
+            while starts:
+                low = starts & -starts
+                starts ^= low
+                i = low.bit_length() - 1
+                j = i + length
+                row_i = i * w
                 # slice order is (f_d, ..., f_1): the left factor is the
-                # prefix
-                low = live & -live
-                live ^= low
-                c = low.bit_length() - 1
-                out = mu_h(A[row_i + c], A[row_j + c])
-                if out is None:
-                    continue
-                if pre is not None:
-                    sign = field.sign(pre[c] - pre[i] - (c - i - 1))
-                    if sign != field.one:
-                        out = backend.scale(out, sign)
-                try:
-                    acc = out if acc is None else add(acc, out)
-                except ValueError as e:
-                    raise ValueError(f"slice {inputs[i:j]!r} sums {e}") from None
-            if acc is not None:
-                A[row_i + j] = A[row_j + i] = acc
-                nz_l[i] |= 1 << j
-                nz_r[j] |= 1 << i
-        live = nz_l[0] & nz_r[n]
-        return [(c, A[c], A[n * w + c]) for c in range(1, n) if live >> c & 1]
+                # prefix.  c = i + 1, when inputs[i + 1:j] is nonzero
+                acc = None
+                if nz >> (i + 1) & 1:
+                    acc = mu_h(A[row_i + i + 1], A[row_i + w + j])
+                    if acc is not None and pre is not None:
+                        acc = self._signed(acc, pre, i, i + 1)
+                # c = j - 1, when inputs[i:j - 1] is nonzero; at length 2
+                # it is the cut above
+                if length > 2 and nz & low:
+                    out = mu_h(A[row_i + j - 1], A[(j - 1) * w + j])
+                    if out is not None:
+                        if pre is not None:
+                            out = self._signed(out, pre, i, j - 1)
+                        try:
+                            acc = out if acc is None else add(acc, out)
+                        except ValueError as e:
+                            raise ValueError(f"slice {inputs[i:j]!r} sums {e}") from None
+                if acc is not None:
+                    A[row_i + j] = acc
+                    grown |= low
+            if not grown:
+                break
+            nz = grown
+        return [(c, A[c], A[c * w + n]) for c in range(1, n)
+                if A[c] is not None and A[c * w + n] is not None]
 
     def transfer(self, inputs, cuts=None):
         """m_d(f_d, ..., f_1) as {output symbol: coeff}, the signed sum of
@@ -369,7 +381,7 @@ class TransferEvaluator:
         hit = self.memo.get(inputs, _MISS)
         if hit is not _MISS:
             return hit
-        backend, field = self.backend, self.backend.field
+        backend = self.backend
         pre = self._prefix_degrees(inputs)
         acc = None
         for c, left, right in cuts:
@@ -377,9 +389,7 @@ class TransferEvaluator:
             if out is None:
                 continue
             if pre is not None:
-                sign = field.sign(pre[c] - (c - 1))
-                if sign != field.one:
-                    out = backend.scale(out, sign)
+                out = self._signed(out, pre, 0, c)
             try:
                 acc = out if acc is None else backend.add(acc, out)
             except ValueError as e:

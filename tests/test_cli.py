@@ -483,6 +483,43 @@ def test_verify_stasheff_small(tmp_path, capsys):
     assert json.loads(out.read_text())["status"] == "pass"
 
 
+def test_verify_all_verdict_grid(tmp_path, capsys):
+    """`verify --which all` over a grid of bounds up to arity 9 and degree
+    10, each report read on its own: every check but G passes and checked
+    something, and G's violations are exactly its recorded defect, the
+    tuples pants pulls back to a block identity of P plus the two
+    rotations valued 1_{X2} (test_functors), within the bounds its check
+    reads: arity max(arity_max, 6) and pants degree <= degree_max."""
+    from pia2.ainf import expected_table
+    from pia2.functors import build_pants, pants_degree
+    rotations = {("u12", "u01", "u20"), ("v02", "v10", "v21")}
+    out = tmp_path / "all.json"
+    g_counts = {}
+    for degree_max in (2, 4, 6, 7, 8, 10):
+        pants = build_pants(degree_max, pi_table=expected_table(9, degree_max))
+        family = set(map(tuple, pants.block_identity_tuples)) | rotations
+        for arity_max in (4, 9):
+            code, _o, _e = run(["verify", "--which", "all",
+                                "--arity-max", str(arity_max),
+                                "--degree-max", str(degree_max),
+                                "--output", str(out)], capsys)
+            assert code == 1
+            reports = {r["check"]: r for r in json.loads(out.read_text())["reports"]}
+            g = reports.pop("functor:G")
+            assert len(reports) == 10
+            for name, r in reports.items():
+                assert (r["status"], r["violations"]) == ("pass", []), \
+                    (arity_max, degree_max, name, r["violations"][:3])
+                assert r["checked"] > 0, (arity_max, degree_max, name)
+            pinned = {t for t in family if len(t) <= max(arity_max, 6)
+                      and all(pants_degree(s) <= degree_max for s in t)}
+            assert g["status"] == "fail"
+            assert {tuple(v["tuple"]) for v in g["violations"]} == pinned
+            assert len(g["violations"]) == len(pinned)
+            g_counts[arity_max, degree_max] = len(pinned)
+    assert g_counts[4, 2] == 6 and g_counts[9, 8] == 56
+
+
 @pytest.mark.parametrize("edit", [
     lambda d: d.pop("target"),
     lambda d: d.pop("F1"),

@@ -145,11 +145,13 @@ def _proper_slices(inputs):
             if j - i < n]
 
 
-def _fill_live_cuts(memo, inputs):
-    """The live cuts of inputs' proper slices, counted by position: the
-    mu_h calls of its fill, with every sub-slice's value read off memo."""
+def _fill_end_cuts(memo, inputs):
+    """The live end cuts of inputs' proper slices, counted by position:
+    c = 1 and c = len(s) - 1, one cut at length 2, where the slice on the
+    side opposite the leaf is nonzero.  These are the mu_h calls of its
+    fill, with every sub-slice's value read off memo."""
     return sum(_nonzero(memo, s[:c]) and _nonzero(memo, s[c:])
-               for s in _proper_slices(inputs) for c in range(1, len(s)))
+               for s in _proper_slices(inputs) for c in {1, len(s) - 1})
 
 
 def _pia2_matrix(field, contraction, window=14, degree_max=2):
@@ -199,10 +201,11 @@ def _point_queries(n, arity_lo, arity_hi, degree_max, seed):
 
 def test_cold_point_queries_match_recursion():
     """Outputs equal the recursion's, and no query memoizes anything.  A
-    query with a class in its output degree runs mu_h and mu_p on the live
-    cuts of its fill alone: the cuts whose two factors are nonzero, a
-    sub-tuple that repeats counted at each place.  A query without one is
-    zero in the recursion too and makes no product."""
+    query with a class in its output degree runs mu_h on the live end cuts
+    of its proper slices alone, a sub-tuple that repeats counted at each
+    place, and mu_p on the root's live cuts: the cuts whose two factors are
+    nonzero.  A query without one is zero in the recursion too and makes
+    no product."""
     backend = SymbolicBackend()
     mu_h, mu_p = _count_calls(backend, "mu_h"), _count_calls(backend, "mu_p")
     nonzero = dead = decided = 0
@@ -217,13 +220,29 @@ def test_cold_point_queries_match_recursion():
             assert mu_h[0] == mu_p[0] == 0, q
             decided += 1
             continue
-        assert mu_h[0] == _fill_live_cuts(old.memo, q), q
+        assert mu_h[0] == _fill_end_cuts(old.memo, q), q
         assert mu_p[0] == _root_live_cuts(old.memo, q), q
         dead += sum(len(s) - 1 for s in _proper_slices(q)) - mu_h[0]
         nonzero += bool(out)
     assert nonzero >= 150
     assert dead > 0
     assert decided > 0
+
+
+def test_point_queries_at_the_benchmark_bounds_match_recursion():
+    """At arity 7..9 and input degree <= 6, the bounds of the benchmark's
+    point queries, a point query gives the recursion's output and the
+    expected table's entry, or zero where the table has none."""
+    backend = SymbolicBackend()
+    expected = expected_table(9, 6)
+    nonzero = 0
+    for q in _point_queries(300, 7, 9, 6, seed=10):
+        e = expected.get(q)
+        want = {} if e is None else {e["output"]: e["coeff"]}
+        out = TransferEvaluator(backend).transfer(q)
+        assert out == RecursiveEvaluator(backend).transfer(q) == want, q
+        nonzero += bool(out)
+    assert 150 <= nonzero < 300
 
 
 def test_warm_point_queries_match_recursion():
@@ -249,8 +268,8 @@ def test_warm_point_queries_match_recursion():
 def test_memo_without_sub_slices_gets_a_full_fill():
     """A memo holding a query's longest prefix and suffix but not their
     sub-slices (an outside write) must not pass the missing slices off as
-    zero: the point query fills every proper slice itself and leaves the
-    memo as it was."""
+    zero: the point query grows its slices itself and leaves the memo as
+    it was."""
     backend = SymbolicBackend()
     queries = [q for q in _point_queries(100, 5, 6, 4, seed=9)
                if RecursiveEvaluator(backend).transfer(q)]
@@ -365,26 +384,48 @@ class FreeMagmaBackend:
         return self._pair("p", ea, eb)
 
 
+class QuotientMagmaBackend(FreeMagmaBackend):
+    """The free magma modulo the side condition H(mu(H., H.)) = 0: mu_h of
+    two operands that are both H brackets is zero, so a slice value takes
+    its terms from its end cuts alone, while mu_p still pairs any two."""
+
+    name = "free-magma-mod-hh"
+
+    @staticmethod
+    def _bracket(e):
+        return all(k[0] == "H" for k in e)
+
+    def mu_h(self, ea, eb):
+        if self._bracket(ea) and self._bracket(eb):
+            return None
+        return super().mu_h(ea, eb)
+
+
 def test_koszul_signs_match_recursion_and_trees():
-    """Over Q the Koszul sign of each cut reaches the slice values."""
-    backend = FreeMagmaBackend()
+    """Over Q the Koszul sign of each cut reaches the slice values.  On
+    the quotient magma a point query gives the recursion's and the tree
+    sum's outputs, with mu_h on every end cut of its proper slices; on the
+    free magma `slice_value` sums every cut of the slice, inner ones too."""
     letters = [("a", 0), ("b", 1), ("c", 2), ("d", 1), ("e", 3), ("f", 1)]
     negative = 0
     for n in range(2, 7):
         inputs = tuple(letters[:n])
+        backend = QuotientMagmaBackend()
         new, old = TransferEvaluator(backend), RecursiveEvaluator(backend)
         mu_h = _count_calls(backend, "mu_h")
         out = new.transfer(inputs)
         del backend.mu_h
         assert out == old.transfer(inputs) == transfer_mn_by_trees(inputs, backend)
         assert new.memo == {}
-        # no product vanishes in the free magma: every cut is live
-        assert mu_h[0] == _fill_live_cuts(old.memo, inputs) == sum(
-            len(s) - 1 for s in _proper_slices(inputs))
-        cuts = [(c, old._A(inputs[:c]), old._A(inputs[c:])) for c in range(1, n)]
-        assert new.slice_value(inputs, cuts) == old._A(inputs)
+        # no slice vanishes in the quotient magma: every end cut is live
+        assert mu_h[0] == _fill_end_cuts(old.memo, inputs) == sum(
+            len({1, len(s) - 1}) for s in _proper_slices(inputs))
         negative += sum(v == -1 for v in out.values())
-        negative += sum(v == -1 for v in new.memo[inputs].values())
+        free = FreeMagmaBackend()
+        ev, rec = TransferEvaluator(free), RecursiveEvaluator(free)
+        cuts = [(c, rec._A(inputs[:c]), rec._A(inputs[c:])) for c in range(1, n)]
+        assert ev.slice_value(inputs, cuts) == rec._A(inputs)
+        negative += sum(v == -1 for v in ev.memo[inputs].values())
     assert negative > 0
 
 
@@ -449,6 +490,34 @@ def test_chart_scans_match_recursion():
                 if v is not None and len(k) < arity_max} <= set(got)
         assert {k for k in got if len(k) >= arity_max} == set()
         assert mu_h[0] == _live_cuts(new.memo)
+
+
+@pytest.mark.parametrize("degree_max, make_backend",
+                         [(d, make) for _, d, make in SCANS[1:]],
+                         ids=["tabulated-f2", "tabulated-q", "generic-f2"])
+def test_matrix_scans_meet_the_side_condition(degree_max, make_backend):
+    """H(mu(H x, H y)) = 0 on the values a matrix scan forms: every mu_h
+    whose two operands are both slice values, neither a leaf, is None.
+    The scans of SCANS stop at arity 4, and a slice of length <= 3 has
+    only end cuts, so the scan here runs to arity 6, where such products
+    form."""
+    backend = make_backend()
+    leaves, both_slices = [], []
+    leaf, mu_h = backend.leaf, backend.mu_h
+
+    def leaf_kept(s):
+        leaves.append(leaf(s))
+        return leaves[-1]
+
+    def mu_h_seen(a, b):
+        out = mu_h(a, b)
+        if not any(a is e or b is e for e in leaves):
+            both_slices.append(out)
+        return out
+    backend.leaf, backend.mu_h = leaf_kept, mu_h_seen
+    compute_operation_table(6, degree_max, backend)
+    assert len(both_slices) > 0
+    assert all(out is None for out in both_slices)
 
 
 @pytest.mark.parametrize("make, narrow, wide, calls", [

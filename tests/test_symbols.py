@@ -141,6 +141,21 @@ def test_h_apply_tables():
     assert sym.h_apply(r) is sym.ZERO
 
 
+def test_h_of_a_product_of_two_h_symbols_is_zero():
+    """The side condition H(mu(H x, H y)) = 0, on every composable pair of
+    H symbols of index <= 7: a product of two H symbols is an identity, a
+    terminating non-cycle or zero, never an H image, so a point query sums
+    only the end cuts of a slice.  Some of the products are nonzero."""
+    hs = all_h_symbols(7)
+    pairs = [(a, b) for a in hs for b in hs
+             if sym.elem_source(a) == sym.elem_target(b)]
+    assert len(pairs) == 2340
+    products = [sym.mu(a, b) for a, b in pairs]
+    assert [p for p, m in zip(pairs, products)
+            if sym.h_apply(m) is not sym.ZERO] == []
+    assert {m[0] for m in products if m is not sym.ZERO} == {"E", "N"}
+
+
 def test_class_reads():
     # compositions of homotopies with algebra elements land on classes
     assert sym.p_apply(sym.mu(sym.ext_u(1, 3), sym.h_sym("sn", 1, 1))) == \
