@@ -429,9 +429,8 @@ class HomElement:
         return HomElement(self.cat, self.src, self.tgt, self.deg, out)
 
     def scale(self, c):
+        """self times c, a nonzero scalar: no coefficient becomes zero."""
         field = self.cat.field
-        if not c:
-            return HomElement(self.cat, self.src, self.tgt, self.deg, {})
         return HomElement(self.cat, self.src, self.tgt, self.deg,
                           {k: field.mul(c, v) for k, v in self.coeffs.items()})
 

@@ -333,15 +333,15 @@ def build_pants(degree_max, pi_table):
     preprojective operations extend the basic triangles: they are obtained
     by pulling the preprojective table pi_table back along the morphism
     dictionary (tuples meeting the dictionary's kernel carry no
-    operations), over the field pi_table states.  The two rotations valued
-    at the identity of X2 are stored as written.
+    operations), over the field and up to the arity pi_table states.  The
+    two rotations valued at the identity of X2 are stored as written.
     """
     if degree_max < 1:
         raise ValueError("need degree bound >= 1")
     exp_max = degree_max
     field = field_by_name(pi_table.metadata["field"])
     homs = _pants_hom_data(exp_max)
-    table = _builtin_table(9, degree_max, field)
+    table = _builtin_table(pi_table.metadata["arity_max"], degree_max, field)
 
     symbols = {s: (x, y, pants_degree(s)) for (x, y), syms in homs.items()
                for s in syms}

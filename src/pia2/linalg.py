@@ -45,9 +45,6 @@ class Field:
         """(-1)^e in the field: the field's one over F2."""
         return self._minus_one if e % 2 else self.one
 
-    def add(self, a, b):
-        return (a + b) % 2 if self.name == "f2" else a + b
-
     def sub(self, a, b):
         return (a - b) % 2 if self.name == "f2" else a - b
 

@@ -140,14 +140,10 @@ class SymbolicBackend:
         return s
 
     def add(self, a, b):
-        """a + b over F2: zero (None) is the identity and two equal
-        operands cancel.  Two distinct ones would make a two-term slice,
-        which this element cannot hold: ValueError, naming the operands
-        (the evaluator adds the slice)."""
-        if a is None:
-            return b
-        if b is None:
-            return a
+        """a + b over F2, two nonzero operands: two equal ones cancel.
+        Two distinct ones would make a two-term slice, which this element
+        cannot hold: ValueError, naming the operands (the evaluator adds
+        the slice)."""
         if a == b:
             return None
         raise ValueError(f"two distinct terms {a!r} and {b!r}; a symbolic "
@@ -285,49 +281,37 @@ class TransferEvaluator:
 
     def _fill(self, inputs, pre):
         """The root's live cuts (c, left, right) of `inputs`, in ascending
-        c, read from the interval table of its nonzero proper slices; pre
-        is `_prefix_degrees(inputs)`.
+        c, read from its nonzero proper slices; pre is
+        `_prefix_degrees(inputs)`.
 
-        The table A holds the value of inputs[i:j] at A[i * (n + 1) + j]
-        (the leaf itself when j = i + 1, None when the slice is zero), one
-        flat list per query.  It grows by length.  A slice of length >= 3
-        takes its value from its two end cuts alone, c = i + 1 and c =
-        j - 1: any other cut multiplies two slice values, and mu_h of two
-        slice values is None (the side condition of the module docstring).
-        So inputs[i:j] can be nonzero only when inputs[i + 1:j] or
-        inputs[i:j - 1] is, and with nz the bitmask of the nonzero slices
-        one input shorter (bit i for inputs[i:j - 1]) its start i is a set
-        bit of nz | nz >> 1; an end cut counts only when its slice's bit is
-        set.  Length 2 is the pair products of adjacent leaves, and the
-        growth stops at the first length without a nonzero slice."""
+        rows[l - 1][i] is the value of inputs[i:i + l], None when zero:
+        the leaves, then one row per length.  A slice of length >= 3 takes
+        its value from its two end cuts alone, c = i + 1 and c = j - 1:
+        any other cut multiplies two slice values, and mu_h of two slice
+        values is None (the side condition of the module docstring).  So
+        row l reads only row l - 1 and the leaves, and the growth stops at
+        the first length without a nonzero slice."""
         n = len(inputs)
         backend = self.backend
         mu_h, add = backend.mu_h, backend.add
-        w = n + 1
-        A = [None] * (w * n)
-        for i in range(n):
-            A[i * w + i + 1] = backend.leaf(inputs[i])
-        nz = (1 << n) - 1       # every leaf is nonzero
+        leaves = [backend.leaf(s) for s in inputs]
+        rows = [leaves]
+        prev = leaves
         for length in range(2, n):
-            starts = (nz | nz >> 1) & ((1 << (n - length + 1)) - 1)
-            grown = 0
-            while starts:
-                low = starts & -starts
-                starts ^= low
-                i = low.bit_length() - 1
+            row = []
+            for i in range(n - length + 1):
                 j = i + length
-                row_i = i * w
                 # slice order is (f_d, ..., f_1): the left factor is the
                 # prefix.  c = i + 1, when inputs[i + 1:j] is nonzero
                 acc = None
-                if nz >> (i + 1) & 1:
-                    acc = mu_h(A[row_i + i + 1], A[row_i + w + j])
+                if prev[i + 1] is not None:
+                    acc = mu_h(leaves[i], prev[i + 1])
                     if acc is not None and pre is not None:
                         acc = self._signed(acc, pre, i, i + 1)
                 # c = j - 1, when inputs[i:j - 1] is nonzero; at length 2
                 # it is the cut above
-                if length > 2 and nz & low:
-                    out = mu_h(A[row_i + j - 1], A[(j - 1) * w + j])
+                if length > 2 and prev[i] is not None:
+                    out = mu_h(prev[i], leaves[j - 1])
                     if out is not None:
                         if pre is not None:
                             out = self._signed(out, pre, i, j - 1)
@@ -335,14 +319,14 @@ class TransferEvaluator:
                             acc = out if acc is None else add(acc, out)
                         except ValueError as e:
                             raise ValueError(f"slice {inputs[i:j]!r} sums {e}") from None
-                if acc is not None:
-                    A[row_i + j] = acc
-                    grown |= low
-            if not grown:
+                row.append(acc)
+            if row.count(None) == len(row):
                 break
-            nz = grown
-        return [(c, A[c], A[c * w + n]) for c in range(1, n)
-                if A[c] is not None and A[c * w + n] is not None]
+            rows.append(row)
+            prev = row
+        return [(c, rows[c - 1][0], rows[n - c - 1][c]) for c in range(1, n)
+                if max(c, n - c) <= len(rows)
+                and rows[c - 1][0] is not None and rows[n - c - 1][c] is not None]
 
     def transfer(self, inputs, cuts=None):
         """m_d(f_d, ..., f_1) as {output symbol: coeff}, the signed sum of

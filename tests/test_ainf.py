@@ -84,7 +84,7 @@ def stasheff_reference(cat, d_max, degree_max):
                             touched.add(inputs)
                         if f.name != "f2" and sign_exponent(degs, n) % 2:
                             coeff = f.neg(coeff)
-                        s = f.add(acc.get(so, f.zero), coeff)
+                        s = f.of(acc.get(so, f.zero) + coeff)
                         if s == f.zero:
                             acc.pop(so, None)
                         else:
@@ -256,6 +256,31 @@ def test_unitality_laws_f2_and_q():
     assert unitality_check(cat, 2)["status"] == "pass"
 
 
+def test_unitality_fails_on_stored_unit_keys():
+    """A table that stores unit-padded keys breaks the unit laws: the
+    right and left unit laws and the unit-padded triple each give a
+    violation, and every stored key with a unit in it gives one more."""
+    t = OperationTable({"arity_max": 3, "degree_max": 1})
+    stored = [("g", "1_X"), ("1_X", "g"), ("g", "1_X", "g")]
+    for key in stored:
+        t.add(key, ["X"] * (len(key) + 1), F2.one, "1_X", 0)
+
+    def hom(x, y, dmax):
+        return ["1_X", "g"] if dmax >= 1 else ["1_X"]
+
+    cat = AInfCategory("toy", ["X"], hom, t, F2, symbols={"g": ("X", "X", 1)})
+    got = [(F2.one, "1_X")]
+    rep = unitality_check(cat, 1)
+    assert rep["status"] == "fail"
+    assert rep["violations"] == [
+        {"tuple": ["g", "1_X"], "expected": "g", "got": got},
+        {"tuple": ["1_X", "g"], "expected": "g", "got": got},
+        {"tuple": ["g", "1_X", "g"], "expected": "0", "got": "nonzero"},
+    ] + [{"tuple": list(key), "expected": "identity-free key",
+          "got": "unit argument stored"} for key in stored]
+    assert rep["checked"] == 2 + 2 + 3 * 2 + len(stored)
+
+
 def test_expected_table_instances():
     exp = expected_table(6, 4)
     # basic triangles
@@ -291,6 +316,10 @@ def test_diff_tables_reports():
     assert rep["only_in_a"] and not rep["only_in_b"]
     with pytest.raises(ValueError):
         diff_tables(exp, smaller)
+    rep = diff_tables(smaller, exp, check_bounds=False)
+    assert not rep["identical"]
+    assert rep["only_in_b"] and not rep["only_in_a"]
+    assert len(rep["only_in_b"]) == len(exp.entries) - len(smaller.entries)
 
 
 def test_kappa_symmetry():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -617,6 +618,41 @@ def test_contraction_audit_counts_cases():
     nothing = EndCategory({}, F2, trusted=cat.trusted)
     empty = contraction_audit(generic_contraction(nothing))
     assert empty["checked"] == 0 and empty["status"] == "fail"
+
+
+def test_contraction_audit_fails_on_broken_contractions():
+    """Each identity of the audit fails on a contraction broken to break
+    it, and only that one: a project that drops every class breaks pi = 1
+    on each class; an H that is zero breaks dH + Hd = 1 - ip on each
+    trusted basis element (p is zero there on this instance); H plus
+    precomposition with a degree -1 cycle e, which keeps dH + Hd but not
+    H^2 = 0, breaks the latter."""
+    cat = pia2_end_category(14, F2)
+    con = tabulated_contraction(cat)
+    classes = sum(len(con.classes(src, tgt, n)) for src in cat.complexes
+                  for tgt in cat.complexes for n in range(-8, 9))
+    checked = contraction_audit(con)["checked"]
+
+    def kinds(con):
+        rep = contraction_audit(con)
+        assert rep["status"] == "fail" and rep["checked"] == checked
+        return Counter(v["expected"] for v in rep["violations"])
+
+    con = tabulated_contraction(cat)
+    con.project = lambda elem: {}
+    assert kinds(con) == {"1": classes}
+
+    con = tabulated_contraction(cat)
+    con.H = lambda elem: cat.zero_elem(elem.src, elem.tgt, elem.deg - 1)
+    assert kinds(con) == {"dH+Hd = 1-ip": checked - classes}
+
+    con = tabulated_contraction(cat)
+    H = con.H
+    e = {x: HomElement(cat, x, x, -1, {b: F2.one for b in cat.flat_basis(x, x, -1)})
+         for x in cat.complexes}
+    assert all(cat.differential(c).is_zero() for c in e.values())
+    con.H = lambda elem: H(elem).add(cat.compose(elem, e[elem.src]))
+    assert set(kinds(con)) == {"H^2 = 0"}
 
 
 def test_no_producer_hands_a_zero_coefficient(monkeypatch):

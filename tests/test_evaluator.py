@@ -1,4 +1,4 @@
-"""The interval-table evaluator against the recursive slice evaluator it
+"""The slice evaluator against the recursive slice evaluator it
 replaced, and against the literal tree sum.
 
 `RecursiveEvaluator` is a frozen copy of the recursive evaluator: it
@@ -86,7 +86,7 @@ class RecursiveEvaluator:
             out = backend.mu_p(el, er)
             sign = _koszul_sign(field, backend, inputs[cut:])
             for k, v in out.items():
-                s = field.add(total.get(k, field.zero), field.mul(sign, v))
+                s = field.of(total.get(k, field.zero) + field.mul(sign, v))
                 if s == field.zero:
                     total.pop(k, None)
                 else:
@@ -368,7 +368,7 @@ class FreeMagmaBackend:
         """a + b, None for an empty sum."""
         out = dict(a)
         for k, v in b.items():
-            out[k] = QQ.add(out.get(k, QQ.zero), v)
+            out[k] = QQ.of(out.get(k, QQ.zero) + v)
             if out[k] == QQ.zero:
                 del out[k]
         return out or None
@@ -430,7 +430,7 @@ def test_koszul_signs_match_recursion_and_trees():
 
 
 class FillCounter(TransferEvaluator):
-    """Counts the interval-table fills, and keeps the inputs and cuts of
+    """Counts the point-query fills, and keeps the inputs and cuts of
     each transfer call."""
 
     def __init__(self, backend):
@@ -582,15 +582,13 @@ def test_pair_table_matches_mu_then_image(monkeypatch):
 
 
 def test_add_cancels_equal_operands_and_refuses_distinct_ones():
-    """Over F2 an operand plus itself is zero and zero (None) is the
-    identity; two distinct operands would be a two-term sum, which the
-    element cannot hold, so `add` raises rather than drop one."""
+    """Over F2 an operand plus itself is zero (None); two distinct
+    operands would be a two-term sum, which the element cannot hold, so
+    `add` raises rather than drop one."""
     backend = SymbolicBackend()
     h = sym.h_sym("ss", 1, 1)
     for x in ("u1^1", h):
         assert backend.add(x, x) is None
-        assert backend.add(x, None) == x == backend.add(None, x)
-    assert backend.add(None, None) is None
     for a, b in (("u1^1", "u1^2"), ("u1^1", h), (h, sym.h_sym("ss", 1, 2))):
         with pytest.raises(ValueError, match="two distinct terms"):
             backend.add(a, b)
@@ -610,9 +608,10 @@ def _hand_made_backend(h, left_image):
 
 def test_two_live_cuts_with_distinct_images_refuse_the_slice():
     """Under a hand-made pair table the slice (c, b, a) has two live cuts.
-    With distinct H images the transfer raises, naming that slice and both
-    images, never keeping one of them; with equal ones they cancel over F2
-    and the slice is zero."""
+    With distinct H images the point-query fill and the scan's
+    `slice_value` each raise, naming that slice and both images, never
+    keeping one of them; with equal ones they cancel over F2 and the slice
+    is zero."""
     h = [sym.h_sym("ss", 1, n) for n in range(1, 5)]
     q = ("d", "c", "b", "a")
     with pytest.raises(ValueError) as exc:
@@ -624,6 +623,15 @@ def test_two_live_cuts_with_distinct_images_refuse_the_slice():
     # (c, b, a) is zero, and so are (d, c) and (d, c, b): every root cut
     # has a zero factor
     assert ev._fill(q, None) == [] and ev.memo == {}
+    # a chart scan hands the same two cuts to slice_value, which refuses
+    # alike and memoizes nothing
+    s, cuts = q[1:], [(1, "c", h[1]), (2, h[0], "a")]
+    ev = TransferEvaluator(_hand_made_backend(h, h[3]))
+    with pytest.raises(ValueError) as exc:
+        ev.slice_value(s, cuts)
+    assert str(exc.value) == message and ev.memo == {}
+    ev = TransferEvaluator(_hand_made_backend(h, h[2]))
+    assert ev.slice_value(s, cuts) is None and ev.memo == {s: None}
 
 
 # -- property: a point query and the literal tree sum agree -----------------

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -7,8 +8,8 @@ from helpers import functor_to_json
 from pia2.linalg import F2
 from pia2 import symbols as sym
 from pia2.transfer import SymbolicBackend, TransferEvaluator, compute_operation_table
-from pia2.ainf import (stasheff_check, unitality_check, composable_tuples,
-                       count_composable_tuples)
+from pia2.ainf import (expected_table, stasheff_check, unitality_check,
+                       composable_tuples, count_composable_tuples)
 from pia2 import functors
 from pia2.functors import (build_delta, build_fukaya, build_pants,
                            build_pi_prime, build_pi_simple, pi_category,
@@ -129,6 +130,21 @@ def test_pants_pulls_back_past_exponent_24():
         v = a.table.entries[key]
         assert v["degree"] == sum(pants_degree(s) for s in key) - 1
         assert pants_degree(v["output"]) == v["degree"]
+
+
+def test_pants_states_the_arity_of_its_pi_table():
+    """The pullback holds nothing past the arity of the Pi table it reads,
+    so the pants table states that arity: from Pi at (6,6) it holds
+    arities 2..6 and states 6; from Pi at (9,6) it states 9 and adds 12
+    entries of arity 7 and 8 of arity 8."""
+    counts = {}
+    for arity in (6, 9):
+        table = build_pants(6, pi_table=expected_table(arity, 6)).table
+        assert table.metadata["arity_max"] == arity
+        counts[arity] = Counter(map(len, table.entries))
+        assert max(counts[arity]) <= arity
+    assert sorted(counts[6]) == [2, 3, 4, 5, 6]
+    assert counts[9] - counts[6] == Counter({7: 12, 8: 8})
 
 
 def test_pants_triangles():
@@ -305,3 +321,19 @@ def test_functor_undefined_component():
     assert rep["status"] == "fail"
     named = {v["got"] for v in rep["violations"] if v["expected"] == "F1 defined"}
     assert named == {"undefined on 'gamma', 'beta'", "undefined on 'beta', 'gamma'"}
+
+
+def test_functor_that_changes_a_degree_fails():
+    """F1 must keep degrees.  Delta's maps carry degrees (0, 0, 1) and
+    F3's under (1, 0, 0) carry (1, 0, 0), so the functor that matches
+    them in order keeps every endpoint and the triangle products but moves
+    the degrees of alpha and gamma: two "degree match" violations, and
+    nothing else."""
+    f = AInfFunctorData("regrade", build_delta(), build_fukaya(3, (1, 0, 0)),
+                        {"A": "X1", "B": "X2", "C": "X3"},
+                        {"alpha": "f1", "beta": "f2", "gamma": "f3"})
+    rep = verify_functor(f, 4, 1)
+    assert rep["status"] == "fail" and rep["checked"] > 0
+    assert rep["violations"] == [
+        {"tuple": ["alpha"], "expected": "degree match", "got": [0, 1]},
+        {"tuple": ["gamma"], "expected": "degree match", "got": [1, 0]}]
