@@ -325,7 +325,7 @@ def count_composable_tuples(cat, d_max, degree_max):
     return total
 
 
-def unitality_check(cat, degree_max=6):
+def unitality_check(cat, degree_max):
     """Unit laws and the vanishing of unit-padded higher operations.
 
     The container enforces these structurally, so this check exercises the

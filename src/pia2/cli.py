@@ -137,7 +137,8 @@ def cmd_verify(args, parser):
     """The table checks read Pi's symbolic table; the contraction audit
     reads the contraction `_contraction` builds and no table.  The
     contraction is built first, so that a flag it refuses is refused
-    before any table is computed."""
+    before any table is computed, and the functors' sources before any
+    check runs, a builder's refusal being a usage error."""
     which = args.which
     if which in ("contraction", "all"):
         con = _contraction(args, parser)
@@ -148,6 +149,11 @@ def cmd_verify(args, parser):
         if args.field != "f2":
             parser.error("table verification runs over F2")
         pi = _pi_category(args)
+    if which in ("functors", "all"):
+        try:
+            functors = builtin_functors(pi, args.degree_max)
+        except ValueError as exc:
+            parser.error(f"cannot build the functors' sources: {exc}")
     if which in ("stasheff", "all"):
         reports.append(stasheff_check(pi, args.arity_max, args.degree_max))
     if which in ("unital", "all"):
@@ -159,7 +165,7 @@ def cmd_verify(args, parser):
     if which in ("contraction", "all"):
         reports.append(contraction_audit(con))
     if which in ("functors", "all"):
-        for f in builtin_functors(pi, degree_max=args.degree_max):
+        for f in functors:
             reports.append(verify_functor(f, max(args.arity_max, 6),
                                           args.degree_max))
     doc = {"reports": reports,

@@ -190,163 +190,121 @@ PANTS_DEGREE = {"x0": 0, "y0": 2, "x1": 2, "y1": 0, "x2": 0, "y2": 0,
 
 
 def _pants_sym(base, k, arrow=None):
-    """Canonical string: "x1^2*u01", "y0^3", "u20", "1_X0"."""
+    """Canonical string: "x1^2*u01", "y0^3", "u20"."""
     if arrow is None:
-        return f"{base}^{k}" if k else None
+        return f"{base}^{k}"
     return f"{base}^{k}*{arrow}" if k else arrow
 
 
 def _parse_pants(s):
-    """-> (loop base or None, exponent, arrow or None)."""
-    if "*" in s:
-        loop, arrow = s.split("*")
-        base, k = loop.split("^")
-        return base, int(k), arrow
-    if s.startswith(("u", "v")):
-        return None, 0, s
-    base, k = s.split("^")
-    return base, int(k), None
+    """A non-unit symbol -> (loop base, exponent, arrow or None).  An
+    arrow's loops sit at its target: x for a u arrow, y for a v arrow,
+    so "u01" parses to ("x1", 0, "u01")."""
+    if s[0] in "uv":
+        return ("x" if s[0] == "u" else "y") + s[2], 0, s
+    loop, _, arrow = s.partition("*")
+    base, k = loop.split("^")
+    return base, int(k), arrow or None
 
 
 def pants_degree(s):
     if s.startswith("1_"):
         return 0
     base, k, arrow = _parse_pants(s)
-    d = k * PANTS_DEGREE[base] if base else 0
-    if arrow:
-        d += PANTS_DEGREE[arrow]
-    return d
+    return k * PANTS_DEGREE[base] + PANTS_DEGREE.get(arrow, 0)
 
 
 def _pants_hom_data(exp_max):
     """{(x, y): [symbol strings]} for the three objects, exponent-truncated."""
     homs = {}
     for i in range(3):
-        xi = f"X{i}"
-        homs[(xi, xi)] = [f"1_{xi}"] + \
-            [f"x{i}^{k}" for k in range(1, exp_max + 1)] + \
-            [f"y{i}^{k}" for k in range(1, exp_max + 1)]
-        j = (i + 1) % 3
-        homs[(xi, f"X{j}")] = [_pants_sym(f"x{j}", k, f"u{i}{j}")
-                               for k in range(0, exp_max + 1)]
-        h = (i - 1) % 3
-        homs[(xi, f"X{h}")] = [_pants_sym(f"y{h}", k, f"v{i}{h}")
-                               for k in range(0, exp_max + 1)]
+        x, j, h = f"X{i}", (i + 1) % 3, (i - 1) % 3
+        homs[(x, x)] = [f"1_{x}"] + [f"{c}{i}^{k}" for c in "xy"
+                                     for k in range(1, exp_max + 1)]
+        homs[(x, f"X{j}")] = [_pants_sym(f"x{j}", k, f"u{i}{j}")
+                              for k in range(exp_max + 1)]
+        homs[(x, f"X{h}")] = [_pants_sym(f"y{h}", k, f"v{i}{h}")
+                              for k in range(exp_max + 1)]
     return homs
 
 
 def _pants_m2(a, b, exp_max):
-    """Composition a o b from the algebra relations; None when zero."""
-    base_a, ka, ar_a = _parse_pants(a)
+    """The composition a o b of composable non-unit symbols by the wheel
+    rule; None when zero.  It is nonzero exactly when the two loop
+    letters agree if and only if a is a loop; its exponent adds the
+    factors' exponents, plus one when both are arrows (u v = x, v u = y);
+    its loops are a's and its arrow is the one arrow among the factors."""
+    base, ka, ar_a = _parse_pants(a)
     base_b, kb, ar_b = _parse_pants(b)
-    if ar_a is None and ar_b is None:
-        # both endomorphism loops at the same object
-        if base_a != base_b:
-            return None  # x y = 0
-        k = ka + kb
-        return f"{base_a}^{k}" if k <= exp_max else None
-    if ar_a is None:
-        # loop after an arrow: x_{j}^ka o (x_j^kb * arrow) etc.
-        wheel = "x" if ar_b.startswith("u") else "y"
-        if base_a[0] != wheel:
-            return None
-        k = ka + kb
-        return _pants_sym(base_a, k, ar_b) if k <= exp_max else None
-    if ar_b is None:
-        # arrow after a loop: (x_j^ka * u_{i,j}) o y_i^kb = x_j^{ka+kb} u
-        wheel = "y" if ar_a.startswith("u") else "x"
-        if base_b[0] != wheel:
-            return None
-        k = ka + kb
-        return _pants_sym(base_a or ("x" if ar_a.startswith("u") else "y")
-                          + ar_a[-1], k, ar_a) if k <= exp_max else None
-    # arrow after arrow
-    if ar_a.startswith("u") and ar_b.startswith("v"):
-        # (x_i^k u_{i-1,i}) o (y_{i-1}^l v_{i,i-1}) = x_i^{k+l+1}
-        if ar_a[2] == ar_b[1] and ar_a[1] == ar_b[2]:
-            k = ka + kb + 1
-            return f"x{ar_a[2]}^{k}" if k <= exp_max else None
+    if (base[0] == base_b[0]) != (ar_a is None):
         return None
-    if ar_a.startswith("v") and ar_b.startswith("u"):
-        if ar_a[2] == ar_b[1] and ar_a[1] == ar_b[2]:
-            k = ka + kb + 1
-            return f"y{ar_a[2]}^{k}" if k <= exp_max else None
+    arrows = [r for r in (ar_a, ar_b) if r]
+    k = ka + kb + (len(arrows) == 2)
+    if k > exp_max:
         return None
-    return None
+    return _pants_sym(base, k, arrows[0] if len(arrows) == 1 else None)
 
 
-def g_dictionary():
-    """The morphism assignment of the pants-to-preprojective functor,
-    extended multiplicatively to the whole basis; kernel elements map to
-    None."""
-    def image(s):
-        if s.startswith("1_"):
-            return {"1_X0": "1_S1", "1_X1": "1_S2", "1_X2": "1_P"}[s]
-        base, k, arrow = _parse_pants(s)
-        if arrow is None:
-            if base == "y0":
-                return f"u1^{k}"
-            if base == "x1":
-                return f"u2^{k}"
-            if base == "x2":
-                return "(21)" if k == 1 else None
-            if base == "y2":
-                return "(12)" if k == 1 else None
-            return None  # x0^k, y1^k
-        if arrow == "u01":
-            return f"b.u1^{k}"
-        if arrow == "v10":
-            return f"a.u2^{k}"
-        if arrow == "u12":
-            return "j1" if k == 0 else None
-        if arrow == "v21":
-            return "p2" if k == 0 else None
-        if arrow == "u20":
-            return "p1" if k == 0 else None
-        if arrow == "v02":
-            return "j2" if k == 0 else None
-        raise ValueError(s)
-    return image
+# G, the pants-to-preprojective functor, on the pants basis: units to
+# units, and a loop power or an arrow with its loops by its loop base or
+# arrow.  An image spelled with "{}" takes the exponent; a fixed one is
+# the image of the generator alone (x2^1, u12), and the product of two or
+# more generators lies in the kernel, as do the loops of x0 and y1.
+G_UNITS = {"1_X0": "1_S1", "1_X1": "1_S2", "1_X2": "1_P"}
+G_LOOPS = {"y0": "u1^{}", "x1": "u2^{}", "x2": "(21)", "y2": "(12)"}
+G_ARROWS = {"u01": "b.u1^{}", "v10": "a.u2^{}", "u12": "j1", "v21": "p2",
+            "u20": "p1", "v02": "j2"}
+
+
+def g_image(s):
+    """G on a pants basis symbol; None on the kernel."""
+    if s in G_UNITS:
+        return G_UNITS[s]
+    base, k, arrow = _parse_pants(s)
+    t = G_ARROWS[arrow] if arrow else G_LOOPS.get(base)
+    if t is not None and "{}" in t:
+        return t.format(k)
+    return t if k + bool(arrow) == 1 else None
 
 
 def g_inverse_dictionary(exp_max):
-    """Preprojective basis string -> its unique faithful pants preimage,
-    over the pants basis of exponent at most exp_max."""
-    inv = {}
-    img = g_dictionary()
-    for (x, y), syms in _pants_hom_data(exp_max).items():
-        for s in syms:
-            t = img(s)
-            if t is not None and not t.startswith("1_"):
-                assert t not in inv or inv[t] == s
-                inv[t] = s
-    return inv
+    """Preprojective basis string, units included -> its unique faithful
+    pants preimage, over the pants basis of exponent at most exp_max."""
+    return {t: s for syms in _pants_hom_data(exp_max).values()
+            for s in syms if (t := g_image(s)) is not None}
 
 
 def build_pants(degree_max, pi_table):
-    """The wrapped-pants generating category: three objects, loop algebras
-    k[x_i, y_i]/(x_i y_i), connecting arrows composing by the wheel rule,
+    """The wrapped-pants generating category: three objects X_i with loop
+    algebras k[x_i, y_i]/(x_i y_i), arrows u_{i,i+1} and v_{i+1,i} (each
+    a basis symbol times the loops at its target, x for u and y for v),
     and the triangle products m_3(u,u,u) = 1 = m_3(v,v,v) in all three
     rotations.
 
+    The products are the wheel rule (_pants_m2): a o b is nonzero exactly
+    when the two loop letters agree if and only if a is a loop; its
+    exponent is the sum of the factors', plus one when both are arrows
+    (u v = x, v u = y); its loops are a's; its arrow is the one arrow
+    among the factors; and it is zero past the exponent bound degree_max.
+
     Higher operations extend the six triangle identities exactly as the
     preprojective operations extend the basic triangles: they are obtained
-    by pulling the preprojective table pi_table back along the morphism
-    dictionary (tuples meeting the dictionary's kernel carry no
+    by pulling the preprojective table pi_table back along G, the table of
+    images on units, loop bases and arrows (g_image), inverted on the
+    symbols outside its kernel (tuples meeting the kernel carry no
     operations), over the field and up to the arity pi_table states.  The
     two rotations valued at the identity of X2 are stored as written.
     """
     if degree_max < 1:
         raise ValueError("need degree bound >= 1")
-    exp_max = degree_max
     field = field_by_name(pi_table.metadata["field"])
-    homs = _pants_hom_data(exp_max)
+    homs = _pants_hom_data(degree_max)
     table = _builtin_table(pi_table.metadata["arity_max"], degree_max, field)
 
     symbols = {s: (x, y, pants_degree(s)) for (x, y), syms in homs.items()
                for s in syms}
 
-    # m2 from the composition rules
+    # m2 by the wheel rule
     for (x, y), bs in homs.items():
         for (y2, z), cs in homs.items():
             if y2 != y:
@@ -355,16 +313,15 @@ def build_pants(degree_max, pi_table):
                 for a in cs:
                     if a.startswith("1_") or b.startswith("1_"):
                         continue
-                    out = _pants_m2(a, b, exp_max)
+                    out = _pants_m2(a, b, degree_max)
                     if out is None:
                         continue
                     deg = pants_degree(a) + pants_degree(b)
                     assert deg == pants_degree(out), (a, b, out)
                     table.add((a, b), [x, y, z], field.one, out, deg)
 
-    # higher operations: pull the preprojective table back along the
-    # dictionary
-    inv = g_inverse_dictionary(exp_max)
+    # higher operations: pull the preprojective table back along G
+    inv = g_inverse_dictionary(degree_max)
     skipped_blocks = []
     for key, v in pi_table.entries.items():
         if len(key) < 3:
@@ -375,8 +332,7 @@ def build_pants(degree_max, pi_table):
         if v["output"] in ("1_P1", "1_P2"):
             skipped_blocks.append(tuple(pre))
             continue
-        out = ({"1_S1": "1_X0", "1_S2": "1_X1"}.get(v["output"])
-               or inv.get(v["output"]))
+        out = inv.get(v["output"])
         if out is None:
             continue
         if any(pants_degree(p) > degree_max for p in pre):
@@ -505,7 +461,7 @@ def _support_tuples(functor, arity_max, degree_max):
     return out
 
 
-def builtin_functors(pi_cat, degree_max=4):
+def builtin_functors(pi_cat, degree_max):
     """The six functors: the simple-objects inclusion, the two triangle
     inclusions, the two quadrilateral functors, and the pants functor,
     with their sources over Pi's field.
@@ -540,12 +496,8 @@ def builtin_functors(pi_cat, degree_max=4):
 
     pants = build_pants(degree_max, pi_table=pi_cat.table)
     pi_prime = build_pi_prime(pi_cat)
-    img = g_dictionary()
-    f1g = {}
-    for (x, y), syms in _pants_hom_data(degree_max).items():
-        for s in syms:
-            if not s.startswith("1_"):
-                f1g[s] = img(s)
+    f1g = {s: g_image(s) for syms in _pants_hom_data(degree_max).values()
+           for s in syms if not s.startswith("1_")}
     out.append(AInfFunctorData("G", pants, pi_prime,
                                {"X0": "S1", "X1": "S2", "X2": "P"}, f1g))
     return out

@@ -373,6 +373,28 @@ def test_verify_usage_errors(argv, message, monkeypatch, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("which", ["all", "functors"])
+def test_verify_refuses_the_pants_source_below_degree_one(which, tmp_path,
+                                                          monkeypatch, capsys):
+    """The pants category needs a degree bound of at least 1, so a verify
+    run that checks the functors refuses --degree-max 0 as a usage error
+    (exit 2) with the builder's message, before any check runs."""
+    from pia2 import cli
+
+    def no_check(*_a, **_k):
+        raise AssertionError("a check ran")
+
+    for name in ("stasheff_check", "contraction_audit", "verify_functor"):
+        monkeypatch.setattr(cli, name, no_check)
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--which", which, "--degree-max", "0",
+              "--output", str(out)])
+    assert exc.value.code == 2
+    assert "need degree bound >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["minimal-model", "--arity-max", "0"], "--arity-max: must be at least 2, got 0"),
     (["minimal-model", "--degree-max", "-2"], "--degree-max: must be at least 0, got -2"),

@@ -14,7 +14,8 @@ from pia2 import functors
 from pia2.functors import (build_delta, build_fukaya, build_pants,
                            build_pi_prime, build_pi_simple, pi_category,
                            builtin_functors, verify_functor, AInfFunctorData,
-                           functor_from_json, g_dictionary, pants_degree)
+                           functor_from_json, g_image, g_inverse_dictionary,
+                           pants_degree)
 
 
 def make_pi(arity=6, degree=4):
@@ -112,7 +113,7 @@ def test_pants_composition_rules():
     assert pants_degree("x1^2*u01") == 5 and pants_degree("y2^3") == 0
     for key, v in a.table.entries.items():
         if len(key) == 2:
-            assert v["degree"] == sum(pants_degree(s) for s in key)
+            assert pants_degree(v["output"]) == v["degree"]
 
 
 def test_pants_pulls_back_past_exponent_24():
@@ -191,13 +192,39 @@ def test_builtin_categories_own_relations():
 
 
 def test_g_dictionary_relations():
-    img = g_dictionary()
-    assert img("x0^1") is None and img("y0^1") == "u1^1"
-    assert img("x1^1") == "u2^1" and img("y1^1") is None
-    assert img("x2^1") == "(21)" and img("y2^1") == "(12)"
-    assert img("x2^2") is None
-    assert img("x1^2*u01") == "b.u1^2"
-    assert img("u20") == "p1" and img("v02") == "j2"
+    assert g_image("x0^1") is None and g_image("y0^1") == "u1^1"
+    assert g_image("x1^1") == "u2^1" and g_image("y1^1") is None
+    assert g_image("x2^1") == "(21)" and g_image("y2^1") == "(12)"
+    assert g_image("x2^2") is None
+    assert g_image("x1^2*u01") == "b.u1^2"
+    assert g_image("u20") == "p1" and g_image("v02") == "j2"
+    assert g_image("x0^1*u20") is None and g_image("y0^3*v10") == "a.u2^3"
+    assert [g_image(f"1_X{i}") for i in range(3)] == ["1_S1", "1_S2", "1_P"]
+    # G is injective off its kernel, so its inverse, units included, has
+    # one entry per symbol outside the kernel
+    inv = g_inverse_dictionary(8)
+    assert inv["1_S1"] == "1_X0" and inv["1_S2"] == "1_X1"
+    assert all(g_image(s) == t for t, s in inv.items())
+    outside = [s for syms in functors._pants_hom_data(8).values()
+               for s in syms if g_image(s) is not None]
+    assert len(inv) == len(outside) == 43
+
+
+PANTS_TABLES = {
+    4: (274, "cf2a57be2a605f4780ba18a769239a332bbd0185c69e4a1f107a8734a6201035"),
+    8: (986, "e5fa6ed92077c36cd12c3047579292d103584e7d686d3c021136b3ac91af9c09"),
+}
+
+
+def test_pants_table_bytes_are_pinned():
+    """The pants table's JSON bytes, products and pullback alike, from
+    the symbolic Pi at (6,4) at degree 4 and from expected_table(9, 8) at
+    degree 8, by entry count and sha256."""
+    for degree_max, pi_table in ((4, make_pi(6, 4).table),
+                                 (8, expected_table(9, 8))):
+        table = build_pants(degree_max, pi_table=pi_table).table
+        digest = hashlib.sha256(table.dumps().encode()).hexdigest()
+        assert (len(table.entries), digest) == PANTS_TABLES[degree_max]
 
 
 def test_builtin_functors_verify():
