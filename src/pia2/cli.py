@@ -97,14 +97,20 @@ def _pi_category(args):
     return pi_category(table, ev)
 
 
-def _write(doc, path):
+def _write(doc, path, parser):
+    """Write doc (a JSON text, or a document to dump) to path, or to stdout
+    without one.  A path that cannot be written is a usage error (exit 2):
+    exit 1 is a failed check."""
     text = doc if isinstance(doc, str) else \
         json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if path:
+    if not path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        parser.error(f"cannot write {path}: {exc.strerror}")
 
 
 def cmd_minimal_model(args, parser):
@@ -119,7 +125,7 @@ def cmd_minimal_model(args, parser):
     else:
         backend = MatrixBackend(_contraction(args, parser), args.degree_max)
     table = compute_operation_table(args.arity_max, args.degree_max, backend)
-    _write(table.dumps(), args.output)
+    _write(table.dumps(), args.output, parser)
     counts = table.arities()
     print(f"# {len(table)} operations; per arity: {counts}", file=sys.stderr)
     return 0
@@ -128,7 +134,7 @@ def cmd_minimal_model(args, parser):
 def cmd_expected_table(args, parser):
     field = field_by_name(args.field)
     table = expected_table(args.arity_max, args.degree_max, field)
-    _write(table.dumps(), args.output)
+    _write(table.dumps(), args.output, parser)
     print(f"# {len(table)} operations; per arity: {table.arities()}", file=sys.stderr)
     return 0
 
@@ -170,7 +176,7 @@ def cmd_verify(args, parser):
                                           args.degree_max))
     doc = {"reports": reports,
            "status": "pass" if all(r["status"] == "pass" for r in reports) else "fail"}
-    _write(doc, args.output)
+    _write(doc, args.output, parser)
     for r in reports:
         print(f"# {r['check']}: {r['status']} ({len(r['violations'])} violations)",
               file=sys.stderr)
@@ -187,7 +193,7 @@ def cmd_diff(args, parser):
         rep = diff_tables(a, b, support_only=args.support_only)
     except ValueError as exc:
         parser.error(str(exc))
-    _write(rep, args.output)
+    _write(rep, args.output, parser)
     return 0 if rep["identical"] else 1
 
 
@@ -238,7 +244,7 @@ def cmd_export_category(args, parser):
     if args.category == "pi-prime":
         parser.error("the additivized category is exported via its inner table")
     cat = _category_or_usage_error(args.category, args, parser, {})
-    _write(cat.table.dumps(), args.output)
+    _write(cat.table.dumps(), args.output, parser)
     return 0
 
 
@@ -259,7 +265,7 @@ def cmd_verify_functor(args, parser):
     except ValueError as exc:
         parser.error(f"invalid functor file: {exc}")
     rep = verify_functor(functor, args.arity_max, args.degree_max)
-    _write(rep, args.output)
+    _write(rep, args.output, parser)
     return 0 if rep["status"] == "pass" else 1
 
 

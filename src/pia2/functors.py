@@ -506,9 +506,10 @@ def builtin_functors(pi_cat, degree_max):
 def functor_from_json(doc, categories):
     """Build functor data from the JSON schema {source, target, object_map,
     F1: [{from, to}]}; categories maps names to instances.  A malformed
-    description (a missing key, an unknown category, object or symbol)
-    raises ValueError, and so does a non-empty "higher": only strict
-    functors are supported, so "higher" may be absent or []."""
+    description (a missing key, an F1 that is not a list, an unknown
+    category, object or symbol) raises ValueError, and so does a non-empty
+    "higher": only strict functors are supported, so "higher" may be
+    absent or []."""
     if not isinstance(doc, dict):
         raise ValueError("a functor description is a JSON object")
     missing = [k for k in ("source", "target", "object_map", "F1") if k not in doc]
@@ -526,6 +527,8 @@ def functor_from_json(doc, categories):
     for x, y in omap.items():
         if y not in tgt.objects:
             raise ValueError(f"object {x!r} maps to unknown object {y!r}")
+    if not isinstance(doc["F1"], list):
+        raise ValueError(f"F1 must be a list of {{from, to}} entries, got {doc['F1']!r}")
     f1 = {}
     for e in doc["F1"]:
         if not isinstance(e, dict) or "from" not in e or "to" not in e:

@@ -84,9 +84,11 @@ QQ = Field("q")
 
 
 def field_by_name(name):
-    if name in ("f2", "F2", "gf2"):
+    """The field named name: "f2" or "q", the names the CLI and table
+    metadata use."""
+    if name == "f2":
         return F2
-    if name in ("q", "Q", "QQ"):
+    if name == "q":
         return QQ
     raise ValueError(f"unknown field {name!r}")
 

@@ -13,12 +13,19 @@ Inside this module symbols are grammar tuples:
          | ("g", i, n)            # g = the odd generators: ("g",1,n) is
                                   # a.u2^n : S2 -> S1, ("g",2,n) is b.u1^n
   H:     ("h", kind, i, n) with kind in {"ss","sn","sp","pn_t","ps","pn_s"}
-         ss   = h_{S_i S_i}^(n)      : Q_i -> Q_i,    degree -2n   (n >= 1)
-         sn   = h_{S_i S_{i+1}}^(n)  : Q_{i+1}->Q_i,  degree -2n-1
-         sp   = h_{S_i P_i}^(n)      : P_i -> Q_i,    degree -2n   (n >= 1)
-         pn_t = h_{S_i P_{i+1}}^(n)  : P_{i+1}->Q_i,  degree -2n-1
-         ps   = h_{P_i S_i}^(n)      : Q_i -> P_i,    degree 2n
-         pn_s = h_{P_{i+1} S_i}^(n)  : Q_i -> P_{i+1}, degree 2n+1
+
+The kind tables EXT_KINDS and H_KINDS are the one place that states a
+kind's facts: an Ext kind's source, target, degree and spelling, an H
+kind's source, target and lowest index n.  Every fact function reads
+them.  What no code reads is the H kinds' names in the paper's notation
+(h_{target source}) and their degrees, which H lowers by one from the
+product it is the image of:
+  ss   = h_{S_i S_i}^(n)       degree -2n
+  sn   = h_{S_i S_{i+1}}^(n)   degree -2n-1
+  sp   = h_{S_i P_i}^(n)       degree -2n
+  pn_t = h_{S_i P_{i+1}}^(n)   degree -2n-1
+  ps   = h_{P_i S_i}^(n)       degree 2n
+  pn_s = h_{P_{i+1} S_i}^(n)   degree 2n+1
 
 mu returns one of
   ("E", sym)          a chain element representing the named Ext class
@@ -49,6 +56,49 @@ def other(i):
 # ---------------------------------------------------------------------------
 # Ext symbols
 
+def _ext_kinds(i, o, gen):
+    """The Ext kinds at index i, o = 3 - i, whose odd generator is gen:
+    kind -> (source, target, degree shift, spelling head).  A kind with a
+    shift carries an exponent n, spelled after its head, and has degree
+    2n + shift; a kind without one has degree 0 and is spelled by its
+    head."""
+    return {"j": (f"S{o}", f"P{i}", None, f"j{i}"),
+            "p": (f"P{i}", f"S{i}", None, f"p{i}"),
+            "E": (f"P{o}", f"P{i}", None, f"({o}{i})"),
+            "u": (f"S{i}", f"S{i}", 0, f"u{i}^"),
+            "g": (f"S{o}", f"S{i}", 1, f"{gen}.u{o}^")}
+
+
+# (kind, index) -> (source, target, degree shift, spelling head): the
+# identities, indexed by their object, then the kinds of _ext_kinds
+EXT_KINDS = {("1", x): (x, x, None, f"1_{x}") for x in OBJECTS}
+EXT_KINDS.update(((k, i), row) for i, gen in ((1, "a"), (2, "b"))
+                 for k, row in _ext_kinds(i, other(i), gen).items())
+
+
+def _ext_lookups():
+    """spelling head -> (kind, index, degree shift, lowest exponent), and
+    (source, target) -> those entries for the kinds source -> target, in
+    EXT_KINDS order.  A pair has at most one kind besides its identity,
+    which comes first, so that order is degree order.  A loop kind with a
+    shift starts at exponent 1, its exponent 0 being the identity."""
+    spelled, hom = {}, {}
+    for (k, i), (x, y, shift, head) in EXT_KINDS.items():
+        spelled[head] = entry = (k, i, shift, int(x == y))
+        hom.setdefault((x, y), []).append(entry)
+    return spelled, hom
+
+
+_SPELLED, _HOM = _ext_lookups()
+
+
+def _ext_row(sym):
+    try:
+        return EXT_KINDS[sym[0], sym[1]]
+    except (IndexError, KeyError, TypeError):
+        raise ValueError(f"not an Ext symbol: {sym}") from None
+
+
 def ext_identity(obj):
     return ("1", obj)
 
@@ -64,48 +114,16 @@ def ext_g(i, n):
 
 
 def ext_source(sym):
-    k = sym[0]
-    if k == "1":
-        return sym[1]
-    if k == "j":
-        return f"S{other(sym[1])}"
-    if k == "p":
-        return f"P{sym[1]}"
-    if k == "E":
-        return f"P{other(sym[1])}"
-    if k == "u":
-        return f"S{sym[1]}"
-    if k == "g":
-        return f"S{other(sym[1])}"
-    raise ValueError(f"not an Ext symbol: {sym}")
+    return _ext_row(sym)[0]
 
 
 def ext_target(sym):
-    k = sym[0]
-    if k == "1":
-        return sym[1]
-    if k == "j":
-        return f"P{sym[1]}"
-    if k == "p":
-        return f"S{sym[1]}"
-    if k == "E":
-        return f"P{sym[1]}"
-    if k == "u":
-        return f"S{sym[1]}"
-    if k == "g":
-        return f"S{sym[1]}"
-    raise ValueError(f"not an Ext symbol: {sym}")
+    return _ext_row(sym)[1]
 
 
 def ext_degree(sym):
-    k = sym[0]
-    if k in ("1", "j", "p", "E"):
-        return 0
-    if k == "u":
-        return 2 * sym[2]
-    if k == "g":
-        return 2 * sym[2] + 1
-    raise ValueError(f"not an Ext symbol: {sym}")
+    shift = _ext_row(sym)[2]
+    return 0 if shift is None else 2 * sym[2] + shift
 
 
 def is_identity(sym):
@@ -113,13 +131,11 @@ def is_identity(sym):
 
 
 def kappa_ext(sym):
-    """Relabel 1 <-> 2."""
-    k = sym[0]
-    if k == "1":
-        return ("1", kappa_object(sym[1]))
-    if k in ("j", "p", "E"):
-        return (k, other(sym[1]))
-    return (k, other(sym[1]), sym[2])
+    """Relabel 1 <-> 2: the same kind at the other index (an identity's
+    index is its object)."""
+    _ext_row(sym)    # ValueError on anything but an Ext symbol
+    k, i = sym[0], sym[1]
+    return (k, kappa_object(i) if k == "1" else other(i)) + sym[2:]
 
 
 def kappa_object(obj):
@@ -127,39 +143,25 @@ def kappa_object(obj):
 
 
 def ext_to_str(sym):
-    k = sym[0]
-    if k == "1":
-        return f"1_{sym[1]}"
-    if k == "j":
-        return f"j{sym[1]}"
-    if k == "p":
-        return f"p{sym[1]}"
-    if k == "E":
-        return "(12)" if sym[1] == 2 else "(21)"
-    if k == "u":
-        return f"u{sym[1]}^{sym[2]}"
-    if k == "g":
-        return f"a.u2^{sym[2]}" if sym[1] == 1 else f"b.u1^{sym[2]}"
-    raise ValueError(f"not an Ext symbol: {sym}")
+    _x, _y, shift, head = _ext_row(sym)
+    return head if shift is None else f"{head}{sym[2]}"
 
 
 def ext_from_str(s):
-    if s.startswith("1_"):
-        return ("1", s[2:])
-    if s in ("(12)", "(21)"):
-        return ("E", 2 if s == "(12)" else 1)
-    if s.startswith("j"):
-        return ("j", int(s[1:]))
-    if s.startswith("p") and s[1:].isdigit():
-        return ("p", int(s[1:]))
-    if s.startswith("u"):
-        i, n = s[1:].split("^")
-        return ext_u(int(i), int(n))
-    if s.startswith("a.u2^"):
-        return ("g", 1, int(s[5:]))
-    if s.startswith("b.u1^"):
-        return ("g", 2, int(s[5:]))
-    raise ValueError(f"cannot parse Ext symbol {s!r}")
+    """The grammar tuple s spells: a spelling head, then an exponent if
+    the kind has a degree shift.  ValueError if s spells none; a string
+    may parse without being the canonical spelling ("u1^02")."""
+    head, hat, n = s.partition("^")
+    try:
+        k, i, shift, first = _SPELLED[head + hat]
+    except KeyError:
+        raise ValueError(f"cannot parse Ext symbol {s!r}") from None
+    if shift is None:
+        return (k, i)
+    n = int(n)
+    if n < first:
+        raise ValueError(f"exponent below {first} in {s!r}")
+    return (k, i, n)
 
 
 # The arrow symbols: ("E", 2) is (12): P1 -> P2; ("E", 1) is (21): P2 -> P1.
@@ -172,65 +174,53 @@ def hom_basis(x, y, degree_max):
     if degree_max < 0:
         return []
     out = []
-    if x == y:
-        out.append(ext_identity(x))
-    if x.startswith("S") and y.startswith("S"):
-        i, j = int(x[1]), int(y[1])
-        if i == j:
-            out += [("u", i, n) for n in range(1, degree_max // 2 + 1)]
+    for k, i, shift, first in _HOM.get((x, y), ()):
+        if shift is None:
+            out.append((k, i))
         else:
-            # maps S_i -> S_j with j = other(i): the class ("g", j, n)
-            out += [("g", j, n) for n in range((degree_max - 1) // 2 + 1)]
-    elif x == "S1" and y == "P2":
-        out.append(("j", 2))
-    elif x == "S2" and y == "P1":
-        out.append(("j", 1))
-    elif x == "P1" and y == "S1":
-        out.append(("p", 1))
-    elif x == "P2" and y == "S2":
-        out.append(("p", 2))
-    elif x == "P1" and y == "P2":
-        out.append(E12)
-    elif x == "P2" and y == "P1":
-        out.append(E21)
-    return sorted(out, key=ext_degree)
+            out += [(k, i, n) for n in range(first, (degree_max - shift) // 2 + 1)]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # H symbols
 
+def _h_kinds(i, o):
+    """The H kinds at index i, o = 3 - i: kind -> (source, target, lowest
+    index n)."""
+    return {"ss": (f"S{i}", f"S{i}", 1),
+            "sn": (f"S{o}", f"S{i}", 0),
+            "sp": (f"P{i}", f"S{i}", 1),
+            "pn_t": (f"P{o}", f"S{i}", 0),
+            "ps": (f"S{i}", f"P{i}", 0),
+            "pn_s": (f"S{i}", f"P{o}", 0)}
+
+
+# (kind, index) -> (source, target, lowest index n)
+H_KINDS = {(k, i): row for i in (1, 2) for k, row in _h_kinds(i, other(i)).items()}
+
+
+def _h_row(h):
+    try:
+        return H_KINDS[h[1], h[2]]
+    except (IndexError, KeyError, TypeError):
+        raise ValueError(f"not an H symbol: {h}") from None
+
+
 def h_sym(kind, i, n):
-    if kind in ("ss", "sp") and n < 1:
-        raise ValueError(f"h kind {kind} needs n >= 1")
-    if n < 0:
-        raise ValueError("negative homotopy index")
-    return ("h", kind, i, n)
+    h = ("h", kind, i, n)
+    first = _h_row(h)[2]
+    if n < first:
+        raise ValueError(f"h kind {kind} needs n >= {first}")
+    return h
 
 
 def h_source(h):
-    _, kind, i, _n = h
-    if kind in ("ss", "ps"):
-        return f"S{i}"
-    if kind == "sn":
-        return f"S{other(i)}"
-    if kind == "sp":
-        return f"P{i}"
-    if kind == "pn_t":
-        return f"P{other(i)}"
-    if kind == "pn_s":
-        return f"S{i}"
-    raise ValueError(h)
+    return _h_row(h)[0]
 
 
 def h_target(h):
-    _, kind, i, _n = h
-    if kind in ("ss", "sn", "sp", "pn_t"):
-        return f"S{i}"
-    if kind == "ps":
-        return f"P{i}"
-    if kind == "pn_s":
-        return f"P{other(i)}"
-    raise ValueError(h)
+    return _h_row(h)[1]
 
 
 def is_h(x):
@@ -238,7 +228,7 @@ def is_h(x):
 
 
 def is_ext(x):
-    return isinstance(x, tuple) and x[0] in ("1", "j", "p", "E", "u", "g")
+    return isinstance(x, tuple) and x[:2] in EXT_KINDS
 
 
 def elem_source(x):
@@ -468,19 +458,17 @@ class _SymbolTable(dict):
     Ext basis symbol it names, of any degree.  An entry is made on the
     first lookup of its string, so nothing is enumerated at import; a
     lookup of anything else (a string that is not the canonical spelling,
-    a negative exponent, an object outside OBJECTS, or no string at all)
-    raises KeyError and stores nothing."""
+    an exponent below its kind's lowest, an object outside OBJECTS, or no
+    string at all) raises KeyError and stores nothing."""
 
     def __missing__(self, s):
         try:
             e = ext_from_str(s)
-        except (AttributeError, ValueError):
+        except (AttributeError, TypeError, ValueError):
             raise KeyError(s) from None
-        rec = (e, ext_source(e), ext_target(e), ext_degree(e))
-        if (ext_to_str(e) != s or rec[3] < 0
-                or rec[1] not in OBJECTS or rec[2] not in OBJECTS):
+        if ext_to_str(e) != s:
             raise KeyError(s)
-        self[s] = rec
+        rec = self[s] = (e, ext_source(e), ext_target(e), ext_degree(e))
         return rec
 
 

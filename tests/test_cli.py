@@ -167,6 +167,22 @@ def test_expected_table_and_diff(tmp_path, capsys):
     assert json.loads(out)["only_in_a"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["expected-table", "--arity-max", "3", "--degree-max", "2"],
+    ["verify", "--which", "kappa", "--arity-max", "3", "--degree-max", "2"],
+], ids=["table", "report"])
+def test_an_unwritable_output_path_is_a_usage_error(argv, tmp_path, capsys):
+    """A table or a report written into a missing directory is a usage
+    error (exit 2) naming the path, not a traceback with exit 1, which
+    is a failed check."""
+    path = tmp_path / "missing" / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--output", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage" in err and f"cannot write {path}" in err
+
+
 _ENTRY = {"arity": 2, "degree": 0, "inputs": ["j1", "p2"],
           "objects": ["P2", "S2", "P1"], "output": {"coeff": "1", "symbol": "(21)"}}
 
@@ -550,10 +566,15 @@ def test_verify_all_verdict_grid(tmp_path, capsys):
     lambda d: d["F1"][0].update({"from": "zz"}),
     lambda d: d["object_map"].update({"A": "S9"}),
     lambda d: d.update({"source": "nowhere"}),
+    lambda d: d.update({"F1": None}),
+    lambda d: d.update({"F1": 5}),
+    lambda d: d.update({"F1": {"from": "alpha", "to": "j1"}}),
 ], ids=["no-target", "no-F1", "no-from", "unknown-target-symbol",
-        "unknown-source-symbol", "unknown-object", "unknown-category"])
+        "unknown-source-symbol", "unknown-object", "unknown-category",
+        "F1-null", "F1-number", "F1-object"])
 def test_verify_functor_rejects_malformed_files(edit, tmp_path, capsys):
-    """A malformed functor file is a usage error (exit 2), not a crash."""
+    """A malformed functor file is a usage error (exit 2), not a crash;
+    an F1 that is not a list is refused by name."""
     doc = json.loads(json.dumps(IOTA1))
     edit(doc)
     fd = tmp_path / "functor.json"
@@ -562,7 +583,10 @@ def test_verify_functor_rejects_malformed_files(edit, tmp_path, capsys):
         main(["verify-functor", "--file", str(fd), "--arity-max", "4",
               "--degree-max", "2"])
     assert exc.value.code == 2
-    assert "usage" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage" in err
+    if not isinstance(doc.get("F1", []), list):
+        assert "F1 must be a list" in err
 
 
 def test_verify_functor_reports_symbols_f1_leaves_out(tmp_path, capsys):

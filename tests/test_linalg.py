@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import from_rows
-from pia2.linalg import F2, QQ, SparseMatrix, mat_mul, mat_vec, rref, solve
+from pia2.linalg import (F2, QQ, SparseMatrix, field_by_name, mat_mul, mat_vec,
+                         rref, solve)
 
 
 def test_field_arithmetic_exact():
@@ -36,6 +37,15 @@ def test_accumulate_drops_zero_sums(field, half):
     want = field.one if field is F2 else Fraction(3)
     assert vec == {"a": want}
     assert type(vec["a"]) is type(field.one)
+
+
+def test_field_by_name_reads_the_two_names_in_use():
+    """The CLI's --field choices and table metadata name a field "f2" or
+    "q"; any other name is refused."""
+    assert field_by_name("f2") is F2 and field_by_name("q") is QQ
+    for name in ("F2", "gf2", "Q", "QQ", "f3", ""):
+        with pytest.raises(ValueError, match="unknown field"):
+            field_by_name(name)
 
 
 def test_accumulate_sums_match_field_add():

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -18,6 +19,22 @@ def test_degrees_and_endpoints():
     assert sym.ext_source(sym.E12) == "P1" and sym.ext_target(sym.E12) == "P2"
     assert sym.ext_source(sym.ext_g(1, 0)) == "S2"  # alpha: S2 -> S1
     assert sym.ext_u(1, 0) == ("1", "S1")
+
+
+def test_fact_functions_refuse_what_is_not_a_symbol_of_their_grammar():
+    """Each Ext fact function raises ValueError on a tuple that names no
+    row of the Ext kind table (an H symbol, an unknown kind, an index or
+    object out of range), and each H endpoint function on one that names
+    no row of the H kind table."""
+    for x in (sym.h_sym("ss", 1, 1), ("x", 1), ("j", 3), ("1", "S3"), ()):
+        for f in (sym.ext_source, sym.ext_target, sym.ext_degree,
+                  sym.ext_to_str, sym.kappa_ext):
+            with pytest.raises(ValueError, match="not an Ext symbol"):
+                f(x)
+    for h in (sym.ext_u(1, 2), ("h", "sx", 1, 0), ("h", "ss", 3, 1)):
+        for f in (sym.h_source, sym.h_target):
+            with pytest.raises(ValueError, match="not an H symbol"):
+                f(h)
 
 
 def test_h_degrees_match_contraction_bookkeeping():
@@ -64,10 +81,26 @@ def test_symbols_table():
                 assert sym.SYMBOLS[s] == (e, x, y, sym.ext_degree(e))
     assert sym.SYMBOLS["u1^37"] == (("u", 1, 37), "S1", "S1", 74)
     for bad in ("u1^0", "u1^-1", "a.u2^-1", "u1^02", "1_P", "j3", "zz", 5,
-                ("j", 1)):
+                ("j", 1), "(12)^1", "j1^2", "p12", "a.u1^0", "b.u2^0", "(11)",
+                "u1", "u1^1^2", b"j1"):
         with pytest.raises(KeyError):
             sym.SYMBOLS[bad]
         assert bad not in sym.SYMBOLS
+
+
+def test_grammar_facts_are_pinned():
+    """Every symbol's record and kappa image up to degree 30, and the hom
+    bases of all 16 object pairs in their order, hash to the digest the
+    per-kind if-chains gave before the kind tables replaced them."""
+    lines = []
+    for x in sym.OBJECTS:
+        for y in sym.OBJECTS:
+            names = sym.hom_names(x, y, 30)
+            lines.append(f"{x} {y} {' '.join(names)}")
+            lines += [f"{s} {sym.SYMBOLS[s]!r} {sym.kappa_str(s)}" for s in names]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (
+        86, "186fd8b066ea8451ed282a3657b7183b340cecad7cff8b886b4c52fe3fa6e8bc")
 
 
 def test_importing_the_package_fills_no_table():
