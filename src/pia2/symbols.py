@@ -5,8 +5,7 @@ u_i^n (degree 2n), a.u2^n = alpha*u2^n and b.u1^n = beta*u1^n (degree
 2n+1).  HSymbols name the partial-shift homotopies h^(n) between pairs of
 resolutions.  ``mu`` multiplies two such elements at the chain level and
 ``h_apply`` applies the contracting homotopy to a product; both are total
-lookup tables with default ZERO, matching the finite case analysis that
-drives the tree-sum evaluation.
+with default ZERO.
 
 Inside this module symbols are grammar tuples:
   Ext:   ("1", X) | ("j", i) | ("p", i) | ("E", i) | ("u", i, n)
@@ -16,21 +15,20 @@ Inside this module symbols are grammar tuples:
 
 The kind tables EXT_KINDS and H_KINDS are the one place that states a
 kind's facts: an Ext kind's source, target, degree and spelling, an H
-kind's source, target and lowest index n.  Every fact function reads
-them.  What no code reads is the H kinds' names in the paper's notation
-(h_{target source}) and their degrees, which H lowers by one from the
-product it is the image of:
-  ss   = h_{S_i S_i}^(n)       degree -2n
-  sn   = h_{S_i S_{i+1}}^(n)   degree -2n-1
-  sp   = h_{S_i P_i}^(n)       degree -2n
-  pn_t = h_{S_i P_{i+1}}^(n)   degree -2n-1
-  ps   = h_{P_i S_i}^(n)       degree 2n
-  pn_s = h_{P_{i+1} S_i}^(n)   degree 2n+1
+kind's source, target, lowest index n and degree.  Every fact function
+reads them.  What no code reads is the H kinds' names in the paper's
+notation (h_{target source}):
+  ss   = h_{S_i S_i}^(n)       sn   = h_{S_i S_{i+1}}^(n)
+  sp   = h_{S_i P_i}^(n)       pn_t = h_{S_i P_{i+1}}^(n)
+  ps   = h_{P_i S_i}^(n)       pn_s = h_{P_{i+1} S_i}^(n)
 
-mu returns one of
-  ("E", sym)          a chain element representing the named Ext class
-  ("B", hsym)         a null-homotopic element whose H-image is hsym
-  ("N", name, params) a terminating non-cycle (H and p both kill it)
+mu is one table, PRODUCTS: the pair of the factors' kinds gives the
+kinds the product may take, and the kind tables fix each one's index and
+exponent, since the product runs source(b) -> target(a) and has degree
+|a| + |b| (its H-image one less).  mu returns one of
+  ("E", sym)             a chain element representing the named Ext class
+  ("B", hsym)            a null-homotopic element whose H-image is hsym
+  ("N", name, (a, b))    a terminating non-cycle (H and p both kill it)
   ZERO (None)
 
 Outside it, and outside the matrix realization of the grammar
@@ -99,18 +97,10 @@ def _ext_row(sym):
         raise ValueError(f"not an Ext symbol: {sym}") from None
 
 
-def ext_identity(obj):
-    return ("1", obj)
-
-
-def ext_u(i, n):
-    """u_i^n; n = 0 collapses to the identity of S_i."""
-    return ("1", f"S{i}") if n == 0 else ("u", i, n)
-
-
-def ext_g(i, n):
-    """The odd classes: ext_g(1, n) = a.u2^n, ext_g(2, n) = b.u1^n."""
-    return ("g", i, n)
+def _ext_facts(e):
+    """(kind, source, target, degree) of the Ext symbol e."""
+    x, y, shift, _head = _ext_row(e)
+    return e[0], x, y, 0 if shift is None else 2 * e[2] + shift
 
 
 def ext_source(sym):
@@ -122,12 +112,7 @@ def ext_target(sym):
 
 
 def ext_degree(sym):
-    shift = _ext_row(sym)[2]
-    return 0 if shift is None else 2 * sym[2] + shift
-
-
-def is_identity(sym):
-    return sym[0] == "1"
+    return _ext_facts(sym)[3]
 
 
 def kappa_ext(sym):
@@ -187,17 +172,20 @@ def hom_basis(x, y, degree_max):
 
 def _h_kinds(i, o):
     """The H kinds at index i, o = 3 - i: kind -> (source, target, lowest
-    index n)."""
-    return {"ss": (f"S{i}", f"S{i}", 1),
-            "sn": (f"S{o}", f"S{i}", 0),
-            "sp": (f"P{i}", f"S{i}", 1),
-            "pn_t": (f"P{o}", f"S{i}", 0),
-            "ps": (f"S{i}", f"P{i}", 0),
-            "pn_s": (f"S{i}", f"P{o}", 0)}
+    index n, slope, shift); h^(n) has degree slope * n + shift."""
+    return {"ss": (f"S{i}", f"S{i}", 1, -2, 0),
+            "sn": (f"S{o}", f"S{i}", 0, -2, -1),
+            "sp": (f"P{i}", f"S{i}", 1, -2, 0),
+            "pn_t": (f"P{o}", f"S{i}", 0, -2, -1),
+            "ps": (f"S{i}", f"P{i}", 0, 2, 0),
+            "pn_s": (f"S{i}", f"P{o}", 0, 2, 1)}
 
 
-# (kind, index) -> (source, target, lowest index n)
+# (kind, index) -> (source, target, lowest index n, slope, shift)
 H_KINDS = {(k, i): row for i in (1, 2) for k, row in _h_kinds(i, other(i)).items()}
+
+# (kind, source, target) -> the index of the kind's symbols source -> target
+_H_INDEX = {(k, x, y): i for (k, i), (x, y, *_deg) in H_KINDS.items()}
 
 
 def _h_row(h):
@@ -207,220 +195,114 @@ def _h_row(h):
         raise ValueError(f"not an H symbol: {h}") from None
 
 
-def h_sym(kind, i, n):
-    h = ("h", kind, i, n)
-    first = _h_row(h)[2]
-    if n < first:
-        raise ValueError(f"h kind {kind} needs n >= {first}")
-    return h
-
-
-def h_source(h):
-    return _h_row(h)[0]
-
-
-def h_target(h):
-    return _h_row(h)[1]
+def _h_facts(h):
+    """(kind, source, target, degree) of the H symbol h."""
+    x, y, _first, slope, shift = _h_row(h)
+    return h[1], x, y, slope * h[3] + shift
 
 
 def is_h(x):
     return isinstance(x, tuple) and x[0] == "h"
 
 
-def is_ext(x):
-    return isinstance(x, tuple) and x[:2] in EXT_KINDS
-
-
-def elem_source(x):
-    return h_source(x) if is_h(x) else ext_source(x)
-
-
-def elem_target(x):
-    return h_target(x) if is_h(x) else ext_target(x)
-
-
 # ---------------------------------------------------------------------------
 # mu: chain-level product of two factors (each an Ext symbol or an H symbol)
 
-def _noncycle(name, *params):
-    return ("N", name, params)
+# (kind of a, kind of b) -> the outcomes of a o b, tried in order:
+#   "E"        the Ext class source(b) -> target(a) of degree |a| + |b|;
+#   an H kind  ("B", h) for h the kind's symbol source(b) -> target(a) of
+#              degree |a| + |b| - 1;
+#   "N:<name>" a terminating non-cycle, H- and p-invisible.
+# The first outcome that exists is the product; a pair with no row, or
+# with no outcome that exists, has product ZERO.
+PRODUCTS = {
+    # Ext o Ext: products that land back in the Ext basis ...
+    ("j", "p"): ("E",), ("u", "u"): ("E",), ("g", "u"): ("E",),
+    ("u", "g"): ("E",), ("g", "g"): ("E",),
+    # ... and the null-homotopic ones, the initial homotopies
+    ("p", "j"): ("sn",), ("j", "g"): ("ps",), ("p", "E"): ("pn_t",),
+    ("j", "u"): ("pn_s",),
+    # H o Ext: the inductive extensions, the terminating non-cycles, and
+    # h(P_i, S_i)^0 o p_i = 1_{P_i}
+    ("pn_t", "j"): ("ss",), ("pn_t", "E"): ("sp",),
+    ("sp", "j"): ("sn",), ("sp", "E"): ("pn_t",),
+    ("ss", "u"): ("N:h_ss.u",), ("ss", "g"): ("N:h_ss.ug",),
+    ("sn", "u"): ("N:h_sn.u",), ("sn", "g"): ("N:h_sn.ug",),
+    ("ps", "p"): ("E",),
+    # Ext o H: class reads, and the arrow after h(P_i, S_i)^n or
+    # h(P_{i+1}, S_i)^n, a class at n = 0 for the first
+    ("u", "sn"): ("E",), ("g", "sn"): ("E",), ("u", "ss"): ("E",),
+    ("g", "ss"): ("E",), ("u", "sp"): ("E",), ("g", "pn_t"): ("E",),
+    ("p", "ps"): ("E",), ("p", "pn_s"): ("E",),
+    ("E", "ps"): ("E", "pn_s"), ("E", "pn_s"): ("ps",),
+    # H o H: an identity (a Kronecker delta), a terminating non-cycle or
+    # zero, never an H kind.  So h_apply of such a product is zero,
+    # H(mu(H x, H y)) = 0, the side condition under which a point query
+    # sums only the end cuts of a slice (`transfer`).
+    ("pn_s", "pn_t"): ("E",), ("ps", "sp"): ("E",),
+    ("pn_t", "pn_s"): ("N:h_spn.h_pns",), ("sp", "ps"): ("N:h_sps.h_pss",),
+    ("sp", "pn_s"): ("N:h_sps.h_pns",), ("pn_t", "ps"): ("N:h_spn.h_pss",),
+}
+
+
+def _exponent(deg, slope, shift, first):
+    """The n >= first with slope * n + shift = deg, or None."""
+    n, r = divmod(deg - shift, slope)
+    return n if r == 0 and n >= first else None
+
+
+def _ext_class(x, y, deg):
+    """The Ext class x -> y of degree deg, or None.  A pair has at most
+    one kind besides its identity, and a loop kind starts at exponent 1,
+    so degree 0 is the identity's alone: u^0 is 1."""
+    for k, i, shift, first in _HOM.get((x, y), ()):
+        if shift is None:
+            if deg == 0:
+                return (k, i)
+        else:
+            n = _exponent(deg, 2, shift, first)
+            if n is not None:
+                return (k, i, n)
+    return None
+
+
+def _h_class(kind, x, y, deg):
+    """The H symbol of the given kind x -> y of degree deg, or None."""
+    i = _H_INDEX.get((kind, x, y))
+    if i is None:
+        return None
+    _x, _y, first, slope, shift = H_KINDS[kind, i]
+    n = _exponent(deg, slope, shift, first)
+    return None if n is None else ("h", kind, i, n)
 
 
 def mu(a, b):
-    """Chain-level product a o b (b first).  Total with default ZERO.
+    """Chain-level product a o b (b first): the first outcome of the
+    PRODUCTS row of the factors' kinds that exists, else ZERO.
 
     Inputs are Ext symbols or H symbols other than identities (the unit
     laws are applied before any product is looked up); the result is an
-    ("E", sym), ("B", hsym), ("N", ...) tag or ZERO as described in the
-    module docstring.  Raises on a non-composable pair and on an identity
-    factor.
+    ("E", sym), ("B", hsym), ("N", name, (a, b)) tag or ZERO as described
+    in the module docstring.  Raises on a non-composable pair and on an
+    identity factor.
     """
-    if elem_source(a) != elem_target(b):
+    ka, xa, ya, da = _h_facts(a) if is_h(a) else _ext_facts(a)
+    kb, xb, yb, db = _h_facts(b) if is_h(b) else _ext_facts(b)
+    if xa != yb:
         raise ValueError(f"non-composable pair {a} after {b}")
-    if (is_ext(a) and is_identity(a)) or (is_ext(b) and is_identity(b)):
+    if ka == "1" or kb == "1":
         raise ValueError(f"identity factor in {a} after {b}")
-    ah, bh = is_h(a), is_h(b)
-    if not ah and not bh:
-        return _mu_ext_ext(a, b)
-    if ah and not bh:
-        return _mu_h_ext(a, b)
-    if not ah and bh:
-        return _mu_ext_h(a, b)
-    return _mu_h_h(a, b)
-
-
-def _mu_ext_ext(a, b):
-    ka, kb = a[0], b[0]
-    # products that land back in the Ext basis
-    if ka == "j" and kb == "p":
-        # j1 o p2 = (21), j2 o p1 = (12)
-        return ("E", ("E", a[1])) if a[1] != b[1] else ZERO
-    if ka == "u" and kb == "u":
-        return ("E", ext_u(a[1], a[2] + b[2]))
-    if ka == "g" and kb == "u":
-        # (g_i u_i'^m) o u_i'^n with i' = other(i)
-        return ("E", ext_g(a[1], a[2] + b[2]))
-    if ka == "u" and kb == "g":
-        return ("E", ext_g(b[1], a[2] + b[2]))
-    if ka == "g" and kb == "g":
-        # a.u2^m o b.u1^n = u1^{m+n+1} and the kappa-image
-        return ("E", ext_u(a[1], a[2] + b[2] + 1))
-    # null-homotopic products: the initial homotopies
-    if ka == "p" and kb == "j":
-        i = a[1]
-        return ("B", h_sym("sn", i, 0))
-    if ka == "j" and kb == "g":
-        # j_i o (g-class into S_i): j1 o b.u1^n -> h(P1,S1)^n
-        i = a[1]
-        return ("B", h_sym("ps", i, b[2]))
-    if ka == "p" and kb == "E":
-        # p1 o (21) -> h(S1,P2)^0, p2 o (12) -> h(S2,P1)^0
-        return ("B", h_sym("pn_t", a[1], 0))
-    if ka == "j" and kb == "u":
-        # j2 o u1^n -> h(P2,S1)^{n-1} (n >= 1: n = 0 is the unit case)
-        return ("B", h_sym("pn_s", b[1], b[2] - 1))
-    return ZERO
-
-
-def _mu_h_ext(h, b):
-    _, kind, i, n = h
-    kb = b[0]
-    if kind == "pn_t":
-        # h(S_i, P_{i+1})^n composed after maps into P_{i+1}
-        if kb == "j":
-            return ("B", h_sym("ss", i, n + 1))
-        if kb == "E":
-            return ("B", h_sym("sp", i, n + 1))
-    if kind == "sp":
-        # h(S_i, P_i)^n, n >= 1
-        if kb == "j":
-            return ("B", h_sym("sn", i, n))
-        if kb == "E":
-            return ("B", h_sym("pn_t", i, n))
-    if kind == "ss":
-        if kb == "u":
-            return _noncycle("h_ss.u", i, n, b[2])
-        if kb == "g":
-            return _noncycle("h_ss.ug", i, n, b[2])
-        if kb == "p":
-            return ZERO  # single component off the class degree
-    if kind == "sn":
-        if kb == "u":
-            return _noncycle("h_sn.u", i, n, b[2])
-        if kb == "g":
-            return _noncycle("h_sn.ug", i, n, b[2])
-        if kb == "p":
-            return ZERO
-    if kind == "ps":
-        # h(P_i,S_i)^0 o p_i = 1_{P_i}; shifted variants vanish
-        if kb == "p":
-            return ("E", ext_identity(f"P{i}")) if n == 0 else ZERO
-        return ZERO
-    if kind == "pn_s":
-        # single component never meets the one position of the target
-        return ZERO
-    return ZERO
-
-
-def _mu_ext_h(a, h):
-    _, kind, i, n = h
-    ka = a[0]
-    if kind == "sn":
-        # h(S_i, S_{i+1})^n: compositions u_i^k o h etc.
-        if ka == "u":
-            # u_i^k o h(S_i,S_{i+1})^n lands in Hom(S_{i+1}, S_i)
-            k = a[2]
-            return ("E", ext_g(i, k - n - 1)) if k >= n + 1 else ZERO
-        if ka == "g":
-            # (u^k gamma)-type o h: b.u1^k o h(S1,S2)^n = u2^{k-n}
-            k = a[2]
-            return ("E", ext_u(other(i), k - n)) if k >= n else ZERO
-        if ka == "j":
-            return ZERO
-    if kind == "ss":
-        if ka == "u":
-            k = a[2]
-            return ("E", ext_u(i, k - n)) if k >= n else ZERO
-        if ka == "g":
-            # u2^k b o h(S1,S1)^n = u2^{k-n} b, i.e. b.u1^{k-n}
-            k = a[2]
-            return ("E", ext_g(a[1], k - n)) if k >= n else ZERO
-        if ka == "j":
-            return ZERO
-    if kind == "sp":
-        if ka == "u":
-            return ("E", ("p", i)) if a[2] == n else ZERO
-        if ka == "g":
-            return ZERO
-        if ka == "j":
-            return ZERO
-    if kind == "pn_t":
-        # h(S_i, P_{i+1})^n: b.u1^m o h(S1,P2)^n = delta p2
-        if ka == "g":
-            return ("E", ("p", other(i))) if a[2] == n else ZERO
-        if ka in ("u", "j"):
-            return ZERO
-    if kind == "ps":
-        # h(P_i, S_i)^n
-        if ka == "p":
-            # partial terminating with a nonzero class read: u_i^n
-            return ("E", ext_u(i, n))
-        if ka == "E":
-            return ("E", ("j", other(i))) if n == 0 else ("B", h_sym("pn_s", i, n - 1))
-    if kind == "pn_s":
-        # h(P_{i+1}, S_i)^n
-        if ka == "p":
-            # partial terminating, class read b.u1^n / a.u2^n
-            return ("E", ext_g(other(i), n))
-        if ka == "E":
-            return ("B", h_sym("ps", i, n))
-    return ZERO
-
-
-def _mu_h_h(a, b):
-    """A product of two H symbols: an `E` tag (an identity), an `N` tag
-    (a terminating non-cycle) or ZERO, never a `B` tag.  So `h_apply`
-    of it is zero, H(mu(H x, H y)) = 0, the side condition under which a
-    point query sums only the end cuts of a slice (`transfer`)."""
-    _, ka, ia, na = a
-    _, kb, ib, nb = b
-    # Kronecker-delta identity pairs
-    if ka == "pn_s" and kb == "pn_t" and ia == ib:
-        # h(P2,S1)^m o h(S1,P2)^n = delta 1_{P2}
-        return ("E", ext_identity(f"P{other(ia)}")) if na == nb else ZERO
-    if ka == "ps" and kb == "sp" and ia == ib:
-        return ("E", ext_identity(f"P{ia}")) if na == nb else ZERO
-    # terminating pairs (single middle component off the class degree)
-    if ka == "pn_t" and kb == "pn_s" and ia == ib:
-        return _noncycle("h_spn.h_pns", ia, na, nb)
-    if ka == "sp" and kb == "ps" and ia == ib:
-        return _noncycle("h_sps.h_pss", ia, na, nb)
-    if ka == "sp" and kb == "pn_s" and ia == other(ib):
-        # h(S2,P2)^n o h(P2,S1)^k
-        return _noncycle("h_sps.h_pns", ib, na, nb)
-    if ka == "pn_t" and kb == "ps" and other(ia) == ib:
-        # h(S1,P2)^n o h(P2,S2)^k
-        return _noncycle("h_spn.h_pss", ia, na, nb)
+    for out in PRODUCTS.get((ka, kb), ()):
+        if out == "E":
+            e = _ext_class(xb, ya, da + db)
+            if e is not None:
+                return ("E", e)
+        elif out.startswith("N:"):
+            return ("N", out[2:], (a, b))
+        else:
+            h = _h_class(out, xb, ya, da + db - 1)
+            if h is not None:
+                return ("B", h)
     return ZERO
 
 
@@ -511,9 +393,10 @@ def hom_names(x, y, degree_max):
 
 
 def classes(x, y, deg):
-    """The Ext classes x -> y of degree deg, by canonical string; none
-    below degree 0."""
-    return [ext_to_str(e) for e in hom_basis(x, y, deg) if ext_degree(e) == deg]
+    """The Ext classes x -> y of degree deg, by canonical string: at most
+    one, none below degree 0."""
+    e = _ext_class(x, y, deg)
+    return [] if e is None else [ext_to_str(e)]
 
 
 def kappa_str(s):

@@ -39,9 +39,10 @@ None is zero: a slice value is None or nonzero, and no backend has an
 
 A backend also meets one side condition of its contraction, H(mu(H x,
 H y)) = 0: mu_h of two slice values (two H images, neither a leaf) is
-None.  The grammar gives it (`symbols._mu_h_h` never gives a `B` tag), and
-the tests check it on every composable pair of H symbols within bounds
-and on every such product the matrix scans form.  Under it a slice of
+None.  The grammar gives it (no `symbols.PRODUCTS` row keyed by two H
+kinds names an H kind), and the tests check it on that table, on every
+composable pair of H symbols within bounds and on every such product the
+matrix scans form.  Under it a slice of
 length >= 3 takes its value from at most two cuts, the one that splits
 off its first input and the one that splits off its last, so a point
 query sums only those; the root applies p, not H, and sums every live cut.

@@ -1,7 +1,9 @@
 """Grammar, matrix, complex and table functions that only the tests call.
 
-`kappa_h`, `h_degree`, `elem_degree`, `all_ext_symbols`, `all_h_symbols`
-and `composable_pairs` read the symbol grammar of `pia2.symbols`;
+`ext_u`, `ext_g` and `h_sym` build grammar tuples; `is_identity`,
+`elem_source`, `elem_target`, `kappa_h`, `h_degree`, `elem_degree`,
+`all_ext_symbols`, `all_h_symbols` and `composable_pairs` read the symbol
+grammar of `pia2.symbols`;
 `from_rows` builds a `pia2.linalg` matrix, and `rank` and `check_exact`
 read `pia2.quiver` module maps; `check_d_squared`, `homology_dims` and
 `hom_homology_dims` read a `pia2.complexes` complex or category,
@@ -18,6 +20,37 @@ from pia2 import symbols as sym
 from pia2.complexes import HomElement, realize_ext_symbol
 from pia2.linalg import SparseMatrix, rref
 from pia2.table import OperationTable
+
+
+def ext_u(i, n):
+    """u_i^n; n = 0 collapses to the identity of S_i."""
+    return ("1", f"S{i}") if n == 0 else ("u", i, n)
+
+
+def ext_g(i, n):
+    """The odd classes: ext_g(1, n) = a.u2^n, ext_g(2, n) = b.u1^n."""
+    return ("g", i, n)
+
+
+def h_sym(kind, i, n):
+    """The H symbol h^(n) of the given kind and index; ValueError below the
+    kind's lowest n."""
+    first = sym.H_KINDS[kind, i][2]
+    if n < first:
+        raise ValueError(f"h kind {kind} needs n >= {first}")
+    return ("h", kind, i, n)
+
+
+def is_identity(x):
+    return x[0] == "1"
+
+
+def elem_source(x):
+    return sym.H_KINDS[x[1], x[2]][0] if sym.is_h(x) else sym.ext_source(x)
+
+
+def elem_target(x):
+    return sym.H_KINDS[x[1], x[2]][1] if sym.is_h(x) else sym.ext_target(x)
 
 
 def kappa_h(h):
@@ -41,7 +74,7 @@ def all_ext_symbols(degree_max, include_identities=False):
     for x in sym.OBJECTS:
         for y in sym.OBJECTS:
             for s in sym.hom_basis(x, y, degree_max):
-                if include_identities or not sym.is_identity(s):
+                if include_identities or not is_identity(s):
                     out.append(s)
     return out
 
@@ -52,7 +85,7 @@ def all_h_symbols(n_max):
         lo = 1 if kind in ("ss", "sp") else 0
         for i in (1, 2):
             for n in range(lo, n_max + 1):
-                out.append(sym.h_sym(kind, i, n))
+                out.append(h_sym(kind, i, n))
     return out
 
 
@@ -62,7 +95,7 @@ def composable_pairs(n_max):
     elems = all_ext_symbols(2 * n_max + 1) + all_h_symbols(n_max)
     for a in elems:
         for b in elems:
-            if sym.elem_source(a) == sym.elem_target(b):
+            if elem_source(a) == elem_target(b):
                 yield a, b
 
 
@@ -182,19 +215,19 @@ def _h_defining_product(h):
     if kind == "sn":
         if n == 0:
             return (("p", i), ("j", i))
-        return (sym.h_sym("sp", i, n), ("j", i))
+        return (h_sym("sp", i, n), ("j", i))
     if kind == "ps":
-        return (("j", i), sym.ext_g(o, n))
+        return (("j", i), ext_g(o, n))
     if kind == "pn_t":
         if n == 0:
             return (("p", i), ("E", i))
-        return (sym.h_sym("sp", i, n), ("E", i))
+        return (h_sym("sp", i, n), ("E", i))
     if kind == "pn_s":
-        return (("j", o), sym.ext_u(i, n + 1))
+        return (("j", o), ext_u(i, n + 1))
     if kind == "ss":
-        return (sym.h_sym("pn_t", i, n - 1), ("j", o))
+        return (h_sym("pn_t", i, n - 1), ("j", o))
     if kind == "sp":
-        return (sym.h_sym("pn_t", i, n - 1), ("E", o))
+        return (h_sym("pn_t", i, n - 1), ("E", o))
     raise ValueError(h)
 
 

@@ -17,8 +17,9 @@ import pytest
 from pia2.linalg import F2, QQ
 from pia2 import symbols as sym
 from pia2.table import OperationTable, diff_tables
-from helpers import (check_d_squared, check_exact, realize_h_symbol,
-                     restrict_objects, table_to_json)
+from helpers import (check_d_squared, check_exact, ext_g, ext_u, h_sym,
+                     is_identity, realize_h_symbol, restrict_objects,
+                     table_to_json)
 from tree_oracle import enumerate_trees, catalan
 from pia2.transfer import (SymbolicBackend, MatrixBackend, TransferEvaluator,
                            compute_operation_table)
@@ -364,37 +365,37 @@ def _homotopy_composition_audit(cat, con):
         for n in range(0, 4):
             for m in range(0, 4):
                 checks = [
-                    (sym.ext_u(i, n), sym.h_sym("sn", i, m),
-                     sym.ext_g(i, n - m - 1) if n >= m + 1 else None),
-                    (sym.ext_g(i, n), sym.h_sym("sn", o, m),
-                     sym.ext_u(i, n - m) if n >= m else None),
-                    (sym.ext_g(o, n), sym.h_sym("pn_t", i, m),
+                    (ext_u(i, n), h_sym("sn", i, m),
+                     ext_g(i, n - m - 1) if n >= m + 1 else None),
+                    (ext_g(i, n), h_sym("sn", o, m),
+                     ext_u(i, n - m) if n >= m else None),
+                    (ext_g(o, n), h_sym("pn_t", i, m),
                      ("p", o) if n == m else None),
-                    (sym.ext_u(i, n) if n else None, sym.h_sym("ss", i, m) if m else None,
-                     sym.ext_u(i, n - m) if n >= m else None),
-                    (sym.h_sym("pn_s", i, n), sym.h_sym("pn_t", i, m),
+                    (ext_u(i, n) if n else None, h_sym("ss", i, m) if m else None,
+                     ext_u(i, n - m) if n >= m else None),
+                    (h_sym("pn_s", i, n), h_sym("pn_t", i, m),
                      ("1", f"P{o}") if n == m else None),
-                    (sym.h_sym("ps", i, n), sym.h_sym("sp", i, m) if m else None,
+                    (h_sym("ps", i, n), h_sym("sp", i, m) if m else None,
                      ("1", f"P{i}") if n == m else None),
                 ]
                 for a, b, want in checks:
                     if a is None or b is None:
                         continue
-                    if sym.is_ext(a) and sym.is_identity(a):
+                    if is_identity(a):
                         continue
                     prod = cat.compose(R(a), R(b))
                     got = con.project(prod)
                     expect = {} if want is None else {sym.ext_to_str(want): F2.one}
                     assert got == expect, (a, b, got, expect)
         # the four identity-producing compositions
-        assert con.project(cat.compose(R(sym.h_sym("ps", i, 0)), R(("p", i)))) \
+        assert con.project(cat.compose(R(h_sym("ps", i, 0)), R(("p", i)))) \
             == {f"1_P{i}": F2.one}
-        assert con.project(cat.compose(R(("E", o)), R(sym.h_sym("ps", i, 0)))) \
+        assert con.project(cat.compose(R(("E", o)), R(h_sym("ps", i, 0)))) \
             == {f"j{o}": F2.one}
         # retain the homotopy images of the initial products for the
         # window-stability comparison
         for n in range(0, 3):
-            prod = cat.compose(R(("j", i)), R(sym.ext_g(o, n)))
+            prod = cat.compose(R(("j", i)), R(ext_g(o, n)))
             out[("H", "j.g", i, n)] = con.H(prod).coeffs
         prod = cat.compose(R(("p", i)), R(("j", i)))
         out[("H", "p.j", i)] = con.H(prod).coeffs

@@ -17,8 +17,9 @@ from pia2 import complexes
 from pia2.transfer import MatrixBackend, compute_operation_table
 
 from helpers import (all_ext_symbols, all_h_symbols, check_d_squared,
-                     full_back_substitution, hom_homology_dims, homology_dims,
-                     realize_h_symbol, restrict)
+                     elem_source, elem_target, ext_g, ext_u,
+                     full_back_substitution, h_sym, hom_homology_dims,
+                     homology_dims, realize_h_symbol, restrict)
 
 
 def test_build_resolution_pattern():
@@ -290,7 +291,7 @@ def test_compose_realizations():
     assert prod.coeffs == want.coeffs
     # 1 o f = f
     one = realize_ext_symbol(cat, ("1", "S1"))
-    u1 = realize_ext_symbol(cat, sym.ext_u(1, 1))
+    u1 = realize_ext_symbol(cat, ext_u(1, 1))
     assert cat.compose(one, u1).coeffs == u1.coeffs
     # p1 o j1 is nonzero but null-homotopic
     prod = cat.compose(e["p1"], e["j1"])
@@ -302,17 +303,17 @@ def test_compose_realizations():
 def test_realize_u_is_shift_and_multiplicative():
     cat = pia2_end_category(12, F2)
     con = tabulated_contraction(cat)
-    u1 = realize_ext_symbol(cat, sym.ext_u(1, 1))
+    u1 = realize_ext_symbol(cat, ext_u(1, 1))
     assert cat.differential(u1).is_zero()
     assert set(u1.coeffs) == set(range(-12, -1))
     sq = cat.compose(u1, u1)
     assert con.project(sq) == {"u1^2": F2.one}
     # alpha o beta represents u1
-    al = realize_ext_symbol(cat, sym.ext_g(1, 0))
-    be = realize_ext_symbol(cat, sym.ext_g(2, 0))
+    al = realize_ext_symbol(cat, ext_g(1, 0))
+    be = realize_ext_symbol(cat, ext_g(2, 0))
     assert con.project(cat.compose(al, be)) == {"u1^1": F2.one}
     with pytest.raises(ValueError):
-        realize_ext_symbol(cat, sym.ext_u(1, 5))  # window too small
+        realize_ext_symbol(cat, ext_u(1, 5))  # window too small
 
 
 @pytest.mark.parametrize("field", [F2, QQ], ids=["f2", "q"])
@@ -355,17 +356,31 @@ def test_tabulated_include_realizes_each_class_once(field, monkeypatch):
 def test_realize_h_shapes_over_f2():
     con = tabulated_contraction(pia2_end_category(12, F2))
     # h(S1,S2)^n: the full shift with unit components
-    h = realize_h_symbol(con, sym.h_sym("sn", 1, 1))
+    h = realize_h_symbol(con, h_sym("sn", 1, 1))
     assert all(v == F2.one for v in h.coeffs.values())
     assert set(h.coeffs) == set(range(-9, 1))
     # h(P1,S1)^n: a single unit component at position -2n
-    h2 = realize_h_symbol(con, sym.h_sym("ps", 1, 2))
+    h2 = realize_h_symbol(con, h_sym("ps", 1, 2))
     assert h2.coeffs == {-4: F2.one}
     # h(S1,P2)^0: a single unit component mapping onto position -1
-    h3 = realize_h_symbol(con, sym.h_sym("pn_t", 1, 0))
+    h3 = realize_h_symbol(con, h_sym("pn_t", 1, 0))
     assert h3.coeffs == {0: F2.one} and h3.deg == -1
     with pytest.raises(ValueError):
-        realize_h_symbol(con, sym.h_sym("ps", 1, 4))
+        realize_h_symbol(con, h_sym("ps", 1, 4))
+
+
+def test_h_kind_rows_match_the_realized_homotopies():
+    """Each H_KINDS row's source, target and degree are those of the
+    matrix realization of its symbols, at every index n <= 3 of both
+    indices i."""
+    con = tabulated_contraction(pia2_end_category(12, F2))
+    checked = 0
+    for (kind, i), (x, y, first, slope, shift) in sym.H_KINDS.items():
+        for n in range(first, 4):
+            h = realize_h_symbol(con, h_sym(kind, i, n))
+            assert (h.src, h.tgt, h.deg) == (x, y, slope * n + shift), (kind, i, n)
+            checked += 1
+    assert checked == 44
 
 
 def test_initial_homotopies_as_matrix_identities():
@@ -380,14 +395,14 @@ def test_initial_homotopies_as_matrix_identities():
             return con.H(cat.compose(R(a), R(b)))
 
         checks = [
-            (("p1", "j1"), sym.h_sym("sn", 1, 0)),
-            (("p2", "j2"), sym.h_sym("sn", 2, 0)),
-            (("j1", "b.u1^1"), sym.h_sym("ps", 1, 1)),
-            (("j2", "a.u2^2"), sym.h_sym("ps", 2, 2)),
-            (("p1", "(21)"), sym.h_sym("pn_t", 1, 0)),
-            (("p2", "(12)"), sym.h_sym("pn_t", 2, 0)),
-            (("j2", "u1^2"), sym.h_sym("pn_s", 1, 1)),
-            (("j1", "u2^1"), sym.h_sym("pn_s", 2, 0)),
+            (("p1", "j1"), h_sym("sn", 1, 0)),
+            (("p2", "j2"), h_sym("sn", 2, 0)),
+            (("j1", "b.u1^1"), h_sym("ps", 1, 1)),
+            (("j2", "a.u2^2"), h_sym("ps", 2, 2)),
+            (("p1", "(21)"), h_sym("pn_t", 1, 0)),
+            (("p2", "(12)"), h_sym("pn_t", 2, 0)),
+            (("j2", "u1^2"), h_sym("pn_s", 1, 1)),
+            (("j1", "u2^1"), h_sym("pn_s", 2, 0)),
         ]
         for (a, b), h in checks:
             got = H_of(a, b)
@@ -1061,32 +1076,32 @@ def test_homotopy_composition_identities_as_matrices():
             for m in range(0, 4):
                 # u_i^n o h(S_i,S_o)^m = (g-class)^{n-m-1}
                 if n >= 1:
-                    prod = cat.compose(R(sym.ext_u(i, n)), R(sym.h_sym("sn", i, m)))
-                    want = {} if n < m + 1 else {sym.ext_to_str(sym.ext_g(i, n - m - 1)): F2.one}
+                    prod = cat.compose(R(ext_u(i, n)), R(h_sym("sn", i, m)))
+                    want = {} if n < m + 1 else {sym.ext_to_str(ext_g(i, n - m - 1)): F2.one}
                     assert con.project(prod) == want, (i, n, m)
                 # g o h(S_i,S_i)^m
                 if m >= 1:
-                    prod = cat.compose(R(sym.ext_g(o, n)), R(sym.h_sym("ss", i, m)))
-                    want = {} if n < m else {sym.ext_to_str(sym.ext_g(o, n - m)): F2.one}
+                    prod = cat.compose(R(ext_g(o, n)), R(h_sym("ss", i, m)))
+                    want = {} if n < m else {sym.ext_to_str(ext_g(o, n - m)): F2.one}
                     assert con.project(prod) == want
                 # u^n o h(S_i,P_i)^m = delta p_i
                 if m >= 1 and n >= 1:
-                    prod = cat.compose(R(sym.ext_u(i, n)), R(sym.h_sym("sp", i, m)))
+                    prod = cat.compose(R(ext_u(i, n)), R(h_sym("sp", i, m)))
                     want = {f"p{i}": F2.one} if n == m else {}
                     assert con.project(prod) == want
                 # g o h(S_i,P_o)^m = delta p_o
-                prod = cat.compose(R(sym.ext_g(o, n)), R(sym.h_sym("pn_t", i, m)))
+                prod = cat.compose(R(ext_g(o, n)), R(h_sym("pn_t", i, m)))
                 want = {f"p{o}": F2.one} if n == m else {}
                 assert con.project(prod) == want
                 # h(P_o,S_i)^n o h(S_i,P_o)^m = delta 1_{P_o}
-                prod = cat.compose(R(sym.h_sym("pn_s", i, n)), R(sym.h_sym("pn_t", i, m)))
+                prod = cat.compose(R(h_sym("pn_s", i, n)), R(h_sym("pn_t", i, m)))
                 want = {f"1_P{o}": F2.one} if n == m else {}
                 assert con.project(prod) == want
             # h(P_i,S_i)^0 o p_i = identity
-            prod = cat.compose(R(sym.h_sym("ps", i, 0)), R(("p", i)))
+            prod = cat.compose(R(h_sym("ps", i, 0)), R(("p", i)))
             assert con.project(prod) == {f"1_P{i}": F2.one}
             # arrow o h(P_i,S_i)^0 = j_o
-            prod = cat.compose(R(("E", o)), R(sym.h_sym("ps", i, 0)))
+            prod = cat.compose(R(("E", o)), R(h_sym("ps", i, 0)))
             assert con.project(prod) == {f"j{o}": F2.one}
 
 
@@ -1111,7 +1126,7 @@ def test_mu_matrix_coherence_audit():
     checked = 0
     for a in elems:
         for b in elems:
-            if sym.elem_source(a) != sym.elem_target(b):
+            if elem_source(a) != elem_target(b):
                 continue
             r = sym.mu(a, b)
             m = cat.compose(R(a), R(b))

@@ -23,7 +23,7 @@ from pia2.complexes import (pia2_end_category, tabulated_contraction,
 from pia2.linalg import F2, QQ
 from pia2.transfer import (SymbolicBackend, MatrixBackend, TransferEvaluator,
                            compute_operation_table)
-from helpers import composable_pairs
+from helpers import composable_pairs, h_sym
 from tree_oracle import transfer_mn_by_trees
 
 _MISS = object()
@@ -586,10 +586,10 @@ def test_add_cancels_equal_operands_and_refuses_distinct_ones():
     operands would be a two-term sum, which the element cannot hold, so
     `add` raises rather than drop one."""
     backend = SymbolicBackend()
-    h = sym.h_sym("ss", 1, 1)
+    h = h_sym("ss", 1, 1)
     for x in ("u1^1", h):
         assert backend.add(x, x) is None
-    for a, b in (("u1^1", "u1^2"), ("u1^1", h), (h, sym.h_sym("ss", 1, 2))):
+    for a, b in (("u1^1", "u1^2"), ("u1^1", h), (h, h_sym("ss", 1, 2))):
         with pytest.raises(ValueError, match="two distinct terms"):
             backend.add(a, b)
 
@@ -612,7 +612,7 @@ def test_two_live_cuts_with_distinct_images_refuse_the_slice():
     `slice_value` each raise, naming that slice and both images, never
     keeping one of them; with equal ones they cancel over F2 and the slice
     is zero."""
-    h = [sym.h_sym("ss", 1, n) for n in range(1, 5)]
+    h = [h_sym("ss", 1, n) for n in range(1, 5)]
     q = ("d", "c", "b", "a")
     with pytest.raises(ValueError) as exc:
         TransferEvaluator(_hand_made_backend(h, h[3]))._fill(q, None)

@@ -7,47 +7,48 @@ from pathlib import Path
 import pytest
 
 from pia2 import symbols as sym
-from helpers import (all_ext_symbols, all_h_symbols, elem_degree, h_degree,
-                     kappa_h)
+from helpers import (all_ext_symbols, all_h_symbols, composable_pairs,
+                     elem_degree, elem_source, elem_target, ext_g, ext_u,
+                     h_degree, h_sym, is_identity, kappa_h)
 
 
 def test_degrees_and_endpoints():
     assert sym.ext_degree(("j", 1)) == 0
-    assert sym.ext_degree(sym.ext_u(1, 3)) == 6
-    assert sym.ext_degree(sym.ext_g(2, 2)) == 5
+    assert sym.ext_degree(ext_u(1, 3)) == 6
+    assert sym.ext_degree(ext_g(2, 2)) == 5
     assert sym.ext_source(("j", 1)) == "S2" and sym.ext_target(("j", 1)) == "P1"
     assert sym.ext_source(sym.E12) == "P1" and sym.ext_target(sym.E12) == "P2"
-    assert sym.ext_source(sym.ext_g(1, 0)) == "S2"  # alpha: S2 -> S1
-    assert sym.ext_u(1, 0) == ("1", "S1")
+    assert sym.ext_source(ext_g(1, 0)) == "S2"  # alpha: S2 -> S1
+    assert ext_u(1, 0) == ("1", "S1")
 
 
 def test_fact_functions_refuse_what_is_not_a_symbol_of_their_grammar():
     """Each Ext fact function raises ValueError on a tuple that names no
     row of the Ext kind table (an H symbol, an unknown kind, an index or
-    object out of range), and each H endpoint function on one that names
-    no row of the H kind table."""
-    for x in (sym.h_sym("ss", 1, 1), ("x", 1), ("j", 3), ("1", "S3"), ()):
+    object out of range), and mu on an H-tagged tuple that names no row
+    of the H kind table."""
+    for x in (h_sym("ss", 1, 1), ("x", 1), ("j", 3), ("1", "S3"), ()):
         for f in (sym.ext_source, sym.ext_target, sym.ext_degree,
                   sym.ext_to_str, sym.kappa_ext):
             with pytest.raises(ValueError, match="not an Ext symbol"):
                 f(x)
-    for h in (sym.ext_u(1, 2), ("h", "sx", 1, 0), ("h", "ss", 3, 1)):
-        for f in (sym.h_source, sym.h_target):
+    for h in (("h", "sx", 1, 0), ("h", "ss", 3, 1), ("h",)):
+        for a, b in ((h, ("j", 1)), (("p", 1), h)):
             with pytest.raises(ValueError, match="not an H symbol"):
-                f(h)
+                sym.mu(a, b)
 
 
 def test_h_degrees_match_contraction_bookkeeping():
     # H lowers degree by one: each table entry drops the degree of its
     # defining product by exactly one
-    assert h_degree(sym.h_sym("sn", 1, 0)) == -1          # H(p1 j1)
-    assert h_degree(sym.h_sym("ps", 1, 2)) == 4           # H(j1 b.u1^2)
-    assert h_degree(sym.h_sym("pn_s", 1, 1)) == 3         # H(j2 u1^2)
-    assert h_degree(sym.h_sym("ss", 1, 2)) == -4
-    assert h_degree(sym.h_sym("sp", 2, 1)) == -2
-    assert h_degree(sym.h_sym("pn_t", 2, 0)) == -1
+    assert h_degree(h_sym("sn", 1, 0)) == -1          # H(p1 j1)
+    assert h_degree(h_sym("ps", 1, 2)) == 4           # H(j1 b.u1^2)
+    assert h_degree(h_sym("pn_s", 1, 1)) == 3         # H(j2 u1^2)
+    assert h_degree(h_sym("ss", 1, 2)) == -4
+    assert h_degree(h_sym("sp", 2, 1)) == -2
+    assert h_degree(h_sym("pn_t", 2, 0)) == -1
     with pytest.raises(ValueError):
-        sym.h_sym("ss", 1, 0)
+        h_sym("ss", 1, 0)
 
 
 def test_hom_basis_examples():
@@ -121,20 +122,33 @@ def test_string_roundtrip():
 
 def test_mu_table_entries():
     # composition rules
-    assert sym.mu(sym.ext_g(1, 1), sym.ext_g(2, 2)) == ("E", sym.ext_u(1, 4))
+    assert sym.mu(ext_g(1, 1), ext_g(2, 2)) == ("E", ext_u(1, 4))
     assert sym.mu(("j", 1), ("p", 2)) == ("E", sym.E21)
-    assert sym.mu(sym.ext_u(2, 1), sym.ext_g(2, 1)) == ("E", sym.ext_g(2, 2))
+    assert sym.mu(ext_u(2, 1), ext_g(2, 1)) == ("E", ext_g(2, 2))
     # Kronecker delta collapses at lookup time
-    h = sym.h_sym("pn_t", 1, 2)  # h(S1,P2)^2
-    assert sym.mu(sym.h_sym("pn_s", 1, 2), h) == ("E", ("1", "P2"))
-    assert sym.mu(sym.h_sym("pn_s", 1, 1), h) is sym.ZERO
+    h = h_sym("pn_t", 1, 2)  # h(S1,P2)^2
+    assert sym.mu(h_sym("pn_s", 1, 2), h) == ("E", ("1", "P2"))
+    assert sym.mu(h_sym("pn_s", 1, 1), h) is sym.ZERO
     # terminating non-cycles carry their constructor name
-    r = sym.mu(sym.h_sym("ss", 1, 2), sym.ext_u(1, 1))
+    r = sym.mu(h_sym("ss", 1, 2), ext_u(1, 1))
     assert r[0] == "N" and r[1] == "h_ss.u"
     # everything not listed is zero
     assert sym.mu(sym.E12, sym.E21) is sym.ZERO
     assert sym.mu(sym.E12, ("j", 1)) is sym.ZERO
-    assert sym.mu(sym.ext_u(1, 2), ("p", 1)) is sym.ZERO
+    assert sym.mu(ext_u(1, 2), ("p", 1)) is sym.ZERO
+
+
+def test_products_are_pinned():
+    """Every product over composable_pairs(8), as its factors, its tag and
+    its output (an N tag by name), hashes to the digest the per-rule case
+    analysis gave before the product table replaced it."""
+    lines = []
+    for a, b in composable_pairs(8):
+        r = sym.mu(a, b)
+        lines.append(f"{a} {b} " + ("0" if r is sym.ZERO else f"{r[0]} {r[1]}"))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == (
+        6272, "196326166de2601438a12f21cd2d3e26c359da7d872a32a941e3fbd7825801e8")
 
 
 def test_mu_requires_composability():
@@ -146,31 +160,31 @@ def test_mu_refuses_identity_factors():
     """The unit laws are applied before any product is looked up, so an
     identity factor on either side is refused, not read as a zero product
     (1 o u1^1 would otherwise fall through to ZERO)."""
-    for a, b in ((("1", "S1"), sym.ext_u(1, 1)),
-                 (sym.ext_u(1, 1), ("1", "S1")),
+    for a, b in ((("1", "S1"), ext_u(1, 1)),
+                 (ext_u(1, 1), ("1", "S1")),
                  (("1", "P1"), ("j", 1)),
-                 (sym.h_sym("pn_s", 1, 0), ("1", "S1"))):
+                 (h_sym("pn_s", 1, 0), ("1", "S1"))):
         with pytest.raises(ValueError, match="identity factor"):
             sym.mu(a, b)
 
 
 def test_h_apply_tables():
     # initial homotopies
-    assert sym.h_apply(sym.mu(("p", 1), ("j", 1))) == sym.h_sym("sn", 1, 0)
-    assert sym.h_apply(sym.mu(("j", 1), sym.ext_g(2, 2))) == sym.h_sym("ps", 1, 2)
-    assert sym.h_apply(sym.mu(("p", 2), sym.E12)) == sym.h_sym("pn_t", 2, 0)
-    assert sym.h_apply(sym.mu(("j", 2), sym.ext_u(1, 3))) == sym.h_sym("pn_s", 1, 2)
+    assert sym.h_apply(sym.mu(("p", 1), ("j", 1))) == h_sym("sn", 1, 0)
+    assert sym.h_apply(sym.mu(("j", 1), ext_g(2, 2))) == h_sym("ps", 1, 2)
+    assert sym.h_apply(sym.mu(("p", 2), sym.E12)) == h_sym("pn_t", 2, 0)
+    assert sym.h_apply(sym.mu(("j", 2), ext_u(1, 3))) == h_sym("pn_s", 1, 2)
     # inductive extensions
-    assert sym.h_apply(sym.mu(sym.h_sym("pn_t", 1, 1), ("j", 2))) == \
-        sym.h_sym("ss", 1, 2)
-    assert sym.h_apply(sym.mu(sym.h_sym("pn_t", 1, 1), sym.E12)) == \
-        sym.h_sym("sp", 1, 2)
-    assert sym.h_apply(sym.mu(sym.E21, sym.h_sym("pn_s", 1, 0))) == \
-        sym.h_sym("ps", 1, 0)
+    assert sym.h_apply(sym.mu(h_sym("pn_t", 1, 1), ("j", 2))) == \
+        h_sym("ss", 1, 2)
+    assert sym.h_apply(sym.mu(h_sym("pn_t", 1, 1), sym.E12)) == \
+        h_sym("sp", 1, 2)
+    assert sym.h_apply(sym.mu(sym.E21, h_sym("pn_s", 1, 0))) == \
+        h_sym("ps", 1, 0)
     # zero on anything representing a cycle
-    assert sym.h_apply(("E", sym.ext_u(1, 2))) is sym.ZERO
+    assert sym.h_apply(("E", ext_u(1, 2))) is sym.ZERO
     assert sym.h_apply(sym.ZERO) is sym.ZERO
-    r = sym.mu(sym.h_sym("sn", 1, 1), sym.ext_u(2, 1))
+    r = sym.mu(h_sym("sn", 1, 1), ext_u(2, 1))
     assert sym.h_apply(r) is sym.ZERO
 
 
@@ -181,7 +195,7 @@ def test_h_of_a_product_of_two_h_symbols_is_zero():
     only the end cuts of a slice.  Some of the products are nonzero."""
     hs = all_h_symbols(7)
     pairs = [(a, b) for a in hs for b in hs
-             if sym.elem_source(a) == sym.elem_target(b)]
+             if elem_source(a) == elem_target(b)]
     assert len(pairs) == 2340
     products = [sym.mu(a, b) for a, b in pairs]
     assert [p for p, m in zip(pairs, products)
@@ -189,24 +203,35 @@ def test_h_of_a_product_of_two_h_symbols_is_zero():
     assert {m[0] for m in products if m is not sym.ZERO} == {"E", "N"}
 
 
+def test_no_product_of_two_h_kinds_names_an_h_kind():
+    """The side condition H(mu(H x, H y)) = 0 at every index, read off the
+    table: no PRODUCTS row keyed by two H kinds names an H kind, so no
+    product of two H symbols is a B tag."""
+    h_kinds = {k for k, _i in sym.H_KINDS}
+    rows = {pair: outs for pair, outs in sym.PRODUCTS.items()
+            if set(pair) <= h_kinds}
+    assert len(rows) == 6
+    assert [pair for pair, outs in rows.items() if h_kinds & set(outs)] == []
+
+
 def test_class_reads():
     # compositions of homotopies with algebra elements land on classes
-    assert sym.p_apply(sym.mu(sym.ext_u(1, 3), sym.h_sym("sn", 1, 1))) == \
-        sym.ext_g(1, 1)
-    assert sym.p_apply(sym.mu(sym.ext_u(1, 1), sym.h_sym("sn", 1, 1))) is sym.ZERO
-    assert sym.p_apply(sym.mu(sym.ext_g(2, 2), sym.h_sym("ss", 1, 2))) == \
-        sym.ext_g(2, 0)
-    assert sym.p_apply(sym.mu(("p", 1), sym.h_sym("ps", 1, 2))) == sym.ext_u(1, 2)
-    assert sym.p_apply(sym.mu(("p", 2), sym.h_sym("pn_s", 1, 1))) == sym.ext_g(2, 1)
-    assert sym.p_apply(sym.mu(sym.h_sym("ps", 1, 0), ("p", 1))) == ("1", "P1")
-    assert sym.p_apply(sym.mu(sym.h_sym("ps", 1, 2), ("p", 1))) is sym.ZERO
+    assert sym.p_apply(sym.mu(ext_u(1, 3), h_sym("sn", 1, 1))) == \
+        ext_g(1, 1)
+    assert sym.p_apply(sym.mu(ext_u(1, 1), h_sym("sn", 1, 1))) is sym.ZERO
+    assert sym.p_apply(sym.mu(ext_g(2, 2), h_sym("ss", 1, 2))) == \
+        ext_g(2, 0)
+    assert sym.p_apply(sym.mu(("p", 1), h_sym("ps", 1, 2))) == ext_u(1, 2)
+    assert sym.p_apply(sym.mu(("p", 2), h_sym("pn_s", 1, 1))) == ext_g(2, 1)
+    assert sym.p_apply(sym.mu(h_sym("ps", 1, 0), ("p", 1))) == ("1", "P1")
+    assert sym.p_apply(sym.mu(h_sym("ps", 1, 2), ("p", 1))) is sym.ZERO
 
 
 def test_kappa_equivariance_and_degree_additivity():
     elems = all_ext_symbols(5) + all_h_symbols(2)
     for a in elems:
         for b in elems:
-            if sym.elem_source(a) != sym.elem_target(b):
+            if elem_source(a) != elem_target(b):
                 continue
             r = sym.mu(a, b)
             ka = kappa_h(a) if sym.is_h(a) else sym.kappa_ext(a)
@@ -222,7 +247,7 @@ def test_kappa_equivariance_and_degree_additivity():
             else:
                 assert kr[0] == r[0] and kr[1] == r[1]
             # degree bookkeeping
-            if r is not sym.ZERO and r[0] == "E" and not sym.is_identity(r[1]):
+            if r is not sym.ZERO and r[0] == "E" and not is_identity(r[1]):
                 assert sym.ext_degree(r[1]) == elem_degree(a) + elem_degree(b)
             if r is not sym.ZERO and r[0] == "B":
                 assert h_degree(r[1]) == \
