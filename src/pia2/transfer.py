@@ -13,7 +13,8 @@ but is exponentially slower at high arity.  Only the live cuts count, the
 cuts whose two factors are both nonzero, and each caller has one path to
 them (`TransferEvaluator`): a point query grows the nonzero slices of its
 inputs by length, each from its two end cuts (the side condition below),
-sums p(mu) over the root's live cuts and keeps nothing; a chart scan finds
+visiting only the neighbours of the nonzero slices one shorter, sums
+p(mu) over the root's live cuts and keeps nothing; a chart scan finds
 each candidate's live cuts as it builds it, and memoizes the candidates'
 slice values for later scans on the same evaluator.
 
@@ -45,7 +46,9 @@ composable pair of H symbols within bounds and on every such product the
 matrix scans form.  Under it a slice of
 length >= 3 takes its value from at most two cuts, the one that splits
 off its first input and the one that splits off its last, so a point
-query sums only those; the root applies p, not H, and sums every live cut.
+query sums only those, and a slice is nonzero only where it extends a
+nonzero slice one shorter by a leaf; the root applies p, not H, and sums
+every live cut.
 
 The symbolic backend reads the H and p images of a symbol pair from one
 pair table, filled with one mu per distinct pair.  Its element is one
@@ -242,8 +245,9 @@ class TransferEvaluator:
     """m_n over all planar shapes at once, from slice values.
 
     A point query, `transfer(inputs)`, grows its nonzero proper slices
-    from their end cuts (`_fill`) and sums p(mu) over the root's live cuts
-    read from them; it reads and writes no memo.  A chart scan hands each
+    from their end cuts, each length from the nonzero slices of the length
+    below (`_fill`), and sums p(mu) over the root's live cuts read from
+    them; it reads and writes no memo.  A chart scan hands each
     candidate its live cuts instead, as (c, left, right) in ascending c:
     the cut and the nonzero values of inputs[:c] and inputs[c:].
     `transfer(inputs, cuts)` sums p(mu) over them to m_n, and
@@ -285,49 +289,70 @@ class TransferEvaluator:
         c, read from its nonzero proper slices; pre is
         `_prefix_degrees(inputs)`.
 
-        rows[l - 1][i] is the value of inputs[i:i + l], None when zero:
-        the leaves, then one row per length.  A slice of length >= 3 takes
-        its value from its two end cuts alone, c = i + 1 and c = j - 1:
-        any other cut multiplies two slice values, and mu_h of two slice
+        A length keeps only its nonzero slices, as an ascending row of
+        (i, value of inputs[i:i + l]).  A slice of length >= 3 takes its
+        value from its two end cuts alone, c = i + 1 and c = j - 1: any
+        other cut multiplies two slice values, and mu_h of two slice
         values is None (the side condition of the module docstring).  So
-        row l reads only row l - 1 and the leaves, and the growth stops at
-        the first length without a nonzero slice."""
+        row l grows from the neighbours of row l - 1's slices: the slice
+        at i is the right factor of cut i of inputs[i - 1:], then the left
+        factor of cut i + l - 1 of inputs[i:].  The two terms of one
+        target arrive next to each other, and the growth stops at the
+        first length without a nonzero slice.  first[l] and last[l] keep
+        the values of inputs[:l] and inputs[n - l:], the root's factors."""
         n = len(inputs)
         backend = self.backend
         mu_h, add = backend.mu_h, backend.add
         leaves = [backend.leaf(s) for s in inputs]
-        rows = [leaves]
-        prev = leaves
-        for length in range(2, n):
-            row = []
-            for i in range(n - length + 1):
-                j = i + length
-                # slice order is (f_d, ..., f_1): the left factor is the
-                # prefix.  c = i + 1, when inputs[i + 1:j] is nonzero
-                acc = None
-                if prev[i + 1] is not None:
-                    acc = mu_h(leaves[i], prev[i + 1])
-                    if acc is not None and pre is not None:
-                        acc = self._signed(acc, pre, i, i + 1)
-                # c = j - 1, when inputs[i:j - 1] is nonzero; at length 2
-                # it is the cut above
-                if length > 2 and prev[i] is not None:
-                    out = mu_h(prev[i], leaves[j - 1])
+        first, last = [None] * n, [None] * n
+        first[1], last[1] = leaves[0], leaves[-1]
+        # slice order is (f_d, ..., f_1): the left factor is the prefix.
+        # Length 2 has one cut; an arity-2 query has no proper slice
+        row = []
+        for i in range(n - 1 if n > 2 else 0):
+            out = mu_h(leaves[i], leaves[i + 1])
+            if out is not None:
+                row.append((i, out if pre is None else self._signed(out, pre, i, i + 1)))
+        length = 2
+        while row:
+            if row[0][0] == 0:
+                first[length] = row[0][1]
+            if row[-1][0] == n - length:
+                last[length] = row[-1][1]
+            length += 1
+            if length == n:
+                break
+            prev, row = row, []
+            for i, v in prev:
+                # cut c = i of inputs[i - 1:i - 1 + length]: leaf times slice
+                if i:
+                    out = mu_h(leaves[i - 1], v)
                     if out is not None:
                         if pre is not None:
-                            out = self._signed(out, pre, i, j - 1)
-                        try:
-                            acc = out if acc is None else add(acc, out)
-                        except ValueError as e:
-                            raise ValueError(f"slice {inputs[i:j]!r} sums {e}") from None
-                row.append(acc)
-            if row.count(None) == len(row):
-                break
-            rows.append(row)
-            prev = row
-        return [(c, rows[c - 1][0], rows[n - c - 1][c]) for c in range(1, n)
-                if max(c, n - c) <= len(rows)
-                and rows[c - 1][0] is not None and rows[n - c - 1][c] is not None]
+                            out = self._signed(out, pre, i - 1, i)
+                        if row and row[-1][0] == i - 1:
+                            # the cut c = j - 1 of this target came first
+                            try:
+                                out = add(out, row[-1][1])
+                            except ValueError as e:
+                                raise ValueError(f"slice {inputs[i - 1:i - 1 + length]!r} "
+                                                 f"sums {e}") from None
+                            if out is None:
+                                row.pop()
+                            else:
+                                row[-1] = (i - 1, out)
+                        else:
+                            row.append((i - 1, out))
+                # cut c = i + length - 1 of inputs[i:i + length]: slice
+                # times leaf
+                j = i + length
+                if j <= n:
+                    out = mu_h(v, leaves[j - 1])
+                    if out is not None:
+                        row.append((i, out if pre is None
+                                    else self._signed(out, pre, i, j - 1)))
+        return [(c, first[c], last[n - c]) for c in range(1, n)
+                if first[c] is not None and last[n - c] is not None]
 
     def transfer(self, inputs, cuts=None):
         """m_d(f_d, ..., f_1) as {output symbol: coeff}, the signed sum of

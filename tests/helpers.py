@@ -60,9 +60,11 @@ def kappa_h(h):
 
 
 def h_degree(h):
-    _, kind, _i, n = h
-    return {"ss": -2 * n, "sn": -2 * n - 1, "sp": -2 * n, "pn_t": -2 * n - 1,
-            "ps": 2 * n, "pn_s": 2 * n + 1}[kind]
+    """The degree of the H symbol h, slope * n + shift from its kind's
+    `symbols.H_KINDS` row."""
+    _, kind, i, n = h
+    *_ends, slope, shift = sym.H_KINDS[kind, i]
+    return slope * n + shift
 
 
 def elem_degree(x):

@@ -199,34 +199,61 @@ def _point_queries(n, arity_lo, arity_hi, degree_max, seed):
     return _draw(SymbolicBackend(), hits, n, arity_lo, arity_hi, degree_max, seed)
 
 
+# (backend, (queries, arity range, input degree bound, seed)) ->
+# (queries, decided by the grading, filled of arity 2, of arity 3,
+#  nonzero, dead cuts of the filled proper slices)
+_COLD = [
+    ("symbolic", (300, 4, 6, 4, 7), (300, 116, 0, 0, 156, 1715)),
+    ("symbolic", (100, 2, 3, 4, 11), (100, 31, 51, 18, 63, 0)),
+    ("tabulated-f2", (200, 2, 5, 2, 12), (200, 76, 38, 49, 113, 115)),
+    ("tabulated-q", (200, 2, 5, 2, 13), (200, 80, 42, 43, 113, 95)),
+]
+
+
 def test_cold_point_queries_match_recursion():
     """Outputs equal the recursion's, and no query memoizes anything.  A
     query with a class in its output degree runs mu_h on the live end cuts
     of its proper slices alone, a sub-tuple that repeats counted at each
     place, and mu_p on the root's live cuts: the cuts whose two factors are
-    nonzero.  A query without one is zero in the recursion too and makes
-    no product."""
-    backend = SymbolicBackend()
-    mu_h, mu_p = _count_calls(backend, "mu_h"), _count_calls(backend, "mu_p")
-    nonzero = dead = decided = 0
-    for q in _point_queries(300, 4, 6, 4, seed=7):
-        new, old = TransferEvaluator(backend), RecursiveEvaluator(SymbolicBackend())
-        mu_h[0] = mu_p[0] = 0
-        out = new.transfer(q)
-        assert out == old.transfer(q), q
-        assert new.memo == {}, q
-        if not _has_output_class(backend, q):
-            assert out == {}, q
-            assert mu_h[0] == mu_p[0] == 0, q
-            decided += 1
-            continue
-        assert mu_h[0] == _fill_end_cuts(old.memo, q), q
-        assert mu_p[0] == _root_live_cuts(old.memo, q), q
-        dead += sum(len(s) - 1 for s in _proper_slices(q)) - mu_h[0]
-        nonzero += bool(out)
-    assert nonzero >= 150
-    assert dead > 0
-    assert decided > 0
+    nonzero.  So a query of arity 2 makes no mu_h call, and one of arity 3
+    makes two, the products of its two adjacent pairs of leaves.  A query
+    without a class is zero in the recursion too and makes no product.
+    On the symbolic backend and the tabulated matrix backends over F2 and
+    Q; each case states how many queries of each sort it covered."""
+    backends = {"symbolic": SymbolicBackend,
+                "tabulated-f2": lambda: _pia2_matrix(F2, tabulated_contraction),
+                "tabulated-q": lambda: _pia2_matrix(QQ, tabulated_contraction)}
+    for name, (n, lo, hi, degree_max, seed), want in _COLD:
+        backend = backends[name]()
+        hits = sorted(k for k in expected_table(hi, degree_max).entries
+                      if lo <= len(k) <= hi)
+        queries = _draw(backend, hits, n, lo, hi, degree_max, seed)
+        mu_h, mu_p = _count_calls(backend, "mu_h"), _count_calls(backend, "mu_p")
+        decided = pairs = triples = nonzero = dead = 0
+        for q in queries:
+            old = RecursiveEvaluator(backend)
+            want_out = old.transfer(q)
+            new = TransferEvaluator(backend)
+            mu_h[0] = mu_p[0] = 0
+            out = new.transfer(q)
+            assert out == want_out, (name, q)
+            assert new.memo == {}, (name, q)
+            if not _has_output_class(backend, q):
+                assert out == {}, (name, q)
+                assert mu_h[0] == mu_p[0] == 0, (name, q)
+                decided += 1
+                continue
+            assert mu_h[0] == _fill_end_cuts(old.memo, q), (name, q)
+            assert mu_p[0] == _root_live_cuts(old.memo, q), (name, q)
+            if len(q) == 2:
+                assert mu_h[0] == 0, (name, q)
+                pairs += 1
+            if len(q) == 3:
+                assert mu_h[0] == 2, (name, q)
+                triples += 1
+            dead += sum(len(s) - 1 for s in _proper_slices(q)) - mu_h[0]
+            nonzero += bool(out)
+        assert (len(queries), decided, pairs, triples, nonzero, dead) == want, name
 
 
 def test_point_queries_at_the_benchmark_bounds_match_recursion():
@@ -490,6 +517,64 @@ def test_chart_scans_match_recursion():
                 if v is not None and len(k) < arity_max} <= set(got)
         assert {k for k in got if len(k) >= arity_max} == set()
         assert mu_h[0] == _live_cuts(new.memo)
+
+
+class TermCounter(TransferEvaluator):
+    """Counts the nonzero terms of each slice `slice_value` sums (H(mu)
+    images) and of each root `transfer` sums (p(mu) images): slices[k]
+    and roots[k] are the numbers of those with k nonzero terms."""
+
+    def __init__(self, backend):
+        super().__init__(backend)
+        self.seen = 0
+        self.slices, self.roots = {}, {}
+        for name, nonzero in (("mu_h", lambda out: out is not None),
+                              ("mu_p", bool)):
+            inner = getattr(backend, name)
+
+            def counted(a, b, inner=inner, nonzero=nonzero):
+                out = inner(a, b)
+                self.seen += nonzero(out)
+                return out
+            setattr(backend, name, counted)
+
+    def _tally(self, histogram):
+        histogram[self.seen] = histogram.get(self.seen, 0) + 1
+        self.seen = 0
+
+    def slice_value(self, inputs, cuts):
+        out = super().slice_value(inputs, cuts)
+        self._tally(self.slices)
+        return out
+
+    def transfer(self, inputs, cuts=None):
+        out = super().transfer(inputs, cuts)
+        self._tally(self.roots)
+        return out
+
+
+# slices and roots of the scan by their number of nonzero terms
+@pytest.mark.parametrize("make, arity_max, degree_max, slices, roots", [
+    (SymbolicBackend, 9, 8, {0: 1540, 1: 98}, {0: 1538, 1: 354}),
+    (lambda: _pia2_matrix(F2, tabulated_contraction, window=24, degree_max=4),
+     6, 4, {0: 288, 1: 36}, {0: 308, 1: 110}),
+], ids=["symbolic", "tabulated-f2"])
+def test_one_tree_per_operation(make, arity_max, degree_max, slices, roots):
+    """On this instance every operation comes from one planar tree: in a
+    scan no slice and no root has two or more nonzero terms, each entry's
+    root has exactly one, and the counts are stated.  A point query on
+    each entry never calls `add`, so the fill's merge, the one place where
+    two terms of a slice meet, never finds two nonzero ones."""
+    backend = make()
+    ev = TermCounter(backend)
+    table = compute_operation_table(arity_max, degree_max, backend, evaluator=ev)
+    assert (ev.slices, ev.roots) == (slices, roots)
+    assert roots[1] == len(table)
+    adds = _count_calls(backend, "add")
+    for q in table.entries:
+        e = table.get(q)
+        assert TransferEvaluator(backend).transfer(q) == {e["output"]: e["coeff"]}
+    assert adds[0] == 0
 
 
 @pytest.mark.parametrize("degree_max, make_backend",
