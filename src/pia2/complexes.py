@@ -8,8 +8,7 @@ and the transfer trees do their matrix work.  Each Hom(X_i, Y_{i+n}) is
 zero or spanned by one module map, so a flat coordinate is a position
 and an element is {position: scalar}; `mod_hom_basis` is the one place
 that decides this, and it refuses a space of dimension 2 or more.
-Chain maps are EndCategory elements (HomElement): the cone reads each
-position's module map off its scalar.
+Chain maps are EndCategory elements (HomElement).
 The basis map comes from the kernel vector of the naturality equations,
 so it is one at its free slot: the coordinate of a module map is its
 entry there, and a map that entry does not give back is outside the
@@ -41,8 +40,8 @@ algebra), and a contraction from its category alone, which it carries as
 """
 
 from .linalg import SparseMatrix, mat_vec, rref
-from .quiver import (ModuleMap, Representation, pia2_indecomposables,
-                     pia2_named_maps, a2_representations)
+from .quiver import (ModuleMap, pia2_indecomposables, pia2_named_maps,
+                     a2_representations)
 from . import symbols as sym
 from .ainf import _report
 
@@ -65,9 +64,6 @@ class TruncatedComplex:
 
     def positions(self):
         return range(self.lo, self.hi + 1)
-
-    def d(self, i):
-        return self.diffs.get(i)
 
     def __repr__(self):
         return f"Complex({self.name}, [{self.lo},{self.hi}])"
@@ -103,69 +99,6 @@ def build_resolution(simple, window, field, reps=None, maps=None):
         src = label(i)
         diffs[i] = maps["(12)"] if src == "P1" else maps["(21)"]
     return TruncatedComplex(f"Q{top}", cx_reps, diffs, field)
-
-
-def _module_maps(elem):
-    """(X, Y, {position: module map}) of a HomElement: each coefficient
-    scales its position's mod_hom_basis map."""
-    cat = elem.cat
-    X, Y = cat.complexes[elem.src], cat.complexes[elem.tgt]
-    return X, Y, {i: cat.mod_hom_basis(X.reps[i], Y.reps[i + elem.deg]).scale(v)
-                  for i, v in elem.coeffs.items()}
-
-
-# ---------------------------------------------------------------------------
-# cones
-
-def _place(rows, cols, field, blocks):
-    """The rows x cols matrix holding each (block, row offset, column
-    offset) of `blocks` at its offset."""
-    ent = {}
-    for m, ro, co in blocks:
-        for (r, c), v in m.entries.items():
-            field.accumulate(ent, (r + ro, c + co), v)
-    return SparseMatrix(rows, cols, field, ent)
-
-
-def cone(f):
-    """Mapping cone of a degree-0 cycle f: X -> Y of an EndCategory.
-
-    Position i carries X_{i+1} (+) Y_i and the differential is the block
-    matrix [[-d_X, 0], [f, d_Y]].
-    """
-    if f.deg != 0:
-        raise ValueError("cone needs a degree-0 chain map")
-    if not f.cat.differential(f).is_zero():
-        raise ValueError("cone needs a cycle")
-    X, Y, maps = _module_maps(f)
-    field = X.field
-    q = X.reps[X.lo].quiver
-    zero = Representation(q, field, {v: 0 for v in q.vertices}, name="0")
-    lo, hi = min(X.lo - 1, Y.lo), max(X.hi - 1, Y.hi)
-    xs = {i: X.reps.get(i + 1, zero) for i in range(lo, hi + 1)}
-    reps = {}
-    for i in range(lo, hi + 1):
-        x, y = xs[i], Y.reps.get(i, zero)
-        dims = {v: x.dims[v] + y.dims[v] for v in q.vertices}
-        reps[i] = Representation(q, field, dims, {
-            e: _place(dims[t], dims[s], field,
-                      ((x.mats[e], 0, 0), (y.mats[e], x.dims[t], x.dims[s])))
-            for e, s, t in q.edges}, f"C{i}")
-    diffs = {}
-    for i in range(lo, hi):
-        dX, fc, dY = X.d(i + 1), maps.get(i + 1), Y.d(i)
-        blocks = {}
-        for v in q.vertices:
-            # the X summands come first in the rows and the columns
-            rs, cs = xs[i + 1].dims[v], xs[i].dims[v]
-            parts = [] if dX is None else [(dX.blocks[v].neg(), 0, 0)]
-            if fc is not None:
-                parts.append((fc.blocks[v], rs, 0))
-            if dY is not None:
-                parts.append((dY.blocks[v], rs, cs))
-            blocks[v] = _place(reps[i + 1].dims[v], reps[i].dims[v], field, parts)
-        diffs[i] = ModuleMap(reps[i], reps[i + 1], blocks)
-    return TruncatedComplex(f"cone({X.name}->{Y.name})", reps, diffs, field)
 
 
 # ---------------------------------------------------------------------------

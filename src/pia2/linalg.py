@@ -145,9 +145,6 @@ class SparseMatrix:
         return SparseMatrix(self.rows, self.cols, f,
                             {pos: f.mul(a, v) for pos, v in self.entries.items()})
 
-    def neg(self):
-        return self.scale(self.field.sign(1))
-
 
 def mat_mul(a, b):
     """Exact product a*b of sparse matrices over the same field."""

@@ -82,9 +82,9 @@ class OperationTable:
         """The table a `dumps` file holds.  ValueError unless doc is an
         object with a list "entries" (and an object "metadata", if any)
         whose every entry has lists of strings "inputs" and "objects", one
-        object more than inputs, an integer "degree" and a string output
-        symbol, and an "arity", if it has one, equal to the number of
-        inputs."""
+        object more than inputs, an integer "degree", a string output
+        "coeff" and "symbol", and an "arity", if it has one, equal to the
+        number of inputs."""
         if type(doc) is not dict or type(doc.get("entries")) is not list:
             raise ValueError('a table is an object with a list "entries"')
         metadata = doc.get("metadata", {})
@@ -99,7 +99,8 @@ class OperationTable:
                 arity = e.get("arity", len(inputs))
                 ok = (type(inputs) is list and type(objects) is list
                       and len(objects) == len(inputs) + 1
-                      and type(degree) is int and type(symbol) is str
+                      and type(degree) is int and type(coeff) is str
+                      and type(symbol) is str
                       and type(arity) is int and arity == len(inputs))
             except (KeyError, TypeError):
                 ok = False
@@ -107,8 +108,9 @@ class OperationTable:
                 raise ValueError(
                     f"entry {i} is not a table entry: it needs lists of "
                     "strings inputs and objects, one object more than "
-                    "inputs, an integer degree, an output symbol string "
-                    "and no arity other than the number of inputs")
+                    "inputs, an integer degree, an output coeff and "
+                    "symbol that are strings and no arity other than the "
+                    "number of inputs")
             t.add(inputs, objects, coeff, symbol, degree)
         return t
 

@@ -30,7 +30,6 @@ A backend answers the engine through one protocol, one spelling per fact:
   scan_symbols(degree_max)  the identity-free symbols a scan takes;
   has_class(src, tgt, deg)  whether Ext has a class there;
   leaf(s)                 the element of a scan symbol;
-  add(a, b)               the sum of two nonzero elements, None if it is 0;
   scale(e, c)             e times a sign c other than one (over Q only);
   mu_h(a, b), mu_p(a, b)  H(mu(a, b)), None when zero, and p(mu(a, b)) as
                           {class: coeff}, {} when zero.
@@ -46,18 +45,22 @@ composable pair of H symbols within bounds and on every such product the
 matrix scans form.  Under it a slice of
 length >= 3 takes its value from at most two cuts, the one that splits
 off its first input and the one that splits off its last, so a point
-query sums only those, and a slice is nonzero only where it extends a
+query reads only those, and a slice is nonzero only where it extends a
 nonzero slice one shorter by a leaf; the root applies p, not H, and sums
 every live cut.
 
+The engine serves instances where each slice has at most one nonzero
+H(mu) term, so every operation comes from one planar tree (the tests pin
+this on the shipped backends): no element is ever summed, only the
+root's scalars.  A slice with a second nonzero term, in a fill or in
+`slice_value`, is refused with a ValueError naming the slice and both
+terms, never kept as one of them.
+
 The symbolic backend reads the H and p images of a symbol pair from one
 pair table, filled with one mu per distinct pair.  Its element is one
-operand or None, since every slice value it has been measured to give is
-a single term: a product is one pair-table read, and `add` cancels two
-equal operands over F2 and refuses two distinct ones, naming the slice,
-rather than carry or drop a sum.  The matrix backend is built from its
-contraction alone: the category, field, window and homotopy are the
-contraction's.
+operand or None, so a product is one pair-table read.  The matrix
+backend is built from its contraction alone: the category, field, window
+and homotopy are the contraction's.
 
 Both backends scan, take as leaves and output Ext basis symbols by their
 canonical strings, so slice keys, table keys and outputs are strings from
@@ -89,14 +92,20 @@ from .linalg import F2
 _MISS = object()
 
 
+def _second_term(inputs, first, second):
+    """The refusal of a slice with two nonzero H(mu) terms."""
+    return ValueError(f"slice {inputs!r} has two nonzero terms, {first!r} "
+                      f"and {second!r}: the engine serves instances with one "
+                      f"tree per operation")
+
+
 class SymbolicBackend:
     """Tree evaluation in the finite symbol grammar (F2 coefficients).
 
     An element is one operand, an Ext symbol by canonical string (leaves,
     class reads) or an H symbol (internal edges), a grammar value this
-    module only passes on; None is zero.  No slice value measured has two
-    terms, so no element is a sum: `add` refuses two distinct operands
-    instead of dropping one.  It has no `scale`: over F2
+    module only passes on; None is zero.  No element is a sum (the
+    engine refuses a slice of two terms).  It has no `scale`: over F2
     every Koszul sign is +1, so the evaluators, which scale only by a sign
     other than one, never ask for it.
     """
@@ -142,16 +151,6 @@ class SymbolicBackend:
     # elements ------------------------------------------------------------
     def leaf(self, s):
         return s
-
-    def add(self, a, b):
-        """a + b over F2, two nonzero operands: two equal ones cancel.
-        Two distinct ones would make a two-term slice, which this element
-        cannot hold: ValueError, naming the operands (the evaluator adds
-        the slice)."""
-        if a == b:
-            return None
-        raise ValueError(f"two distinct terms {a!r} and {b!r}; a symbolic "
-                         f"element is one operand")
 
     def _images(self, a, b):
         """The pair table's entry for (a, b), made on a miss: one mu
@@ -222,11 +221,6 @@ class MatrixBackend:
     def scale(self, e, c):
         return e.scale(c)
 
-    def add(self, a, b):
-        """a + b, None when the two cancel."""
-        total = a.add(b)
-        return None if total.is_zero() else total
-
     def mu_h(self, ea, eb):
         prod = self.cat.compose(ea, eb)
         if prod.is_zero():
@@ -251,13 +245,13 @@ class TransferEvaluator:
     candidate its live cuts instead, as (c, left, right) in ascending c:
     the cut and the nonzero values of inputs[:c] and inputs[c:].
     `transfer(inputs, cuts)` sums p(mu) over them to m_n, and
-    `slice_value(inputs, cuts)` sums H(mu) to the candidate's own slice
-    value.
+    `slice_value(inputs, cuts)` takes the one nonzero H(mu) among them as
+    the candidate's own slice value.
 
     `memo` maps each candidate `slice_value` was asked for to its value
     (None when zero): the scans' shared cache, which a later scan on the
     same evaluator (`functors.pi_category`'s closure) reads instead of
-    summing again.  An entry written from outside must hold the true
+    computing it again.  An entry written from outside must hold the true
     value.
     """
 
@@ -297,12 +291,13 @@ class TransferEvaluator:
         row l grows from the neighbours of row l - 1's slices: the slice
         at i is the right factor of cut i of inputs[i - 1:], then the left
         factor of cut i + l - 1 of inputs[i:].  The two terms of one
-        target arrive next to each other, and the growth stops at the
-        first length without a nonzero slice.  first[l] and last[l] keep
-        the values of inputs[:l] and inputs[n - l:], the root's factors."""
+        target arrive next to each other, and a target with two nonzero
+        ones is refused (ValueError); the growth stops at the first length
+        without a nonzero slice.  first[l] and last[l] keep the values of
+        inputs[:l] and inputs[n - l:], the root's factors."""
         n = len(inputs)
         backend = self.backend
-        mu_h, add = backend.mu_h, backend.add
+        mu_h = backend.mu_h
         leaves = [backend.leaf(s) for s in inputs]
         first, last = [None] * n, [None] * n
         first[1], last[1] = leaves[0], leaves[-1]
@@ -332,17 +327,9 @@ class TransferEvaluator:
                             out = self._signed(out, pre, i - 1, i)
                         if row and row[-1][0] == i - 1:
                             # the cut c = j - 1 of this target came first
-                            try:
-                                out = add(out, row[-1][1])
-                            except ValueError as e:
-                                raise ValueError(f"slice {inputs[i - 1:i - 1 + length]!r} "
-                                                 f"sums {e}") from None
-                            if out is None:
-                                row.pop()
-                            else:
-                                row[-1] = (i - 1, out)
-                        else:
-                            row.append((i - 1, out))
+                            raise _second_term(inputs[i - 1:i - 1 + length],
+                                               out, row[-1][1])
+                        row.append((i - 1, out))
                 # cut c = i + length - 1 of inputs[i:i + length]: slice
                 # times leaf
                 j = i + length
@@ -385,27 +372,27 @@ class TransferEvaluator:
         return total
 
     def slice_value(self, inputs, cuts):
-        """The value of the slice `inputs` (None when zero), the signed sum
-        of H(mu(left, right)) over its live cuts (see the class); memoized,
-        so a second call is a memo read."""
+        """The value of the slice `inputs` (None when zero): the signed
+        H(mu(left, right)) of the one live cut (see the class) where it is
+        nonzero, a second such cut refused (ValueError); memoized, so a
+        second call is a memo read."""
         hit = self.memo.get(inputs, _MISS)
         if hit is not _MISS:
             return hit
         backend = self.backend
         pre = self._prefix_degrees(inputs)
-        acc = None
+        value = None
         for c, left, right in cuts:
             out = backend.mu_h(left, right)
             if out is None:
                 continue
             if pre is not None:
                 out = self._signed(out, pre, 0, c)
-            try:
-                acc = out if acc is None else backend.add(acc, out)
-            except ValueError as e:
-                raise ValueError(f"slice {inputs!r} sums {e}") from None
-        self.memo[inputs] = acc
-        return acc
+            if value is not None:
+                raise _second_term(inputs, value, out)
+            value = out
+        self.memo[inputs] = value
+        return value
 
 
 def compute_operation_table(arity_max, degree_max, backend, evaluator=None):

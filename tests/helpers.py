@@ -6,7 +6,8 @@
 grammar of `pia2.symbols`;
 `from_rows` builds a `pia2.linalg` matrix, and `rank` and `check_exact`
 read `pia2.quiver` module maps; `check_d_squared`, `homology_dims` and
-`hom_homology_dims` read a `pia2.complexes` complex or category,
+`hom_homology_dims` read a `pia2.complexes` complex or category, `cone`
+builds the mapping cone of a degree-0 cycle of one,
 `realize_h_symbol` realizes a homotopy symbol through a contraction,
 `full_back_substitution` applies a tabulated contraction's H over every
 step of its plan, and `restrict` cuts a Hom element down to a set of
@@ -17,8 +18,9 @@ documents.
 """
 
 from pia2 import symbols as sym
-from pia2.complexes import HomElement, realize_ext_symbol
+from pia2.complexes import HomElement, TruncatedComplex, realize_ext_symbol
 from pia2.linalg import SparseMatrix, rref
+from pia2.quiver import ModuleMap, Representation
 from pia2.table import OperationTable
 
 
@@ -283,3 +285,63 @@ def restrict(elem, positions):
     keep = {i: v for i, v in elem.coeffs.items()
             if i in positions and i + elem.deg in positions}
     return HomElement(elem.cat, elem.src, elem.tgt, elem.deg, keep)
+
+
+def _module_maps(elem):
+    """(X, Y, {position: module map}) of a HomElement: each coefficient
+    scales its position's mod_hom_basis map."""
+    cat = elem.cat
+    X, Y = cat.complexes[elem.src], cat.complexes[elem.tgt]
+    return X, Y, {i: cat.mod_hom_basis(X.reps[i], Y.reps[i + elem.deg]).scale(v)
+                  for i, v in elem.coeffs.items()}
+
+
+def _place(rows, cols, field, blocks):
+    """The rows x cols matrix holding each (block, row offset, column
+    offset) of `blocks` at its offset."""
+    ent = {}
+    for m, ro, co in blocks:
+        for (r, c), v in m.entries.items():
+            field.accumulate(ent, (r + ro, c + co), v)
+    return SparseMatrix(rows, cols, field, ent)
+
+
+def cone(f):
+    """Mapping cone of a degree-0 cycle f: X -> Y of an EndCategory.
+
+    Position i carries X_{i+1} (+) Y_i and the differential is the block
+    matrix [[-d_X, 0], [f, d_Y]].
+    """
+    if f.deg != 0:
+        raise ValueError("cone needs a degree-0 chain map")
+    if not f.cat.differential(f).is_zero():
+        raise ValueError("cone needs a cycle")
+    X, Y, maps = _module_maps(f)
+    field = X.field
+    q = X.reps[X.lo].quiver
+    zero = Representation(q, field, {v: 0 for v in q.vertices}, name="0")
+    lo, hi = min(X.lo - 1, Y.lo), max(X.hi - 1, Y.hi)
+    xs = {i: X.reps.get(i + 1, zero) for i in range(lo, hi + 1)}
+    reps = {}
+    for i in range(lo, hi + 1):
+        x, y = xs[i], Y.reps.get(i, zero)
+        dims = {v: x.dims[v] + y.dims[v] for v in q.vertices}
+        reps[i] = Representation(q, field, dims, {
+            e: _place(dims[t], dims[s], field,
+                      ((x.mats[e], 0, 0), (y.mats[e], x.dims[t], x.dims[s])))
+            for e, s, t in q.edges}, f"C{i}")
+    diffs = {}
+    for i in range(lo, hi):
+        dX, fc, dY = X.diffs.get(i + 1), maps.get(i + 1), Y.diffs.get(i)
+        blocks = {}
+        for v in q.vertices:
+            # the X summands come first in the rows and the columns
+            rs, cs = xs[i + 1].dims[v], xs[i].dims[v]
+            parts = [] if dX is None else [(dX.blocks[v].scale(field.sign(1)), 0, 0)]
+            if fc is not None:
+                parts.append((fc.blocks[v], rs, 0))
+            if dY is not None:
+                parts.append((dY.blocks[v], rs, cs))
+            blocks[v] = _place(reps[i + 1].dims[v], reps[i].dims[v], field, parts)
+        diffs[i] = ModuleMap(reps[i], reps[i + 1], blocks)
+    return TruncatedComplex(f"cone({X.name}->{Y.name})", reps, diffs, field)

@@ -17,7 +17,7 @@ import pytest
 from pia2.linalg import F2, QQ
 from pia2 import symbols as sym
 from pia2.table import OperationTable, diff_tables
-from helpers import (check_d_squared, check_exact, ext_g, ext_u, h_sym,
+from helpers import (check_d_squared, check_exact, cone, ext_g, ext_u, h_sym,
                      is_identity, realize_h_symbol, restrict_objects,
                      table_to_json)
 from tree_oracle import enumerate_trees, catalan
@@ -26,7 +26,7 @@ from pia2.transfer import (SymbolicBackend, MatrixBackend, TransferEvaluator,
 from pia2.complexes import (pia2_end_category, a2_end_category,
                             tabulated_contraction, generic_contraction,
                             realize_ext_symbol,
-                            contraction_audit, HomElement, cone,
+                            contraction_audit, HomElement,
                             build_contraction)
 from pia2.ainf import (stasheff_check, kappa_symmetry_check,
                        expected_table, insertion_tuples)

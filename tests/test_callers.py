@@ -21,10 +21,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # definitions kept without a caller, each with its reason
-EXEMPT = {
-    "complexes.py:cone": "the paper's mapping cone; the tests build it "
-                         "from chain maps, and no command needs it",
-}
+EXEMPT = {}
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _WRAPPED = re.compile(r"[\w.]+:([\w.]+)")

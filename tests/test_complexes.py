@@ -6,7 +6,7 @@ import pytest
 from pia2.linalg import F2, QQ, SparseMatrix, mat_mul, mat_vec, rref, solve
 from pia2.quiver import ModuleMap, Representation, pia2_indecomposables
 from pia2 import symbols as sym
-from pia2.complexes import (build_resolution, cone, pia2_end_category,
+from pia2.complexes import (build_resolution, pia2_end_category,
                             a2_end_category, tabulated_contraction,
                             generic_contraction, realize_ext_symbol,
                             build_contraction, contraction_audit, HomElement,
@@ -16,7 +16,7 @@ from pia2.complexes import (build_resolution, cone, pia2_end_category,
 from pia2 import complexes
 from pia2.transfer import MatrixBackend, compute_operation_table
 
-from helpers import (all_ext_symbols, all_h_symbols, check_d_squared,
+from helpers import (all_ext_symbols, all_h_symbols, check_d_squared, cone,
                      elem_source, elem_target, ext_g, ext_u,
                      full_back_substitution, h_sym, hom_homology_dims,
                      homology_dims, realize_h_symbol, restrict)
@@ -29,7 +29,7 @@ def test_build_resolution_pattern():
     assert [q2.reps[i].name for i in range(-3, 1)] == ["P1", "P2", "P1", "P2"]
     assert check_d_squared(q1) and check_d_squared(q2)
     # consecutive differentials compose to zero through (12)(21) = 0
-    assert q1.d(-1).compose(q1.d(-2)).is_zero()
+    assert q1.diffs[-1].compose(q1.diffs[-2]).is_zero()
     with pytest.raises(ValueError):
         build_resolution("S1", 1, F2)
 
@@ -88,13 +88,13 @@ def d_matrix_reference(cat, src, tgt, deg):
     ent = {}
     for col, i in enumerate(dom):
         fm = cat.mod_hom_basis(X.reps[i], Y.reps[i + deg])
-        dt = Y.d(i + deg)
+        dt = Y.diffs.get(i + deg)
         if dt is not None:
             m = dt.compose(fm)
             if not m.is_zero():
                 v = cat._coordinatize(X.reps[i], Y.reps[i + deg + 1], m)
                 field.accumulate(ent, (cod_index[i], col), v)
-        ds = X.d(i - 1)
+        ds = X.diffs.get(i - 1)
         if ds is not None:
             m = fm.compose(ds).scale(field.neg(sign))
             if not m.is_zero():

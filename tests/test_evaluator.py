@@ -2,8 +2,9 @@
 replaced, and against the literal tree sum.
 
 `RecursiveEvaluator` is a frozen copy of the recursive evaluator: it
-computes every slice as the signed sum over its cuts of H(mu(A(prefix),
-A(suffix))), recursing into both parts.  Both paths of the evaluator must
+computes every slice as the signed H(mu(A(prefix), A(suffix))) of its one
+cut where that is nonzero, trying every cut and recursing into both
+parts, and refuses a slice with two such cuts.  Both paths of the evaluator must
 give its outputs: the point query's fill and the chart scan's cuts.  A
 query the grading decides (no class in its output's degree, see
 `_has_output_class`) fills nothing, and the recursion gives {} there too.
@@ -23,8 +24,8 @@ from pia2.complexes import (pia2_end_category, tabulated_contraction,
 from pia2.linalg import F2, QQ
 from pia2.transfer import (SymbolicBackend, MatrixBackend, TransferEvaluator,
                            compute_operation_table)
-from helpers import composable_pairs, h_sym
-from tree_oracle import transfer_mn_by_trees
+from helpers import composable_pairs
+from tree_oracle import LEAF, enumerate_trees, evaluate_tree, transfer_mn_by_trees
 
 _MISS = object()
 
@@ -62,10 +63,10 @@ class RecursiveEvaluator:
             out = backend.mu_h(el, er)
             if out is None:
                 continue
+            if acc is not None:
+                raise ValueError(f"slice {slice_key!r} has two nonzero terms")
             sign = _koszul_sign(field, backend, slice_key[:cut])
-            if sign != field.one:
-                out = backend.scale(out, sign)
-            acc = out if acc is None else backend.add(acc, out)
+            acc = out if sign == field.one else backend.scale(out, sign)
         self.memo[slice_key] = acc
         return acc
 
@@ -96,9 +97,8 @@ class RecursiveEvaluator:
 
 def _value(v):
     """A memo value in comparable form: None, a symbolic operand (an Ext
-    symbol's string or an H tuple), a formal sum, or a HomElement's
-    coordinates."""
-    if v is None or isinstance(v, (str, tuple, dict)):
+    symbol's string or an H tuple), or a HomElement's coordinates."""
+    if v is None or isinstance(v, (str, tuple)):
         return v
     return (v.src, v.tgt, v.deg, v.coeffs)
 
@@ -366,94 +366,110 @@ def test_root_slice_is_memoized_on_request():
     assert want is not None
 
 
-class FreeMagmaBackend:
-    """Every tree survives: mu_h and mu_p pair their operands into a new
-    bracket, so A(s) is the signed sum of all bracketings of s, each its
-    own term, and any sign error shows in a coefficient."""
+class OneTreeMagmaBackend:
+    """One planar tree survives: for a shape decorated by letters, mu_h
+    pairs two brackets only where their pair is a proper subtree of it,
+    and mu_p only at its root.  An element is (bracket, coeff), so a slice
+    value is at most one term and any sign error shows in a
+    coefficient."""
 
-    name = "free-magma"
+    name = "one-tree-magma"
     field = QQ
 
-    class _Letters(dict):
-        # a letter (name, degree) -> (source, target, degree); the magma
-        # has no objects
-        def __missing__(self, s):
-            return (None, None, s[1])
+    def __init__(self, shape, letters):
+        # a letter -> (source, target, degree); the magma has no objects
+        self.symbols = {s: (None, None, d) for s, d in letters}
+        names = iter(self.symbols)
 
-    symbols = _Letters()
+        def decorate(node):
+            return next(names) if node == LEAF else (decorate(node[0]),
+                                                     decorate(node[1]))
+
+        def brackets(node):
+            if node in self.symbols:
+                return []
+            return [node] + brackets(node[0]) + brackets(node[1])
+        self.root = decorate(shape)
+        self.inner = set(brackets(self.root)[1:])
 
     def has_class(self, src, tgt, deg):
         return True
 
     def leaf(self, s):
-        return {s: QQ.one}
+        return (s, QQ.one)
 
     def scale(self, e, c):
-        return {k: QQ.mul(c, v) for k, v in e.items()}
-
-    def add(self, a, b):
-        """a + b, None for an empty sum."""
-        out = dict(a)
-        for k, v in b.items():
-            out[k] = QQ.of(out.get(k, QQ.zero) + v)
-            if out[k] == QQ.zero:
-                del out[k]
-        return out or None
-
-    def _pair(self, tag, ea, eb):
-        return {(tag, a, b): QQ.mul(va, vb) for a, va in ea.items()
-                for b, vb in eb.items()}
+        return (e[0], QQ.mul(c, e[1]))
 
     def mu_h(self, ea, eb):
-        return self._pair("H", ea, eb)
+        pair = (ea[0], eb[0])
+        return (pair, QQ.mul(ea[1], eb[1])) if pair in self.inner else None
 
     def mu_p(self, ea, eb):
-        return self._pair("p", ea, eb)
+        pair = (ea[0], eb[0])
+        return {pair: QQ.mul(ea[1], eb[1])} if pair == self.root else {}
 
 
-class QuotientMagmaBackend(FreeMagmaBackend):
-    """The free magma modulo the side condition H(mu(H., H.)) = 0: mu_h of
-    two operands that are both H brackets is zero, so a slice value takes
-    its terms from its end cuts alone, while mu_p still pairs any two."""
-
-    name = "free-magma-mod-hh"
-
-    @staticmethod
-    def _bracket(e):
-        return all(k[0] == "H" for k in e)
-
-    def mu_h(self, ea, eb):
-        if self._bracket(ea) and self._bracket(eb):
-            return None
-        return super().mu_h(ea, eb)
+def _meets_side_condition(shape, root=True):
+    """Does every vertex of the shape below its root have a leaf child?"""
+    if shape == LEAF:
+        return True
+    if not root and LEAF not in shape:
+        return False
+    return all(_meets_side_condition(part, False) for part in shape)
 
 
-def test_koszul_signs_match_recursion_and_trees():
-    """Over Q the Koszul sign of each cut reaches the slice values.  On
-    the quotient magma a point query gives the recursion's and the tree
-    sum's outputs, with mu_h on every end cut of its proper slices; on the
-    free magma `slice_value` sums every cut of the slice, inner ones too."""
-    letters = [("a", 0), ("b", 1), ("c", 2), ("d", 1), ("e", 3), ("f", 1)]
-    negative = 0
-    for n in range(2, 7):
-        inputs = tuple(letters[:n])
-        backend = QuotientMagmaBackend()
-        new, old = TransferEvaluator(backend), RecursiveEvaluator(backend)
-        mu_h = _count_calls(backend, "mu_h")
-        out = new.transfer(inputs)
-        del backend.mu_h
-        assert out == old.transfer(inputs) == transfer_mn_by_trees(inputs, backend)
-        assert new.memo == {}
-        # no slice vanishes in the quotient magma: every end cut is live
-        assert mu_h[0] == _fill_end_cuts(old.memo, inputs) == sum(
-            len({1, len(s) - 1}) for s in _proper_slices(inputs))
-        negative += sum(v == -1 for v in out.values())
-        free = FreeMagmaBackend()
-        ev, rec = TransferEvaluator(free), RecursiveEvaluator(free)
-        cuts = [(c, rec._A(inputs[:c]), rec._A(inputs[c:])) for c in range(1, n)]
-        assert ev.slice_value(inputs, cuts) == rec._A(inputs)
-        negative += sum(v == -1 for v in ev.memo[inputs].values())
-    assert negative > 0
+def test_koszul_signs_match_one_tree_magma():
+    """Over Q the Koszul sign of each cut reaches the slice values and the
+    output.  For each of the 196 planar shapes of arity 2..7, on the magma
+    where that one tree survives: a point query gives the tree's value
+    (`tree_oracle.evaluate_tree`) on the 112 shapes that meet the side
+    condition, with mu_h on every live end cut of its proper slices, and
+    {} on the other 84, whose vertex with two inner children the fill
+    never reaches; the recursion gives the tree's value on all 196.
+    `slice_value`, handed all live cuts of a slice, inner ones too, gives
+    the recursion's value on every slice of every shape, 882 of them
+    nonzero.  102 outputs and 500 slice values carry the coefficient -1.
+    In the free magma every tree is its own monomial, so a sum over all
+    trees says no more than these checks tree by tree."""
+    letters = [("a", 0), ("b", 1), ("c", 2), ("d", 1), ("e", 3), ("f", 1),
+               ("g", 2)]
+    shapes, negative = {True: 0, False: 0}, {"roots": 0, "slices": 0}
+    nonzero_slices = 0
+    for n in range(2, 8):
+        inputs = tuple(s for s, _ in letters[:n])
+        for shape in enumerate_trees(n):
+            backend = OneTreeMagmaBackend(shape, letters[:n])
+            want = evaluate_tree(shape, inputs, backend)
+            assert list(want) == [backend.root]
+            old, new = RecursiveEvaluator(backend), TransferEvaluator(backend)
+            assert old.transfer(inputs) == want
+            mu_h = _count_calls(backend, "mu_h")
+            out = new.transfer(inputs)
+            del backend.mu_h
+            meets = _meets_side_condition(shape)
+            shapes[meets] += 1
+            if meets:
+                assert out == want, shape
+                assert mu_h[0] == _fill_end_cuts(old.memo, inputs), shape
+            else:
+                assert out == {}, shape
+            assert new.memo == {}
+            negative["roots"] += want[backend.root] == -1
+            for i in range(n - 1):
+                for j in range(i + 2, n + 1):
+                    part = inputs[i:j]
+                    cuts = [(c, old._A(part[:c]), old._A(part[c:]))
+                            for c in range(1, len(part))
+                            if _nonzero(old.memo, part[:c])
+                            and _nonzero(old.memo, part[c:])]
+                    value = new.slice_value(part, cuts)
+                    assert value == old._A(part), (shape, part)
+                    nonzero_slices += value is not None
+                    negative["slices"] += value is not None and value[1] == -1
+    assert shapes == {True: 112, False: 84}
+    assert nonzero_slices == 882
+    assert negative == {"roots": 102, "slices": 500}
 
 
 class FillCounter(TransferEvaluator):
@@ -563,18 +579,16 @@ def test_one_tree_per_operation(make, arity_max, degree_max, slices, roots):
     """On this instance every operation comes from one planar tree: in a
     scan no slice and no root has two or more nonzero terms, each entry's
     root has exactly one, and the counts are stated.  A point query on
-    each entry never calls `add`, so the fill's merge, the one place where
-    two terms of a slice meet, never finds two nonzero ones."""
+    each entry gives the entry, so its fill, which refuses a slice with
+    two nonzero terms, never meets one."""
     backend = make()
     ev = TermCounter(backend)
     table = compute_operation_table(arity_max, degree_max, backend, evaluator=ev)
     assert (ev.slices, ev.roots) == (slices, roots)
     assert roots[1] == len(table)
-    adds = _count_calls(backend, "add")
     for q in table.entries:
         e = table.get(q)
         assert TransferEvaluator(backend).transfer(q) == {e["output"]: e["coeff"]}
-    assert adds[0] == 0
 
 
 @pytest.mark.parametrize("degree_max, make_backend",
@@ -666,57 +680,53 @@ def test_pair_table_matches_mu_then_image(monkeypatch):
         mu_calls.clear()
 
 
-def test_add_cancels_equal_operands_and_refuses_distinct_ones():
-    """Over F2 an operand plus itself is zero (None); two distinct
-    operands would be a two-term sum, which the element cannot hold, so
-    `add` raises rather than drop one."""
-    backend = SymbolicBackend()
-    h = h_sym("ss", 1, 1)
-    for x in ("u1^1", h):
-        assert backend.add(x, x) is None
-    for a, b in (("u1^1", "u1^2"), ("u1^1", h), (h, h_sym("ss", 1, 2))):
-        with pytest.raises(ValueError, match="two distinct terms"):
-            backend.add(a, b)
+# the slice (p1, j1, b.u1^0) of this query has two live end cuts, both
+# zero on the instance: p1 times the value of (j1, b.u1^0), and the value
+# of (p1, j1) times b.u1^0
+_TWO_CUTS = ("u1^1", "p1", "j1", "b.u1^0")
 
 
-def _hand_made_backend(h, left_image):
-    """A symbolic backend whose pair table gives the slice (c, b, a) of
-    (d, c, b, a) two live cuts, c o (b a) with H image h[2] and (c b) o a
-    with `left_image`; every other slice of length >= 2 is zero."""
-    backend = SymbolicBackend()
-    backend._pair.update({
-        ("d", "c"): (None, None), ("c", "b"): (h[0], None),
-        ("b", "a"): (h[1], None), ("d", h[0]): (None, None),
-        ("c", h[1]): (h[2], None), (h[0], "a"): (left_image, None)})
-    return backend
+@pytest.mark.parametrize("equal", [False, True], ids=["distinct", "equal"])
+@pytest.mark.parametrize("make", [
+    SymbolicBackend, lambda: _pia2_matrix(QQ, tabulated_contraction)],
+    ids=["symbolic", "tabulated-q"])
+def test_two_live_cuts_refuse_the_slice(make, equal):
+    """With mu_h wrapped so that both end cuts of the slice give nonzero H
+    images, the point-query fill and the scan's `slice_value` each raise,
+    naming the slice and both signed terms, and memoize nothing: distinct
+    images and equal ones alike (over F2 two equal terms would cancel, and
+    over Q these two, of opposite signs, would), neither kept nor
+    summed."""
+    backend, q = make(), _TWO_CUTS
+    s, field = q[1:], backend.field
+    old = RecursiveEvaluator(backend)
+    cuts = [(1, backend.leaf(s[0]), old._A(s[1:])),
+            (2, old._A(s[:2]), backend.leaf(s[2]))]
+    assert all(left is not None and right is not None for _, left, right in cuts)
+    assert [backend.mu_h(left, right) for _, left, right in cuts] == [None, None]
+    images = [cuts[1][1], cuts[1][1] if equal else cuts[0][2]]
+    terms = []
+    for (c, _, _), image in zip(cuts, images):
+        sign = _koszul_sign(field, backend, s[:c])
+        terms.append(image if sign == field.one else backend.scale(image, sign))
+    mu_h = backend.mu_h
+    wrapped = {(repr(left), repr(right)): image
+               for (_, left, right), image in zip(cuts, images)}
 
-
-def test_two_live_cuts_with_distinct_images_refuse_the_slice():
-    """Under a hand-made pair table the slice (c, b, a) has two live cuts.
-    With distinct H images the point-query fill and the scan's
-    `slice_value` each raise, naming that slice and both images, never
-    keeping one of them; with equal ones they cancel over F2 and the slice
-    is zero."""
-    h = [h_sym("ss", 1, n) for n in range(1, 5)]
-    q = ("d", "c", "b", "a")
+    def doubled(a, b):
+        image = wrapped.get((repr(a), repr(b)))
+        return mu_h(a, b) if image is None else image
+    backend.mu_h = doubled
+    ev = TransferEvaluator(backend)
     with pytest.raises(ValueError) as exc:
-        TransferEvaluator(_hand_made_backend(h, h[3]))._fill(q, None)
+        ev._fill(q, ev._prefix_degrees(q))
     message = str(exc.value)
-    assert "('c', 'b', 'a')" in message
-    assert repr(h[2]) in message and repr(h[3]) in message
-    ev = TransferEvaluator(_hand_made_backend(h, h[2]))
-    # (c, b, a) is zero, and so are (d, c) and (d, c, b): every root cut
-    # has a zero factor
-    assert ev._fill(q, None) == [] and ev.memo == {}
-    # a chart scan hands the same two cuts to slice_value, which refuses
-    # alike and memoizes nothing
-    s, cuts = q[1:], [(1, "c", h[1]), (2, h[0], "a")]
-    ev = TransferEvaluator(_hand_made_backend(h, h[3]))
+    assert message.startswith(
+        f"slice {s!r} has two nonzero terms, {terms[0]!r} and {terms[1]!r}")
+    assert ev.memo == {}
     with pytest.raises(ValueError) as exc:
         ev.slice_value(s, cuts)
     assert str(exc.value) == message and ev.memo == {}
-    ev = TransferEvaluator(_hand_made_backend(h, h[2]))
-    assert ev.slice_value(s, cuts) is None and ev.memo == {s: None}
 
 
 # -- property: a point query and the literal tree sum agree -----------------

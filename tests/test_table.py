@@ -99,9 +99,12 @@ def test_strings_that_need_escaping():
     ({"entries": [{"inputs": ["a"], "objects": ["X", "Y"], "degree": 0,
                    "output": {"coeff": "1", "symbol": None}}]},
      "entry 0 is not a table entry"),
+    ({"entries": [{"inputs": ["a"], "objects": ["X", "Y"], "degree": 0,
+                   "output": {"coeff": [1], "symbol": "s"}}]},
+     "entry 0 is not a table entry"),
 ], ids=["list", "entries-object", "metadata-list", "entry-list", "no-output",
         "inputs-string", "inputs-int", "objects-short", "degree-bool",
-        "symbol-null"])
+        "symbol-null", "coeff-list"])
 def test_from_json_refuses_what_dumps_does_not_write(doc, message):
     with pytest.raises(ValueError, match=message):
         OperationTable.from_json(doc)

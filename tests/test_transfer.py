@@ -212,16 +212,6 @@ def test_for_pia2_refuses_another_category():
         MatrixBackend.for_pia2(pia2_end_category(14, F2), con, 2)
 
 
-def test_matrix_sum_that_cancels_is_none():
-    """Zero is None in every backend: a matrix sum that cancels, x + (-x)
-    over Q, is None, not a zero element."""
-    cat = pia2_end_category(14, QQ)
-    mb = MatrixBackend.for_pia2(cat, tabulated_contraction(cat), 2)
-    x = mb.leaf("u1^1")
-    assert mb.add(x, mb.scale(x, QQ.of(-1))) is None
-    assert mb.add(x, x).coeffs == mb.scale(x, QQ.of(2)).coeffs
-
-
 def test_scan_inserts_entries_in_arity_key_order():
     t = compute_operation_table(6, 6, SymbolicBackend())
     assert len(t.arities()) == 5
