@@ -19,6 +19,8 @@ composable tuple is zero.  The remaining checks (unitality, kappa
 symmetry, classification, table diff) are scans over stored entries.
 """
 
+import functools
+
 from .linalg import F2
 from .table import OperationTable
 from . import symbols as sym
@@ -178,7 +180,7 @@ def stasheff_check(cat, d_max, degree_max, tuple_source=None):
     if tuple_source is None:
         checked = count_composable_tuples(cat, d_max, degree_max)
     else:
-        checked = sum(len(t) >= 2 for t in tuple_source)
+        checked = sum(1 for t in tuple_source if len(t) >= 2)
     violations = []
     for inputs in sorted(insertions, key=_report_order):
         acc = _relation(cat, m, inputs)
@@ -247,11 +249,20 @@ def insertion_tuples(cat, d_max, degree_max):
     keep = _in_bounds(hom, d_max)
     tuples = set()
     for o in outers:
-        for j, s in enumerate(o):
-            for k in by_output.get(s, ()):
-                t = o[:j] + k + o[j + 1:]
-                if keep(t):
-                    tuples.add(t)
+        # T keeps every input of O but the one in slot j, and K's inputs
+        # are all maps of hom, so O has at most one input outside hom,
+        # which must be the slot; and K has at most room inputs (an outer
+        # key has arity <= d_max - 1, so room >= 2 holds)
+        room = d_max + 1 - len(o)
+        outside = [j for j, s in enumerate(o) if s not in hom]
+        if len(outside) > 1:
+            continue
+        for j in outside or range(len(o)):
+            for k in by_output.get(o[j], ()):
+                if len(k) <= room:
+                    t = o[:j] + k + o[j + 1:]
+                    if keep(t):
+                        tuples.add(t)
     return ops, tuples
 
 
@@ -295,7 +306,8 @@ def composable_tuples(cat, d_max, degree_max):
     source, from f_1 on, and a walk comes before its extensions.  One
     stack of (tuple, target) pairs holds the walk; children are pushed in
     reverse so that they pop in hom_basis order, and a tuple grows at the
-    front."""
+    front.  The tuples of length d_max, which have no children, are
+    yielded in hom_basis order when their parent pops instead of pushed."""
     by_source = _by_source(cat, degree_max)
     reverse = {x: maps[::-1] for x, maps in by_source.items()}
     for x in sorted(by_source):
@@ -304,8 +316,11 @@ def composable_tuples(cat, d_max, degree_max):
             t, y = stack.pop()
             if len(t) >= 2:
                 yield t
-            if len(t) < d_max:
+            if len(t) < d_max - 1:
                 stack += [((s,) + t, z) for s, z in reverse.get(y, ())]
+            elif len(t) == d_max - 1:     # the last level has no children
+                for s, _z in by_source.get(y, ()):
+                    yield (s,) + t
 
 
 def count_composable_tuples(cat, d_max, degree_max):
@@ -383,16 +398,17 @@ def classification_check(table):
 
     The leading p_i may be absent when the shape starts the tuple (the
     complete operation list contains families like ((12),(212)^n, j1,
-    b.u1^n) = j2 where the p has been consumed by the output).  "checked"
+    b.u1^n) = j2 where the p has been consumed by the output).  The
+    shapes are built once per arity (_classified_shapes).  "checked"
     counts the entries of arity >= 3 examined, so over a table of binary
     products alone the check examines nothing and fails."""
     violations = []
     checked = 0
-    for key, v in table.entries.items():
+    for key in table.entries:
         if len(key) < 3:
             continue
         checked += 1
-        if not _contains_classified_factor(key):
+        if not _classified(key):
             violations.append({"tuple": list(key), "expected": "a classified factor",
                                "got": "none"})
     return _report("classification", violations, checked, bool(table.entries))
@@ -414,23 +430,32 @@ def _classified_patterns(i, n):
     yield loops + (arrow, jo)
 
 
-def _contains_classified_factor(key):
+def _classified(key):
+    """Whether key holds an anchored shape at one of its p_i or a bare
+    shape at its start (_classified_shapes)."""
     d = len(key)
+    anchored, bare = _classified_shapes(d)
+    return (any(key[:e] in bare for e in range(1, d + 1))
+            or any(key[q:e] in anchored for q, s in enumerate(key)
+                   if s == "p1" or s == "p2" for e in range(q + 2, d + 1)))
+
+
+@functools.cache
+def _classified_shapes(d):
+    """(anchored, bare): the sets of shapes a key of arity d is tested
+    against, _classified_patterns at n = 0..d//2 that fit in d inputs,
+    with a leading p_i (found anywhere in the key) and without one (found
+    at its start).  They hold every shape of at most d inputs, so a key
+    is tested by its slices at each p_i and at its start."""
+    anchored, bare = set(), set()
     for i in (1, 2):
-        pi = f"p{i}"
         for n in range(0, d // 2 + 1):
             for pat in _classified_patterns(i, n):
-                anchored = (pi,) + pat
-                if len(anchored) <= d and _has_consecutive(key, anchored):
-                    return True
-                if len(pat) <= d and key[:len(pat)] == pat:
-                    return True
-    return False
-
-
-def _has_consecutive(key, pat):
-    k = len(pat)
-    return any(key[i:i + k] == pat for i in range(len(key) - k + 1))
+                if len(pat) < d:
+                    anchored.add((f"p{i}",) + pat)
+                if len(pat) <= d:
+                    bare.add(pat)
+    return frozenset(anchored), frozenset(bare)
 
 
 # ---------------------------------------------------------------------------

@@ -35,9 +35,10 @@ Outside it, and outside the matrix realization of the grammar
 (`complexes.realize_ext_symbol`, and the tests' `realize_h_symbol`), an
 Ext basis symbol is its canonical string: "u1^2", "(12)", "1_P1",
 "b.u1^0".  SYMBOLS maps each such string to its grammar tuple, source,
-target and degree, the one place those facts are read; `hom_names` lists
-hom bases and `classes` the Ext classes of one degree by string, and
-`pair_images` evaluates products of named factors.
+target and degree, the one place those facts are read; `kappa_str`
+gives a string's 1 <-> 2 image, kept from its first lookup; `hom_names`
+lists hom bases and `classes` the Ext classes of one degree by string,
+and `pair_images` evaluates products of named factors.
 H symbols have no string spelling: they stay grammar tuples, opaque to
 the transfer layer that carries each one as a slice value.
 """
@@ -356,6 +357,10 @@ class _SymbolTable(dict):
 
 SYMBOLS = _SymbolTable()
 
+# canonical string -> the canonical string of its 1 <-> 2 relabeling,
+# filled by kappa_str
+_KAPPA = {}
+
 
 class SymbolRecords(dict):
     """symbol -> (source, target, degree) for a symbol-reading user of
@@ -400,8 +405,13 @@ def classes(x, y, deg):
 
 
 def kappa_str(s):
-    """The 1 <-> 2 relabeling of the symbol named s."""
-    return ext_to_str(kappa_ext(SYMBOLS[s][0]))
+    """The 1 <-> 2 relabeling of the symbol named s.  An image is computed
+    on the first lookup of its string and kept in _KAPPA; a string that
+    names no symbol raises KeyError and stores nothing."""
+    out = _KAPPA.get(s)
+    if out is None:
+        out = _KAPPA[s] = ext_to_str(kappa_ext(SYMBOLS[s][0]))
+    return out
 
 
 def pair_images(a, b):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from pia2.linalg import F2, QQ
@@ -10,7 +12,8 @@ from pia2.complexes import pia2_end_category, tabulated_contraction
 from pia2.ainf import (AInfCategory, stasheff_check, unitality_check,
                        kappa_symmetry_check, classification_check,
                        expected_table, sign_exponent, composable_tuples,
-                       count_composable_tuples, insertion_tuples, _by_source)
+                       count_composable_tuples, insertion_tuples, _by_source,
+                       _classified, _classified_patterns, _in_bounds, _maps)
 from pia2.functors import (pi_category, build_delta, build_fukaya,
                            build_pants, build_pi_prime, build_pi_simple)
 
@@ -339,6 +342,104 @@ def test_classification():
     assert classification_check(bogus)["status"] == "fail"
 
 
+def test_kappa_symmetry_compares_output_and_coefficient():
+    """An entry whose kappa image is stored with another output, or with
+    another coefficient, fails the check along with its image."""
+    def table(out, coeff):
+        t = OperationTable({})
+        t.add(("j1", "p2"), ["P2", "S2", "P1"], QQ.one, "(21)", 0)
+        t.add(("j2", "p1"), ["P1", "S1", "P2"], coeff, out, 0)
+        return t
+    assert kappa_symmetry_check(table("(12)", QQ.one))["status"] == "pass"
+    for bad in (table("j1", QQ.one), table("(12)", QQ.neg(QQ.one))):
+        rep = kappa_symmetry_check(bad)
+        assert rep["status"] == "fail" and rep["checked"] == 2
+        assert [v["tuple"] for v in rep["violations"]] == [["j1", "p2"], ["j2", "p1"]]
+
+
+def contains_classified_factor_oracle(key):
+    """A frozen copy of the shape search classification_check replaced:
+    the oracle for its verdict.  Each shape of _classified_patterns at n
+    = 0..d//2 is tried in turn, after p_i at every position of the key
+    and bare at its start."""
+    d = len(key)
+    for i in (1, 2):
+        pi = f"p{i}"
+        for n in range(0, d // 2 + 1):
+            for pat in _classified_patterns(i, n):
+                anchored = (pi,) + pat
+                if len(anchored) <= d and _has_consecutive(key, anchored):
+                    return True
+                if len(pat) <= d and key[:len(pat)] == pat:
+                    return True
+    return False
+
+
+def _has_consecutive(key, pat):
+    k = len(pat)
+    return any(key[i:i + k] == pat for i in range(len(key) - k + 1))
+
+
+def _verdicts(keys):
+    """{key: classified} for keys of arity >= 3, read off one
+    classification_check over a table that stores them all."""
+    t = OperationTable({})
+    for k in keys:
+        t.add(k, ["S1"] * (len(k) + 1), 1, "u1^1", 0)
+    rep = classification_check(t)
+    assert rep["checked"] == len(keys)
+    failed = {tuple(v["tuple"]) for v in rep["violations"]}
+    return {k: k not in failed for k in keys}
+
+
+def test_classification_shape_by_shape():
+    """Each of the eight shapes, at loop counts 0..2, classifies a key
+    when it follows p_i anywhere in it, also behind a p_i or two that
+    start no shape, and when it starts the key bare; bare anywhere else it
+    does not.  u1^1, the filler, is in no shape."""
+    fill = "u1^1"
+    yes, no = set(), set()
+    for n in range(3):
+        for i in (1, 2):
+            for pat in _classified_patterns(i, n):
+                anchored = (f"p{i}",) + pat
+                for lead in ((), ("p2", fill), ("p1", fill, "p2", fill)):
+                    for before in range(3):
+                        for after in range(3):
+                            pad = (fill,) * before
+                            yes.add(lead + pad + anchored + (fill,) * after)
+                            yes.add(pat + lead + pad + (fill,) * after)
+                            if before:
+                                no.add(pad + pat + (fill,) * after)
+    yes = {k for k in yes if len(k) >= 3}
+    no = {k for k in no if len(k) >= 3}
+    assert yes and no
+    verdicts = _verdicts(yes | no)
+    assert {k for k, ok in verdicts.items() if ok} == yes
+    for k in yes | no:
+        assert contains_classified_factor_oracle(k) == (k in yes), k
+
+
+def test_classification_matches_frozen_oracle():
+    """The shape sets built per arity give the frozen search's verdict on
+    every key of arity >= 3 of the expected table at (11,10), and on
+    seeded random keys of arity 1..9 over the symbols the shapes use, p_i
+    and two that are in no shape."""
+    exp = [k for k in expected_table(11, 10).entries if len(k) >= 3]
+    assert len(exp) == 342
+    assert all(_verdicts(exp).values())
+    assert all(map(contains_classified_factor_oracle, exp))
+    letters = ("p1", "p2", "(12)", "(21)", "j1", "j2", "u1^1", "b.u1^0")
+    rng = random.Random(1)
+    keys = {tuple(rng.choice(letters) for _ in range(rng.randint(1, 9)))
+            for _ in range(4000)}
+    want = {k: contains_classified_factor_oracle(k) for k in keys}
+    assert 500 < sum(want.values()) < len(keys) - 500
+    assert {k: _classified(k) for k in keys} == want
+    assert _verdicts([k for k in keys if len(k) >= 3]) == \
+        {k: ok for k, ok in want.items() if len(k) >= 3}
+
+
 def test_scan_reports_count_what_they_checked():
     pi = make_pi(6, 4)
     for rep in (unitality_check(pi, 4), kappa_symmetry_check(pi.table),
@@ -380,6 +481,52 @@ def composable_tuples_recursive(cat, d_max, degree_max):
     for x in sorted(by_source):
         for s, y in by_source[x]:
             yield from extend([s], y)
+
+
+def insertion_tuples_unpruned(cat, d_max, degree_max):
+    """A frozen copy of insertion_tuples before it pruned its candidates:
+    the oracle for its (ops, tuples).  Every O o_j K, at every slot j of
+    every outer key O, is built and sent through _in_bounds."""
+    inner = cat.closed_operations(d_max - 1, degree_max)
+    hom = _maps(cat, degree_max)
+    by_output = {}
+    for k, (_c, out) in inner.items():
+        if all(s in hom for s in k):
+            by_output.setdefault(out, []).append(k)
+    if not by_output:
+        return inner, set()
+    top = max(max(map(cat.degree, by_output)), degree_max)
+    ops = cat.closed_operations(d_max - 1, top)
+    outers = list(ops)
+    for x, u in cat.units.items():
+        if u in by_output:
+            outers += [(a, u) for a, (w, _y) in hom.items() if w == x]
+            outers += [(u, b) for b, (_w, y) in hom.items() if y == x]
+    keep = _in_bounds(hom, d_max)
+    tuples = set()
+    for o in outers:
+        for j, s in enumerate(o):
+            for k in by_output.get(s, ()):
+                t = o[:j] + k + o[j + 1:]
+                if keep(t):
+                    tuples.add(t)
+    return ops, tuples
+
+
+def test_insertion_tuples_match_unpruned_oracle():
+    """Pruning outer keys and slots before the tuple test admits the same
+    tuples: Pi at the benchmark's (6,4)/(6,4) and (6,6)/(5,6), and the
+    formal and pants categories at (5,4)."""
+    cases = [("pi-64", make_pi(6, 4), 6, 4, 562),
+             ("pi-66", make_pi(6, 6), 5, 6, 940),
+             ("pi-simple", build_pi_simple(), 5, 4, None),
+             ("delta", build_delta(), 5, 4, None),
+             ("pants", build_pants(4, pi_table=make_pi(5, 4).table), 5, 4, None)]
+    for name, cat, d_max, degree_max, n in cases:
+        ops, tuples = insertion_tuples(cat, d_max, degree_max)
+        want_ops, want = insertion_tuples_unpruned(cat, d_max, degree_max)
+        assert ops == want_ops and tuples == want, name
+        assert want and n in (None, len(want)), name
 
 
 def _pi_walk_cases():

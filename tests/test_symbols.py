@@ -104,15 +104,37 @@ def test_grammar_facts_are_pinned():
         86, "186fd8b066ea8451ed282a3657b7183b340cecad7cff8b886b4c52fe3fa6e8bc")
 
 
+def test_kappa_str_is_a_memoized_involution():
+    """kappa_str relabels 1 <-> 2 and keeps its image: on every hom_names
+    symbol of degree <= 12 the image lies between the relabeled objects,
+    is the grammar's relabeling, is stored, and maps back.  A string that
+    names no symbol raises KeyError and leaves the memo as it was."""
+    for x in sym.OBJECTS:
+        for y in sym.OBJECTS:
+            kx, ky = sym.kappa_object(x), sym.kappa_object(y)
+            for s in sym.hom_names(x, y, 12):
+                k = sym.kappa_str(s)
+                assert k in sym.hom_names(kx, ky, 12) and k != s
+                assert k == sym.ext_to_str(sym.kappa_ext(sym.SYMBOLS[s][0]))
+                assert sym._KAPPA[s] == k
+                assert sym.kappa_str(k) == s
+    before = dict(sym._KAPPA)
+    for bad in ("u1^0", "u1^02", "1_P", "j3", "zz", 5, ("j", 1), "b.u2^0", b"j1"):
+        with pytest.raises(KeyError):
+            sym.kappa_str(bad)
+        assert bad not in sym._KAPPA
+    assert sym._KAPPA == before
+
+
 def test_importing_the_package_fills_no_table():
-    """The symbols table is filled on first use: importing the package
-    stores no string."""
+    """The symbols table and the kappa images are filled on first use:
+    importing the package stores no string."""
     src = str(Path(sym.__file__).resolve().parents[1])
     out = subprocess.run(
-        [sys.executable, "-c", "import pia2.cli, pia2.symbols as s; print(len(s.SYMBOLS))"],
+        [sys.executable, "-c", "import pia2.cli, pia2.symbols as s; print(len(s.SYMBOLS), len(s._KAPPA))"],
         capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "0"
+    assert out.stdout.strip() == "0 0"
 
 
 def test_string_roundtrip():
